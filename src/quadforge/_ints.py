@@ -9,7 +9,6 @@ is trial division plus Brent's variant of Pollard rho.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -45,12 +44,14 @@ def icbrt(n: int) -> int:
         raise ValueError("negative input")
     if n == 0:
         return 0
-    r = round(n ** (1 / 3))
-    while r ** 3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
+    # Newton's step from 2**ceil(bits/3), which lies above the cube root,
+    # descends strictly until it reaches the floor of the root.
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 def is_square_int(n: int) -> bool:
@@ -67,17 +68,25 @@ def _pollard_brent(n: int) -> int:
     x0 = 2
     c = 1
     while True:
-        x = y = x0
+        y = x0
         d = 1
         q = 1
         m = 128
+        # the walk from x is doubled each round, so it reaches any cycle length
+        r = 1
         while d == 1:
-            ys = y
-            for _ in range(m):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            d = math.gcd(q, n)
             x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                d = math.gcd(q, n)
+                k += m
+            r *= 2
         if d != n:
             return d
         # backtrack
@@ -162,16 +171,25 @@ def divisors_from_factors(fac: dict[int, int]) -> list[int]:
     return divs
 
 
-@lru_cache(maxsize=8)
+_SPF: list[int] = []
+
+
 def spf_sieve(limit: int) -> list[int]:
-    """Smallest-prime-factor table for 0..limit."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
+    """Smallest-prime-factor table covering 0..limit.
+
+    The process keeps one table: it is rebuilt only when a caller asks for
+    a larger limit and otherwise returned as is, so it may run past
+    `limit`.  `prime_power` reads it for every q it covers."""
+    global _SPF
+    if limit >= len(_SPF):
+        spf = list(range(limit + 1))
+        for i in range(2, math.isqrt(limit) + 1):
+            if spf[i] == i:
+                for j in range(i * i, limit + 1, i):
+                    if spf[j] == j:
+                        spf[j] = i
+        _SPF = spf
+    return _SPF
 
 
 def factorize_sieved(n: int, spf: list[int]) -> dict[int, int]:
@@ -187,9 +205,20 @@ def factorize_sieved(n: int, spf: list[int]) -> dict[int, int]:
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, f) with q = p**f, or None if q is not a prime power."""
+    """Return (p, f) with q = p**f, or None if q is not a prime power.
+
+    Inside the shared smallest-prime-factor table (see `spf_sieve`) this is
+    a lookup plus a division loop; q beyond it is factorized.  Nothing here
+    builds the table."""
     if q < 2:
         return None
+    if q < len(_SPF):
+        p = _SPF[q]
+        m, f = q, 0
+        while m % p == 0:
+            m //= p
+            f += 1
+        return (p, f) if m == 1 else None
     fac = factorize(q)
     if len(fac) != 1:
         return None
@@ -205,13 +234,12 @@ def iter_prime_powers(lo: int, hi: int):
     for q in range(max(lo, 2), hi + 1):
         if spf is not None:
             p = spf[q]
-            m = q
+            m, f = q, 0
             while m % p == 0:
                 m //= p
-            if m != 1:
-                continue
-            f = round(math.log(q, p))
-            yield q, p, f
+                f += 1
+            if m == 1:
+                yield q, p, f
         else:
             pf = prime_power(q)
             if pf is not None:

@@ -172,7 +172,7 @@ def candidate_pairs(q: int) -> list[tuple[int, int]]:
 # index factorizations for the scan hot path
 # ---------------------------------------------------------------------------
 
-_CASE_DIVISOR = {3: 120, 4: 24, 5: 48}
+_CASE_DIVISOR = {3: factorize(120), 4: factorize(24), 5: factorize(48)}
 
 
 def _index_factors(case_id: int, q: int, spf) -> dict[int, int]:
@@ -182,7 +182,7 @@ def _index_factors(case_id: int, q: int, spf) -> dict[int, int]:
     fp = factorize_sieved(q + 1, spf)
     if case_id in _CASE_DIVISOR:
         merged = merge_factors(fq, fm, fp)
-        return divide_factors(merged, factorize(_CASE_DIVISOR[case_id]))
+        return divide_factors(merged, _CASE_DIVISOR[case_id])
     if case_id == 8:
         return divide_factors(merge_factors(fq, fp), {2: 1})
     if case_id == 9:
@@ -836,15 +836,17 @@ def fixed_structure_contradiction(
     lines.
     """
     checks = []
+    r = None
+    if q0 is not None and q is not None:
+        r = 1
+        while 1 < q0**r < q:
+            r += 1
+        if q0**r != q:
+            raise ValueError("q is not a power of q0")
     if p_g is None:
         if case_id is None or q is None:
             raise ValueError("need (p_g, l_g) or (case_id, q)")
         vals = row_values(case_id, q, q0=q0)
-        r = None
-        if q0 is not None:
-            r = round(math.log(q, q0))
-            if q0**r != q:
-                raise ValueError("q is not a power of q0")
         n_omega = index_formula(case_id, q, q0=q0, r=r)
         p_g = fixed_count(n_omega, vals["class"], vals["meet"])
         l_g = p_g
@@ -881,7 +883,6 @@ def fixed_structure_contradiction(
     if s_prime < 2:
         # non-thick: the caller must eliminate via the ambient count equation
         if case_id is not None and q is not None:
-            r = round(math.log(q, q0)) if q0 is not None else None
             n_pts = index_formula(case_id, q, q0=q0, r=r)
             sols = [c for c in solve_point_count(n_pts) if c.s == c.t and c.thick]
             checks.append(
@@ -1600,7 +1601,7 @@ class VerifierSpec:
     tag: str
     expected_verdict: str
     description: str
-    runner: object  # () or (q_range, workers) -> EliminationRecord
+    runner: object  # (q_range, workers, budget) -> EliminationRecord
 
 
 def _registry() -> dict[str, VerifierSpec]:
@@ -1608,27 +1609,27 @@ def _registry() -> dict[str, VerifierSpec]:
         VerifierSpec(
             "case1-excluded", ELIMINATED,
             "Borel stabilizers are impossible (2-transitive coset action)",
-            lambda rng=None, workers=1: eliminate_case1(),
+            lambda rng, workers, budget: eliminate_case1(),
         ),
         VerifierSpec(
             "sporadic", ELIMINATED,
             "non-maximal-stabilizer triples: counts 28, 21, 66 and the A4<S4 row",
-            lambda rng=None, workers=1: eliminate_sporadic(rng or (11, 10_000)),
+            lambda rng, workers, budget: eliminate_sporadic(rng or (11, 10_000)),
         ),
         VerifierSpec(
             "same-case-nonisomorphic", ELIMINATED,
             "subfield stabilizers of different degrees",
-            lambda rng=None, workers=1: eliminate_same_case_nonisomorphic(),
+            lambda rng, workers, budget: eliminate_same_case_nonisomorphic(),
         ),
         VerifierSpec(
             "case9-q41", ELIMINATED,
             "the (s, q) = (9, 41) survivor dies on its fixed substructure",
-            lambda rng=None, workers=1: eliminate_case9_survivor(),
+            lambda rng, workers, budget: eliminate_case9_survivor(),
         ),
         VerifierSpec(
             "w2-construction", CONFIRMED,
             "explicit 15-point quadrangle of order 2 at q = 9",
-            lambda rng=None, workers=1: w2_record(),
+            lambda rng, workers, budget: w2_record(budget),
         ),
     ]
     for pair in PAIR_TABLE:
@@ -1637,7 +1638,7 @@ def _registry() -> dict[str, VerifierSpec]:
             VerifierSpec(
                 f"case{i}-case{j}", ELIMINATED,
                 f"stabilizer pair (case {i}, case {j})",
-                (lambda p: lambda rng=None, workers=1: eliminate_cross(*p, q_range=rng, workers=workers))(pair),
+                (lambda p: lambda rng, workers, budget: eliminate_cross(*p, q_range=rng, workers=workers))(pair),
             )
         )
     for case_id in range(2, 10):
@@ -1646,7 +1647,7 @@ def _registry() -> dict[str, VerifierSpec]:
             VerifierSpec(
                 f"case{case_id}-equal", expected,
                 f"equal stabilizers in case {case_id}",
-                (lambda c: lambda rng=None, workers=1: eliminate_equal(c, rng))(case_id),
+                (lambda c: lambda rng, workers, budget: eliminate_equal(c, rng))(case_id),
             )
         )
     return {s.tag: s for s in sorted(specs, key=lambda s: s.tag)}
@@ -1672,20 +1673,23 @@ class VerifyOutcome:
         return self.records[-1].verdict
 
 
-def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -> VerifyOutcome:
+def verify(
+    tag: str, q_range=None, workers: int = 1, q_max: int | None = None, budget: int | None = None
+) -> VerifyOutcome:
     """Run one registered verifier and compare against its expected verdict.
 
     `theorem` runs the full driver; `case2-equal` follows its survivor
     into the geometry stage, `case9-equal` into the fixed-substructure
-    stage, so their outcomes include the follow-up record."""
+    stage, so their outcomes include the follow-up record.  `budget` caps
+    every group enumeration (see `psl2.resolve_budget`)."""
     if tag == "theorem":
-        report = theorem_driver(q_max or 100, workers=workers)
+        report = theorem_driver(q_max or 100, workers=workers, budget=budget)
         ok = report.confirmed == ([(9, 2, 2)] if (q_max or 100) >= 9 else [])
         return VerifyOutcome("theorem", CONFIRMED, report.records, ok)
     if tag not in VERIFIERS:
         raise KeyError(f"unknown lemma tag {tag!r}")
     spec = VERIFIERS[tag]
-    rec = spec.runner(q_range, workers)
+    rec = spec.runner(q_range, workers, budget)
     records = [rec]
     ok = rec.verdict == spec.expected_verdict
     if tag == "case9-equal" and ok:
@@ -1693,7 +1697,7 @@ def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -
         records.append(follow)
         ok = rec.survivors == [(41, 9, 9)] and follow.verdict == ELIMINATED
     elif tag == "case2-equal" and ok:
-        follow = w2_record()
+        follow = w2_record(budget)
         records.append(follow)
         ok = rec.survivors == [(9, 2, 2)] and follow.verdict == CONFIRMED
     return VerifyOutcome(tag, spec.expected_verdict, records, ok)

@@ -189,7 +189,9 @@ def cmd_verify(args) -> int:
     if args.lemma != "theorem" and args.lemma not in VERIFIERS:
         print(f"unknown lemma tag {args.lemma!r}", file=sys.stderr)
         return 2
-    outcome = verify(args.lemma, q_range=args.qrange, workers=args.workers, q_max=args.qmax)
+    outcome = verify(
+        args.lemma, q_range=args.qrange, workers=args.workers, q_max=args.qmax, budget=args.budget
+    )
     config = {
         "lemma": args.lemma,
         "range": list(args.qrange) if args.qrange else None,

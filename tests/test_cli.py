@@ -222,6 +222,25 @@ def test_budget_error_exits_three(monkeypatch):
     assert cli.main(["build-w2"]) == 3
 
 
+@pytest.mark.parametrize("lemma", [
+    ["case2-equal"], ["w2-construction"], ["theorem", "--qmax", "20"],
+])
+def test_verify_budget_reaches_w2(monkeypatch, tmp_path, lemma):
+    from quadforge import classify
+
+    seen = []
+    real = classify.build_w2
+
+    def spy(budget=None):
+        seen.append(budget)
+        return real()
+
+    monkeypatch.setattr(classify, "build_w2", spy)
+    argv = ["verify", "--lemma", *lemma, "--budget", "12345", "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    assert seen == [12345]
+
+
 def test_verify_theorem_q100(tmp_path):
     out = tmp_path / "r.json"
     code = main(["verify", "--lemma", "theorem", "--qmax", "100",

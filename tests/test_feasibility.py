@@ -161,11 +161,20 @@ def test_scan_bound_derivations():
 
 
 def test_bounds_never_use_floats():
-    # cross-multiplication stays exact at sizes where floats would round
-    big = 2**62 + 1
-    b = stabilizer_bounds(big * (big + 1), big)
-    assert b.lower_ok(big) or not b.lower_ok(big)  # evaluates without error
-    assert isinstance(b.upper_ok(big + 2), bool)
+    # Near 2**60 adjacent stabilizer orders are one float, so a float window
+    # gives them one verdict; here the edge lies between them, so that verdict
+    # is wrong for one, and only cross-multiplication separates them.
+    n = 2**60 + 2
+    assert float(n) == float(n + 1) and float(2 * n - 1) == float(2 * n)
+
+    def float_lower_ok(b, order):
+        return float(order) > b.point_stab_order ** (4 / 3) / b.group_order ** (1 / 3)
+
+    lower = stabilizer_bounds(16 * n, 2 * n)  # n**3 * 16n == (2n)**4: n sits on the edge
+    assert float_lower_ok(lower, n) == float_lower_ok(lower, n + 1)
+    assert not lower.lower_ok(n) and lower.lower_ok(n + 1)
+    upper = stabilizer_bounds(16 * n, n)  # (2n)**4 == n**3 * 16n: 2n sits on the edge
+    assert upper.upper_ok(2 * n - 1) and not upper.upper_ok(2 * n)
 
 
 def test_apply_filters_trace():

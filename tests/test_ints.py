@@ -1,0 +1,105 @@
+"""Exact integer helpers: differential tests against sympy, exactness at
+sizes beyond float range, and independence from the shared
+smallest-prime-factor table."""
+
+import random
+
+import pytest
+from sympy import factorint, isprime
+
+from quadforge import _ints
+from quadforge._ints import (
+    factorize,
+    icbrt,
+    is_prime,
+    iter_prime_powers,
+    prime_power,
+    spf_sieve,
+)
+from quadforge.classify import theorem_driver
+
+N = 30_000
+
+
+@pytest.fixture
+def no_table(monkeypatch):
+    """A process state in which no scan has built the shared table yet."""
+    monkeypatch.setattr(_ints, "_SPF", [])
+
+
+def _sympy_prime_power(n):
+    fac = factorint(n)
+    return next(iter(fac.items())) if len(fac) == 1 else None
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return {n: factorint(n) for n in range(1, N + 1)}
+
+
+def test_is_prime_and_factorize_match_sympy(oracle):
+    for n in range(-2, N + 1):
+        assert is_prime(n) == isprime(n), n
+    for n, fac in oracle.items():
+        assert factorize(n) == fac, n
+
+
+def test_spf_sieve_matches_sympy(no_table, oracle):
+    spf = spf_sieve(N)
+    assert len(spf) == N + 1
+    for n, fac in oracle.items():
+        if n > 1:
+            assert spf[n] == min(fac), n
+
+
+def test_prime_power_and_iter_match_sympy(no_table, oracle):
+    want = {n: (next(iter(f.items())) if len(f) == 1 else None) for n, f in oracle.items()}
+    assert [prime_power(n) for n in range(1, N + 1)] == list(want.values())
+    got = list(iter_prime_powers(2, N))
+    assert got == [(n, *pf) for n, pf in want.items() if pf is not None]
+    # iter_prime_powers built the table; prime_power now reads it
+    assert len(_ints._SPF) > N
+    assert [prime_power(n) for n in range(1, N + 1)] == list(want.values())
+
+
+def test_prime_power_same_with_and_without_table(no_table):
+    rng = random.Random(7)
+    qs = list(range(0, 5000)) + [rng.randrange(5000, 200_000) for _ in range(3000)]
+    qs += [2**17, 3**11, 5**7, 7**6, 131**2, 2**17 * 3, 199_999]
+    without = [prime_power(q) for q in qs]
+    assert _ints._SPF == []
+    spf_sieve(200_000)
+    assert len(_ints._SPF) == 200_001
+    assert [prime_power(q) for q in qs] == without
+
+
+def test_spf_sieve_grows_only(no_table):
+    big = spf_sieve(1000)
+    assert spf_sieve(10) is big  # a smaller request returns the shared table
+    assert spf_sieve(2000) is not big and len(_ints._SPF) == 2001
+
+
+def test_iter_prime_powers_beyond_the_sieve_limit():
+    lo = 2_000_000_000 - 300
+    got = list(iter_prime_powers(lo, lo + 600))
+    want = [(n, *_sympy_prime_power(n)) for n in range(lo, lo + 601) if _sympy_prime_power(n)]
+    assert got == want
+    assert (2**31, 2, 31) in list(iter_prime_powers(2**31 - 1, 2**31))
+
+
+def test_icbrt_exact_beyond_float_range():
+    rng = random.Random(11)
+    samples = list(range(0, 3000)) + [rng.getrandbits(rng.randint(1, 1200)) for _ in range(2000)]
+    for k in (10**100, 3**700):
+        samples += [k**3 - 1, k**3, k**3 + 1]
+    for n in samples:
+        r = icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3, n
+    with pytest.raises(ValueError):
+        icbrt(-1)
+
+
+def test_theorem_report_independent_of_table(no_table):
+    fresh = theorem_driver(2000).to_dict()
+    spf_sieve(200_000)
+    assert theorem_driver(2000).to_dict() == fresh
