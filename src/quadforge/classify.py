@@ -3,9 +3,11 @@
 Every elimination step of the classification is a named routine with a
 stable tag, producing a replayable EliminationRecord: the inputs, the
 scan size, the surviving (q, s, t) triples, named arithmetic checks, and
-the verdict.  The registry at the bottom binds each tag to its default
-ranges and expected verdict; reports embed a hash of the registry so
-stale golden files fail loudly.
+the verdict.  The registry at the bottom holds one row per tag: its
+runner, default range, how the theorem caps that range, the expected
+verdict and survivors, and the row that takes those survivors on.  The
+theorem driver, `verify` and the CLI read the rows; reports embed a hash
+of the registry so stale golden files fail loudly.
 
 Two sorts of evidence appear in the records and are labeled apart:
 "scan" steps are exhaustive arithmetic over a finite range, and
@@ -18,11 +20,13 @@ axiom-checked.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 from ._ints import (
     divide_factors,
@@ -36,6 +40,7 @@ from ._ints import (
     prime_power,
     spf_sieve,
 )
+from .errors import VerificationError
 from .feasibility import (
     cube_bounds,
     divisibility,
@@ -87,9 +92,9 @@ class EliminationRecord:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if (self.verdict == ELIMINATED) != (not self.survivors):
             raise ValueError("verdict 'eliminated' iff the survivor list is empty")
-        if not all(c.get("ok") for c in self.checks):
-            bad = [c["name"] for c in self.checks if not c.get("ok")]
-            raise ValueError(f"failed checks recorded: {bad}")
+        bad = [c for c in self.checks if not c.get("ok")]
+        if bad:
+            raise VerificationError(bad[0]["name"], f"{self.lemma_tag}: {bad[0].get('detail', '')}")
 
     def to_dict(self) -> dict:
         return {
@@ -122,49 +127,40 @@ class EliminationRecord:
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
     if not ok:
-        raise AssertionError(f"verification step failed: {name} ({detail})")
+        raise VerificationError(name, detail)
     return {"name": name, "ok": True, "detail": detail}
 
 
-# ---------------------------------------------------------------------------
-# candidate pair table (which line-stabilizer cases can face which)
-# ---------------------------------------------------------------------------
+def _timed(fn):
+    """Stamp the wall time of each call on the record (or report) it returns."""
 
-# (case_M0, case_M1) -> dict with the published range (where one exists),
-# the widest range the bound inequality itself allows, and a note.
-PAIR_TABLE: dict[tuple[int, int], dict] = {
-    (2, 6): {"condition": "q = q0^2 = q1^r, r an odd prime"},
-    (3, 5): {"condition": "q = p = +-1, +-9 (mod 40)"},
-    (3, 8): {"published": (19, 108003), "widest": (19, 108003)},
-    (3, 9): {
-        "published": (19, 107995),
-        "widest": (11, 107995),
-        "note": "range start 11 and the tabulated 19 are both scanned",
-    },
-    (4, 8): {"published": (37, 866), "widest": (13, 867)},
-    (4, 9): {"published": (37, 858), "widest": (13, 859)},
-    (5, 8): {"published": (17, 6915), "widest": (17, 6915)},
-    (5, 9): {"published": (17, 6907), "widest": (17, 6907)},
-    (6, 8): {},
-    (6, 9): {},
-    (7, 8): {},
-    (7, 9): {},
-    (8, 9): {},
-}
+    @functools.wraps(fn)
+    def timed(*args, **kwargs):
+        t0 = time.monotonic()
+        out = fn(*args, **kwargs)
+        out.elapsed = time.monotonic() - t0
+        return out
+
+    return timed
+
+
+# ---------------------------------------------------------------------------
+# candidate pairs (which line-stabilizer cases can face which)
+# ---------------------------------------------------------------------------
 
 
 def candidate_pairs(q: int) -> list[tuple[int, int]]:
     """Ordered case pairs (i < j) admissible at q: both family conditions
-    hold and q lies inside the pair's bound window where one exists.
-    The Borel case never appears (its coset action is 2-transitive)."""
+    hold and q lies inside the pair's bound window where one exists (the
+    pair rows of the registry).  The Borel case never appears (its coset
+    action is 2-transitive)."""
     out = []
-    for (i, j), info in PAIR_TABLE.items():
+    for (i, j), row in PAIRS.items():
         if not (case_condition(i, q) and case_condition(j, q)):
             continue
-        window = info.get("widest")
-        if window and not (window[0] <= q <= window[1]):
-            continue
-        out.append((i, j))
+        lo, hi = row.widest or (q, None)
+        if lo <= q and (hi is None or q <= hi):
+            out.append((i, j))
     return sorted(out)
 
 
@@ -253,17 +249,15 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
 def _scan_pair_record(pair, q_range, workers) -> EliminationRecord:
     qlo, qhi = q_range
     tested, survivors = _run_chunked(_cross_chunk, pair, qlo, qhi, workers)
-    rec = EliminationRecord(
+    note = PAIRS[pair].note
+    return EliminationRecord(
         lemma_tag=f"case{pair[0]}-case{pair[1]}",
         inputs={"pair": list(pair), "q_lo": qlo, "q_hi": qhi, "method": "scan"},
         scan_size=tested,
         survivors=sorted(survivors),
         verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
+        notes=[note] if note else [],
     )
-    note = PAIR_TABLE.get(pair, {}).get("note")
-    if note:
-        rec.notes.append(note)
-    return rec
 
 
 def _eliminate_3_5() -> EliminationRecord:
@@ -502,7 +496,6 @@ def _eliminate_7_r2(case_m1: int) -> EliminationRecord:
     the ratio forces t+1 = 2^(n-1)(s+1); the count inequality holds only
     for n in {2, 3}, and those two instances have no feasible orders."""
     checks = []
-    survivors = []
     feasible_n = []
     for n in range(2, 40):
         q0 = 2**n
@@ -522,77 +515,55 @@ def _eliminate_7_r2(case_m1: int) -> EliminationRecord:
         tested += 1
         nP = index_formula(7, q, q0=q0, r=2)
         nL = index_formula(case_m1, q)
-        for cand in _feasible_orders(nP, nL, factorize(nP)):
-            survivors.append((q, cand.s, cand.t))
+        found = [(q, cand.s, cand.t) for cand in _feasible_orders(nP, nL, factorize(nP))]
         checks.append(
-            _check(f"n={n}-solved", True, f"q = {q}: nP = {nP}, nL = {nL}, no feasible (s,t)")
+            _check(f"n={n}-solved", not found, f"q = {q}: nP = {nP}, nL = {nL}, no feasible (s,t)")
         )
     return EliminationRecord(
         lemma_tag=f"case7-case{case_m1}-r2",
         inputs={"pair": [7, case_m1], "r": 2, "method": "scan+consequence"},
         scan_size=tested,
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
+        survivors=[],
+        verdict=ELIMINATED,
         checks=checks,
     )
 
 
 def _scan_8_9(q_range, workers) -> EliminationRecord:
-    qlo, qhi = q_range
-    tested, survivors = _run_chunked(_cross_chunk, (8, 9), qlo, qhi, workers)
+    rec = _scan_pair_record((8, 9), q_range, workers)
     # the factor identity behind the endgame: any count solution satisfies
     # (s - t)(st + 1) = q; spot-verify on the one known count solution q = 7
     s, t = 3, 2
-    checks = [
+    rec.checks.append(
         _check(
             "factor-identity-witness",
             (s - t) * (s * t + 1) == 7,
             "(s-t)(st+1) = q on the q = 7 count solution (excluded by conditions)",
         )
-    ]
-    return EliminationRecord(
-        lemma_tag="case8-case9",
-        inputs={"pair": [8, 9], "q_lo": qlo, "q_hi": qhi, "method": "scan"},
-        scan_size=tested,
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
-        checks=checks,
     )
-
-
-def eliminate_cross(case_i: int, case_j: int, q_range=None, workers: int = 1) -> EliminationRecord:
-    """Eliminate the (case_i, case_j) stabilizer pair over a range.
-
-    The q-parametrized pairs run the full per-q solve; (3,5), (2,6) and
-    the subfield pairs run their dedicated arithmetic endgames plus exact
-    solves over their grids.
-    """
-    pair = (case_i, case_j)
-    if pair not in PAIR_TABLE:
-        raise ValueError(f"not an admissible case pair: {pair}")
-    t0 = time.monotonic()
-    if pair == (3, 5):
-        rec = _eliminate_3_5()
-    elif pair == (2, 6):
-        rec = _eliminate_2_6()
-    elif pair in ((6, 8), (6, 9)):
-        lo, hi = q_range or (3, 61)
-        rec = _eliminate_subfield_vs_dihedral(6, pair[1], lo, hi)
-    elif pair in ((7, 8), (7, 9)):
-        lo, hi = q_range or (4, 64)
-        rec = _eliminate_subfield_vs_dihedral(7, pair[1], lo, hi)
-        r2 = _eliminate_7_r2(pair[1])
-        rec.checks.extend(r2.checks)
-        rec.survivors.extend(r2.survivors)
-        rec.scan_size += r2.scan_size
-        rec.notes.append("includes the r = 2 branch")
-    elif pair == (8, 9):
-        rec = _scan_8_9(q_range or (4, 10_000), workers)
-    else:
-        window = q_range or PAIR_TABLE[pair]["widest"]
-        rec = _scan_pair_record(pair, window, workers)
-    rec.elapsed = time.monotonic() - t0
     return rec
+
+
+def _eliminate_7(case_m1: int, q_range) -> EliminationRecord:
+    """Case 7 against a dihedral case: the odd-r grid plus the r = 2 branch."""
+    rec = _eliminate_subfield_vs_dihedral(7, case_m1, *q_range)
+    r2 = _eliminate_7_r2(case_m1)
+    rec.checks.extend(r2.checks)
+    rec.scan_size += r2.scan_size
+    rec.notes.append("includes the r = 2 branch")
+    return rec
+
+
+@_timed
+def eliminate_cross(case_i: int, case_j: int, q_range=None, workers: int = 1) -> EliminationRecord:
+    """Eliminate the (case_i, case_j) stabilizer pair over a range (the
+    pair row's default range when None): the full per-q solve for the
+    q-parametrized pairs, the dedicated arithmetic endgame plus exact
+    solves over its grid for (3,5), (2,6) and the subfield pairs."""
+    row = PAIRS.get((case_i, case_j))
+    if row is None:
+        raise ValueError(f"not an admissible case pair: {(case_i, case_j)}")
+    return row.body(q_range or row.default_range, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +571,8 @@ def eliminate_cross(case_i: int, case_j: int, q_range=None, workers: int = 1) ->
 # ---------------------------------------------------------------------------
 
 
-def eliminate_sporadic(p_range=(11, 10_000)) -> EliminationRecord:
+@_timed
+def eliminate_sporadic(p_range=None) -> EliminationRecord:
     """The non-maximal-stabilizer triples.
 
     The three fixed point counts 28, 21, 66 each admit exactly one thick
@@ -610,7 +582,6 @@ def eliminate_sporadic(p_range=(11, 10_000)) -> EliminationRecord:
     (quarter fixed counts, odd regular cyclic complement) is recorded as
     executed arithmetic at every scanned prime.
     """
-    t0 = time.monotonic()
     checks = []
     survivors = []
     rows = sporadic_table()
@@ -635,7 +606,7 @@ def eliminate_sporadic(p_range=(11, 10_000)) -> EliminationRecord:
                 )
             )
     tested = 3
-    plo, phi = p_range
+    plo, phi = p_range or VERIFIERS["sporadic"].default_range
     a4_checks = 0
     for p in range(plo, phi + 1):
         if not is_prime(p) or p % 40 not in (11, 19, 21, 29):
@@ -682,7 +653,7 @@ def eliminate_sporadic(p_range=(11, 10_000)) -> EliminationRecord:
                     "thick quadrangle of equal order",
                 )
             )
-    rec = EliminationRecord(
+    return EliminationRecord(
         lemma_tag="sporadic",
         inputs={"p_lo": plo, "p_hi": phi, "method": "scan+consequence"},
         scan_size=tested,
@@ -695,8 +666,6 @@ def eliminate_sporadic(p_range=(11, 10_000)) -> EliminationRecord:
             f"{a4_checks} primes needed the fixed-substructure endgame",
         ],
     )
-    rec.elapsed = time.monotonic() - t0
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +872,6 @@ def fixed_structure_contradiction(
         )
     )
     return ContradictionOutcome(ELIMINATED, "abelian-transitivity", tuple(checks))
-
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -1183,50 +1149,27 @@ def _eliminate_equal_9(q_range) -> EliminationRecord:
     )
 
 
-_EQUAL_DEFAULT_RANGE = {
-    2: (3, 97),
-    3: (4, 100_000),
-    4: (4, 100_000),
-    5: (4, 100_000),
-    6: (3, 61),
-    7: (4, 64),
-    8: (4, 100_000),
-    9: (4, 100_000),
-}
-
-
+@_timed
 def eliminate_equal(case_id: int, q_range=None) -> EliminationRecord:
-    """Eliminate the equal-stabilizer configuration for one family.
+    """Eliminate the equal-stabilizer configuration for one family over a
+    range (the row's default range when None).
 
     Case 2's range is over q0 (q = q0^2); cases 6 and 7 scan a (q0, r)
     grid; the rest scan q directly."""
-    if case_id not in _EQUAL_DEFAULT_RANGE:
+    row = VERIFIERS.get(f"case{case_id}-equal")
+    if row is None:
         raise ValueError(f"no equal-case elimination for case {case_id}")
-    rng = q_range or _EQUAL_DEFAULT_RANGE[case_id]
-    t0 = time.monotonic()
-    if case_id == 2:
-        rec = _eliminate_equal_2(rng)
-    elif case_id in (3, 4, 5):
-        rec = _eliminate_equal_345(case_id, rng)
-    elif case_id == 6:
-        rec = _eliminate_equal_6(rng)
-    elif case_id == 7:
-        rec = _eliminate_equal_7(rng)
-    elif case_id == 8:
-        rec = _eliminate_equal_8(rng)
-    else:
-        rec = _eliminate_equal_9(rng)
-    rec.elapsed = time.monotonic() - t0
-    return rec
+    return row.body(q_range or row.default_range)
 
 
+@_timed
 def eliminate_case9_survivor() -> EliminationRecord:
     """Close out the (s, q) = (9, 41) survivor: 820 points, the involution
     class of size 861 meets the order-42 dihedral stabilizer in its 21
     involutions, so 20 fixed points; no subquadrangle order fits 20."""
-    t0 = time.monotonic()
+    q, s = 41, 9
     checks = []
-    n_pts = index_formula(9, 41)
+    n_pts = index_formula(9, q)
     checks.append(_check("point-count", n_pts == 820, "[X : M] = 820 at q = 41"))
     cls = 41 * 42 // 2
     checks.append(_check("involution-class", cls == 861, "q(q+1)/2 with 41 = 1 (mod 4)"))
@@ -1239,18 +1182,17 @@ def eliminate_case9_survivor() -> EliminationRecord:
     )
     out = fixed_structure_contradiction(p_g=fixed, l_g=fixed)
     checks.extend(out.checks)
-    rec = EliminationRecord(
+    return EliminationRecord(
         lemma_tag="case9-q41",
-        inputs={"q": 41, "s": 9, "method": "consequence"},
+        inputs={"q": q, "s": s, "method": "consequence"},
         scan_size=1,
-        survivors=[] if out.verdict == ELIMINATED else [(41, 9, 9)],
+        survivors=[] if out.verdict == ELIMINATED else [(q, s, s)],
         verdict=out.verdict,
         checks=checks,
     )
-    rec.elapsed = time.monotonic() - t0
-    return rec
 
 
+@_timed
 def eliminate_same_case_nonisomorphic() -> EliminationRecord:
     """Both stabilizers subfield groups of the same family but different
     degrees (q = q0^r0 = q1^r1 with r0 != r1 prime).
@@ -1261,7 +1203,6 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
     inequality q1^2 (q1^2-1)^3 < 60^3 (q1^2+1), which fails for every
     q1 = 2^r0 > 4; the boundary value q1 = 4 satisfies the inequality but
     corresponds to r0 = 2 = r1, excluded by distinctness."""
-    t0 = time.monotonic()
     checks = []
     # odd case: [K : K ^ M_i] = |fixed_i| identities for sample towers
     tested = 0
@@ -1308,7 +1249,7 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
             "q1 = 4 satisfies the inequality but needs r0 = 2 = r1, excluded",
         )
     )
-    rec = EliminationRecord(
+    return EliminationRecord(
         lemma_tag="same-case-nonisomorphic",
         inputs={"method": "consequence"},
         scan_size=tested,
@@ -1316,17 +1257,18 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
         verdict=ELIMINATED,
         checks=checks,
     )
-    rec.elapsed = time.monotonic() - t0
-    return rec
 
 
-def eliminate_case1(sample_q=(5, 7, 9)) -> EliminationRecord:
+_CASE1_SAMPLE = (5, 7, 9)
+
+
+@_timed
+def eliminate_case1(sample_q=_CASE1_SAMPLE) -> EliminationRecord:
     """Neither stabilizer can be the Borel subgroup: its coset action is
     the 2-transitive natural action on the projective line, while a thick
     quadrangle always has both collinear and noncollinear point pairs."""
     from .psl2 import act_on_line, enumerate_group, projective_line, psl
 
-    t0 = time.monotonic()
     checks = []
     for q in sample_q:
         spec = psl(q)
@@ -1356,7 +1298,7 @@ def eliminate_case1(sample_q=(5, 7, 9)) -> EliminationRecord:
             "1 + s(t+1) < (s+1)(st+1) for all thick orders",
         )
     )
-    rec = EliminationRecord(
+    return EliminationRecord(
         lemma_tag="case1-excluded",
         inputs={"sample_q": list(sample_q), "method": "consequence"},
         scan_size=len(sample_q),
@@ -1365,8 +1307,6 @@ def eliminate_case1(sample_q=(5, 7, 9)) -> EliminationRecord:
         checks=checks,
         notes=["2-transitivity makes all point pairs collinear-equivalent"],
     )
-    rec.elapsed = time.monotonic() - t0
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -1432,8 +1372,8 @@ def build_w2(budget: int | None = None) -> W2Result:
     return W2Result(geometry, verdict, selection, hits, M0, M1, decomposition)
 
 
+@_timed
 def w2_record(budget: int | None = None) -> EliminationRecord:
-    t0 = time.monotonic()
     res = build_w2(budget)
     v = res.verdict
     checks = [
@@ -1447,17 +1387,15 @@ def w2_record(budget: int | None = None) -> EliminationRecord:
             f"{len(res.all_selections)} axiom-passing selections",
         ),
     ]
-    rec = EliminationRecord(
+    return EliminationRecord(
         lemma_tag="w2-construction",
         inputs={"q": 9, "method": "construction"},
         scan_size=len(res.decomposition),
-        survivors=[(9, 2, 2)],
+        survivors=[(9, v.s, v.t)],
         verdict=CONFIRMED,
         checks=checks,
         notes=["the unique thick quadrangle of order 2 on 15 points"],
     )
-    rec.elapsed = time.monotonic() - t0
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -1519,6 +1457,154 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=Non
 
 
 # ---------------------------------------------------------------------------
+# verifier registry: one row per tag, in report order
+# ---------------------------------------------------------------------------
+
+THEOREM = "theorem"  # the whole driver; not a registry row
+THEOREM_QMAX = 100
+
+
+@dataclass(frozen=True)
+class VerifierSpec:
+    """One registry row: everything the engine knows about one tag.
+
+    `runner(q_range, workers, budget)` makes the record through the tag's
+    public entry point, looked up when it runs; `body` is what
+    `eliminate_cross` or `eliminate_equal` dispatch to.  `param` says what
+    the range counts: "q", or "q0" with q = q0^2 (None: no range).
+    `if_empty` is what the theorem does when capping empties the range
+    (see `_theorem_ranges`).  Pair rows also carry the pair table: the
+    published range, the widest window the bound inequality allows (upper
+    end None: no bound), the family condition and a note."""
+
+    tag: str
+    expected_verdict: str
+    description: str
+    runner: Callable
+    body: Callable | None = None
+    default_range: tuple[int, int] | None = None
+    param: str | None = None
+    if_empty: str = "drop"
+    expected_survivors: tuple = ()
+    follow_up: str | None = None
+    pair: tuple[int, int] | None = None
+    published: tuple[int, int] | None = None
+    widest: tuple | None = None
+    condition: str | None = None
+    note: str | None = None
+
+    def expected_in(self, q_range) -> list[tuple[int, int, int]]:
+        """The expected survivors whose range parameter lies in q_range."""
+        if q_range is None:
+            return list(self.expected_survivors)
+        at = math.isqrt if self.param == "q0" else int
+        return [s for s in self.expected_survivors if q_range[0] <= at(s[0]) <= q_range[1]]
+
+
+def _pair(i: int, j: int, body, **data) -> VerifierSpec:
+    return VerifierSpec(
+        f"case{i}-case{j}", ELIMINATED, f"stabilizer pair (case {i}, case {j})",
+        lambda rng, workers, budget: eliminate_cross(i, j, rng, workers),
+        body=body, pair=(i, j), **data,
+    )
+
+
+def _scanned_pair(i: int, j: int, widest, **data) -> VerifierSpec:
+    """A q-parametrized pair, solved per q over the widest window."""
+    return _pair(
+        i, j, lambda rng, workers: _scan_pair_record((i, j), rng, workers),
+        default_range=widest, widest=widest, param="q", **data,
+    )
+
+
+def _grid_pair(i: int, j: int, body, default_range) -> VerifierSpec:
+    """A subfield pair: exact solves over a (q0, r) grid plus its endgame."""
+    return _pair(i, j, body, default_range=default_range, param="q", if_empty="first")
+
+
+def _equal(case_id: int, body, default_range, param="q", **data) -> VerifierSpec:
+    return VerifierSpec(
+        f"case{case_id}-equal",
+        NEEDS_GEOMETRY if data.get("expected_survivors") else ELIMINATED,
+        f"equal stabilizers in case {case_id}",
+        lambda rng, workers, budget: eliminate_equal(case_id, rng),
+        body=body, default_range=default_range, param=param, **data,
+    )
+
+
+_ROWS = [
+    VerifierSpec(
+        "case1-excluded", ELIMINATED,
+        "Borel stabilizers are impossible (2-transitive coset action)",
+        lambda rng, workers, budget: eliminate_case1(
+            tuple(q for q in _CASE1_SAMPLE if rng[0] <= q <= rng[1])
+        ),
+        default_range=(5, 9), param="q", if_empty="first",
+    ),
+    VerifierSpec(
+        "sporadic", ELIMINATED,
+        "non-maximal-stabilizer triples: counts 28, 21, 66 and the A4<S4 row",
+        lambda rng, workers, budget: eliminate_sporadic(rng),
+        default_range=(11, 10_000), param="q", if_empty="keep",
+    ),
+    _pair(2, 6, lambda rng, workers: _eliminate_2_6(), condition="q = q0^2 = q1^r, r an odd prime"),
+    _pair(3, 5, lambda rng, workers: _eliminate_3_5(), condition="q = p = +-1, +-9 (mod 40)"),
+    _scanned_pair(3, 8, (19, 108003), published=(19, 108003)),
+    _scanned_pair(
+        3, 9, (11, 107995), published=(19, 107995),
+        note="range start 11 and the tabulated 19 are both scanned",
+    ),
+    _scanned_pair(4, 8, (13, 867), published=(37, 866)),
+    _scanned_pair(4, 9, (13, 859), published=(37, 858)),
+    _scanned_pair(5, 8, (17, 6915), published=(17, 6915)),
+    _scanned_pair(5, 9, (17, 6907), published=(17, 6907)),
+    _grid_pair(6, 8, lambda rng, workers: _eliminate_subfield_vs_dihedral(6, 8, *rng), (3, 61)),
+    _grid_pair(6, 9, lambda rng, workers: _eliminate_subfield_vs_dihedral(6, 9, *rng), (3, 61)),
+    _grid_pair(7, 8, lambda rng, workers: _eliminate_7(8, rng), (4, 64)),
+    _grid_pair(7, 9, lambda rng, workers: _eliminate_7(9, rng), (4, 64)),
+    _pair(8, 9, _scan_8_9, default_range=(4, 10_000), widest=(4, None), param="q"),
+    _equal(
+        2, _eliminate_equal_2, (3, 97), param="q0",
+        expected_survivors=((9, 2, 2),), follow_up="w2-construction",
+    ),
+    _equal(3, lambda rng: _eliminate_equal_345(3, rng), (4, 100_000)),
+    _equal(4, lambda rng: _eliminate_equal_345(4, rng), (4, 100_000)),
+    _equal(5, lambda rng: _eliminate_equal_345(5, rng), (4, 100_000)),
+    _equal(6, _eliminate_equal_6, (3, 61)),
+    _equal(7, _eliminate_equal_7, (4, 64)),
+    _equal(8, _eliminate_equal_8, (4, 100_000)),
+    _equal(
+        9, _eliminate_equal_9, (4, 100_000),
+        expected_survivors=((41, 9, 9),), follow_up="case9-q41",
+    ),
+    VerifierSpec(
+        "same-case-nonisomorphic", ELIMINATED,
+        "subfield stabilizers of different degrees",
+        lambda rng, workers, budget: eliminate_same_case_nonisomorphic(),
+    ),
+    VerifierSpec(
+        "case9-q41", ELIMINATED,
+        "the (s, q) = (9, 41) survivor dies on its fixed substructure",
+        lambda rng, workers, budget: eliminate_case9_survivor(),
+    ),
+    VerifierSpec(
+        "w2-construction", CONFIRMED,
+        "explicit 15-point quadrangle of order 2 at q = 9",
+        lambda rng, workers, budget: w2_record(budget),
+    ),
+]
+
+VERIFIERS = {row.tag: row for row in _ROWS}
+PAIRS = {row.pair: row for row in _ROWS if row.pair}
+_FOLLOW_UPS = {row.follow_up for row in _ROWS if row.follow_up}
+
+
+def registry_hash() -> str:
+    blob = ";".join(f"{tag}:{spec.expected_verdict}" for tag, spec in sorted(VERIFIERS.items()))
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+# ---------------------------------------------------------------------------
 # the end-to-end driver
 # ---------------------------------------------------------------------------
 
@@ -1528,6 +1614,7 @@ class TheoremReport:
     q_max: int
     records: list[EliminationRecord]
     confirmed: list[tuple[int, int, int]]
+    ok: bool = True  # every record left exactly its row's expected survivors
     elapsed: float = 0.0
 
     def to_dict(self) -> dict:
@@ -1538,127 +1625,51 @@ class TheoremReport:
         }
 
 
+def _theorem_ranges(q_max: int):
+    """(row, range) for every row the theorem runs at q_max, in report
+    order: each row's widest window (else its default range) capped at
+    q_max, or at sqrt(q_max) for a q0 range.  A capped range that is empty
+    drops the row ("drop"), is run as it stands ("keep": the row's other
+    checks need no range) or is widened back to its first value ("first")."""
+    for row in VERIFIERS.values():
+        window = row.widest or row.default_range
+        if window is None:
+            yield row, None
+            continue
+        lo, hi = window
+        cap = math.isqrt(q_max) if row.param == "q0" else q_max
+        hi = cap if hi is None else min(hi, cap)
+        if hi >= lo or row.if_empty == "keep":
+            yield row, (lo, hi)
+        elif row.if_empty == "first":
+            yield row, (lo, lo)
+
+
+@_timed
 def theorem_driver(q_max: int, workers: int = 1, budget: int | None = None) -> TheoremReport:
-    """Run every elimination with ranges clipped to q <= q_max and collate.
+    """Run every registry row with its range capped at q_max and collate.
 
-    The only confirmed example must be the order-2 quadrangle at q = 9
-    (constructed and axiom-checked whenever q_max >= 9)."""
-    if q_max < 9:
-        pass  # still valid; the report simply confirms nothing
-    t0 = time.monotonic()
-    records = [eliminate_case1(tuple(q for q in (5, 7, 9) if q <= max(q_max, 5)))]
-    records.append(eliminate_sporadic((11, min(q_max, 10_000))))
-    for pair, info in sorted(PAIR_TABLE.items()):
-        if pair == (3, 5):
-            records.append(eliminate_cross(3, 5))
+    A follow-up row runs only when the row it follows left survivors.  A
+    survivor that the row does not expect in its range raises; the report
+    is ok when each row left all it expects, so the only confirmed example
+    is the order-2 quadrangle at q = 9 (constructed and axiom-checked
+    whenever q_max >= 9)."""
+    records, due, ok = [], set(), True
+    for row, rng in _theorem_ranges(q_max):
+        if row.tag in _FOLLOW_UPS and row.tag not in due:
             continue
-        if pair == (2, 6):
-            records.append(eliminate_cross(2, 6))
-            continue
-        if pair in ((6, 8), (6, 9), (7, 8), (7, 9)):
-            lo = 3 if pair[0] == 6 else 4
-            hi = max(lo, min(61 if pair[0] == 6 else 64, q_max))
-            records.append(eliminate_cross(*pair, q_range=(lo, hi)))
-            continue
-        window = info.get("widest", (4, q_max))
-        lo, hi = window[0], min(window[1], q_max)
-        if lo <= hi:
-            records.append(eliminate_cross(*pair, q_range=(lo, hi), workers=workers))
-    for case_id in range(2, 10):
-        lo, hi = _EQUAL_DEFAULT_RANGE[case_id]
-        hi = min(hi, math.isqrt(q_max) if case_id == 2 else q_max)
-        if hi < lo:
-            continue
-        records.append(eliminate_equal(case_id, (lo, hi)))
-    records.append(eliminate_same_case_nonisomorphic())
-    confirmed = []
-    if q_max >= 41:
-        records.append(eliminate_case9_survivor())
-    if q_max >= 9:
-        records.append(w2_record(budget))
-        confirmed.append((9, 2, 2))
-    # cross-check: every survivor is accounted for
-    accounted = {(9, 2, 2), (41, 9, 9)}
-    stray = [
-        s
-        for r in records
-        if r.verdict != CONFIRMED
-        for s in r.survivors
-        if s not in accounted
-    ]
-    if stray:
-        raise AssertionError(f"unaccounted survivors: {stray}")
-    return TheoremReport(q_max, records, confirmed, elapsed=time.monotonic() - t0)
-
-
-# ---------------------------------------------------------------------------
-# verifier registry (stable tags -> runners and expected verdicts)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerifierSpec:
-    tag: str
-    expected_verdict: str
-    description: str
-    runner: object  # (q_range, workers, budget) -> EliminationRecord
-
-
-def _registry() -> dict[str, VerifierSpec]:
-    specs = [
-        VerifierSpec(
-            "case1-excluded", ELIMINATED,
-            "Borel stabilizers are impossible (2-transitive coset action)",
-            lambda rng, workers, budget: eliminate_case1(),
-        ),
-        VerifierSpec(
-            "sporadic", ELIMINATED,
-            "non-maximal-stabilizer triples: counts 28, 21, 66 and the A4<S4 row",
-            lambda rng, workers, budget: eliminate_sporadic(rng or (11, 10_000)),
-        ),
-        VerifierSpec(
-            "same-case-nonisomorphic", ELIMINATED,
-            "subfield stabilizers of different degrees",
-            lambda rng, workers, budget: eliminate_same_case_nonisomorphic(),
-        ),
-        VerifierSpec(
-            "case9-q41", ELIMINATED,
-            "the (s, q) = (9, 41) survivor dies on its fixed substructure",
-            lambda rng, workers, budget: eliminate_case9_survivor(),
-        ),
-        VerifierSpec(
-            "w2-construction", CONFIRMED,
-            "explicit 15-point quadrangle of order 2 at q = 9",
-            lambda rng, workers, budget: w2_record(budget),
-        ),
-    ]
-    for pair in PAIR_TABLE:
-        i, j = pair
-        specs.append(
-            VerifierSpec(
-                f"case{i}-case{j}", ELIMINATED,
-                f"stabilizer pair (case {i}, case {j})",
-                (lambda p: lambda rng, workers, budget: eliminate_cross(*p, q_range=rng, workers=workers))(pair),
-            )
-        )
-    for case_id in range(2, 10):
-        expected = NEEDS_GEOMETRY if case_id in (2, 9) else ELIMINATED
-        specs.append(
-            VerifierSpec(
-                f"case{case_id}-equal", expected,
-                f"equal stabilizers in case {case_id}",
-                (lambda c: lambda rng, workers, budget: eliminate_equal(c, rng))(case_id),
-            )
-        )
-    return {s.tag: s for s in sorted(specs, key=lambda s: s.tag)}
-
-
-VERIFIERS = _registry()
-
-
-def registry_hash() -> str:
-    blob = ";".join(f"{tag}:{spec.expected_verdict}" for tag, spec in sorted(VERIFIERS.items()))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        rec = row.runner(rng, workers, budget)
+        if rec.verdict != CONFIRMED:
+            expected = row.expected_in(rng)
+            stray = [s for s in rec.survivors if s not in expected]
+            if stray:
+                raise VerificationError("unaccounted-survivors", f"{row.tag} leaves {stray}")
+            ok = ok and rec.survivors == expected
+        if rec.survivors and row.follow_up:
+            due.add(row.follow_up)
+        records.append(rec)
+    confirmed = [s for r in records if r.verdict == CONFIRMED for s in r.survivors]
+    return TheoremReport(q_max, records, confirmed, ok)
 
 
 @dataclass
@@ -1678,26 +1689,23 @@ def verify(
 ) -> VerifyOutcome:
     """Run one registered verifier and compare against its expected verdict.
 
-    `theorem` runs the full driver; `case2-equal` follows its survivor
-    into the geometry stage, `case9-equal` into the fixed-substructure
-    stage, so their outcomes include the follow-up record.  `budget` caps
-    every group enumeration (see `psl2.resolve_budget`)."""
-    if tag == "theorem":
-        report = theorem_driver(q_max or 100, workers=workers, budget=budget)
-        ok = report.confirmed == ([(9, 2, 2)] if (q_max or 100) >= 9 else [])
-        return VerifyOutcome("theorem", CONFIRMED, report.records, ok)
+    `theorem` runs the full driver up to q_max (default THEOREM_QMAX).  A
+    row with a follow-up hands its survivors on, so its outcome includes
+    the follow-up record and is ok only when the row left exactly its
+    expected survivors and the follow-up reached its own expected verdict.
+    `budget` caps every group enumeration (see `psl2.resolve_budget`)."""
+    if tag == THEOREM:
+        report = theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers, budget)
+        return VerifyOutcome(THEOREM, CONFIRMED, report.records, report.ok)
     if tag not in VERIFIERS:
         raise KeyError(f"unknown lemma tag {tag!r}")
-    spec = VERIFIERS[tag]
-    rec = spec.runner(q_range, workers, budget)
-    records = [rec]
-    ok = rec.verdict == spec.expected_verdict
-    if tag == "case9-equal" and ok:
-        follow = eliminate_case9_survivor()
-        records.append(follow)
-        ok = rec.survivors == [(41, 9, 9)] and follow.verdict == ELIMINATED
-    elif tag == "case2-equal" and ok:
-        follow = w2_record(budget)
-        records.append(follow)
-        ok = rec.survivors == [(9, 2, 2)] and follow.verdict == CONFIRMED
-    return VerifyOutcome(tag, spec.expected_verdict, records, ok)
+    row = VERIFIERS[tag]
+    rng = q_range or row.default_range
+    records = [row.runner(rng, workers, budget)]
+    ok = records[0].verdict == row.expected_verdict
+    if ok and row.follow_up:
+        follow = VERIFIERS[row.follow_up]
+        records.append(follow.runner(None, workers, budget))
+        ok = records[0].survivors == row.expected_in(rng)
+        ok = ok and records[1].verdict == follow.expected_verdict
+    return VerifyOutcome(tag, row.expected_verdict, records, ok)

@@ -1,7 +1,7 @@
 """Command-line entry point: verify, scan, build-w2, export, tables.
 
-Exit codes: 0 = expected verdict reproduced, 1 = verdict mismatch,
-2 = usage error, 3 = budget or resource error.
+Exit codes: 0 = expected verdict reproduced, 1 = verdict mismatch or a
+failed check, 2 = usage error, 3 = budget or resource error.
 
 Reports are emitted as json, csv or text.  JSON reports carry a schema
 number, the package version and a hash of the verifier registry, so
@@ -20,16 +20,16 @@ import sys
 from . import __version__
 from .classify import (
     CYCLIC_K_TABLE,
-    PAIR_TABLE,
+    PAIRS,
+    THEOREM,
+    THEOREM_QMAX,
     TRANSITIVE_TABLE,
     VERIFIERS,
     build_w2,
-    eliminate_cross,
-    eliminate_equal,
     registry_hash,
     verify,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .geometry import export_incidence
 from .subgroups import sporadic_table
 
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="re-run one elimination and compare verdicts")
     p_verify.add_argument("--lemma", required=True, metavar="TAG")
     p_verify.add_argument("--range", type=_parse_range, default=None, dest="qrange")
-    p_verify.add_argument("--qmax", type=int, default=100)
+    p_verify.add_argument("--qmax", type=int, default=None)
 
     p_scan = sub.add_parser("scan", parents=[common], help="scan a case pair or an equal case over a range")
     sel = p_scan.add_mutually_exclusive_group(required=True)
@@ -185,18 +185,26 @@ def _write(report: dict, args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _usage(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args) -> int:
-    if args.lemma != "theorem" and args.lemma not in VERIFIERS:
-        print(f"unknown lemma tag {args.lemma!r}", file=sys.stderr)
-        return 2
-    outcome = verify(
-        args.lemma, q_range=args.qrange, workers=args.workers, q_max=args.qmax, budget=args.budget
-    )
+    row = VERIFIERS.get(args.lemma)  # None: the whole theorem
+    if row is None and args.lemma != THEOREM:
+        return _usage(f"unknown lemma tag {args.lemma!r}")
+    if args.qrange and (row is None or row.param is None):
+        return _usage(f"--range applies only to lemmas with a range; {args.lemma} has none")
+    if args.qmax is not None and (row is not None or args.qmax < 0):
+        return _usage("--qmax applies only to --lemma theorem, and must be >= 0")
+    qmax = None if row else (THEOREM_QMAX if args.qmax is None else args.qmax)
+    outcome = verify(args.lemma, args.qrange, args.workers, qmax, args.budget)
     config = {
         "lemma": args.lemma,
         "range": list(args.qrange) if args.qrange else None,
         "workers": args.workers,
-        "qmax": args.qmax if args.lemma == "theorem" else None,
+        "qmax": qmax,
     }
     report = make_report(
         "verify",
@@ -213,42 +221,27 @@ def cmd_verify(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def _expected_scan_survivors(selector, qrange) -> list[tuple[int, int, int]]:
-    lo, hi = qrange
-    if selector == ("equal", 2) and lo <= 3 <= hi:
-        return [(9, 2, 2)]
-    if selector == ("equal", 9) and lo <= 41 <= hi:
-        return [(41, 9, 9)]
-    return []
-
-
 def cmd_scan(args) -> int:
     lo, hi = args.qrange
     if args.pair is not None:
-        pair = tuple(args.pair)
-        if pair not in PAIR_TABLE:
-            print(f"unknown case pair {pair}", file=sys.stderr)
-            return 2
-        widest = PAIR_TABLE[pair].get("widest")
-        if widest and hi > widest[1] and not args.beyond:
-            print(
-                f"range extends past the published bound {widest[1]}; "
-                "pass --beyond to scan it anyway",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"scanning pair {pair} over [{lo}, {hi}]...", file=sys.stderr)
-        rec = eliminate_cross(*pair, q_range=(lo, hi), workers=args.workers)
-        expected = []
-        selector = {"pair": list(pair)}
+        tag, what = "case{}-case{}".format(*args.pair), f"pair {tuple(args.pair)}"
+        selector = {"pair": list(args.pair)}
     else:
-        if args.equal not in range(2, 10):
-            print(f"unknown equal case {args.equal}", file=sys.stderr)
-            return 2
-        print(f"scanning equal case {args.equal} over [{lo}, {hi}]...", file=sys.stderr)
-        rec = eliminate_equal(args.equal, (lo, hi))
-        expected = _expected_scan_survivors(("equal", args.equal), (lo, hi))
+        tag, what = f"case{args.equal}-equal", f"equal case {args.equal}"
         selector = {"equal": args.equal}
+    row = VERIFIERS.get(tag)
+    if row is None:
+        return _usage(f"unknown {what}")
+    if row.param is None:
+        return _usage(f"{what} has no range to scan; use verify --lemma {tag}")
+    bound = (row.widest or (None, None))[1]
+    if bound is not None and hi > bound and not args.beyond:
+        return _usage(
+            f"range extends past the published bound {bound}; pass --beyond to scan it anyway"
+        )
+    print(f"scanning {what} over [{lo}, {hi}]...", file=sys.stderr)
+    rec = row.runner((lo, hi), args.workers, args.budget)
+    expected = row.expected_in((lo, hi))
     ok = rec.survivors == expected
     report = make_report(
         "scan",
@@ -365,14 +358,14 @@ def _tables_data() -> dict:
             }
         )
     t3 = []
-    for (i, j), info in sorted(PAIR_TABLE.items()):
+    for (i, j), pair in PAIRS.items():
         row = {"m0_case": i, "m1_case": j}
-        if "published" in info:
-            row["range"] = list(info["published"])
-        if "condition" in info:
-            row["condition"] = info["condition"]
-        if "note" in info:
-            row["note"] = info["note"]
+        if pair.published:
+            row["range"] = list(pair.published)
+        if pair.condition:
+            row["condition"] = pair.condition
+        if pair.note:
+            row["note"] = pair.note
         t3.append(row)
     t4 = [row.__dict__ for row in TRANSITIVE_TABLE]
     t5 = [row.__dict__ for row in CYCLIC_K_TABLE]
@@ -410,27 +403,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.workers is not None and args.workers < 1:
-        print("worker count must be >= 1", file=sys.stderr)
-        return 2
+        return _usage("worker count must be >= 1")
     if args.budget is not None and args.budget < _MIN_BUDGET:
-        print(f"budget must be >= {_MIN_BUDGET}", file=sys.stderr)
-        return 2
+        return _usage(f"budget must be >= {_MIN_BUDGET}")
+    commands = {
+        "verify": cmd_verify,
+        "scan": cmd_scan,
+        "build-w2": cmd_build_w2,
+        "export": cmd_export,
+        "tables": cmd_tables,
+    }
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "build-w2":
-            return cmd_build_w2(args)
-        if args.command == "export":
-            return cmd_export(args)
-        if args.command == "tables":
-            return cmd_tables(args)
+        return commands[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    parser.error(f"unknown command {args.command}")
-    return 2
+    except VerificationError as exc:
+        print(f"MISMATCH: {exc.name} ({exc.detail})", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -15,3 +15,14 @@ class PslMembershipError(ValueError):
 
 class MixedFieldError(ValueError):
     """Raised when two operands belong to different fields or groups."""
+
+
+class VerificationError(AssertionError):
+    """Raised when a named verification check fails: the run did not
+    reproduce the classification.  The CLI reports it as a MISMATCH line
+    with exit code 1."""
+
+    def __init__(self, name: str, detail: str = ""):
+        super().__init__(f"verification step failed: {name} ({detail})")
+        self.name = name
+        self.detail = detail

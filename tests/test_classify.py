@@ -1,5 +1,6 @@
 import pytest
 
+from quadforge.errors import VerificationError
 from quadforge.geometry import fixed_count
 from quadforge.classify import (
     CONFIRMED,
@@ -62,6 +63,13 @@ def test_record_verdict_survivor_invariant():
         EliminationRecord("x", {}, 1, [], NEEDS_GEOMETRY)
 
 
+def test_record_with_failed_check_raises_verification_error():
+    bad = {"name": "broken", "ok": False, "detail": ""}
+    with pytest.raises(VerificationError) as exc:
+        EliminationRecord("x", {}, 1, [], ELIMINATED, checks=[bad])
+    assert exc.value.name == "broken"
+
+
 def test_record_roundtrip_ignores_elapsed():
     rec = eliminate_cross(4, 8, q_range=(37, 866))
     clone = EliminationRecord.from_dict(rec.to_dict())
@@ -119,6 +127,19 @@ def test_cross_7_branches():
     assert "count-inequality-caps-n" in names
     rec9 = eliminate_cross(7, 9)
     assert rec9.verdict == ELIMINATED
+
+
+def test_7_r2_solved_check_fails_on_a_feasible_order(monkeypatch):
+    from types import SimpleNamespace
+
+    from quadforge import classify
+
+    monkeypatch.setattr(
+        classify, "_feasible_orders", lambda nP, nL, fac: [SimpleNamespace(s=2, t=4)]
+    )
+    with pytest.raises(VerificationError) as exc:
+        classify._eliminate_7_r2(8)
+    assert exc.value.name == "n=2-solved"
 
 
 def test_cross_8_9():
@@ -286,6 +307,51 @@ def test_theorem_driver_q100():
 def test_theorem_driver_q8_confirms_nothing():
     rep = theorem_driver(8)
     assert rep.confirmed == []
+
+
+def test_theorem_driver_rejects_unaccounted_survivor(monkeypatch):
+    from quadforge import classify
+
+    real = classify.eliminate_equal
+
+    def leaky(case_id, q_range=None):
+        rec = real(case_id, q_range)
+        if case_id != 8:
+            return rec
+        return EliminationRecord(rec.lemma_tag, rec.inputs, rec.scan_size, [(16, 3, 3)], NEEDS_GEOMETRY)
+
+    monkeypatch.setattr(classify, "eliminate_equal", leaky)
+    with pytest.raises(VerificationError) as exc:
+        theorem_driver(50)
+    assert exc.value.name == "unaccounted-survivors" and "case8-equal" in exc.value.detail
+
+
+def test_theorem_driver_not_ok_when_expected_survivor_missing(monkeypatch):
+    from quadforge import classify
+
+    real = classify.eliminate_equal
+
+    def lossy(case_id, q_range=None):
+        rec = real(case_id, q_range)
+        if case_id != 9:
+            return rec
+        return EliminationRecord(rec.lemma_tag, rec.inputs, rec.scan_size, [], ELIMINATED)
+
+    monkeypatch.setattr(classify, "eliminate_equal", lossy)
+    rep = theorem_driver(50)
+    assert not rep.ok
+    assert "case9-q41" not in [r.lemma_tag for r in rep.records]
+
+
+def test_registry_rows_hold_survivors_and_follow_ups():
+    with_survivors = {t: r for t, r in VERIFIERS.items() if r.expected_survivors}
+    assert {t: (r.expected_survivors, r.follow_up) for t, r in with_survivors.items()} == {
+        "case2-equal": (((9, 2, 2),), "w2-construction"),
+        "case9-equal": (((41, 9, 9),), "case9-q41"),
+    }
+    # the q0 row counts q = q0^2, so (9, 2, 2) lies in q0 range (3, 3)
+    assert VERIFIERS["case2-equal"].expected_in((3, 3)) == [(9, 2, 2)]
+    assert VERIFIERS["case9-equal"].expected_in((42, 1000)) == []
 
 
 def test_registry_hash_stable():

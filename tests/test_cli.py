@@ -32,6 +32,32 @@ def test_bad_workers_and_budget_exit_two(capsys):
     assert main(["verify", "--lemma", "case4-case8", "--budget", "10"]) == 2
 
 
+def test_range_rejected_where_no_range_applies(capsys):
+    assert main(["verify", "--lemma", "theorem", "--range", "1..5"]) == 2
+    assert main(["verify", "--lemma", "case3-case5", "--range", "1..5"]) == 2
+    assert main(["scan", "--pair", "3,5", "--range", "1..5"]) == 2
+    assert "--range applies only" in capsys.readouterr().err
+
+
+def test_qmax_rejected_outside_theorem(capsys):
+    assert main(["verify", "--lemma", "case4-case8", "--qmax", "50"]) == 2
+    assert main(["verify", "--lemma", "theorem", "--qmax", "-5"]) == 2
+    assert "--qmax applies only" in capsys.readouterr().err
+
+
+def test_failed_check_reports_mismatch_and_exits_one(monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from quadforge import classify
+
+    monkeypatch.setattr(
+        classify, "_feasible_orders", lambda nP, nL, fac: [SimpleNamespace(s=2, t=4)]
+    )
+    assert main(["verify", "--lemma", "case7-case8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MISMATCH: n=2-solved (q = 16:") and "Traceback" not in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--range", "notarange", "--pair", "3,8"])
@@ -53,6 +79,7 @@ def test_verify_case9_equal_pipeline(tmp_path):
     report = json.loads(out.read_text())
     tags = [r["lemma_tag"] for r in report["records"]]
     assert tags == ["case9-equal", "case9-q41"]
+    assert report["records"][0]["inputs"]["q_hi"] == 2000
     assert report["records"][0]["survivors"] == [[41, 9, 9]]
     assert report["records"][1]["verdict"] == "eliminated"
 

@@ -1,0 +1,41 @@
+"""Golden report bytes: the sha256 of JSON reports recorded before the
+verifier registry became one table of rows, so any change to a record, its
+order or the report layout shows up here."""
+
+import hashlib
+
+import pytest
+
+from quadforge.classify import VERIFIERS, theorem_driver
+from quadforge.cli import main
+
+THEOREM_SHA256 = {
+    4: "60a5f225de01af45c1b072d02ac48651ff0ceedc9735768b17708a914ca17ad1",
+    8: "5da47eae7d44144f7ff094ab0412dbc3e9fe774f841f9193965a3f03f4ab1336",
+    9: "91f27144e311a32b04f711c4658b44b2b91fdd14c267f7c91aa0ff6a39dc1ab7",
+    41: "167767819ba0b57026d21c5a8e18ce6ec70de0c439622f50a4e82c382c9b7ea0",
+    100: "0664ffbdda0533fba93c53741cd85dfbf9962319689c7a878d4ff3bb9de800ce",
+    2000: "e7d458ceb3e0cbee0d7d7dc819f7ee65d9e50024acf5f9599bf991908c00b940",
+}
+TABLES_SHA256 = "3d6f60ed193c825dcb56cf7dd807de0c1caf9efb3c309e1fb19e529c654dab0a"
+
+
+def _sha256_of(argv, path) -> str:
+    assert main([*argv, "--format", "json", "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("q_max", [*sorted(THEOREM_SHA256), None])
+def test_theorem_report_bytes(tmp_path, q_max):
+    # without --qmax the theorem runs to 100 and records that in its config
+    argv = ["verify", "--lemma", "theorem", *(["--qmax", str(q_max)] if q_max else [])]
+    assert _sha256_of(argv, tmp_path / "r.json") == THEOREM_SHA256[q_max or 100]
+
+
+def test_tables_report_bytes(tmp_path):
+    assert _sha256_of(["tables"], tmp_path / "t.json") == TABLES_SHA256
+
+
+def test_theorem_runs_the_registry_in_order():
+    tags = [rec.lemma_tag for rec in theorem_driver(2000).records]
+    assert tags == list(VERIFIERS)
