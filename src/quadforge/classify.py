@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
+import numpy as np
+
 from ._ints import (
     divide_factors,
     factorize,
@@ -1336,7 +1338,7 @@ def build_w2(budget: int | None = None) -> W2Result:
     """
     from .geometry import double_cosets, find_gq_selections
     from .psl2 import indexed_group, psl
-    from .subgroups import build_case, conjugate
+    from .subgroups import build_case
 
     spec = psl(9)
     M0 = build_case(2, spec, budget=budget)
@@ -1358,12 +1360,13 @@ def build_w2(budget: int | None = None) -> W2Result:
     if M1.t_set == M0.t_set:
         raise RuntimeError("twist fixed the subgroup")
     # the two copies must not be conjugate inside the socle
-    m0set = M0.t_set
-    m1_gens = [g.t for g in M1.ensure_generators()]
-    for t in spec.elements_t(budget):
-        ti = spec.inv_t(t)
-        if all(spec.mul_t(spec.mul_t(ti, x), t) in m0set for x in m1_gens):
-            raise RuntimeError("twisted copy is conjugate to the original")
+    in_m0 = ig.mask(M0.idx_set(ig))
+    everyone = np.arange(ig.n)
+    conjugating = np.ones(ig.n, dtype=bool)
+    for x in ig.ids_of([g.t for g in M1.ensure_generators()]):
+        conjugating &= in_m0[ig.conj_ids(x, everyone)]
+    if conjugating.any():
+        raise RuntimeError("twisted copy is conjugate to the original")
     decomposition = double_cosets(M0, M1, spec, budget)
     hits = find_gq_selections(M0, M1, spec, budget)
     if not hits:
@@ -1421,28 +1424,24 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=Non
         rep, _ = involution_class(spec)
     else:
         rep, _ = order3_class(spec)
-    rep_idx = ig.index[rep.t]
-    cls = ig.conjugacy_class(rep_idx)
-    cls_set = set(cls)
-    sub_idx = handle.idx_set(ig)
-    meet = sum(1 for i in sub_idx if i in cls_set)
+    cls = ig.conjugacy_class(ig.id_of(rep.t))
+    in_cls = ig.mask(cls)
+    sub_idx = np.asarray(handle.idx_set(ig))
+    meet = int(in_cls[sub_idx].sum())
     # pick a class element inside the subgroup so K ^ M is meaningful
-    g_in = next(i for i in sub_idx if i in cls_set)
-    cent = [x for x in range(ig.n) if ig.mul_idx(x, g_in) == ig.mul_idx(g_in, x)]
+    g_in = int(sub_idx[in_cls[sub_idx]][0])
+    everyone = np.arange(ig.n)
+    cent = np.flatnonzero(ig.mul_ids(everyone, g_in) == ig.mul_ids(g_in, everyone))
     from .subgroups import handle_from_elements
 
     cent_handle = handle_from_elements(spec, [ig.elements[i] for i in cent])
-    orders = ig.orders()
-    k_order = vals["k"]
-    k_gen = next(i for i in cent if orders[i] == k_order)
-    k_members = {ig.e}
-    cur = k_gen
-    while cur != ig.e:
-        k_members.add(cur)
-        cur = ig.mul_idx(cur, k_gen)
-    k_meet = sum(1 for i in k_members if i in set(sub_idx))
+    orders = np.asarray(ig.orders())
+    k_gen = int(cent[orders[cent] == vals["k"]][0])
+    k_members = ig.closure_idx((k_gen,))
+    k_meet = int(ig.mask(sub_idx)[list(k_members)].sum())
     labels, reps = ig.coset_labels(sub_idx)
-    fixed = sum(1 for r in reps if labels[ig.mul_idx(r, g_in)] == labels[r])
+    labels = np.asarray(labels)
+    fixed = int((labels[ig.mul_ids(reps, g_in)] == labels[reps]).sum())
     return {
         "class": len(cls),
         "meet": meet,

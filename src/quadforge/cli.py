@@ -235,6 +235,8 @@ def cmd_scan(args) -> int:
     if row.param is None:
         return _usage(f"{what} has no range to scan; use verify --lemma {tag}")
     bound = (row.widest or (None, None))[1]
+    if bound is None and args.beyond:
+        return _usage(f"{what} has no published bound; --beyond does not apply")
     if bound is not None and hi > bound and not args.beyond:
         return _usage(
             f"range extends past the published bound {bound}; pass --beyond to scan it anyway"

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .psl2 import GroupElement, GroupSpec, indexed_group
 from .subgroups import SubgroupHandle
 
@@ -58,6 +60,12 @@ def _popcount(x: int) -> int:
     return bin(x).count("1")
 
 
+def _bitmasks(matrix) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j set for column j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def double_cosets(
     M0: SubgroupHandle, M1: SubgroupHandle, spec: GroupSpec | None = None, budget=None
 ) -> list[DoubleCoset]:
@@ -68,26 +76,20 @@ def double_cosets(
     """
     spec = spec or M0.group
     ig = indexed_group(spec, budget)
-    m0 = M0.idx_set(ig)
-    m1 = M1.idx_set(ig)
-    assigned = [-1] * ig.n
+    m0 = np.asarray(M0.idx_set(ig))
+    m1 = np.asarray(M1.idx_set(ig))
+    assigned = np.zeros(ig.n, dtype=bool)
     out = []
     for g in range(ig.n):
-        if assigned[g] >= 0:
+        if assigned[g]:
             continue
-        left = {ig.mul_idx(m, g) for m in m0}
-        full = set(left)
-        for x in left:
-            for m in m1:
-                full.add(ig.mul_idx(x, m))
-        cid = len(out)
-        for x in full:
-            assigned[x] = cid
+        full = np.flatnonzero(ig.mask(ig.mul_ids(ig.mul_ids(m0, g)[:, None], m1)))
+        assigned[full] = True
         size = len(full)
         if (len(m0) * len(m1)) % size:
             raise RuntimeError("double coset size does not divide |M0||M1|")
         out.append(
-            DoubleCoset(g, size, len(m0) * len(m1) // size, tuple(sorted(full)))
+            DoubleCoset(g, size, len(m0) * len(m1) // size, tuple(full.tolist()))
         )
     assert sum(dc.size for dc in out) == ig.n
     return out
@@ -141,23 +143,13 @@ class IncidenceGeometry:
         self.line_label, self.line_reps = ig.coset_labels(M1.idx_set(ig))
         self.n_points = len(self.point_reps)
         self.n_lines = len(self.line_reps)
-        in_d = bytearray(ig.n)
-        for i in self.selection:
-            for x in decomposition[i].members:
-                in_d[x] = 1
-        self.d_size = sum(in_d)
-        rows = [0] * self.n_points
-        cols = [0] * self.n_lines
-        line_rep_inv = [ig.inv_idx(y) for y in self.line_reps]
-        for p, x in enumerate(self.point_reps):
-            row = 0
-            for l, yinv in enumerate(line_rep_inv):
-                if in_d[ig.mul_idx(x, yinv)]:
-                    row |= 1 << l
-                    cols[l] |= 1 << p
-            rows[p] = row
-        self.rows = rows
-        self.cols = cols
+        in_d = ig.mask([x for i in self.selection for x in decomposition[i].members])
+        self.d_size = int(in_d.sum())
+        # M0x lies on M1y exactly when x y^-1 is in D: one row of products per point
+        line_rep_inv = ig.inverses()[self.line_reps]
+        inc = np.stack([in_d[ig.mul_ids(x, line_rep_inv)] for x in self.point_reps])
+        self.rows = _bitmasks(inc)
+        self.cols = _bitmasks(inc.T)
         self.base_point = self.point_label[ig.e]
         self.base_line = self.line_label[ig.e]
         self._coll: list[int] | None = None
@@ -172,16 +164,7 @@ class IncidenceGeometry:
         """coll[p]: bitmask of points sharing at least one line with p
         (p itself excluded)."""
         if self._coll is None:
-            coll = []
-            for p, row in enumerate(self.rows):
-                mask = 0
-                r = row
-                while r:
-                    l = (r & -r).bit_length() - 1
-                    mask |= self.cols[l]
-                    r &= r - 1
-                coll.append(mask & ~(1 << p))
-            self._coll = coll
+            self._coll = _collinearity(self.rows, self.cols)
         return self._coll
 
     def collinear(self, p: int, q: int) -> bool:
@@ -193,13 +176,16 @@ class IncidenceGeometry:
     def line_image(self, l: int, g_idx: int) -> int:
         return self.line_label[self.ig.mul_idx(self.line_reps[l], g_idx)]
 
+    def _id(self, g: GroupElement | int) -> int:
+        return g if isinstance(g, int) else self.ig.id_of(g.t)
+
     def point_action(self, g: GroupElement | int) -> list[int]:
-        g_idx = g if isinstance(g, int) else self.ig.index[g.t]
-        return [self.point_image(p, g_idx) for p in range(self.n_points)]
+        images = self.ig.mul_ids(self.point_reps, self._id(g))
+        return [self.point_label[x] for x in images.tolist()]
 
     def line_action(self, g: GroupElement | int) -> list[int]:
-        g_idx = g if isinstance(g, int) else self.ig.index[g.t]
-        return [self.line_image(l, g_idx) for l in range(self.n_lines)]
+        images = self.ig.mul_ids(self.line_reps, self._id(g))
+        return [self.line_label[x] for x in images.tolist()]
 
     def preserves_incidence(self, g: GroupElement | int) -> bool:
         pa = self.point_action(g)
@@ -229,6 +215,20 @@ def build_geometry(
 # ---------------------------------------------------------------------------
 
 
+def _collinearity(rows, cols) -> list[int]:
+    """Per point, the bitmask of the other points on its lines."""
+    coll = []
+    for p, row in enumerate(rows):
+        mask = 0
+        r = row
+        while r:
+            l = (r & -r).bit_length() - 1
+            mask |= cols[l]
+            r &= r - 1
+        coll.append(mask & ~(1 << p))
+    return coll
+
+
 def _check_axioms(rows, cols, n_points, n_lines) -> GQVerdict:
     if n_points == 0 or n_lines == 0:
         return GQVerdict(False, None, None, False, "empty point or line set")
@@ -249,15 +249,7 @@ def _check_axioms(rows, cols, n_points, n_lines) -> GQVerdict:
                 return GQVerdict(
                     False, s, t, False, f"points {i},{j} lie on two common lines"
                 )
-    coll = []
-    for p, row in enumerate(rows):
-        mask = 0
-        r = row
-        while r:
-            l = (r & -r).bit_length() - 1
-            mask |= cols[l]
-            r &= r - 1
-        coll.append(mask & ~(1 << p))
+    coll = _collinearity(rows, cols)
     for p in range(n_points):
         for l in range(n_lines):
             if rows[p] >> l & 1:
@@ -437,7 +429,7 @@ def transitive_on_fixed(
     """Does the subgroup's orbit of the base point cover the whole fixed
     point set of g?  Requires g to fix the base point."""
     ig = geom.ig
-    g_idx = g if isinstance(g, int) else ig.index[g.t]
+    g_idx = geom._id(g)
     base = geom.base_point
     if geom.point_image(base, g_idx) != base:
         raise ValueError("base point is not fixed by g")
@@ -445,8 +437,7 @@ def transitive_on_fixed(
     fixed = {p for p in range(geom.n_points) if pa[p] == p}
     base_rep = geom.point_reps[base]
     orbit = {
-        geom.point_label[ig.mul_idx(base_rep, ig.index[x.t])]
-        for x in subgroup.elements
+        geom.point_label[x] for x in ig.mul_ids(base_rep, subgroup.idx_set(ig)).tolist()
     }
     return orbit == fixed
 
@@ -474,11 +465,18 @@ def export_incidence(geom: IncidenceGeometry, stream, s: int | None = None, t: i
 
 
 def parse_incidence(stream):
-    """Inverse of export_incidence: (n_points, n_lines, s, t, pairs)."""
+    """Inverse of export_incidence: (n_points, n_lines, s, t, pairs).
+
+    What is read is re-verified: (s+1)(st+1) points and (t+1)(st+1)
+    lines, no flag twice, t+1 lines on every point and s+1 points on
+    every line, and the quadrangle axioms."""
     header = stream.readline().split()
     if len(header) != 5 or header[0] != "GQ":
         raise ValueError("bad incidence header")
     n_points, n_lines, s, t = map(int, header[1:])
+    if (n_points, n_lines) != ((s + 1) * (s * t + 1), (t + 1) * (s * t + 1)):
+        raise ValueError(f"{n_points} points, {n_lines} lines do not fit order ({s},{t})")
+    rows, cols = [0] * n_points, [0] * n_lines
     pairs = []
     for line in stream:
         line = line.strip()
@@ -487,5 +485,14 @@ def parse_incidence(stream):
         p, l = map(int, line.split())
         if not (0 <= p < n_points and 0 <= l < n_lines):
             raise ValueError("incidence pair out of range")
+        if rows[p] >> l & 1:
+            raise ValueError(f"flag ({p}, {l}) listed twice")
+        rows[p] |= 1 << l
+        cols[l] |= 1 << p
         pairs.append((p, l))
+    if any(_popcount(r) != t + 1 for r in rows) or any(_popcount(c) != s + 1 for c in cols):
+        raise ValueError(f"not every point on {t + 1} lines and every line on {s + 1} points")
+    verdict = _check_axioms(rows, cols, n_points, n_lines)
+    if not verdict.is_gq:
+        raise ValueError(f"not a generalized quadrangle: {verdict.violation}")
     return n_points, n_lines, s, t, pairs

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from ._ints import is_prime
+import numpy as np
+
+from ._ints import factorize, is_prime
 from .errors import MixedFieldError
 
 _TABLE_LIMIT = 512
@@ -195,30 +197,49 @@ class FieldSpec:
             )
         return self._elements
 
+    def primitive_element(self) -> tuple[int, ...]:
+        """The first element in enumeration order that generates GF(q)*."""
+        one = self.one.coeffs
+        cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
+        return next(
+            e.coeffs
+            for e in self.enumerate()[1:]
+            if all(self.pow_t(e.coeffs, k) != one for k in cofactors)
+        )
+
     def int_tables(self):
         """Dense index-based op tables (ADD, MUL, NEG, INV, SQRT) for q <= 512.
 
         INV[0] = -1 and SQRT[i] = -1 marks "undefined"/"non-square".
+        Addition is digit-wise mod p on the base-p index; multiplication
+        goes through log/antilog tables of `primitive_element()`.
         """
         if self._tables is None:
-            if self.q > _TABLE_LIMIT:
-                raise ValueError(f"no dense tables for q = {self.q} > {_TABLE_LIMIT}")
-            els = [e.coeffs for e in self.enumerate()]
-            n = self.q
-            idx = self.index_of
-            add = [[0] * n for _ in range(n)]
-            mul = [[0] * n for _ in range(n)]
-            for i, a in enumerate(els):
-                for j, b in enumerate(els):
-                    add[i][j] = idx(self.add_t(a, b))
-                    mul[i][j] = idx(self.mul_t(a, b))
-            neg = [idx(self.neg_t(a)) for a in els]
-            inv = [-1] + [idx(self.inv_t(a)) for a in els[1:]]
-            sqrt = []
-            for a in els:
-                r = self.sqrt_t(a)
-                sqrt.append(idx(r) if r is not None else -1)
-            self._tables = (add, mul, neg, inv, sqrt)
+            q, p, f = self.q, self.p, self.f
+            if q > _TABLE_LIMIT:
+                raise ValueError(f"no dense tables for q = {q} > {_TABLE_LIMIT}")
+            ids = np.arange(q)
+            place = p ** np.arange(f - 1, -1, -1)  # weight of coefficient k
+            digits = ids[:, None] // place % p
+            add = ((digits[:, None, :] + digits[None, :, :]) % p) @ place
+            neg = (-digits % p) @ place
+            g = self.primitive_element()
+            antilog = np.empty(q - 1, dtype=np.int64)
+            cur = self.one.coeffs
+            for k in range(q - 1):
+                antilog[k] = self.index_of(cur)
+                cur = self.mul_t(cur, g)
+            log = np.zeros(q, dtype=np.int64)
+            log[antilog] = np.arange(q - 1)
+            mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = antilog[(log[1:, None] + log[None, 1:]) % (q - 1)]
+            inv = np.full(q, -1, dtype=np.int64)
+            inv[1:] = antilog[-log[1:] % (q - 1)]
+            sqrt = [-1] * q
+            for root, square in enumerate(mul[ids, ids].tolist()):
+                if sqrt[square] < 0:
+                    sqrt[square] = root
+            self._tables = (*(t.tolist() for t in (add, mul, neg, inv)), sqrt)
         return self._tables
 
 

@@ -21,7 +21,6 @@ scan workers.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -343,10 +342,10 @@ def centralizer(g: GroupElement, spec: GroupSpec | None = None, budget: int | No
     from . import subgroups  # deferred: subgroups builds on this module
 
     spec = spec or g.group
-    els = spec.elements_t(budget)
-    gt = g.t
-    members = [t for t in els if spec.mul_t(t, gt) == spec.mul_t(gt, t)]
-    return subgroups.handle_from_elements(spec, members)
+    ig = indexed_group(spec, budget)
+    ids, gi = np.arange(ig.n), ig.id_of(g.t)
+    members = np.flatnonzero(ig.mul_ids(ids, gi) == ig.mul_ids(gi, ids))
+    return subgroups.handle_from_elements(spec, [ig.elements[i] for i in members])
 
 
 # -- projective line --------------------------------------------------------
@@ -386,81 +385,131 @@ def act_on_line(g: GroupElement, pt: ProjectivePoint) -> ProjectivePoint:
 
 # -- indexed enumeration (fast internal core) -------------------------------
 
+_CHUNK = 1 << 16  # array entries per block of rows in bulk builds
+
+
+def _blocks(n: int, width: int):
+    """Row slices of an n x width build, about _CHUNK entries each."""
+    step = max(1, _CHUNK // width)
+    return (slice(s, s + step) for s in range(0, n, step))
+
 
 class IndexedGroup:
     """Fully enumerated group with integer element ids.
 
-    Carries the faithful permutation action on PG(1,q); products are
-    matrix products resolved back to ids, and the dense Cayley table
-    (when requested and affordable) is built in bulk from the permutation
-    action.  Shared, read-only once constructed.
+    Ids follow the canonical order of `GroupSpec.elements_t`.  `perms[i]`
+    is element i acting on PG(1,q) ((x:1) has point id x, (1:0) has id q).
+    PGL(2,q) is sharply 3-transitive on PG(1,q), so an element is fixed by
+    its images of 0, 1 and infinity: `tri[i]` holds them and `code` maps
+    every such triple back to its id.  The product i*j is then row j of
+    `perms` read at tri[i], and products, inverses, orders, classes,
+    closures and cosets all run on arrays of ids.  Shared, read-only once
+    constructed.
     """
 
     def __init__(self, spec: GroupSpec, budget: int | None = None):
         self.spec = spec
         els = spec.elements_t(budget)
         self.elements = els
-        self.n = len(els)
-        self.index = {t: i for i, t in enumerate(els)}
-        self.e = self.index[spec.identity_t]
+        self.n = n = len(els)
         q = spec.q
-        # encode PG(1,q) points: (x,1) for x in field order gets id x, (1:0) gets id q
-        fone = spec._one
-        npts = q + 1
-        perms = np.empty((self.n, npts), dtype=np.int32)
-        fmul, fadd, finv = spec._fmul, spec._fadd, spec._finv
-        for i, (a, b, c, d) in enumerate(els):
-            row = perms[i]
-            for xp in range(npts):
-                if xp < q:
-                    nx = fadd(fmul(xp, a), c)  # (x:1) -> (xa+c : xb+d)
-                    ny = fadd(fmul(xp, b), d)
-                else:
-                    nx, ny = a, b  # (1:0) -> (a : b)
-                row[xp] = q if ny == 0 else fmul(nx, finv(ny))
+        m = q + 1
+        add, mul, _, inv, _ = spec.field.int_tables()
+        self._add, self._mul, self._inv_f = (
+            np.asarray(t, dtype=np.int32) for t in (add, mul, inv)
+        )
+        E = np.asarray(els, dtype=np.intp)
+        xs = np.arange(q)
+        perms = np.empty((n, m), dtype=np.uint16)
+        for rows in _blocks(n, m):
+            a, b, c, d = E[rows].T[..., None]
+            # (x:1) -> (xa+c : xb+d), (1:0) -> (a : b)
+            perms[rows, :q] = self._point(
+                self._add[self._mul[xs, a], c], self._add[self._mul[xs, b], d]
+            )
+            perms[rows, q] = self._point(a[:, 0], b[:, 0])
         self.perms = perms
-        self._inv: list[int] | None = None
+        self.tri = perms[:, (0, spec._one, q)]
+        self.code = np.full((m, m, m), -1, dtype=np.int32)
+        self.code[tuple(self.tri.T)] = np.arange(n, dtype=np.int32)
+        self.e = self.id_of(spec.identity_t)
+        self._inv: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._cayley: np.ndarray | None = None
         self._gen_pair: tuple[int, int] | None = None
 
+    def _point(self, x, y):
+        """Point id of (x:y) for field-index arrays x, y."""
+        return np.where(y == 0, self.spec.q, self._mul[x, self._inv_f[y]])
+
+    def ids_of(self, ts) -> np.ndarray:
+        """Ids of canonical 4-tuples, read off their images of 0, 1 and
+        infinity: (c:d), (a+c:b+d) and (a:b)."""
+        a, b, c, d = np.asarray(ts, dtype=np.intp).reshape(-1, 4).T
+        ids = self.code[
+            self._point(c, d),
+            self._point(self._add[a, c], self._add[b, d]),
+            self._point(a, b),
+        ]
+        if (ids < 0).any():
+            raise KeyError("matrix is not an element of the group")
+        return ids
+
+    def id_of(self, t) -> int:
+        return int(self.ids_of(t)[0])
+
+    def mask(self, ids) -> np.ndarray:
+        """Boolean membership array of a set of ids."""
+        out = np.zeros(self.n, dtype=bool)
+        out[np.asarray(ids, dtype=np.intp)] = True
+        return out
+
     # -- basic ops --
 
+    def mul_ids(self, xs, ys) -> np.ndarray:
+        """Products x*y over id arrays, broadcast as numpy broadcasts."""
+        img = self.perms[np.asarray(ys)[..., None], self.tri[np.asarray(xs)]]
+        return self.code[img[..., 0], img[..., 1], img[..., 2]]
+
     def mul_idx(self, i: int, j: int) -> int:
-        return self.index[self.spec.mul_t(self.elements[i], self.elements[j])]
+        row = self.perms[j]
+        a, b, c = self.tri[i]
+        return int(self.code[row[a], row[b], row[c]])
+
+    def inverses(self) -> np.ndarray:
+        """inverses()[i] is the id of element i's inverse: the element
+        taking 0, 1 and infinity to their preimages under i."""
+        if self._inv is None:
+            pts = (0, self.spec._one, self.spec.q)
+            pre = np.empty((self.n, 3), dtype=np.intp)
+            for rows in _blocks(self.n, self.spec.q + 1):
+                block = self.perms[rows]
+                for k, pt in enumerate(pts):
+                    pre[rows, k] = np.argmax(block == pt, axis=1)
+            self._inv = self.code[tuple(pre.T)]
+        return self._inv
 
     def inv_idx(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = [self.index[self.spec.inv_t(t)] for t in self.elements]
-        return self._inv[i]
+        return int(self.inverses()[i])
 
-    def conj_idx(self, x: int, g: int) -> int:
-        return self.mul_idx(self.mul_idx(self.inv_idx(g), x), g)
-
-    def order_idx(self, i: int) -> int:
-        return self.orders()[i]
+    def conj_ids(self, xs, g) -> np.ndarray:
+        """g^-1 x g over broadcast id arrays xs and g."""
+        return self.mul_ids(self.mul_ids(self.inverses()[g], xs), g)
 
     def orders(self) -> list[int]:
+        """Element orders: all ids are powered together until each hits e."""
         if self._orders is None:
-            orders = [0] * self.n
-            orders[self.e] = 1
-            for i in range(self.n):
-                if orders[i]:
-                    continue
-                # walk the cyclic group once, assigning orders to all powers
-                path = [i]
-                cur = i
-                while True:
-                    cur = self.mul_idx(cur, i)
-                    if cur == self.e:
-                        break
-                    path.append(cur)
-                m = len(path) + 1
-                orders[i] = m
-                for k, idx in enumerate(path[1:], start=2):
-                    if not orders[idx]:
-                        orders[idx] = m // math.gcd(k, m)
-            self._orders = orders
+            orders = np.zeros(self.n, dtype=np.int64)
+            live = np.arange(self.n)
+            cur = live
+            k = 1
+            while live.size:
+                hit = cur == self.e
+                orders[live[hit]] = k
+                live, cur = live[~hit], cur[~hit]
+                cur = self.mul_ids(cur, live)
+                k += 1
+            self._orders = orders.tolist()
         return self._orders
 
     def cayley(self) -> np.ndarray:
@@ -468,43 +517,31 @@ class IndexedGroup:
         if self._cayley is None:
             if self.n > _CAYLEY_LIMIT:
                 raise BudgetExceededError(f"cayley table too large for n = {self.n}")
-            P = self.perms
-            perm_index = {P[i].tobytes(): i for i in range(self.n)}
+            ids = np.arange(self.n)
             cay = np.empty((self.n, self.n), dtype=np.int32)
-            for i in range(self.n):
-                block = P[:, P[i]]
-                row = cay[i]
-                for j in range(self.n):
-                    row[j] = perm_index[block[j].tobytes()]
+            for rows in _blocks(self.n, 3 * self.n):
+                cay[rows] = self.mul_ids(ids[rows, None], ids)
             self._cayley = cay
         return self._cayley
 
     # -- closures and classes --
 
+    def _sweep(self, start, step) -> tuple[int, ...]:
+        """Sorted ids reachable from `start` by applying `step` to frontiers."""
+        known = self.mask(start)
+        frontier = np.flatnonzero(known)
+        while frontier.size:
+            new = self.mask(step(frontier)) & ~known
+            known |= new
+            frontier = np.flatnonzero(new)
+        return tuple(np.flatnonzero(known).tolist())
+
     def closure_idx(self, gens, seed=None) -> tuple[int, ...]:
-        """Subgroup generated by `gens` (BFS over right multiplication)."""
-        known = bytearray(self.n)
-        known[self.e] = 1
-        frontier = [self.e]
-        if seed:
-            for s in seed:
-                if not known[s]:
-                    known[s] = 1
-                    frontier.append(s)
-        gens = list(gens)
-        out = list(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul_idx(x, g)
-                    if not known[y]:
-                        known[y] = 1
-                        nxt.append(y)
-                        out.append(y)
-            frontier = nxt
-        out.sort()
-        return tuple(out)
+        """Subgroup generated by `gens` (sweep over right multiplication)."""
+        gens = np.asarray(list(gens), dtype=np.intp)
+        return self._sweep(
+            [self.e, *(seed or ())], lambda f: self.mul_ids(f[:, None], gens).ravel()
+        )
 
     def generating_pair(self) -> tuple[int, int]:
         """First (i, j) in element order with <i, j> the whole group."""
@@ -521,47 +558,31 @@ class IndexedGroup:
 
     def conjugacy_class(self, i: int) -> tuple[int, ...]:
         """Conjugation orbit of element i under the whole group."""
-        g1, g2 = self.generating_pair()
-        known = bytearray(self.n)
-        known[i] = 1
-        frontier = [i]
-        out = [i]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in (g1, g2):
-                    y = self.conj_idx(x, g)
-                    if not known[y]:
-                        known[y] = 1
-                        nxt.append(y)
-                        out.append(y)
-            frontier = nxt
-        out.sort()
-        return tuple(out)
+        gens = self.generating_pair()
+        return self._sweep(
+            [i], lambda f: np.concatenate([self.conj_ids(f, g) for g in gens])
+        )
 
     def all_classes(self) -> list[tuple[int, ...]]:
-        seen = bytearray(self.n)
+        seen = np.zeros(self.n, dtype=bool)
         classes = []
         for i in range(self.n):
             if not seen[i]:
                 cls = self.conjugacy_class(i)
-                for x in cls:
-                    seen[x] = 1
+                seen[list(cls)] = True
                 classes.append(cls)
         return classes
 
     def coset_labels(self, sub_idxs) -> tuple[list[int], list[int]]:
         """Right cosets H\\G as labels: labels[g] = coset id, reps[id] = min element."""
-        labels = [-1] * self.n
+        sub = np.asarray(sub_idxs, dtype=np.intp)
+        labels = np.full(self.n, -1, dtype=np.int64)
         reps: list[int] = []
         for g in range(self.n):
-            if labels[g] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(g)
-            for m in sub_idxs:
-                labels[self.mul_idx(m, g)] = cid
-        return labels, reps
+            if labels[g] < 0:
+                labels[self.mul_ids(sub, g)] = len(reps)
+                reps.append(g)
+        return labels.tolist(), reps
 
 
 _INDEXED: dict[tuple[int, str], IndexedGroup] = {}

@@ -52,6 +52,7 @@ class SubgroupHandle:
     elements: tuple[GroupElement, ...]
     generators: tuple[GroupElement, ...] | None = None
     _t_set: frozenset | None = dc_field(default=None, repr=False)
+    _ids: tuple[int, ...] | None = dc_field(default=None, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -66,26 +67,28 @@ class SubgroupHandle:
         return g.t in self.t_set
 
     def idx_set(self, ig: IndexedGroup) -> tuple[int, ...]:
-        return tuple(sorted(ig.index[g.t] for g in self.elements))
+        if self._ids is None:
+            ids = ig.ids_of([g.t for g in self.elements])
+            self._ids = tuple(sorted(ids.tolist()))
+        return self._ids
 
     def ensure_generators(self) -> tuple[GroupElement, ...]:
         """A small generating set (2 elements where possible), found
         deterministically; verified by closure."""
         if self.generators is None:
-            spec = self.group
-            ts = sorted(self.t_set)
-            target = len(ts)
-            found = None
-            for i, x in enumerate(ts):
-                for y in ts[i:]:
-                    if len(_closure_t(spec, (x, y))) == target:
-                        found = (spec.wrap(x), spec.wrap(y))
-                        break
-                if found:
-                    break
-            if found is None:  # not 2-generated; fall back to everything
-                found = self.elements
-            self.generators = found
+            ig = indexed_group(self.group)
+            ids = self.idx_set(ig)
+            pair = next(
+                (
+                    (x, y)
+                    for i, x in enumerate(ids)
+                    for y in ids[i:]
+                    if len(ig.closure_idx((x, y))) == len(ids)
+                ),
+                None,
+            )
+            # not 2-generated: fall back to everything
+            self.generators = self.elements if pair is None else _wrap(ig, pair)
         return self.generators
 
     def __repr__(self):
@@ -93,6 +96,10 @@ class SubgroupHandle:
             f"<{self.descriptor.claimed_type} of order {len(self)} "
             f"in {self.group!r}, index {self.descriptor.claimed_index}>"
         )
+
+
+def _wrap(ig: IndexedGroup, ids) -> tuple[GroupElement, ...]:
+    return tuple(ig.spec.wrap(ig.elements[i]) for i in ids)
 
 
 def handle_from_elements(spec, ts, descriptor=None, generators=None) -> SubgroupHandle:
@@ -326,32 +333,17 @@ def subfield_indices(fld, q0: int) -> list[int]:
     return out
 
 
-def _closure_t(spec: GroupSpec, gen_ts, budget: int | None = None) -> set:
-    known = {spec.identity_t}
-    frontier = [spec.identity_t]
-    gen_ts = list(gen_ts)
-    cap = budget or spec.order
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_ts:
-                y = spec.mul_t(x, g)
-                if y not in known:
-                    known.add(y)
-                    nxt.append(y)
-        if len(known) > cap:
-            raise BudgetExceededError("closure exceeded the element budget")
-        frontier = nxt
-    return known
-
-
 def closure(generators, spec: GroupSpec | None = None, budget: int | None = None):
-    """Smallest subgroup containing `generators` (breadth-first closure)."""
+    """Smallest subgroup containing `generators` (breadth-first closure);
+    more than `budget` elements raise BudgetExceededError."""
     gens = list(generators)
     if spec is None:
         spec = gens[0].group
-    ts = _closure_t(spec, [g.t for g in gens], budget)
-    return tuple(spec.wrap(t) for t in sorted(ts))
+    ig = indexed_group(spec)
+    ids = ig.closure_idx(ig.ids_of([g.t for g in gens]).tolist())
+    if len(ids) > (budget or spec.order):
+        raise BudgetExceededError("closure exceeded the element budget")
+    return _wrap(ig, ids)
 
 
 def _build_borel(spec: GroupSpec) -> set:
@@ -404,17 +396,14 @@ def _build_triangle(spec: GroupSpec, case_id: int):
     (x, y) in canonical order with |x| = 2, |y| = 3, |xy| as required and
     closure of the right size."""
     ig = indexed_group(spec)
-    orders = ig.orders()
+    orders = np.asarray(ig.orders())
     prod_order, size = _TRIANGLE_TARGET[case_id]
-    invs = [i for i in range(ig.n) if orders[i] == 2]
-    threes = [i for i in range(ig.n) if orders[i] == 3]
-    for x in invs:
-        for y in threes:
-            if orders[ig.mul_idx(x, y)] != prod_order:
-                continue
-            ts = _closure_t(spec, (ig.elements[x], ig.elements[y]))
-            if len(ts) == size:
-                return ts, (ig.elements[x], ig.elements[y])
+    threes = np.flatnonzero(orders == 3)
+    for x in np.flatnonzero(orders == 2).tolist():
+        for y in threes[orders[ig.mul_ids(x, threes)] == prod_order].tolist():
+            ids = ig.closure_idx((x, y))
+            if len(ids) == size:
+                return ids, (x, y)
     raise RuntimeError("generator search exhausted")  # the subgroup exists
 
 
@@ -425,29 +414,19 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     g = 2 if q % 2 else 1
     m = (q - 1) // g if case_id == 8 else (q + 1) // g
     ig = indexed_group(spec)
-    orders = ig.orders()
-    x = next(i for i in range(ig.n) if orders[i] == m)
-    cyc = [ig.e]
-    cur = x
-    while cur != ig.e:
-        cyc.append(cur)
-        cur = ig.mul_idx(cur, x)
-    xin = ig.inv_idx(x)
-    cset = set(cyc)
-    for y in range(ig.n):
-        if orders[y] != 2:
-            continue
-        if y in cset and m != 2:
-            continue
-        if ig.mul_idx(ig.mul_idx(ig.inv_idx(y), x), y) == xin:
-            members = set(cyc)
-            for cidx in cyc:
-                members.add(ig.mul_idx(cidx, y))
-            return (
-                {ig.elements[i] for i in members},
-                (ig.elements[x], ig.elements[y]),
-            )
-    raise RuntimeError("no inverting involution found")  # exists by structure
+    orders = np.asarray(ig.orders())
+    x = int(np.argmax(orders == m))
+    cyc = np.asarray(ig.closure_idx((x,)))
+    members = ig.mask(cyc)
+    ys = np.flatnonzero(orders == 2)
+    if m != 2:
+        ys = ys[~members[ys]]
+    hits = ys[ig.conj_ids(x, ys) == ig.inv_idx(x)]
+    if not hits.size:
+        raise RuntimeError("no inverting involution found")  # exists by structure
+    y = int(hits[0])
+    members[ig.mul_ids(cyc, y)] = True
+    return np.flatnonzero(members), (x, y)
 
 
 def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int | None = None) -> SubgroupHandle:
@@ -465,19 +444,17 @@ def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int 
         ts = _build_borel(spec)
     elif case == 2:
         ts = _build_subfield(spec, descriptor.q0, want_pgl=True)
-    elif case in (3, 4, 5):
-        ts, gens = _build_triangle(spec, case)
+    elif case in (3, 4, 5, 8, 9):
+        ig = indexed_group(spec)
+        build = _build_triangle if case in (3, 4, 5) else _build_dihedral
+        ids, gens = build(spec, case)
+        ts, gens = [ig.elements[i] for i in ids], _wrap(ig, gens)
     elif case in (6, 7):
         ts = _build_subfield(spec, descriptor.q0, want_pgl=False)
-    elif case in (8, 9):
-        ts, gens = _build_dihedral(spec, case)
     else:
         raise ValueError(f"unknown case {case}")
     handle = SubgroupHandle(
-        spec,
-        descriptor,
-        tuple(spec.wrap(t) for t in sorted(ts)),
-        tuple(spec.wrap(t) for t in gens) if gens else None,
+        spec, descriptor, tuple(spec.wrap(t) for t in sorted(ts)), gens
     )
     if len(handle) * descriptor.claimed_index != spec.order:
         raise RuntimeError(
@@ -496,30 +473,25 @@ def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | No
 
 
 def conjugate(handle: SubgroupHandle, g: GroupElement) -> SubgroupHandle:
-    spec = handle.group
-    gi = spec.inv_t(g.t)
-    ts = sorted(spec.mul_t(spec.mul_t(gi, h), g.t) for h in handle.t_set)
+    ig = indexed_group(handle.group)
+    gi = ig.id_of(g.t)
+    ids = np.sort(ig.conj_ids(handle.idx_set(ig), gi))
     gens = None
     if handle.generators:
-        gens = tuple(
-            spec.wrap(spec.mul_t(spec.mul_t(gi, x.t), g.t)) for x in handle.generators
-        )
-    return SubgroupHandle(
-        spec, handle.descriptor, tuple(spec.wrap(t) for t in ts), gens
-    )
+        gens = _wrap(ig, ig.conj_ids(ig.ids_of([x.t for x in handle.generators]), gi))
+    return SubgroupHandle(handle.group, handle.descriptor, _wrap(ig, ids), gens)
 
 
 def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None, budget=None) -> SubgroupHandle:
     """Set-level normalizer {g : H^g = H}."""
     spec = spec or handle.group
-    gens = handle.ensure_generators()
-    hset = handle.t_set
-    members = []
-    for t in spec.elements_t(budget):
-        ti = spec.inv_t(t)
-        if all(spec.mul_t(spec.mul_t(ti, x.t), t) in hset for x in gens):
-            members.append(t)
-    return handle_from_elements(spec, members)
+    ig = indexed_group(spec, budget)
+    in_h = ig.mask(handle.idx_set(ig))
+    everyone = np.arange(ig.n)
+    keep = np.ones(ig.n, dtype=bool)
+    for x in ig.ids_of([x.t for x in handle.ensure_generators()]):
+        keep &= in_h[ig.conj_ids(x, everyone)]
+    return handle_from_elements(spec, [ig.elements[i] for i in np.flatnonzero(keep)])
 
 
 def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[SubgroupHandle]]:
@@ -563,7 +535,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
             nxt = []
             for sub in frontier:
                 for g in (g1, g2):
-                    conj = frozenset(ig.conj_idx(x, g) for x in sub)
+                    conj = frozenset(ig.conj_ids(sub, g).tolist())
                     if conj not in orbit:
                         orbit.add(conj)
                         nxt.append(tuple(sorted(conj)))
@@ -584,70 +556,64 @@ def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[Subg
     """Every subgroup of index <= bound, by exhaustive closure of all
     generator sets of size <= 2.
 
-    Pairs are deduplicated through the cyclic subgroups of their members:
-    <x, y> depends only on (<x>, <y>), so one closure per pair of distinct
-    cyclic subgroups is exhaustive.  Closures run over the dense Cayley
+    <x, y> depends only on (<x>, <y>), and some conjugate of it has <x>
+    replaced by the representative of its class of cyclic subgroups.  So
+    closing <x, y> with <x> over one cyclic subgroup per conjugacy class
+    and <y> over every other cyclic subgroup, then closing what is found
+    under conjugation, is exhaustive.  Closures run over the dense Cayley
     table with a vectorized breadth-first sweep.
     """
     ig = indexed_group(spec, budget)
     n = ig.n
-    cay = ig.cayley()
-    cayT = np.ascontiguousarray(cay.T)
-    # cyclic subgroup of every element
-    cyc_key: dict[tuple[int, ...], int] = {}
-    cyc_members: list[np.ndarray] = []
-    cyc_gen: list[int] = []
-    cyc_of = [0] * n
+    cayT = np.ascontiguousarray(ig.cayley().T)
+    cyclic: dict[tuple[int, ...], int] = {}  # members -> first generator
     for i in range(n):
-        powers = [ig.e]
-        cur = i
-        while cur != ig.e:
-            powers.append(cur)
-            cur = int(cay[cur, i])
-        key = tuple(sorted(powers))
-        cid = cyc_key.get(key)
-        if cid is None:
-            cid = len(cyc_members)
-            cyc_key[key] = cid
-            cyc_members.append(np.array(key, dtype=np.int64))
-            cyc_gen.append(i)
-        cyc_of[i] = cid
-    k = len(cyc_members)
-    found: dict[bytes, np.ndarray] = {}
+        cyclic.setdefault(ig.closure_idx((i,)), i)
+    cyc_members = [np.asarray(m, dtype=np.intp) for m in cyclic]
+    cyc_gen = list(cyclic.values())
+    conj_maps = [ig.conj_ids(np.arange(n), g).astype(np.intp) for g in ig.generating_pair()]
 
-    def record(member_mask):
-        size = int(member_mask.sum())
-        if n % size == 0 and n // size <= bound:
-            key = member_mask.tobytes()
-            if key not in found:
-                found[key] = np.flatnonzero(member_mask)
+    def orbit(idxs) -> dict[bytes, np.ndarray]:
+        """The conjugates of a subgroup given as a sorted id array."""
+        out = {idxs.tobytes(): idxs}
+        for sub in (todo := [idxs]):
+            for cm in conj_maps:
+                img = np.sort(cm[sub])
+                if out.setdefault(img.tobytes(), img) is img:
+                    todo.append(img)
+        return out
 
-    for ci in range(k):
-        mask = np.zeros(n, dtype=bool)
-        mask[cyc_members[ci]] = True
-        record(mask)
-    for ci in range(k):
-        arr_i = cyc_members[ci]
-        gi = cyc_gen[ci]
-        col_i = cayT[gi]
-        for cj in range(ci + 1, k):
+    reps: list[int] = []
+    seen: set[bytes] = set()
+    for c, members in enumerate(cyc_members):
+        if members.tobytes() not in seen:
+            reps.append(c)
+            seen.update(orbit(members))
+    found = {m.tobytes(): m for m in cyc_members if n // m.size <= bound}
+    for ci in reps:
+        col_i = cayT[cyc_gen[ci]]
+        for cj, col_j in enumerate(cayT[cyc_gen]):
+            if cj == ci:
+                continue
             member = np.zeros(n, dtype=bool)
-            seed = np.union1d(arr_i, cyc_members[cj])
-            member[seed] = True
-            frontier = seed
-            col_j = cayT[cyc_gen[cj]]
+            member[cyc_members[ci]] = member[cyc_members[cj]] = True
+            frontier = np.flatnonzero(member)
             while frontier.size:
-                nxt = np.concatenate((col_i[frontier], col_j[frontier]))
-                nxt = nxt[~member[nxt]]
-                if nxt.size == 0:
-                    break
-                nxt = np.unique(nxt)
-                member[nxt] = True
-                frontier = nxt
-            record(member)
+                new = np.zeros(n, dtype=bool)
+                new[col_i[frontier]] = new[col_j[frontier]] = True
+                new &= ~member
+                member |= new
+                frontier = np.flatnonzero(new)
+            if n // member.sum() <= bound:
+                idxs = np.flatnonzero(member)
+                found.setdefault(idxs.tobytes(), idxs)
+    closed: dict[bytes, np.ndarray] = {}
+    for key, idxs in found.items():
+        if key not in closed:
+            closed.update(orbit(idxs))
     handles = [
         handle_from_elements(spec, [ig.elements[i] for i in idxs])
-        for idxs in found.values()
+        for idxs in closed.values()
     ]
     handles.sort(key=lambda h: (-len(h), h.elements))
     return handles
@@ -681,19 +647,22 @@ def two_generated_abelian_subgroups(spec: GroupSpec, budget=None) -> list[Subgro
     return handles
 
 
+def _ids_and_orders(handle: SubgroupHandle):
+    """(indexed group, member ids, their element orders) as arrays."""
+    ig = indexed_group(handle.group)
+    ids = np.asarray(handle.idx_set(ig))
+    return ig, ids, np.asarray(ig.orders())[ids]
+
+
 def order_profile(handle: SubgroupHandle) -> Counter:
-    spec = handle.group
-    return Counter(spec.order_t(t) for t in handle.t_set)
+    return Counter(_ids_and_orders(handle)[2].tolist())
 
 
 def is_abelian(handle: SubgroupHandle) -> bool:
-    spec = handle.group
-    ts = sorted(handle.t_set)
-    return all(
-        spec.mul_t(a, b) == spec.mul_t(b, a)
-        for i, a in enumerate(ts)
-        for b in ts[i + 1 :]
-    )
+    ig = indexed_group(handle.group)
+    ids = np.asarray(handle.idx_set(ig))
+    prod = ig.mul_ids(ids[:, None], ids)
+    return bool((prod == prod.T).all())
 
 
 def is_cyclic(handle: SubgroupHandle) -> bool:
@@ -714,28 +683,16 @@ def is_elementary_abelian(handle: SubgroupHandle) -> bool:
 
 def is_dihedral(handle: SubgroupHandle) -> bool:
     """Dihedral of order 2m, m >= 2 (the Klein group counts as D_4)."""
-    spec = handle.group
     n = len(handle)
     if n % 2 or n < 4:
         return False
-    m = n // 2
-    prof = order_profile(handle)
-    if prof.get(m, 0) == 0:
+    ig, ids, orders = _ids_and_orders(handle)
+    xs = ids[orders == n // 2]
+    if not xs.size:
         return False
-    ts = sorted(handle.t_set)
-    x = next(t for t in ts if spec.order_t(t) == m)
-    cyc = {spec.identity_t}
-    cur = x
-    while cur != spec.identity_t:
-        cyc.add(cur)
-        cur = spec.mul_t(cur, x)
-    xin = spec.inv_t(x)
-    for y in ts:
-        if y in cyc or spec.order_t(y) != 2:
-            continue
-        if spec.mul_t(spec.mul_t(spec.inv_t(y), x), y) == xin:
-            return True
-    return False
+    x = int(xs[0])
+    ys = ids[(orders == 2) & ~ig.mask(ig.closure_idx((x,)))[ids]]
+    return bool((ig.conj_ids(x, ys) == ig.inv_idx(x)).any())
 
 
 _PROFILES = {
@@ -827,25 +784,22 @@ def catalog_family(handle: SubgroupHandle, q: int) -> str | None:
             if n == qm * (qm * qm - 1):
                 return f"(viii) PGL(2,{qm})"
     # (x): elementary abelian p-group extended by a cyclic group
-    spec = handle.group
-    ts = sorted(handle.t_set)
-    unipotent = [t for t in ts if spec.order_t(t) in (1, p)]
-    u = set(unipotent)
+    ig, ids, orders = _ids_and_orders(handle)
+    u = ids[(orders == 1) | (orders == p)]
+    in_u = ig.mask(u)
     pf = prime_power(len(u)) if len(u) > 1 else None
     if pf and pf[0] == p and pf[1] <= f and n % len(u) == 0:
-        closed = all(spec.mul_t(a, b) in u for a in u for b in u)
-        normal = closed and all(
-            spec.mul_t(spec.mul_t(spec.inv_t(t), x), t) in u for t in ts for x in u
-        )
+        closed = in_u[ig.mul_ids(u[:, None], u)].all()
+        normal = closed and in_u[ig.conj_ids(u, ids[:, None])].all()
         if closed and normal:
             d = n // len(u)
             if d > 1 and math.gcd(q - 1, p ** pf[1] - 1) % d == 0:
                 # quotient must be cyclic: some h with h^k hitting every coset
-                for h in ts:
+                for h in ids.tolist():
                     kk = 1
                     cur = h
-                    while cur not in u:
-                        cur = spec.mul_t(cur, h)
+                    while not in_u[cur]:
+                        cur = ig.mul_idx(cur, h)
                         kk += 1
                     if kk == d:
                         return "(x) E_{p^m}:C_d"

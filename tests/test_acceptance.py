@@ -85,7 +85,7 @@ def test_acceptance_2_conjugacy_vs_brute_force():
         orders = ig.orders()
         rep, size = involution_class(spec)
         all_inv = [i for i in range(ig.n) if orders[i] == 2]
-        cls = ig.conjugacy_class(ig.index[rep.t])
+        cls = ig.conjugacy_class(ig.id_of(rep.t))
         assert len(cls) == size, q
         assert sorted(cls) == all_inv, q  # one class reaches every involution
         c = centralizer(rep, spec)
@@ -102,7 +102,7 @@ def test_acceptance_2_conjugacy_vs_brute_force():
         orders = ig.orders()
         rep3, size3 = order3_class(spec)
         all_3 = [i for i in range(ig.n) if orders[i] == 3]
-        cls3 = ig.conjugacy_class(ig.index[rep3.t])
+        cls3 = ig.conjugacy_class(ig.id_of(rep3.t))
         assert len(cls3) == size3 == len(all_3), q
         c3 = centralizer(rep3, spec)
         expected = (q - 1) // 2 if q % 3 == 1 else (q + 1) // 2
@@ -310,7 +310,7 @@ def test_acceptance_8_property_suites(w2_bundle):
     base_rep = geom.point_reps[geom.base_point]
     line_rep = geom.line_reps[geom.base_line]
     for h in two_generated_abelian_subgroups(geom.spec):
-        idxs = [ig.index[g.t] for g in h.elements]
+        idxs = [ig.id_of(g.t) for g in h.elements]
         orbit = {geom.point_label[ig.mul_idx(base_rep, i)] for i in idxs}
         assert not (len(orbit) == 15 and len(h) == 15)
         if len(orbit) == 15:

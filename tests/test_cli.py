@@ -110,6 +110,13 @@ def test_scan_beyond_guard(capsys):
     assert code == 0
 
 
+def test_scan_beyond_rejected_without_a_bound(capsys):
+    # the equal cases, (8,9) and the subfield pairs have no bound window
+    for selector in (["--equal", "2"], ["--pair", "8,9"], ["--pair", "6,8"]):
+        assert main(["scan", *selector, "--range", "3..97", "--beyond"]) == 2
+    assert "--beyond does not apply" in capsys.readouterr().err
+
+
 def test_scan_equal_2(tmp_path):
     out = tmp_path / "r.json"
     code = main(["scan", "--equal", "2", "--range", "3..97", "--format", "json", "--out", str(out)])

@@ -255,7 +255,7 @@ def test_transitive_on_fixed(w2_bundle):
     cent = centralizer(g, geom.spec)
     # direct orbit oracle: the centralizer orbit of the base point
     orbit = {
-        geom.point_label[ig.mul_idx(base_rep, ig.index[x.t])] for x in cent.elements
+        geom.point_label[ig.mul_idx(base_rep, ig.id_of(x.t))] for x in cent.elements
     }
     pa = geom.point_action(g_idx)
     fixed = {p for p in range(15) if pa[p] == p}
@@ -291,7 +291,7 @@ def test_no_abelian_subgroup_regular_on_points(w2_bundle):
     geom = w2_bundle.geometry
     ig = geom.ig
     for h in two_generated_abelian_subgroups(geom.spec):
-        idxs = [ig.index[g.t] for g in h.elements]
+        idxs = [ig.id_of(g.t) for g in h.elements]
         base_rep = geom.point_reps[geom.base_point]
         orbit = {geom.point_label[ig.mul_idx(base_rep, i)] for i in idxs}
         point_transitive = len(orbit) == 15
@@ -339,3 +339,80 @@ def test_model_consistency_flag_identity(w2_bundle):
     v = check_gq(geom)
     assert geom.d_size == (v.s + 1) * len(w2_bundle.M0)
     assert geom.d_size == (v.t + 1) * len(w2_bundle.M1)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles and mutations for the axiom check
+# ---------------------------------------------------------------------------
+
+
+def test_w2_collinearity_graph_is_strongly_regular(w2_bundle):
+    # a GQ(s,t) has collinearity graph srg((s+1)(st+1), s(t+1), s-1, t+1)
+    import numpy as np
+
+    geom = w2_bundle.geometry
+    n = geom.n_points
+    A = np.array([[m >> j & 1 for j in range(n)] for m in geom.collinearity_masks()])
+    k, lam, mu = 6, 1, 3
+    I, J = np.eye(n, dtype=int), np.ones((n, n), dtype=int)
+    assert n == 15 and (A == A.T).all()
+    assert (A @ A == k * I + lam * A + mu * (J - I - A)).all()
+
+
+def test_every_single_flag_flip_of_w2_is_rejected(w2_bundle):
+    geom = w2_bundle.geometry
+    n_p, n_l = geom.n_points, geom.n_lines
+    assert _check_axioms(geom.rows, geom.cols, n_p, n_l).is_gq
+    flips = 0
+    for p in range(n_p):
+        for l in range(n_l):
+            rows, cols = list(geom.rows), list(geom.cols)
+            rows[p] ^= 1 << l
+            cols[l] ^= 1 << p
+            assert not _check_axioms(rows, cols, n_p, n_l).is_gq, (p, l)
+            flips += 1
+    assert flips == 225
+
+
+def _w2_export(w2_bundle):
+    buf = io.StringIO()
+    export_incidence(w2_bundle.geometry, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_parse_incidence_rejects_mutated_exports(w2_bundle):
+    lines = _w2_export(w2_bundle)
+    header, flags = lines[0], lines[1:]
+    p0, l0 = map(int, flags[0].split())
+    free = next(l for l in range(15) if f"{p0} {l}\n" not in flags)
+    mutants = {
+        "duplicate flag": [header, flags[0], *flags],
+        "wrong counts": ["GQ 15 16 2 2\n", *flags],
+        "wrong order": ["GQ 15 15 2 3\n", *flags],
+        "dropped flag": [header, *flags[1:]],
+        "extra flag": [header, *flags, f"{p0} {free}\n"],
+        "moved flag": [header, f"{p0} {free}\n", *flags[1:]],
+    }
+    for what, text in mutants.items():
+        try:
+            parse_incidence(io.StringIO("".join(text)))
+        except ValueError:
+            continue
+        pytest.fail(f"parse_incidence accepted a {what}")
+
+
+def test_parse_incidence_rejects_degree_preserving_switch(w2_bundle):
+    # swap two flags (p1,l1),(p2,l2) -> (p1,l2),(p2,l1): degrees stay, axioms break
+    lines = _w2_export(w2_bundle)
+    flags = {tuple(map(int, ln.split())) for ln in lines[1:]}
+    (p1, l1), (p2, l2) = next(
+        (a, b)
+        for a in sorted(flags)
+        for b in sorted(flags)
+        if a[0] != b[0] and a[1] != b[1]
+        and (a[0], b[1]) not in flags and (b[0], a[1]) not in flags
+    )
+    switched = (flags - {(p1, l1), (p2, l2)}) | {(p1, l2), (p2, l1)}
+    text = lines[0] + "".join(f"{p} {l}\n" for p, l in sorted(switched))
+    with pytest.raises(ValueError, match="not a generalized quadrangle"):
+        parse_incidence(io.StringIO(text))

@@ -241,3 +241,31 @@ def test_multiplication_against_dlog_table():
             for b in nonzero:
                 expected = pow_table[(log[a.coeffs] + log[b.coeffs]) % (q - 1)]
                 assert (a * b).coeffs == expected
+
+
+# ---------------------------------------------------------------------------
+# dense op tables: log/antilog build against direct arithmetic
+# ---------------------------------------------------------------------------
+
+
+def direct_int_tables(spec):
+    """The five tables entry by entry from the tuple arithmetic."""
+    els = [e.coeffs for e in spec.enumerate()]
+    idx = spec.index_of
+    add = [[idx(spec.add_t(a, b)) for b in els] for a in els]
+    mul = [[idx(spec.mul_t(a, b)) for b in els] for a in els]
+    neg = [idx(spec.neg_t(a)) for a in els]
+    inv = [-1] + [idx(spec.inv_t(a)) for a in els[1:]]
+    sqrt = [-1 if (r := spec.sqrt_t(a)) is None else idx(r) for a in els]
+    return add, mul, neg, inv, sqrt
+
+
+@pytest.mark.parametrize(
+    "p,f", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+            (17, 1), (19, 1), (5, 2), (3, 3), (41, 1)]
+)
+def test_int_tables_match_direct_arithmetic(p, f):
+    spec = make_field(p, f)
+    assert spec.int_tables() == direct_int_tables(spec)
+    g = spec.primitive_element()
+    assert len({spec.pow_t(g, k) for k in range(spec.q - 1)}) == spec.q - 1

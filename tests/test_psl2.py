@@ -337,3 +337,57 @@ def test_canonicalize_field_inferred_from_entries():
     a = canonicalize(((f7.zero, f7.one), (-f7.one, f7.zero)), "PSL")
     b = canonicalize(((f7.zero, f7.one), (-f7.one, f7.zero)), "PSL", f7)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the tuple arithmetic
+# ---------------------------------------------------------------------------
+
+KERNEL_GROUPS = [(kind, q) for q in (4, 5, 7, 8, 9, 16, 25, 27) for kind in ("PSL", "PGL")]
+
+
+def _oracle(kind, q):
+    spec = psl(q) if kind == "PSL" else pgl(q)
+    els = spec.elements_t()
+    return spec, indexed_group(spec), els, {t: i for i, t in enumerate(els)}
+
+
+@pytest.mark.parametrize("kind,q", KERNEL_GROUPS)
+def test_kernel_ids_products_inverses_orders_cayley(kind, q):
+    import random
+
+    import numpy as np
+
+    spec, ig, els, index = _oracle(kind, q)
+    assert ig.ids_of(els).tolist() == list(range(ig.n))
+    assert ig.e == index[spec.identity_t]
+    if ig.n <= 1000:
+        assert [ig.id_of(t) for t in els] == list(range(ig.n))
+        pairs = [(i, j) for i in range(ig.n) for j in range(ig.n)]
+        elements = range(ig.n)
+    else:
+        rng = random.Random(20240)
+        pairs = [(rng.randrange(ig.n), rng.randrange(ig.n)) for _ in range(20000)]
+        elements = sorted(rng.sample(range(ig.n), 1000))
+    want = [index[spec.mul_t(els[i], els[j])] for i, j in pairs]
+    assert [ig.mul_idx(i, j) for i, j in pairs] == want
+    xs, ys = np.array(pairs).T
+    assert ig.mul_ids(xs, ys).tolist() == want
+    if ig.n <= 1000:
+        assert ig.cayley().ravel().tolist() == want
+    assert [ig.inv_idx(i) for i in elements] == [index[spec.inv_t(els[i])] for i in elements]
+    orders = ig.orders()
+    assert [orders[i] for i in elements] == [spec.order_t(els[i]) for i in elements]
+
+
+@pytest.mark.parametrize("kind,q", KERNEL_GROUPS)
+def test_kernel_classes_partition_the_group(kind, q):
+    ig = _oracle(kind, q)[1]
+    classes = ig.all_classes()
+    assert sorted(i for cls in classes for i in cls) == list(range(ig.n))
+    if q % 2 == 0:
+        assert len(classes) == q + 1
+    else:
+        assert len(classes) == ((q + 5) // 2 if kind == "PSL" else q + 2)
+    orders = ig.orders()
+    assert all(len({orders[i] for i in cls}) == 1 for cls in classes)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quadforge.psl2 import (
@@ -5,6 +6,7 @@ from quadforge.psl2 import (
     element_order,
     enumerate_group,
     indexed_group,
+    pgl,
     projective_line,
     psl,
 )
@@ -236,17 +238,15 @@ def test_conjugate_preserves_order_profile(psl9):
     assert len(hg) == len(h)
 
 
-def test_two_classes_of_s4_in_psl29(psl9):
+def test_two_classes_of_s4_in_psl29(psl9, ig9):
     classes = subgroup_classes("PGL(2,3)", psl9)
     assert [len(c) for c in classes] == [15, 15]
     reps = [c[0] for c in classes]
     # classes are genuinely non-conjugate: no group element maps one rep into the other
-    a, b = reps
-    spec = psl9
-    bset = b.t_set
-    for t in spec.elements_t():
-        ti = spec.inv_t(t)
-        if all(spec.mul_t(spec.mul_t(ti, x), t) in bset for x in a.t_set):
+    a, b = (np.array(h.idx_set(ig9)) for h in reps)
+    in_b = ig9.mask(b)
+    for t in range(ig9.n):
+        if in_b[ig9.conj_ids(a, t)].all():
             pytest.fail("the two classes are conjugate")
 
 
@@ -270,6 +270,44 @@ def test_small_index_pgl27():
     assert sorted(len(s) for s in subs) == [168, 336]
     low = next(s for s in subs if len(s) == 168)
     assert all(is_psl_member(g) for g in low.elements)
+
+
+def _all_pairs_lattice(ig):
+    """The lattice search before class representatives: one closure per
+    pair of distinct cyclic subgroups, as sorted id tuples."""
+    cay = ig.cayley()
+    cyclic = {}
+    for i in range(ig.n):
+        powers, cur = {ig.e}, i
+        while cur != ig.e:
+            powers.add(cur)
+            cur = int(cay[cur, i])
+        cyclic.setdefault(tuple(sorted(powers)), i)
+    members = [np.array(m) for m in cyclic]
+    cols = [cay[:, g] for g in cyclic.values()]
+    found = set(cyclic)
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            member = np.zeros(ig.n, dtype=bool)
+            member[members[a]] = member[members[b]] = True
+            frontier = np.flatnonzero(member)
+            while frontier.size:
+                new = np.zeros(ig.n, dtype=bool)
+                new[cols[a][frontier]] = new[cols[b][frontier]] = True
+                new &= ~member
+                member |= new
+                frontier = np.flatnonzero(new)
+            found.add(tuple(np.flatnonzero(member).tolist()))
+    return sorted(found, key=lambda ids: (-len(ids), ids))
+
+
+@pytest.mark.parametrize("kind,q,count", [("PGL", 7, 413), ("PSL", 8, 377), ("PGL", 9, 871)])
+def test_lattice_matches_all_pairs_search(kind, q, count):
+    spec = psl(q) if kind == "PSL" else pgl(q)
+    ig = indexed_group(spec)
+    subs = small_index_subgroups(spec, spec.order)
+    assert len(subs) == count
+    assert [h.idx_set(ig) for h in subs] == _all_pairs_lattice(ig)
 
 
 def test_catalog_families_pgl25():
