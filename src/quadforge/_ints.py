@@ -9,6 +9,8 @@ is trial division plus Brent's variant of Pollard rho.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -135,28 +137,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def merge_factors(*facs: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for fac in facs:
-        for p, e in fac.items():
-            out[p] = out.get(p, 0) + e
-    return out
-
-
-def divide_factors(fac: dict[int, int], by: dict[int, int]) -> dict[int, int]:
-    """Exponent-wise subtraction; raises if the division is not exact."""
-    out = dict(fac)
-    for p, e in by.items():
-        have = out.get(p, 0) - e
-        if have < 0:
-            raise ValueError("non-exact factor division")
-        if have:
-            out[p] = have
-        else:
-            out.pop(p, None)
-    return out
-
-
 def divisors_from_factors(fac: dict[int, int]) -> list[int]:
     """All divisors, ascending."""
     divs = [1]
@@ -171,28 +151,42 @@ def divisors_from_factors(fac: dict[int, int]) -> list[int]:
     return divs
 
 
-_SPF: list[int] = []
+SIEVE_LIMIT = 2_000_000  # the largest range end the shared table is built for
+
+_SPF = array("i")
+_PP = (_SPF, array("i"))  # (the table it indexes, its prime powers ascending)
 
 
-def spf_sieve(limit: int) -> list[int]:
+def spf_sieve(limit: int) -> array:
     """Smallest-prime-factor table covering 0..limit.
 
     The process keeps one table: it is rebuilt only when a caller asks for
     a larger limit and otherwise returned as is, so it may run past
-    `limit`.  `prime_power` reads it for every q it covers."""
-    global _SPF
+    `limit`.  `prime_power` reads it for every q it covers.  Next to it
+    sits a compact index of the prime powers it covers, rebuilt whenever
+    the table changes, which `iter_prime_powers` walks."""
+    global _SPF, _PP
     if limit >= len(_SPF):
-        spf = list(range(limit + 1))
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == i:
-                for j in range(i * i, limit + 1, i):
-                    if spf[j] == j:
-                        spf[j] = i
+        spf = array("i", range(limit + 1))
+        # i runs down, so each j >= i*i keeps the least i > 1 dividing it,
+        # which is its smallest prime factor
+        for i in range(math.isqrt(limit), 1, -1):
+            spf[i * i :: i] = array("i", [i]) * len(range(i * i, limit + 1, i))
         _SPF = spf
+    if _PP[0] is not _SPF:
+        n = len(_SPF)
+        primes = [m for m in range(2, n) if _SPF[m] == m]
+        powers = []
+        for p in primes[: bisect_right(primes, math.isqrt(n))]:
+            pk = p * p
+            while pk < n:
+                powers.append(pk)
+                pk *= p
+        _PP = (_SPF, array("i", sorted(primes + powers)))
     return _SPF
 
 
-def factorize_sieved(n: int, spf: list[int]) -> dict[int, int]:
+def factorize_sieved(n: int, spf) -> dict[int, int]:
     out: dict[int, int] = {}
     while n > 1:
         p = spf[n]
@@ -227,20 +221,26 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 def iter_prime_powers(lo: int, hi: int):
-    """Yield (q, p, f) for every prime power q with lo <= q <= hi."""
+    """Yield (q, p, f) for every prime power q = p**f with lo <= q <= hi,
+    ascending.
+
+    Up to SIEVE_LIMIT this walks the prime-power index of the shared table
+    (see `spf_sieve`) and never visits another integer; beyond it each q
+    is tested by `prime_power`."""
     if hi < lo:
         return
-    spf = spf_sieve(hi) if hi <= 2_000_000 else None
-    for q in range(max(lo, 2), hi + 1):
-        if spf is not None:
-            p = spf[q]
-            m, f = q, 0
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m == 1:
-                yield q, p, f
-        else:
+    if hi > SIEVE_LIMIT:
+        for q in range(max(lo, 2), hi + 1):
             pf = prime_power(q)
             if pf is not None:
                 yield q, pf[0], pf[1]
+        return
+    spf = spf_sieve(hi)
+    pp = _PP[1]
+    for q in pp[bisect_left(pp, lo) : bisect_right(pp, hi)]:
+        p = spf[q]
+        m, f = q // p, 1
+        while m > 1:
+            m //= p
+            f += 1
+        yield q, p, f

@@ -31,14 +31,12 @@ from typing import Callable
 import numpy as np
 
 from ._ints import (
-    divide_factors,
+    SIEVE_LIMIT,
     factorize,
-    factorize_sieved,
     icbrt,
     is_prime,
     is_square_int,
     iter_prime_powers,
-    merge_factors,
     prime_power,
     spf_sieve,
 )
@@ -54,7 +52,9 @@ from .feasibility import (
 )
 from .geometry import fixed_count
 from .subgroups import (
+    Q_INDEX,
     case_condition,
+    case_condition_at,
     dihedral_involution_count,
     index_formula,
     sporadic_table,
@@ -166,32 +166,10 @@ def candidate_pairs(q: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-# ---------------------------------------------------------------------------
-# index factorizations for the scan hot path
-# ---------------------------------------------------------------------------
-
-_CASE_DIVISOR = {3: factorize(120), 4: factorize(24), 5: factorize(48)}
-
-
-def _index_factors(case_id: int, q: int, spf) -> dict[int, int]:
-    """Factorization of [X : M] for the q-parametrized cases 3,4,5,8,9."""
-    fq = factorize_sieved(q, spf)
-    fm = factorize_sieved(q - 1, spf)
-    fp = factorize_sieved(q + 1, spf)
-    if case_id in _CASE_DIVISOR:
-        merged = merge_factors(fq, fm, fp)
-        return divide_factors(merged, _CASE_DIVISOR[case_id])
-    if case_id == 8:
-        return divide_factors(merge_factors(fq, fp), {2: 1})
-    if case_id == 9:
-        return divide_factors(merge_factors(fq, fm), {2: 1})
-    raise ValueError(f"case {case_id} has no q-only index formula")
-
-
-def _feasible_orders(nP, nL, nP_factors):
+def _feasible_orders(nP, nL):
     """Thick (s,t) meeting both counts plus all arithmetic filters."""
     out = []
-    for cand in solve_orders(nP, nL, nP_factors):
+    for cand in solve_orders(nP, nL):
         if (
             higman(cand.s, cand.t)
             and divisibility(cand.s, cand.t)
@@ -209,25 +187,26 @@ def _feasible_orders(nP, nL, nP_factors):
 def _cross_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
     """Worker: scan one q-interval of a (case_i, case_j) pair."""
     case_i, case_j, qlo, qhi = args
-    spf = spf_sieve(qhi + 2)
+    index_i, index_j = Q_INDEX[case_i], Q_INDEX[case_j]
     tested = 0
     survivors = []
     for q, p, f in iter_prime_powers(qlo, qhi):
-        if not (case_condition(case_i, q) and case_condition(case_j, q)):
+        if not (case_condition_at(case_i, q, p, f) and case_condition_at(case_j, q, p, f)):
             continue
         tested += 1
-        nP_fac = _index_factors(case_i, q, spf)
-        nP = index_formula(case_i, q)
-        nL = index_formula(case_j, q)
-        for cand in _feasible_orders(nP, nL, nP_fac):
+        for cand in _feasible_orders(index_i(q), index_j(q)):
             survivors.append((q, cand.s, cand.t))
     return tested, survivors
 
 
 def _run_chunked(worker, base_args, qlo, qhi, workers: int):
-    """Deterministic chunked scan: results merge in interval order."""
+    """Deterministic chunked scan: results merge in interval order.  The
+    shared prime-power table is sized to the whole range first, so neither
+    the chunks nor the forked workers rebuild it."""
     if qhi < qlo:
         return 0, []
+    if qhi <= SIEVE_LIMIT:
+        spf_sieve(qhi)
     workers = max(1, workers)
     n_chunks = max(1, min(workers * 4, qhi - qlo + 1))
     step = (qhi - qlo + 1 + n_chunks - 1) // n_chunks
@@ -325,14 +304,9 @@ def _eliminate_2_6(q_cap: int = 10**12) -> EliminationRecord:
     checks = []
     tested = 0
     survivors = []
-    q1 = 4
-    while True:
-        q1 += 1
-        pf = prime_power(q1)
-        if pf is None or q1 % 2 == 0 or not is_square_int(q1):
+    for q1, p, f in iter_prime_powers(5, icbrt(q_cap)):
+        if p == 2 or f % 2:  # q1 must be an odd square
             continue
-        if q1**3 > q_cap:
-            break
         r = 3
         while q1**r <= q_cap:
             if is_prime(r):
@@ -345,13 +319,13 @@ def _eliminate_2_6(q_cap: int = 10**12) -> EliminationRecord:
                     q0 = math.isqrt(q)
                     nP = index_formula(2, q, q0=q0)
                     nL = index_formula(6, q, q0=q1, r=r)
-                    for cand in _feasible_orders(nP, nL, factorize(nP)):
+                    for cand in _feasible_orders(nP, nL):
                         survivors.append((q, cand.s, cand.t))
                 else:
                     checks.append(
                         _check(
                             f"bound-fails-q1={q1}-r={r}",
-                            True,
+                            lhs >= rhs,
                             f"16 q1^(r-3)(q1^r-1)^3 = {lhs} >= {rhs}",
                         )
                     )
@@ -403,12 +377,7 @@ def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> Eliminati
         # exact solve of the two count equations with all filters
         nP = index_formula(case_m0, q, q0=q0, r=r)
         nL = index_formula(case_m1, q)
-        nP_fac = merge_factors(
-            {p: e * (r - 1) for p, e in factorize(q0).items()},
-            factorize((q0**r - 1) // (q0 - 1)),
-            factorize((q0**r + 1) // (q0 + 1)),
-        )
-        for cand in _feasible_orders(nP, nL, nP_fac):
+        for cand in _feasible_orders(nP, nL):
             survivors.append((q, cand.s, cand.t))
     # r >= 11 is impossible: the cube bound already fails at r = 11
     for q0 in (q0_lo, 3 if not even else 4, q0_hi):
@@ -517,7 +486,7 @@ def _eliminate_7_r2(case_m1: int) -> EliminationRecord:
         tested += 1
         nP = index_formula(7, q, q0=q0, r=2)
         nL = index_formula(case_m1, q)
-        found = [(q, cand.s, cand.t) for cand in _feasible_orders(nP, nL, factorize(nP))]
+        found = [(q, cand.s, cand.t) for cand in _feasible_orders(nP, nL)]
         checks.append(
             _check(f"n={n}-solved", not found, f"q = {q}: nP = {nP}, nL = {nL}, no feasible (s,t)")
         )
@@ -622,13 +591,12 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
             # residues +11, +19: -1 is a non-square, so p | s+1 is forced
             # and s >= p-1 pushes the count past |P|
             over = p * (p * p - 2 * p + 2) > n_pts
-            if not (over and not sols):
-                survivors.extend((p, c.s, c.t) for c in sols)
-            elif keep:
+            survivors.extend((p, c.s, c.t) for c in sols)
+            if keep:
                 checks.append(
                     _check(
                         f"a4s4-p={p}-count-too-large",
-                        True,
+                        over and not sols,
                         "forced s >= p-1 overshoots the point count; no solution",
                     )
                 )
@@ -644,7 +612,7 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
             continue
         if keep:
             checks.append(
-                _check(f"a4s4-p={p}-fixed-quarter", True, f"|P_g| = |L_g| = {pg}")
+                _check(f"a4s4-p={p}-fixed-quarter", quarter, f"|P_g| = |L_g| = {pg}")
             )
             checks.append(
                 _check(
@@ -846,7 +814,7 @@ def fixed_structure_contradiction(
         checks.append(
             _check(
                 "no-subquadrangle-order",
-                True,
+                s_prime is None,
                 f"(1+s')(1+s'^2) = {p_g} has no integer solution",
             )
         )
@@ -882,17 +850,18 @@ def fixed_structure_contradiction(
 
 
 def _iter_equal_case_q(case_id: int, q_range):
-    """Admissible scan parameters for the equal-stabilizer case."""
+    """Admissible scan parameters (q, p, f) with q = p**f for the
+    equal-stabilizer case; for case 2 the parameter is the odd q0 of
+    q = q0^2."""
     lo, hi = q_range
     if case_id == 2:
-        # parametrized by odd q0; q = q0^2
         for q0, p, f in iter_prime_powers(lo, hi):
-            if q0 % 2:
-                yield q0
+            if p != 2:
+                yield q0, p, f
     elif case_id in (3, 4, 5, 8, 9):
         for q, p, f in iter_prime_powers(lo, hi):
-            if case_condition(case_id, q):
-                yield q
+            if case_condition_at(case_id, q, p, f):
+                yield q, p, f
     else:
         raise ValueError(f"case {case_id} scans a (q0, r) grid instead")
 
@@ -921,7 +890,7 @@ def _eliminate_equal_2(q_range) -> EliminationRecord:
     tested = 0
     survivors = []
     checks = []
-    for q0 in _iter_equal_case_q(2, q_range):
+    for q0, _, _ in _iter_equal_case_q(2, q_range):
         tested += 1
         n = q0 * (q0 * q0 + 1) // 2
         s = solve_equal_order(n)
@@ -930,7 +899,7 @@ def _eliminate_equal_2(q_range) -> EliminationRecord:
         elif q0 in (3, 5):
             checks.append(
                 _check(f"q0={q0}-no-solution" if s is None else f"q0={q0}-thin",
-                       True, f"(1+s)(1+s^2) = {n}")
+                       s is None or s < 2, f"(1+s)(1+s^2) = {n}")
             )
     return _equal_record(
         2,
@@ -958,10 +927,9 @@ def _eliminate_equal_345(case_id, q_range) -> EliminationRecord:
     survivors = []
     checks = []
     endgames = 0
-    for q in _iter_equal_case_q(case_id, q_range):
+    for q, p, f in _iter_equal_case_q(case_id, q_range):
         tested += 1
-        p, f = prime_power(q)
-        n = index_formula(case_id, q)
+        n = Q_INDEX[case_id](q)
         s = solve_equal_order(n)
         count_killed = s is None or s < 2
         row_applies = p > 5 and ((case_id in (3, 4) and p % 4 == 1) or case_id == 5)
@@ -979,7 +947,7 @@ def _eliminate_equal_345(case_id, q_range) -> EliminationRecord:
             survivors.append((q, s, s))
         elif q <= 200:
             checks.append(
-                _check(f"q={q}-count-equation", True, f"(1+s)(1+s^2) = {n} has no thick solution")
+                _check(f"q={q}-count-equation", count_killed, f"(1+s)(1+s^2) = {n} has no thick solution")
             )
     return _equal_record(
         case_id,
@@ -1089,7 +1057,7 @@ def _eliminate_equal_8(q_range) -> EliminationRecord:
     tested = 0
     survivors = []
     checks = []
-    for q in _iter_equal_case_q(8, q_range):
+    for q, _, _ in _iter_equal_case_q(8, q_range):
         tested += 1
         n = q * (q + 1) // 2
         s = solve_equal_order(n)
@@ -1135,7 +1103,7 @@ def _eliminate_equal_9(q_range) -> EliminationRecord:
     for the fixed-substructure stage rather than eliminated here."""
     tested = 0
     survivors = []
-    for q in _iter_equal_case_q(9, q_range):
+    for q, _, _ in _iter_equal_case_q(9, q_range):
         tested += 1
         n = q * (q - 1) // 2
         s = solve_equal_order(n)

@@ -7,9 +7,10 @@ nonexistence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ._ints import divisors_from_factors, factorize
+from ._ints import divisors_from_factors, factorize, icbrt
 
 
 @dataclass(frozen=True)
@@ -30,32 +31,34 @@ class GQOrder:
         return (self.t + 1) * (self.s * self.t + 1)
 
 
-def solve_orders(nP: int, nL: int, nP_factors: dict[int, int] | None = None) -> list[GQOrder]:
+def solve_orders(nP: int, nL: int) -> list[GQOrder]:
     """All thick orders (s,t) with (s+1)(st+1) = nP and (t+1)(st+1) = nL.
 
-    Exhaustive: s+1 divides nP, so iterating u = s+1 over the divisors of
-    nP and checking integrality of t = (nP/u - 1)/s plus the line-count
-    equation covers every solution exactly once.
+    There is at most one.  With k = gcd(s+1, t+1), gcd(nP, nL) is
+    g = k(st+1), so a = nP/g and b = nL/g are (s+1)/k and (t+1)/k.  Putting
+    s = ak-1, t = bk-1 into g = k(st+1) gives
+
+        h(k) = k (ab k^2 - (a+b) k + 2) = g,
+
+    and any k >= 1 solving it gives a solution back.  For k >= 1,
+    ab k^3 - h(k) = k((a+b)k - 2) >= 0, and h(k) - ab(k-1)^3 =
+    (3ab-a-b)k^2 + (2-3ab)k + ab > 0 (it is (a-1)(b-1)+1 at k = 1 and
+    grows from there).  So a root satisfies ab(k-1)^3 < g <= ab k^3: it
+    can only be the least k with ab k^3 >= g, which one integer cube root
+    finds.
     """
     if nP < 2 or nL < 2:
         return []
-    if nP_factors is None:
-        nP_factors = factorize(nP)
-    out = []
-    for u in divisors_from_factors(nP_factors):
-        if u < 3:
-            continue
-        s = u - 1
-        d = nP // u  # st + 1
-        if d < 2 * s + 1:  # t >= 2; divisors ascend, so no later u works either
-            break
-        if (d - 1) % s:
-            continue
-        t = (d - 1) // s
-        if (t + 1) * d == nL:
-            out.append(GQOrder(s, t))
-    out.sort(key=lambda o: (o.s, o.t))
-    return out
+    g = math.gcd(nP, nL)
+    a, b = nP // g, nL // g
+    m = -(-g // (a * b))  # ab k^3 >= g  iff  k^3 >= m
+    k = icbrt(m)
+    if k**3 < m:
+        k += 1
+    s, t = a * k - 1, b * k - 1
+    if k * (s * t + 1) != g or s < 2 or t < 2:
+        return []
+    return [GQOrder(s, t)]
 
 
 def solve_point_count(nP: int) -> list[GQOrder]:
@@ -76,21 +79,11 @@ def solve_point_count(nP: int) -> list[GQOrder]:
 
 
 def solve_equal_order(n: int) -> int | None:
-    """The s >= 1 with (s+1)(s^2+1) = n, if any ((s+1)(s^2+1) is strictly
-    increasing, so binary search is exact)."""
-    lo, hi = 1, 1
-    while (hi + 1) * (hi * hi + 1) <= n:
-        hi *= 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = (mid + 1) * (mid * mid + 1)
-        if v == n:
-            return mid
-        if v < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    """The s >= 1 with (s+1)(s^2+1) = n, if any.  For s >= 1,
+    s^3 < (s+1)(s^2+1) < (s+1)^3, so s can only be the integer cube root
+    of n."""
+    s = icbrt(n) if n > 0 else 0
+    return s if s >= 1 and (s + 1) * (s * s + 1) == n else None
 
 
 def higman(s: int, t: int) -> bool:

@@ -143,13 +143,18 @@ class GroupSpec:
 
     # -- enumeration ------------------------------------------------------
 
+    def check_budget(self, budget: int | None = None) -> None:
+        """Raise BudgetExceededError if the group is larger than the budget;
+        checked on every call, whether or not the group is already built."""
+        if self.order > resolve_budget(budget):
+            raise BudgetExceededError(
+                f"|{self!r}| = {self.order} exceeds the enumeration budget: "
+                "formula-only mode required"
+            )
+
     def elements_t(self, budget: int | None = None) -> list[tuple[int, int, int, int]]:
+        self.check_budget(budget)
         if self._elements_t is None:
-            if self.order > resolve_budget(budget):
-                raise BudgetExceededError(
-                    f"|{self!r}| = {self.order} exceeds the enumeration budget: "
-                    "formula-only mode required"
-                )
             q = self.q
             out: set[tuple[int, int, int, int]] = set()
             canon = self.canonicalize_t
@@ -589,6 +594,7 @@ _INDEXED: dict[tuple[int, str], IndexedGroup] = {}
 
 
 def indexed_group(spec: GroupSpec, budget: int | None = None) -> IndexedGroup:
+    spec.check_budget(budget)
     key = (spec.q, spec.kind)
     ig = _INDEXED.get(key)
     if ig is None:

@@ -177,9 +177,15 @@ def case_condition(case_id: int, q: int, q0: int | None = None, r: int | None = 
     specific decomposition, otherwise any valid decomposition counts.
     """
     pf = prime_power(q)
-    if pf is None or q < 4:
+    return pf is not None and case_condition_at(case_id, q, *pf, q0=q0, r=r)
+
+
+def case_condition_at(
+    case_id: int, q: int, p: int, f: int, q0: int | None = None, r: int | None = None
+) -> bool:
+    """`case_condition` at q = p**f, for a scan that already holds (p, f)."""
+    if q < 4:
         return False
-    p, f = pf
     if case_id == 1:
         return True
     if case_id == 2:
@@ -250,21 +256,26 @@ def case_params(case_id: int, q: int) -> list[dict]:
     return [{}]
 
 
+# [PSL(2,q) : M] for the families whose index depends on q alone
+Q_INDEX = {
+    1: lambda q: q + 1,
+    3: lambda q: q * (q * q - 1) // 120,
+    4: lambda q: q * (q * q - 1) // 24,
+    5: lambda q: q * (q * q - 1) // 48,
+    8: lambda q: q * (q + 1) // 2,
+    9: lambda q: q * (q - 1) // 2,
+}
+
+
 def index_formula(case_id: int, q: int, q0: int | None = None, r: int | None = None) -> int:
     """Exact index in PSL(2,q) of the case's maximal subgroup."""
     if not case_condition(case_id, q, q0=q0, r=r):
         raise ValueError(f"case {case_id} condition violated at q = {q}")
-    if case_id == 1:
-        return q + 1
+    if case_id in Q_INDEX:
+        return Q_INDEX[case_id](q)
     if case_id == 2:
         q0 = q0 or prime_power(q)[0] ** (prime_power(q)[1] // 2)
         return q0 * (q0 * q0 + 1) // 2
-    if case_id == 3:
-        return q * (q * q - 1) // 120
-    if case_id == 4:
-        return q * (q * q - 1) // 24
-    if case_id == 5:
-        return q * (q * q - 1) // 48
     if case_id in (6, 7):
         if q0 is None or r is None:
             params = case_params(case_id, q)
@@ -272,10 +283,6 @@ def index_formula(case_id: int, q: int, q0: int | None = None, r: int | None = N
                 raise ValueError("ambiguous (q0, r); pass them explicitly")
             q0, r = params[0]["q0"], params[0]["r"]
         return q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
-    if case_id == 8:
-        return q * (q + 1) // 2
-    if case_id == 9:
-        return q * (q - 1) // 2
     raise ValueError(f"unknown case {case_id}")
 
 

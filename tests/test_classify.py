@@ -135,7 +135,7 @@ def test_7_r2_solved_check_fails_on_a_feasible_order(monkeypatch):
     from quadforge import classify
 
     monkeypatch.setattr(
-        classify, "_feasible_orders", lambda nP, nL, fac: [SimpleNamespace(s=2, t=4)]
+        classify, "_feasible_orders", lambda nP, nL: [SimpleNamespace(s=2, t=4)]
     )
     with pytest.raises(VerificationError) as exc:
         classify._eliminate_7_r2(8)
@@ -168,6 +168,20 @@ def test_sporadic_eliminations():
         assert f"points-{n_points}-divisibility-fails" in names
     # sample prime with the quarter-fixed-count endgame present
     assert any(name.startswith("a4s4-p=29") for name in names)
+
+
+def test_a4s4_count_check_fails_on_a_solution(monkeypatch):
+    # a thick equal order at p = 11 (55 points) makes the recorded check false
+    from quadforge import classify
+    from quadforge.feasibility import GQOrder
+
+    solve = classify.solve_point_count
+    monkeypatch.setattr(
+        classify, "solve_point_count", lambda n: [GQOrder(3, 3)] if n == 55 else solve(n)
+    )
+    with pytest.raises(VerificationError) as exc:
+        eliminate_sporadic()
+    assert exc.value.name == "a4s4-p=11-count-too-large"
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_failed_check_reports_mismatch_and_exits_one(monkeypatch, capsys):
     from quadforge import classify
 
     monkeypatch.setattr(
-        classify, "_feasible_orders", lambda nP, nL, fac: [SimpleNamespace(s=2, t=4)]
+        classify, "_feasible_orders", lambda nP, nL: [SimpleNamespace(s=2, t=4)]
     )
     assert main(["verify", "--lemma", "case7-case8"]) == 1
     err = capsys.readouterr().err

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from quadforge._ints import divisors_from_factors, factorize, iter_prime_powers
 from quadforge.feasibility import (
     GQOrder,
     apply_filters,
@@ -12,6 +15,7 @@ from quadforge.feasibility import (
     solve_point_count,
     stabilizer_bounds,
 )
+from quadforge.subgroups import Q_INDEX, case_condition
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -30,6 +34,45 @@ def brute_orders(nP, nL, cap=2000):
             if (s + 1) * d == nP and (t + 1) * d == nL:
                 out.append((s, t))
     return out
+
+
+def divisor_orders(nP):
+    """Every thick (s, t, nL) with (s+1)(st+1) = nP, by the divisor
+    enumeration the closed-form solver replaced: u = s+1 runs over the
+    divisors of nP and t = (nP/u - 1)/s must be an integer >= 2."""
+    out = []
+    for u in divisors_from_factors(factorize(nP)) if nP >= 2 else []:
+        if u < 3:
+            continue
+        s = u - 1
+        d = nP // u
+        if d < 2 * s + 1:
+            break
+        if (d - 1) % s == 0:
+            t = (d - 1) // s
+            out.append((s, t, (t + 1) * d))
+    return out
+
+
+def divisor_solve(nP, nL):
+    return [(s, t) for s, t, n in divisor_orders(nP) if n == nL and nL >= 2]
+
+
+def bisection_equal_order(n):
+    """The doubling-then-bisection search the cube-root solver replaced."""
+    lo, hi = 1, 1
+    while (hi + 1) * (hi * hi + 1) <= n:
+        hi *= 2
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        v = (mid + 1) * (mid * mid + 1)
+        if v == n:
+            return mid
+        if v < n:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +109,39 @@ def test_solve_orders_vs_brute_force_scan():
         assert got == brute_orders(nP, nL)
 
 
+def test_solve_orders_matches_divisor_enumeration_on_a_grid():
+    for nP in range(3000):
+        orders = divisor_orders(nP)
+        for nL in range(600):
+            want = [(s, t) for s, t, n in orders if n == nL and nL >= 2]
+            assert [(o.s, o.t) for o in solve_orders(nP, nL)] == want, (nP, nL)
+
+
+def test_solve_orders_matches_divisor_enumeration_near_real_orders():
+    for s in range(61):
+        for t in range(61):
+            d = s * t + 1
+            for nP in ((s + 1) * d - 1, (s + 1) * d, (s + 1) * d + 1):
+                for nL in ((t + 1) * d - 1, (t + 1) * d, (t + 1) * d + 1):
+                    got = [(o.s, o.t) for o in solve_orders(nP, nL)]
+                    assert got == divisor_solve(nP, nL), (nP, nL)
+
+
+def test_solve_orders_matches_divisor_enumeration_on_scanned_pairs():
+    # the (nP, nL) the cross scans hand the solver, at a sample of q
+    scanned = [(3, 8), (3, 9), (4, 8), (4, 9), (5, 8), (5, 9), (8, 9)]
+    qs = [q for q, _, _ in iter_prime_powers(4, 108003)]
+    sample = qs[:300] + random.Random(5).sample(qs[300:], 1200) + qs[-20:]
+    checked = 0
+    for q in sample:
+        for i, j in scanned:
+            if case_condition(i, q) and case_condition(j, q):
+                nP, nL = Q_INDEX[i](q), Q_INDEX[j](q)
+                assert [(o.s, o.t) for o in solve_orders(nP, nL)] == divisor_solve(nP, nL), (q, i, j)
+                checked += 1
+    assert checked > 3000
+
+
 def test_equal_count_forces_equal_orders():
     for n in range(15, 5000):
         for o in solve_orders(n, n):
@@ -86,6 +162,18 @@ def test_solve_equal_order():
     assert solve_equal_order(4) == 1
     for s in range(1, 400):
         assert solve_equal_order((s + 1) * (s * s + 1)) == s
+
+
+def test_solve_equal_order_matches_bisection():
+    rng = random.Random(3)
+    ns = list(range(-3, 5000))
+    for s in list(range(1, 3000)) + [rng.randrange(3000, 10**10) for _ in range(2000)]:
+        v = (s + 1) * (s * s + 1)
+        ns += [v - 1, v, v + 1]
+    ns += [rng.randrange(1, 10**30) for _ in range(3000)]
+    ns += [10**30 - 1, 10**30, 10**30 + 1]
+    for n in ns:
+        assert solve_equal_order(n) == bisection_equal_order(n), n
 
 
 # ---------------------------------------------------------------------------

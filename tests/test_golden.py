@@ -18,6 +18,9 @@ THEOREM_SHA256 = {
     2000: "e7d458ceb3e0cbee0d7d7dc819f7ee65d9e50024acf5f9599bf991908c00b940",
 }
 TABLES_SHA256 = "3d6f60ed193c825dcb56cf7dd807de0c1caf9efb3c309e1fb19e529c654dab0a"
+# the full published range, recorded before the scans took (p, f) from
+# iter_prime_powers and solved each q by one cube root
+FULL_RANGE_SHA256 = "34f358d0cee9c1d6fed09a97bb159269246e87050067e30236f0730f64c087a3"
 
 
 def _sha256_of(argv, path) -> str:
@@ -30,6 +33,11 @@ def test_theorem_report_bytes(tmp_path, q_max):
     # without --qmax the theorem runs to 100 and records that in its config
     argv = ["verify", "--lemma", "theorem", *(["--qmax", str(q_max)] if q_max else [])]
     assert _sha256_of(argv, tmp_path / "r.json") == THEOREM_SHA256[q_max or 100]
+
+
+def test_full_range_report_bytes(tmp_path):
+    argv = ["verify", "--lemma", "theorem", "--qmax", "108003", "--workers", "1"]
+    assert _sha256_of(argv, tmp_path / "r.json") == FULL_RANGE_SHA256
 
 
 def test_tables_report_bytes(tmp_path):

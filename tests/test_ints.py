@@ -79,6 +79,36 @@ def test_spf_sieve_grows_only(no_table):
     assert spf_sieve(2000) is not big and len(_ints._SPF) == 2001
 
 
+def _per_q(lo, hi):
+    return [(q, *prime_power(q)) for q in range(lo, hi + 1) if prime_power(q)]
+
+
+def test_iter_prime_powers_across_table_growth(no_table):
+    # each range runs past the table the last one left, so the table and its
+    # prime-power index are rebuilt between them; the ranges overlap
+    for lo, hi in [(0, 1), (2, 2), (0, 100), (90, 1000), (1000, 1024), (500, 5000), (4900, 40_000)]:
+        got = list(iter_prime_powers(lo, hi))
+        assert len(_ints._SPF) > hi
+        assert got == _per_q(lo, hi), (lo, hi)
+    # inside the table nothing is rebuilt
+    table = _ints._SPF
+    assert list(iter_prime_powers(31_000, 32_768)) == _per_q(31_000, 32_768)
+    assert _ints._SPF is table and (32_768, 2, 15) in list(iter_prime_powers(32_768, 32_768))
+    assert list(iter_prime_powers(10, 9)) == [] and list(iter_prime_powers(-5, 1)) == []
+
+
+def test_iter_prime_powers_after_the_table_is_reset(monkeypatch):
+    spf_sieve(50_000)
+    assert list(iter_prime_powers(2, 50_000)) == _per_q(2, 50_000)
+    # a fresh table smaller than the old one: the index follows the table
+    monkeypatch.setattr(_ints, "_SPF", [])
+    assert list(iter_prime_powers(2, 3000)) == _per_q(2, 3000)
+    assert len(_ints._SPF) == 3001
+    monkeypatch.undo()
+    # the old table is back, and the index is rebuilt for it
+    assert list(iter_prime_powers(2900, 50_000)) == _per_q(2900, 50_000)
+
+
 def test_iter_prime_powers_beyond_the_sieve_limit():
     lo = 2_000_000_000 - 300
     got = list(iter_prime_powers(lo, lo + 600))

@@ -174,6 +174,16 @@ def test_budget_exceeded():
     spec._elements_t = None
 
 
+def test_budget_checked_on_warm_calls(psl9, ig9):
+    # the group is already enumerated and indexed; a small budget still refuses it
+    assert len(psl9.elements_t()) == 360 and indexed_group(psl9) is ig9
+    with pytest.raises(BudgetExceededError, match="formula-only mode"):
+        psl9.elements_t(budget=10)
+    with pytest.raises(BudgetExceededError, match="formula-only mode"):
+        indexed_group(psl9, budget=10)
+    assert indexed_group(psl9, budget=360) is ig9
+
+
 # ---------------------------------------------------------------------------
 # conjugacy classes: formulas vs brute force
 # ---------------------------------------------------------------------------
