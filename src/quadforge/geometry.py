@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import VerificationError
 from .psl2 import GroupElement, GroupSpec, indexed_group
 from .subgroups import SubgroupHandle
 
@@ -91,7 +92,9 @@ def double_cosets(
         out.append(
             DoubleCoset(g, size, len(m0) * len(m1) // size, tuple(full.tolist()))
         )
-    assert sum(dc.size for dc in out) == ig.n
+    covered = sum(dc.size for dc in out)
+    if covered != ig.n:
+        raise VerificationError("double-coset-partition", f"sizes sum to {covered}, |G| = {ig.n}")
     return out
 
 
@@ -113,7 +116,12 @@ def line_size_profile(decomposition: list[DoubleCoset], selection, M0=None, M1=N
     d_size = sum(decomposition[i].size for i in sel)
     s_plus_1 = sum(n1 // decomposition[i].meet_order for i in sel)
     t_plus_1 = sum(n0 // decomposition[i].meet_order for i in sel)
-    assert s_plus_1 == d_size // n0 and t_plus_1 == d_size // n1
+    if (s_plus_1, t_plus_1) != (d_size // n0, d_size // n1):
+        raise VerificationError(
+            "line-size-profile",
+            f"(s+1, t+1) = ({s_plus_1}, {t_plus_1}) but |D|/|M0|, |D|/|M1| = "
+            f"({d_size // n0}, {d_size // n1})",
+        )
     return s_plus_1, t_plus_1
 
 

@@ -13,7 +13,9 @@ analysis: closed-form class sizes and centralizer types for arbitrary q,
 and full element enumeration (within a configurable budget) used to
 verify every formula at small q.  Entries are stored as field-element
 indices; fields small enough to enumerate carry dense op tables, so the
-hot paths are pure integer table lookups.
+hot paths are pure integer table lookups.  The full enumeration is a
+single numpy batch over those int tables: it emits only canonical
+matrices, in sorted order, as int64 keys that decode to the elements.
 
 All values are immutable after construction and safe to share across
 scan workers.
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._ints import prime_power
-from .errors import BudgetExceededError, MixedFieldError, PslMembershipError
+from .errors import BudgetExceededError, MixedFieldError, PslMembershipError, VerificationError
 from .gfq import FieldElement, FieldSpec, make_field
 
 DEFAULT_BUDGET = 10_000_000
@@ -79,6 +81,7 @@ class GroupSpec:
         self._one = field.index_of(field.one.coeffs)
         self.identity_t = (self._one, 0, 0, self._one)
         self._elements_t: list[tuple[int, int, int, int]] | None = None
+        self._element_array: np.ndarray | None = None  # elements_t as (n, 4) uint16
 
     def __repr__(self):
         return f"{self.kind}(2,{self.q})"
@@ -153,38 +156,60 @@ class GroupSpec:
             )
 
     def elements_t(self, budget: int | None = None) -> list[tuple[int, int, int, int]]:
+        """All canonical 4-tuples, each once, in sorted order.
+
+        One numpy batch over the field's int tables, emitted already in
+        sorted order.  PSL: every determinant-1 matrix is canonical up to
+        sign, and min(M, -M) is the sign whose first nonzero entry x has
+        x < -x in index order (every nonzero x for even q).  So the rows are
+        (0, b, -1/b, d), then (a, b, c, (1 + bc)/a) for each such leading
+        b or a.  PGL: the rows (0, 1, c, d) with c != 0, then (1, b, c, d)
+        with d != bc.  Each matrix becomes the int64 key
+        ((a*q + b)*q + c)*q + d, whose order is tuple order; the keys must
+        come out strictly increasing and number |G|, which certifies the
+        order and that no element repeats.  Needs the dense tables, so
+        q <= 512.
+        """
         self.check_budget(budget)
         if self._elements_t is None:
             q = self.q
-            out: set[tuple[int, int, int, int]] = set()
-            canon = self.canonicalize_t
+            add, mul, neg, inv = _array_tables(self.field)
+            one = self._one
+            r = np.arange(q, dtype=np.int32)
+            rows, cols = r[:, None], r[None, :]
             if self.kind == "PSL":
-                fm, fa, fi, fn = self._fmul, self._fadd, self._finv, self._fneg
-                one = self._one
-                for a in range(1, q):
-                    ia = fi(a)
-                    for b in range(q):
-                        for c in range(q):
-                            d = fm(fa(one, fm(b, c)), ia)
-                            out.add(canon((a, b, c, d)))
-                for b in range(1, q):
-                    c = fn(fi(b))
-                    for d in range(q):
-                        out.add(canon((0, b, c, d)))
+                lead = r[r < neg] if q % 2 else r[1:]
+                b = lead[:, None]
+                blocks = [_matrix_keys(q, 0, b, neg[inv[b]], cols)]
+                one_bc = add[one, mul[rows, cols]]
+                blocks += [_matrix_keys(q, a, rows, cols, mul[one_bc, inv[a]]) for a in lead]
             else:
-                for b in range(q):
-                    for c in range(q):
-                        for d in range(q):
-                            t = (self._one, b, c, d)
-                            if self.det_t(t) != 0:
-                                out.add(canon(t))
-                for c in range(1, q):
-                    for d in range(q):
-                        out.add(canon((0, self._one, c, d)))
-            els = sorted(out)
-            assert len(els) == self.order
-            self._elements_t = els
+                blocks = [_matrix_keys(q, 0, one, rows[1:], cols)]
+                blocks += [_matrix_keys(q, one, b, rows, cols)[cols != mul[b, rows]] for b in r]
+            keys = np.concatenate([k.ravel() for k in blocks])
+            if keys.size != self.order or np.count_nonzero(keys[1:] <= keys[:-1]):
+                raise VerificationError(
+                    "group-enumeration",
+                    f"{self!r}: {keys.size} keys, expected {self.order} strictly increasing",
+                )
+            arr = np.empty((keys.size, 4), dtype=np.uint16)
+            for col in (3, 2, 1, 0):
+                keys, arr[:, col] = np.divmod(keys, q)
+            self._element_array = arr
+            self._elements_t = list(zip(*arr.T.tolist()))
         return self._elements_t
+
+
+def _matrix_keys(q: int, a, b, c, d) -> np.ndarray:
+    """Keys ((a*q + b)*q + c)*q + d of broadcast index arrays: key order is
+    the tuple order of (a, b, c, d)."""
+    return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
+
+
+@lru_cache(maxsize=None)
+def _array_tables(field: FieldSpec) -> tuple[np.ndarray, ...]:
+    """The field's ADD, MUL, NEG and INV int tables as int32 arrays."""
+    return tuple(np.asarray(t, dtype=np.int32) for t in field.int_tables()[:4])
 
 
 @dataclass(frozen=True)
@@ -419,11 +444,8 @@ class IndexedGroup:
         self.n = n = len(els)
         q = spec.q
         m = q + 1
-        add, mul, _, inv, _ = spec.field.int_tables()
-        self._add, self._mul, self._inv_f = (
-            np.asarray(t, dtype=np.int32) for t in (add, mul, inv)
-        )
-        E = np.asarray(els, dtype=np.intp)
+        self._add, self._mul, _, self._inv_f = _array_tables(spec.field)
+        E = spec._element_array
         xs = np.arange(q)
         perms = np.empty((n, m), dtype=np.uint16)
         for rows in _blocks(n, m):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._ints import prime_power
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .psl2 import GroupElement, GroupSpec, IndexedGroup, indexed_group, resolve_budget
 
 
@@ -336,7 +336,8 @@ def subfield_indices(fld, q0: int) -> list[int]:
     for e in fld.enumerate():
         if fld.pow_t(e.coeffs, q0) == e.coeffs:
             out.append(fld.index_of(e.coeffs))
-    assert len(out) == q0
+    if len(out) != q0:
+        raise VerificationError("subfield-size", f"x -> x^{q0} fixes {len(out)} elements")
     return out
 
 
@@ -504,9 +505,11 @@ def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None, budget=Non
 def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[SubgroupHandle]]:
     """All subgroups of the named small type, partitioned by conjugacy.
 
-    Copies are found by closing generator pairs with the type's signature
-    element orders over the whole group; this finds every copy because
-    each of these groups contains such a generating pair.
+    Copies are found by closing generator pairs (x, y) with the type's
+    signature element orders; every copy has such a generating pair.  x
+    runs over one representative per conjugacy class and y over the whole
+    group: a copy generated by (x, y) has a conjugate generated by (x's
+    representative, y'), and the orbit closure below recovers the rest.
     """
     registry = {
         "A4": (12, 2, 3),
@@ -522,7 +525,12 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
     size, o1, o2 = registry[type_name]
     ig = indexed_group(spec, budget)
     orders = ig.orders()
-    xs = [i for i in range(ig.n) if orders[i] == o1]
+    seen = np.zeros(ig.n, dtype=bool)
+    xs = []
+    for i in range(ig.n):
+        if orders[i] == o1 and not seen[i]:
+            seen[list(ig.conjugacy_class(i))] = True
+            xs.append(i)
     ys = [i for i in range(ig.n) if orders[i] == o2]
     found: dict[frozenset, tuple[int, ...]] = {}
     for x in xs:

@@ -1,7 +1,9 @@
+import dataclasses
 import io
 
 import pytest
 
+from quadforge.errors import VerificationError
 from quadforge.geometry import (
     GQVerdict,
     _check_axioms,
@@ -94,6 +96,11 @@ def test_line_size_profile(w2_bundle):
     one = line_size_profile(dcs, [ident_idx], res.M0, res.M1)
     meet = dcs[ident_idx].meet_order
     assert one == (24 // meet, 24 // meet)
+    # a decomposition whose meet order disagrees with its size is refused
+    bad = list(dcs)
+    bad[ident_idx] = dataclasses.replace(dcs[ident_idx], meet_order=2 * meet)
+    with pytest.raises(VerificationError, match="line-size-profile"):
+        line_size_profile(bad, [ident_idx], res.M0, res.M1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
-from quadforge.errors import BudgetExceededError, PslMembershipError
+from quadforge import psl2
+from quadforge._ints import prime_power
+from quadforge.errors import BudgetExceededError, PslMembershipError, VerificationError
 from quadforge.gfq import enumerate_field, is_square, make_field
 from quadforge.psl2 import (
+    GroupSpec,
     act_on_line,
     canonicalize,
     centralizer,
@@ -164,6 +168,91 @@ def test_enumeration_unique_and_sorted():
     ts = [g.t for g in els]
     assert ts == sorted(set(ts))
     assert len(ts) == 168
+
+
+def scalar_elements_t(spec):
+    """The per-matrix enumeration: canonicalize every determinant-1 (PSL)
+    or leading-1 invertible (PGL) matrix one at a time, then sort."""
+    q = spec.q
+    out = set()
+    canon = spec.canonicalize_t
+    if spec.kind == "PSL":
+        fm, fa, fi, fn = spec._fmul, spec._fadd, spec._finv, spec._fneg
+        one = spec._one
+        for a in range(1, q):
+            ia = fi(a)
+            for b in range(q):
+                for c in range(q):
+                    out.add(canon((a, b, c, fm(fa(one, fm(b, c)), ia))))
+        for b in range(1, q):
+            c = fn(fi(b))
+            for d in range(q):
+                out.add(canon((0, b, c, d)))
+    else:
+        one = spec._one
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    if spec.det_t((one, b, c, d)) != 0:
+                        out.add(canon((one, b, c, d)))
+        for c in range(1, q):
+            for d in range(q):
+                out.add(canon((0, one, c, d)))
+    return sorted(out)
+
+
+ENUMERATION_QS = [q for q in range(4, 50) if prime_power(q)]
+
+
+@pytest.mark.parametrize("kind", ["PSL", "PGL"])
+@pytest.mark.parametrize("q", ENUMERATION_QS)
+def test_batch_enumeration_matches_scalar_oracle(q, kind):
+    # even q, q = 1 (mod 4) and q = 3 (mod 4) all occur for 4 <= q <= 49
+    spec = GroupSpec(psl(q).field, kind)  # not interned: freed after the test
+    els = spec.elements_t()
+    assert els == scalar_elements_t(spec)
+    assert len(els) == spec.order
+
+
+def _keys(order):
+    """A key encoding that weights the entries in the given order."""
+
+    def encode(q, a, b, c, d):
+        x = dict(zip("abcd", (np.asarray(a, dtype=np.int64), b, c, d)))
+        out = x[order[0]]
+        for name in order[1:]:
+            out = out * q + x[name]
+        return out
+
+    return encode
+
+
+@pytest.mark.parametrize("kind,q", [("PSL", 9), ("PSL", 8), ("PGL", 7)])
+@pytest.mark.parametrize("order", ["abdc", "acbd"])
+def test_batch_enumeration_rejects_a_wrong_key_encoding(monkeypatch, kind, q, order):
+    # Entries weighted out of place break the strictly increasing order of
+    # the emitted keys, so the enumeration's own check refuses them.
+    monkeypatch.setattr(psl2, "_matrix_keys", _keys(order))
+    with pytest.raises(VerificationError, match="group-enumeration"):
+        GroupSpec(psl(q).field, kind).elements_t()
+
+
+@pytest.mark.parametrize("kind,q", [("PSL", 9), ("PSL", 8), ("PGL", 7)])
+def test_batch_enumeration_rejects_a_wrong_radix_and_collisions(monkeypatch, kind, q):
+    field = psl(q).field
+    want = scalar_elements_t(GroupSpec(field, kind))
+    # radix q + 1 keeps keys increasing and distinct but decodes wrongly:
+    # only the oracle sees it
+    monkeypatch.setattr(
+        psl2, "_matrix_keys", lambda q, a, b, c, d: _keys("abcd")(q + 1, a, b, c, d)
+    )
+    assert GroupSpec(field, kind).elements_t() != want
+    # dropping d makes distinct matrices collide
+    monkeypatch.setattr(
+        psl2, "_matrix_keys", lambda q, a, b, c, d: _keys("abcd")(q, a, b, c, 0 * d)
+    )
+    with pytest.raises(VerificationError, match="group-enumeration"):
+        GroupSpec(field, kind).elements_t()
 
 
 def test_budget_exceeded():

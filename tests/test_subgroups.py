@@ -250,6 +250,39 @@ def test_two_classes_of_s4_in_psl29(psl9, ig9):
             pytest.fail("the two classes are conjugate")
 
 
+def exhaustive_subgroup_classes(type_name, spec):
+    """Every subgroup of the type, from closing every involution x with
+    every cyclic subgroup <y> of the type's second signature order
+    (<x, y> depends only on <y>), partitioned by conjugating with every
+    element of the group."""
+    size, o1, o2 = {"A4": (12, 2, 3), "PGL(2,3)": (24, 2, 4), "A5": (60, 2, 5)}[type_name]
+    ig = indexed_group(spec)
+    orders = ig.orders()
+    xs = [i for i in range(ig.n) if orders[i] == o1]
+    cyclic = {ig.closure_idx((i,)): i for i in range(ig.n) if orders[i] == o2}
+    ys = sorted(cyclic.values())
+    found = {frozenset(s) for x in xs for y in ys if len(s := ig.closure_idx((x, y))) == size}
+    every = np.arange(ig.n)
+    classes = set()
+    for sub in found:
+        conj = ig.conj_ids(np.array(sorted(sub))[:, None], every)
+        classes.add(frozenset(frozenset(col) for col in conj.T.tolist()))
+    assert set().union(*classes) == found
+    return classes
+
+
+@pytest.mark.parametrize("q", [9, 11])
+@pytest.mark.parametrize("type_name", ["PGL(2,3)", "A4", "A5"])
+def test_subgroup_classes_match_exhaustive_search(type_name, q):
+    spec = psl(q)
+    ig = indexed_group(spec)
+    classes = subgroup_classes(type_name, spec)
+    got = {frozenset(frozenset(h.idx_set(ig)) for h in cls) for cls in classes}
+    assert len(got) == len(classes)
+    assert got == exhaustive_subgroup_classes(type_name, spec)
+    assert got or (type_name, q) == ("PGL(2,3)", 11)  # S4 < PSL(2,q) needs q = +-1 (mod 8)
+
+
 # ---------------------------------------------------------------------------
 # small-index search and the subgroup catalog
 # ---------------------------------------------------------------------------
