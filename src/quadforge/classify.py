@@ -694,13 +694,11 @@ CYCLIC_K_TABLE = (
 )
 
 
-def row_values(case_id: int, q: int, q0: int | None = None, p: int | None = None) -> dict:
+def row_values(case_id: int, q: int, q0: int | None = None) -> dict:
     """Numeric row data at (case, q): class size, class-in-stabilizer,
     centralizer order, its cyclic part, the intersection with the
-    stabilizer, and the fixed-point count.  Raises if no row applies.
-    A scan that already holds the characteristic p of q passes it."""
-    if p is None:
-        p, _ = prime_power(q)
+    stabilizer, and the fixed-point count.  Raises if no row applies."""
+    p, f = prime_power(q)
     if case_id == 3:
         if p % 4 != 1:
             raise ValueError("row requires p = 1 (mod 4)")
@@ -761,9 +759,6 @@ class ContradictionOutcome:
 def fixed_structure_contradiction(
     p_g: int | None = None,
     l_g: int | None = None,
-    case_id: int | None = None,
-    q: int | None = None,
-    q0: int | None = None,
     *,
     row: dict | None = None,
     n_omega: int | None = None,
@@ -771,43 +766,32 @@ def fixed_structure_contradiction(
     """Close out a surviving equal-stabilizer scenario via its fixed
     substructure.
 
-    Supply either the fixed counts (|P_g|, |L_g|) directly, or a row
-    (case_id, q[, q0]) from which they are computed; a scan that already
-    holds the row's `row_values` and the stabilizer index `n_omega`
-    passes them as `row` and `n_omega`.  The fixed structure
+    Supply either the fixed counts (|P_g|, |L_g|) directly, or a table
+    row's `row_values` together with the case's stabilizer index n_omega
+    (`index_formula`), from which they are computed.  The fixed structure
     must be a subquadrangle with equal parameters; the routine eliminates
     through whichever branch applies: no integer subquadrangle order, a
-    non-thick structure that falls to the count pre-check, or a thick one
-    contradicted by the transitive odd cyclic group on its points and
-    lines.
+    non-thick structure that falls to the count pre-check on n_omega, or a
+    thick one contradicted by the transitive odd cyclic group on its
+    points and lines.
     """
     checks = []
-    r = None
-    if q0 is not None and q is not None:
-        r = 1
-        while 1 < q0**r < q:
-            r += 1
-        if q0**r != q:
-            raise ValueError("q is not a power of q0")
     if p_g is None:
-        if case_id is None or q is None:
-            raise ValueError("need (p_g, l_g) or (case_id, q)")
-        vals = row if row is not None else row_values(case_id, q, q0=q0)
-        if n_omega is None:
-            n_omega = index_formula(case_id, q, q0=q0, r=r)
-        p_g = fixed_count(n_omega, vals["class"], vals["meet"])
+        if row is None or n_omega is None:
+            raise ValueError("need (p_g, l_g) or (row, n_omega)")
+        p_g = fixed_count(n_omega, row["class"], row["meet"])
         l_g = p_g
         checks.append(
             _check(
                 "fixed-count-formula",
-                p_g == vals["fixed"],
+                p_g == row["fixed"],
                 f"|P_g| = {p_g} matches the row formula",
             )
         )
         checks.append(
             _check(
                 "k-transitive-on-fixed",
-                vals["k"] // vals["k_meet"] == p_g and vals["k"] % vals["k_meet"] == 0,
+                row["k"] // row["k_meet"] == p_g and row["k"] % row["k_meet"] == 0,
                 "[K : K ^ M] equals the fixed count on both sides",
             )
         )
@@ -829,14 +813,13 @@ def fixed_structure_contradiction(
         return ContradictionOutcome(ELIMINATED, "no-integer-order", tuple(checks))
     if s_prime < 2:
         # non-thick: the caller must eliminate via the ambient count equation
-        if case_id is not None and q is not None:
-            n_pts = n_omega if n_omega is not None else index_formula(case_id, q, q0=q0, r=r)
-            sols = [c for c in solve_point_count(n_pts) if c.s == c.t and c.thick]
+        if n_omega is not None:
+            sols = [c for c in solve_point_count(n_omega) if c.s == c.t and c.thick]
             checks.append(
                 _check(
                     "count-pre-check",
                     not sols,
-                    f"(1+s)(1+s^2) = {n_pts} has no thick solution",
+                    f"(1+s)(1+s^2) = {n_omega} has no thick solution",
                 )
             )
             return ContradictionOutcome(ELIMINATED, "count-pre-check", tuple(checks))
@@ -941,9 +924,9 @@ def _eliminate_equal_345(case_id, q_range) -> EliminationRecord:
         s = solve_equal_order(n)
         count_killed = s is None or s < 2
         row_applies = p > 5 and ((case_id in (3, 4) and p % 4 == 1) or case_id == 5)
-        row = row_values(case_id, q, p=p) if row_applies else None
+        row = row_values(case_id, q) if row_applies else None
         if row_applies and row["fixed"] >= 2:
-            out = fixed_structure_contradiction(case_id=case_id, q=q, row=row, n_omega=n)
+            out = fixed_structure_contradiction(row=row, n_omega=n)
             endgames += 1
             if out.verdict != ELIMINATED:
                 survivors.append((q, s or 0, s or 0))
@@ -984,7 +967,7 @@ def _eliminate_equal_6(grid_range) -> EliminationRecord:
         tested += 1
         n = index_formula(6, q, q0=q0, r=r)
         s = solve_equal_order(n)
-        out = fixed_structure_contradiction(case_id=6, q=q, q0=q0, n_omega=n)
+        out = fixed_structure_contradiction(row=row_values(6, q, q0=q0), n_omega=n)
         if out.verdict != ELIMINATED:
             if s is not None and s >= 2:
                 survivors.append((q, s, s))

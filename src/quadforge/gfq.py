@@ -26,7 +26,7 @@ import numpy as np
 from ._ints import factorize, is_prime
 from .errors import MixedFieldError
 
-_TABLE_LIMIT = 512
+TABLE_LIMIT = 512
 
 
 def _poly_trim(c: list[int]) -> tuple[int, ...]:
@@ -216,8 +216,8 @@ class FieldSpec:
         """
         if self._tables is None:
             q, p, f = self.q, self.p, self.f
-            if q > _TABLE_LIMIT:
-                raise ValueError(f"no dense tables for q = {q} > {_TABLE_LIMIT}")
+            if q > TABLE_LIMIT:
+                raise ValueError(f"no dense tables for q = {q} > {TABLE_LIMIT}")
             ids = np.arange(q)
             place = p ** np.arange(f - 1, -1, -1)  # weight of coefficient k
             digits = ids[:, None] // place % p

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._ints import prime_power
 from .errors import BudgetExceededError, MixedFieldError, PslMembershipError, VerificationError
-from .gfq import FieldElement, FieldSpec, make_field
+from .gfq import TABLE_LIMIT, FieldElement, FieldSpec, make_field
 
 DEFAULT_BUDGET = 10_000_000
 _CAYLEY_LIMIT = 2500
@@ -62,7 +62,7 @@ class GroupSpec:
         g = 2 if q % 2 else 1
         self.order = q * (q * q - 1) // (g if kind == "PSL" else 1)
         # field ops on element indices
-        if q <= 512:
+        if q <= TABLE_LIMIT:
             add, mul, neg, inv, sqrt = field.int_tables()
             self._fadd = lambda i, j: add[i][j]
             self._fmul = lambda i, j: mul[i][j]
@@ -81,7 +81,7 @@ class GroupSpec:
         self._one = field.index_of(field.one.coeffs)
         self.identity_t = (self._one, 0, 0, self._one)
         self._elements_t: list[tuple[int, int, int, int]] | None = None
-        self._element_array: np.ndarray | None = None  # elements_t as (n, 4) uint16
+        self._element_array: np.ndarray | None = None
 
     def __repr__(self):
         return f"{self.kind}(2,{self.q})"
@@ -167,12 +167,17 @@ class GroupSpec:
         with d != bc.  Each matrix becomes the int64 key
         ((a*q + b)*q + c)*q + d, whose order is tuple order; the keys must
         come out strictly increasing and number |G|, which certifies the
-        order and that no element repeats.  Needs the dense tables, so
-        q <= 512.
+        order and that no element repeats.  Needs the dense tables, so a
+        larger q raises BudgetExceededError whatever the budget.
         """
         self.check_budget(budget)
         if self._elements_t is None:
             q = self.q
+            if q > TABLE_LIMIT:
+                raise BudgetExceededError(
+                    f"{self!r} is not enumerable: the enumeration needs dense field "
+                    f"tables, q <= {TABLE_LIMIT}; formula-only mode required"
+                )
             add, mul, neg, inv = _array_tables(self.field)
             one = self._one
             r = np.arange(q, dtype=np.int32)
@@ -195,9 +200,15 @@ class GroupSpec:
             arr = np.empty((keys.size, 4), dtype=np.uint16)
             for col in (3, 2, 1, 0):
                 keys, arr[:, col] = np.divmod(keys, q)
+            arr.flags.writeable = False
             self._element_array = arr
             self._elements_t = list(zip(*arr.T.tolist()))
         return self._elements_t
+
+    def element_array(self, budget: int | None = None) -> np.ndarray:
+        """`elements_t` as a read-only (|G|, 4) uint16 array, same order."""
+        self.elements_t(budget)
+        return self._element_array
 
 
 def _matrix_keys(q: int, a, b, c, d) -> np.ndarray:
@@ -445,7 +456,7 @@ class IndexedGroup:
         q = spec.q
         m = q + 1
         self._add, self._mul, _, self._inv_f = _array_tables(spec.field)
-        E = spec._element_array
+        E = spec.element_array(budget)
         xs = np.arange(q)
         perms = np.empty((n, m), dtype=np.uint16)
         for rows in _blocks(n, m):

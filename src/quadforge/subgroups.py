@@ -525,12 +525,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
     size, o1, o2 = registry[type_name]
     ig = indexed_group(spec, budget)
     orders = ig.orders()
-    seen = np.zeros(ig.n, dtype=bool)
-    xs = []
-    for i in range(ig.n):
-        if orders[i] == o1 and not seen[i]:
-            seen[list(ig.conjugacy_class(i))] = True
-            xs.append(i)
+    xs = [cls[0] for cls in ig.all_classes() if orders[cls[0]] == o1]
     ys = [i for i in range(ig.n) if orders[i] == o2]
     found: dict[frozenset, tuple[int, ...]] = {}
     for x in xs:

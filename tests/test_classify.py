@@ -23,6 +23,7 @@ from quadforge.classify import (
     verify,
     verify_table_rows_at,
 )
+from quadforge.subgroups import index_formula
 
 # ---------------------------------------------------------------------------
 # candidate pairs
@@ -263,18 +264,21 @@ def test_contradiction_q41_scenario():
 
 def test_contradiction_table_row():
     # q = 29: fixed count (29-1)/4 = 7 admits no subquadrangle order
-    out = fixed_structure_contradiction(case_id=3, q=29)
+    out = fixed_structure_contradiction(row=row_values(3, 29), n_omega=index_formula(3, 29))
     assert out.verdict == ELIMINATED
     assert out.path == "no-integer-order"
     # q = 61: fixed count 15 = (1+2)(1+4) is a thick subquadrangle, killed
     # by the transitive odd cyclic group
-    out61 = fixed_structure_contradiction(case_id=3, q=61)
+    out61 = fixed_structure_contradiction(row=row_values(3, 61), n_omega=index_formula(3, 61))
     assert out61.verdict == ELIMINATED
     assert out61.path == "abelian-transitivity"
+    # the row alone does not fix the counts: the stabilizer index is needed too
+    with pytest.raises(ValueError, match="n_omega"):
+        fixed_structure_contradiction(row=row_values(3, 29))
 
 
 def test_contradiction_s4_p23_precheck():
-    out = fixed_structure_contradiction(case_id=5, q=23)
+    out = fixed_structure_contradiction(row=row_values(5, 23), n_omega=index_formula(5, 23))
     assert out.verdict == ELIMINATED
     assert out.path == "count-pre-check"
     pre = next(c for c in out.checks if c["name"] == "count-pre-check")

@@ -212,6 +212,9 @@ def test_batch_enumeration_matches_scalar_oracle(q, kind):
     els = spec.elements_t()
     assert els == scalar_elements_t(spec)
     assert len(els) == spec.order
+    arr = spec.element_array()
+    assert arr.dtype == np.uint16 and not arr.flags.writeable
+    assert list(map(tuple, arr.tolist())) == els
 
 
 def _keys(order):
@@ -261,6 +264,16 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceededError, match="formula-only mode"):
         spec.elements_t(budget=100)
     spec._elements_t = None
+
+
+@pytest.mark.parametrize("kind", ["PSL", "PGL"])
+def test_enumeration_beyond_the_dense_tables_needs_formula_mode(kind):
+    # q = 521 > 512 has no dense field tables, so no budget enumerates it
+    spec = GroupSpec(make_field(521, 1), kind)
+    with pytest.raises(BudgetExceededError, match="q <= 512"):
+        spec.elements_t(budget=10**9)
+    with pytest.raises(BudgetExceededError, match="q <= 512"):
+        indexed_group(spec, budget=10**9)
 
 
 def test_budget_checked_on_warm_calls(psl9, ig9):
