@@ -1316,7 +1316,7 @@ def build_w2(budget: int | None = None) -> W2Result:
 
     M1 = handle_from_elements(spec, twisted)
     if M1.t_set == M0.t_set:
-        raise RuntimeError("twist fixed the subgroup")
+        raise VerificationError("w2-twist", "the twist fixed the subgroup")
     # the two copies must not be conjugate inside the socle
     in_m0 = ig.mask(M0.idx_set(ig))
     everyone = np.arange(ig.n)
@@ -1324,11 +1324,11 @@ def build_w2(budget: int | None = None) -> W2Result:
     for x in ig.ids_of([g.t for g in M1.ensure_generators()]):
         conjugating &= in_m0[ig.conj_ids(x, everyone)]
     if conjugating.any():
-        raise RuntimeError("twisted copy is conjugate to the original")
+        raise VerificationError("w2-twist", "the twisted copy is conjugate to the original")
     decomposition = double_cosets(M0, M1, spec, budget)
     hits = find_gq_selections(M0, M1, spec, budget)
     if not hits:
-        raise RuntimeError("no axiom-passing selection found")
+        raise VerificationError("w2-selection", "no axiom-passing selection found")
     selection, verdict, geometry = hits[0]
     return W2Result(geometry, verdict, selection, hits, M0, M1, decomposition)
 

@@ -88,7 +88,9 @@ def double_cosets(
         assigned[full] = True
         size = len(full)
         if (len(m0) * len(m1)) % size:
-            raise RuntimeError("double coset size does not divide |M0||M1|")
+            raise VerificationError(
+                "double-coset-size", f"size {size} does not divide |M0||M1| = {len(m0) * len(m1)}"
+            )
         out.append(
             DoubleCoset(g, size, len(m0) * len(m1) // size, tuple(full.tolist()))
         )

@@ -475,6 +475,7 @@ class IndexedGroup:
         self._orders: list[int] | None = None
         self._cayley: np.ndarray | None = None
         self._gen_pair: tuple[int, int] | None = None
+        self._class_labels: np.ndarray | None = None
 
     def _point(self, x, y):
         """Point id of (x:y) for field-index arrays x, y."""
@@ -564,22 +565,33 @@ class IndexedGroup:
 
     # -- closures and classes --
 
-    def _sweep(self, start, step) -> tuple[int, ...]:
-        """Sorted ids reachable from `start` by applying `step` to frontiers."""
-        known = self.mask(start)
+    def closure_idx(self, gens) -> tuple[int, ...]:
+        """Subgroup generated by `gens`: a breadth-first sweep from the
+        identity over right multiplication by the generators."""
+        gens = np.asarray(list(gens), dtype=np.intp)
+        known = self.mask([self.e])
         frontier = np.flatnonzero(known)
         while frontier.size:
-            new = self.mask(step(frontier)) & ~known
+            new = self.mask(self.mul_ids(frontier[:, None], gens).ravel()) & ~known
             known |= new
             frontier = np.flatnonzero(new)
         return tuple(np.flatnonzero(known).tolist())
 
-    def closure_idx(self, gens, seed=None) -> tuple[int, ...]:
-        """Subgroup generated by `gens` (sweep over right multiplication)."""
-        gens = np.asarray(list(gens), dtype=np.intp)
-        return self._sweep(
-            [self.e, *(seed or ())], lambda f: self.mul_ids(f[:, None], gens).ravel()
-        )
+    def generators_of(self, sub_idxs) -> list[int]:
+        """A generating set of the subgroup with ids `sub_idxs`, taken
+        greedily in id order: each generator is the least member outside
+        the closure of those before it."""
+        sub = np.asarray(sub_idxs, dtype=np.intp)
+        gens: list[int] = []
+        have = self.mask([self.e])
+        while (outside := sub[~have[sub]]).size:
+            gens.append(int(outside[0]))
+            have = self.mask(self.closure_idx(gens))
+        if np.count_nonzero(have) != sub.size:
+            raise VerificationError(
+                "subgroup-closure", f"{sub.size} ids generate {np.count_nonzero(have)} elements"
+            )
+        return gens
 
     def generating_pair(self) -> tuple[int, int]:
         """First (i, j) in element order with <i, j> the whole group."""
@@ -591,36 +603,63 @@ class IndexedGroup:
                     if len(self.closure_idx((i, j))) == self.n:
                         self._gen_pair = (i, j)
                         return self._gen_pair
-            raise RuntimeError("no generating pair found")  # never for PSL/PGL
+            # PSL(2,q) and PGL(2,q) are 2-generated
+            raise VerificationError("generating-pair", f"no pair generates {self.spec!r}")
         return self._gen_pair
+
+    def class_labels(self) -> np.ndarray:
+        """class_labels()[i] is the least id conjugate to i: orbit labels
+        under conjugation by the generating pair.  Cached, int32."""
+        if self._class_labels is None:
+            ids = np.arange(self.n)
+            maps = [self.conj_ids(ids, g) for g in self.generating_pair()]
+            self._class_labels = orbit_labels(maps, self.n)
+        return self._class_labels
 
     def conjugacy_class(self, i: int) -> tuple[int, ...]:
         """Conjugation orbit of element i under the whole group."""
-        gens = self.generating_pair()
-        return self._sweep(
-            [i], lambda f: np.concatenate([self.conj_ids(f, g) for g in gens])
-        )
+        lab = self.class_labels()
+        return tuple(np.flatnonzero(lab == lab[i]).tolist())
 
     def all_classes(self) -> list[tuple[int, ...]]:
-        seen = np.zeros(self.n, dtype=bool)
-        classes = []
-        for i in range(self.n):
-            if not seen[i]:
-                cls = self.conjugacy_class(i)
-                seen[list(cls)] = True
-                classes.append(cls)
-        return classes
+        """Every conjugacy class as sorted ids, in order of least member."""
+        lab = self.class_labels()
+        by_class = np.argsort(lab, kind="stable")
+        cuts = np.flatnonzero(np.diff(lab[by_class])) + 1
+        return [tuple(c.tolist()) for c in np.split(by_class, cuts)]
 
     def coset_labels(self, sub_idxs) -> tuple[list[int], list[int]]:
-        """Right cosets H\\G as labels: labels[g] = coset id, reps[id] = min element."""
-        sub = np.asarray(sub_idxs, dtype=np.intp)
-        labels = np.full(self.n, -1, dtype=np.int64)
-        reps: list[int] = []
-        for g in range(self.n):
-            if labels[g] < 0:
-                labels[self.mul_ids(sub, g)] = len(reps)
-                reps.append(g)
-        return labels.tolist(), reps
+        """Right cosets H\\G as labels: labels[g] = coset id, reps[id] = min
+        element, ids in order of least element.  Hg is the orbit of g under
+        left multiplication by generators of H."""
+        ids = np.arange(self.n)
+        maps = [self.mul_ids(h, ids) for h in self.generators_of(sub_idxs)]
+        lab = orbit_labels(maps, self.n)
+        reps = np.flatnonzero(lab == ids)
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[reps] = np.arange(reps.size)
+        return rank[lab].tolist(), reps.tolist()
+
+
+def orbit_labels(maps, size: int) -> np.ndarray:
+    """Least member of each point's orbit under the group generated by
+    `maps`, permutations of range(size) given as id arrays (int32 result).
+
+    Min-label propagation with pointer jumping: each round sets
+    lab = min(lab, lab[m]) for every map m and then lab = lab[lab], until
+    a round changes nothing.  lab[i] always lies in i's orbit and never
+    grows, so the orbit's least member keeps its own label.  At the fixed
+    point lab <= lab[m] for every m, so lab is constant along each map's
+    cycles, hence on whole orbits, and there it is the least member.
+    """
+    lab = np.arange(size, dtype=np.int32)
+    while True:
+        prev = lab
+        for m in maps:
+            lab = np.minimum(lab, lab[m])
+        lab = lab[lab]
+        if np.array_equal(lab, prev):
+            return lab
 
 
 _INDEXED: dict[tuple[int, str], IndexedGroup] = {}

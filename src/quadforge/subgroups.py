@@ -24,7 +24,7 @@ import numpy as np
 
 from ._ints import prime_power
 from .errors import BudgetExceededError, VerificationError
-from .psl2 import GroupElement, GroupSpec, IndexedGroup, indexed_group, resolve_budget
+from .psl2 import GroupElement, GroupSpec, IndexedGroup, indexed_group, orbit_labels, resolve_budget
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,8 @@ class SubgroupHandle:
     descriptor: SubgroupDescriptor
     elements: tuple[GroupElement, ...]
     generators: tuple[GroupElement, ...] | None = None
-    _t_set: frozenset | None = dc_field(default=None, repr=False)
-    _ids: tuple[int, ...] | None = dc_field(default=None, repr=False)
+    _t_set: frozenset | None = dc_field(default=None, repr=False, compare=False)
+    _ids: tuple[int, ...] | None = dc_field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -412,7 +412,8 @@ def _build_triangle(spec: GroupSpec, case_id: int):
             ids = ig.closure_idx((x, y))
             if len(ids) == size:
                 return ids, (x, y)
-    raise RuntimeError("generator search exhausted")  # the subgroup exists
+    # the subgroup exists whenever the case condition holds
+    raise VerificationError("triangle-generators", f"no {size}-element <x, y> in {spec!r}")
 
 
 def _build_dihedral(spec: GroupSpec, case_id: int):
@@ -430,8 +431,8 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     if m != 2:
         ys = ys[~members[ys]]
     hits = ys[ig.conj_ids(x, ys) == ig.inv_idx(x)]
-    if not hits.size:
-        raise RuntimeError("no inverting involution found")  # exists by structure
+    if not hits.size:  # exists by structure
+        raise VerificationError("inverting-involution", f"none for an order-{m} element of {spec!r}")
     y = int(hits[0])
     members[ig.mul_ids(cyc, y)] = True
     return np.flatnonzero(members), (x, y)
@@ -465,8 +466,10 @@ def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int 
         spec, descriptor, tuple(spec.wrap(t) for t in sorted(ts)), gens
     )
     if len(handle) * descriptor.claimed_index != spec.order:
-        raise RuntimeError(
-            f"constructed order {len(handle)} inconsistent with claimed index"
+        raise VerificationError(
+            "subgroup-order",
+            f"constructed order {len(handle)} inconsistent with claimed index "
+            f"{descriptor.claimed_index} in {spec!r}",
         )
     return handle
 
@@ -502,6 +505,37 @@ def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None, budget=Non
     return handle_from_elements(spec, [ig.elements[i] for i in np.flatnonzero(keep)])
 
 
+def _conj_maps(ig: IndexedGroup) -> list[np.ndarray]:
+    """Conjugation by each element of the generating pair, as id maps."""
+    ids = np.arange(ig.n)
+    return [ig.conj_ids(ids, g).astype(np.intp) for g in ig.generating_pair()]
+
+
+def _orbit(idxs: np.ndarray, conj_maps) -> dict[bytes, np.ndarray]:
+    """The conjugates of a subgroup given as a sorted intp id array, keyed
+    by their bytes, the subgroup itself first."""
+    out = {idxs.tobytes(): idxs}
+    for sub in (todo := [idxs]):
+        for cm in conj_maps:
+            img = np.sort(cm[sub])
+            if out.setdefault(img.tobytes(), img) is img:
+                todo.append(img)
+    return out
+
+
+def _class_handles(spec: GroupSpec, ig: IndexedGroup, members) -> list[SubgroupHandle]:
+    """Handles for one conjugacy class of subgroups, given as sorted id
+    arrays: the first is recognized and the rest copy its descriptor (every
+    structure `recognize` reads is a conjugacy invariant)."""
+    handles = [
+        SubgroupHandle(spec, None, _wrap(ig, ids), _ids=tuple(ids.tolist())) for ids in members
+    ]
+    desc = SubgroupDescriptor(None, recognize(handles[0]), spec.order // len(handles[0]))
+    for h in handles:
+        h.descriptor = desc
+    return handles
+
+
 def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[SubgroupHandle]]:
     """All subgroups of the named small type, partitioned by conjugacy.
 
@@ -527,35 +561,20 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
     orders = ig.orders()
     xs = [cls[0] for cls in ig.all_classes() if orders[cls[0]] == o1]
     ys = [i for i in range(ig.n) if orders[i] == o2]
-    found: dict[frozenset, tuple[int, ...]] = {}
+    found: dict[bytes, np.ndarray] = {}
     for x in xs:
         for y in ys:
             idxs = ig.closure_idx((x, y))
             if len(idxs) == size:
-                found.setdefault(frozenset(idxs), idxs)
-    # partition by conjugacy via orbit closure under group generators
-    g1, g2 = ig.generating_pair()
-    unassigned = dict(found)
+                arr = np.asarray(idxs, dtype=np.intp)
+                found.setdefault(arr.tobytes(), arr)
+    conj_maps = _conj_maps(ig)
     classes: list[list[SubgroupHandle]] = []
-    while unassigned:
-        start = min(unassigned.values())
-        orbit = {frozenset(start)}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for g in (g1, g2):
-                    conj = frozenset(ig.conj_ids(sub, g).tolist())
-                    if conj not in orbit:
-                        orbit.add(conj)
-                        nxt.append(tuple(sorted(conj)))
-            frontier = nxt
-        cls = []
-        for fs in orbit:
-            unassigned.pop(fs, None)
-            cls.append(
-                handle_from_elements(spec, [ig.elements[i] for i in fs])
-            )
+    while found:
+        orbit = _orbit(min(found.values(), key=tuple), conj_maps)
+        for key in orbit:
+            found.pop(key, None)
+        cls = [handle_from_elements(spec, [ig.elements[i] for i in ids]) for ids in orbit.values()]
         cls.sort(key=lambda h: h.elements)
         classes.append(cls)
     classes.sort(key=lambda c: c[0].elements)
@@ -566,45 +585,51 @@ def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[Subg
     """Every subgroup of index <= bound, by exhaustive closure of all
     generator sets of size <= 2.
 
-    <x, y> depends only on (<x>, <y>), and some conjugate of it has <x>
-    replaced by the representative of its class of cyclic subgroups.  So
-    closing <x, y> with <x> over one cyclic subgroup per conjugacy class
-    and <y> over every other cyclic subgroup, then closing what is found
-    under conjugation, is exhaustive.  Closures run over the dense Cayley
-    table with a vectorized breadth-first sweep.
+    <x, y> depends only on (<x>, <y>) = (C_i, C_j), and some conjugate of
+    it has C_i replaced by the representative of its class of cyclic
+    subgroups.  For g in the normalizer N(C_i), <C_i, C_j^g> = <C_i, C_j>^g,
+    so C_j need only run over the least member of each N(C_i)-orbit of
+    cyclic subgroups.  Closing what is found under conjugation is then
+    exhaustive.  Cyclic subgroups come from walking powers along the dense
+    Cayley table, pair closures are breadth-first sweeps over its columns,
+    and one subgroup per conjugacy class is recognized.
     """
     ig = indexed_group(spec, budget)
     n = ig.n
-    cayT = np.ascontiguousarray(ig.cayley().T)
-    cyclic: dict[tuple[int, ...], int] = {}  # members -> first generator
-    for i in range(n):
-        cyclic.setdefault(ig.closure_idx((i,)), i)
-    cyc_members = [np.asarray(m, dtype=np.intp) for m in cyclic]
-    cyc_gen = list(cyclic.values())
-    conj_maps = [ig.conj_ids(np.arange(n), g).astype(np.intp) for g in ig.generating_pair()]
+    cay = ig.cayley()
+    cayT = np.ascontiguousarray(cay.T)
+    ids = np.arange(n)
+    orders = np.asarray(ig.orders())
+    top = int(orders.max())
+    powers = np.empty((n, top), dtype=np.intp)  # powers[i, k - 1] = i^k
+    cur = ids
+    for k in range(top):
+        powers[:, k] = cur
+        cur = cay[cur, ids]
+    ks = np.arange(1, top + 1)
+    is_gen = (ks <= orders[:, None]) & (np.gcd(ks, orders[:, None]) == 1)
+    least_gen = np.where(is_gen, powers, n).min(axis=1)  # labels <i> by its least generator
+    cyc_gen = np.flatnonzero(least_gen == ids)
+    cyc_members = [np.sort(powers[g, : orders[g]]) for g in cyc_gen]
+    cyc_index = np.full(n, -1, dtype=np.intp)
+    cyc_index[cyc_gen] = np.arange(cyc_gen.size)
 
-    def orbit(idxs) -> dict[bytes, np.ndarray]:
-        """The conjugates of a subgroup given as a sorted id array."""
-        out = {idxs.tobytes(): idxs}
-        for sub in (todo := [idxs]):
-            for cm in conj_maps:
-                img = np.sort(cm[sub])
-                if out.setdefault(img.tobytes(), img) is img:
-                    todo.append(img)
-        return out
+    def least_in_orbits(gens) -> np.ndarray:
+        """Least cyclic subgroup of each orbit under conjugation by gens."""
+        maps = [cyc_index[least_gen[ig.conj_ids(cyc_gen, g)]] for g in gens]
+        lab = orbit_labels(maps, cyc_gen.size)
+        return np.flatnonzero(lab == np.arange(cyc_gen.size))
 
-    reps: list[int] = []
-    seen: set[bytes] = set()
-    for c, members in enumerate(cyc_members):
-        if members.tobytes() not in seen:
-            reps.append(c)
-            seen.update(orbit(members))
-    found = {m.tobytes(): m for m in cyc_members if n // m.size <= bound}
-    for ci in reps:
-        col_i = cayT[cyc_gen[ci]]
-        for cj, col_j in enumerate(cayT[cyc_gen]):
+    reps = least_in_orbits(ig.generating_pair())
+    found = {cyc_members[c].tobytes(): cyc_members[c] for c in reps if n // cyc_members[c].size <= bound}
+    for ci in reps.tolist():
+        x = cyc_gen[ci]
+        norm = np.flatnonzero(least_gen[ig.conj_ids(x, ids)] == x)
+        col_i = cayT[x]
+        for cj in least_in_orbits(ig.generators_of(norm)).tolist():
             if cj == ci:
                 continue
+            col_j = cayT[cyc_gen[cj]]
             member = np.zeros(n, dtype=bool)
             member[cyc_members[ci]] = member[cyc_members[cj]] = True
             frontier = np.flatnonzero(member)
@@ -617,15 +642,15 @@ def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[Subg
             if n // member.sum() <= bound:
                 idxs = np.flatnonzero(member)
                 found.setdefault(idxs.tobytes(), idxs)
-    closed: dict[bytes, np.ndarray] = {}
+    conj_maps = _conj_maps(ig)
+    closed: set[bytes] = set()
+    handles: list[SubgroupHandle] = []
     for key, idxs in found.items():
         if key not in closed:
-            closed.update(orbit(idxs))
-    handles = [
-        handle_from_elements(spec, [ig.elements[i] for i in idxs])
-        for idxs in closed.values()
-    ]
-    handles.sort(key=lambda h: (-len(h), h.elements))
+            orbit = _orbit(idxs, conj_maps)
+            closed.update(orbit)
+            handles += _class_handles(spec, ig, list(orbit.values()))
+    handles.sort(key=lambda h: (-len(h), h._ids))
     return handles
 
 

@@ -58,6 +58,17 @@ def test_failed_check_reports_mismatch_and_exits_one(monkeypatch, capsys):
     assert err.startswith("MISMATCH: n=2-solved (q = 16:") and "Traceback" not in err
 
 
+def test_failed_group_guard_reports_mismatch_and_exits_one(monkeypatch, capsys):
+    from quadforge import subgroups
+
+    build = subgroups._build_subfield
+    # one element short: build_subgroup's order/index guard must catch it
+    monkeypatch.setattr(subgroups, "_build_subfield", lambda *a, **k: set(sorted(build(*a, **k))[1:]))
+    assert main(["verify", "--lemma", "w2-construction"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MISMATCH: subgroup-order (constructed order 23") and "Traceback" not in err
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--range", "notarange", "--pair", "3,8"])

@@ -503,3 +503,111 @@ def test_kernel_classes_partition_the_group(kind, q):
         assert len(classes) == ((q + 5) // 2 if kind == "PSL" else q + 2)
     orders = ig.orders()
     assert all(len({orders[i] for i in cls}) == 1 for cls in classes)
+
+
+# ---------------------------------------------------------------------------
+# the orbit-label kernel against the per-element sweeps it replaced
+# ---------------------------------------------------------------------------
+
+
+def sweep_class(ig, i):
+    """Conjugacy class of id i: breadth-first conjugation by the generating pair."""
+    gens = ig.generating_pair()
+    known = ig.mask([i])
+    frontier = np.flatnonzero(known)
+    while frontier.size:
+        new = ig.mask(np.concatenate([ig.conj_ids(frontier, g) for g in gens])) & ~known
+        known |= new
+        frontier = np.flatnonzero(new)
+    return tuple(np.flatnonzero(known).tolist())
+
+
+def sweep_all_classes(ig):
+    seen = np.zeros(ig.n, dtype=bool)
+    classes = []
+    for i in range(ig.n):
+        if not seen[i]:
+            cls = sweep_class(ig, i)
+            seen[list(cls)] = True
+            classes.append(cls)
+    return classes
+
+
+def loop_coset_labels(ig, sub_idxs):
+    """Right cosets H\\G: label each unlabelled id's coset Hg in id order."""
+    sub = np.asarray(sub_idxs, dtype=np.intp)
+    labels = np.full(ig.n, -1, dtype=np.int64)
+    reps = []
+    for g in range(ig.n):
+        if labels[g] < 0:
+            labels[ig.mul_ids(sub, g)] = len(reps)
+            reps.append(g)
+    return labels.tolist(), reps
+
+
+def _kernel_subgroups(spec, ig):
+    """Subgroups whose cosets the kernel is checked on: the trivial group,
+    the stabilizer of infinity, a cyclic group and, in PSL, every family."""
+    from quadforge.subgroups import build_case, case_params
+
+    subs = {
+        "trivial": (ig.e,),
+        "stab-inf": tuple(np.flatnonzero(ig.perms[:, spec.q] == spec.q).tolist()),
+        "cyclic": ig.closure_idx((ig.generating_pair()[0],)),
+    }
+    if spec.kind == "PSL":
+        for case in range(1, 10):
+            for params in case_params(case, spec.q):
+                subs[f"family-{case}-{params}"] = build_case(case, spec, **params).idx_set(ig)
+    return subs
+
+
+def kernel_mismatches(spec, ig, classes=True):
+    """Names of the kernel outputs that differ from the sweep oracles."""
+    bad = []
+    if classes:
+        if ig.all_classes() != sweep_all_classes(ig):
+            bad.append("all_classes")
+        step = max(1, ig.n // 50)
+        if any(ig.conjugacy_class(i) != sweep_class(ig, i) for i in range(0, ig.n, step)):
+            bad.append("conjugacy_class")
+    for name, sub in _kernel_subgroups(spec, ig).items():
+        if ig.coset_labels(sub) != loop_coset_labels(ig, sub):
+            bad.append(f"coset_labels {name}")
+    return bad
+
+
+@pytest.mark.parametrize("kind,q", KERNEL_GROUPS)
+def test_orbit_labels_match_the_sweeps(kind, q):
+    spec, ig = _oracle(kind, q)[:2]
+    assert kernel_mismatches(spec, ig) == []
+    assert ig.class_labels().dtype == np.int32
+
+
+def test_orbit_labels_match_the_coset_loop_for_every_family_at_q41():
+    spec = psl(41)
+    ig = indexed_group(spec)
+    assert len(_kernel_subgroups(spec, ig)) == 3 + 5  # families 1, 3, 5, 8 and 9
+    assert kernel_mismatches(spec, ig, classes=False) == []
+
+
+def one_round_labels(maps, size):
+    """The kernel stopped after its first round."""
+    lab = np.arange(size, dtype=np.int32)
+    for m in maps:
+        lab = np.minimum(lab, lab[m])
+    return lab[lab]
+
+
+def test_kernel_check_rejects_a_labelling_stopped_after_one_round(monkeypatch):
+    monkeypatch.setattr(psl2, "orbit_labels", one_round_labels)
+    spec = psl(25)
+    fresh = psl2.IndexedGroup(spec)  # no cached labels
+    bad = kernel_mismatches(spec, fresh)
+    assert "all_classes" in bad and any(b.startswith("coset_labels") for b in bad)
+
+
+def test_coset_generators_must_close_to_the_subgroup(ig9):
+    x = ig9.orders().index(3)
+    with pytest.raises(VerificationError, match="subgroup-closure"):
+        ig9.coset_labels([ig9.e, x])  # {1, x} with x of order 3 is not a subgroup

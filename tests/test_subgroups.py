@@ -11,6 +11,7 @@ from quadforge.psl2 import (
     psl,
 )
 from quadforge.subgroups import (
+    SubgroupDescriptor,
     build_case,
     case_condition,
     case_params,
@@ -341,6 +342,26 @@ def test_lattice_matches_all_pairs_search(kind, q, count):
     subs = small_index_subgroups(spec, spec.order)
     assert len(subs) == count
     assert [h.idx_set(ig) for h in subs] == _all_pairs_lattice(ig)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_lattice_copied_descriptors_match_fresh_recognition(q):
+    spec = pgl(q)
+    subs = small_index_subgroups(spec, spec.order)
+    assert len({id(h.descriptor) for h in subs}) < len(subs)  # conjugates share one
+    for h in subs:
+        assert h.descriptor == SubgroupDescriptor(None, recognize(h), spec.order // len(h))
+
+
+def test_lattice_check_rejects_pruning_by_whole_group_orbits(monkeypatch):
+    # pruning C_j by G-orbits instead of N(C_i)-orbits loses subgroups
+    from quadforge.psl2 import IndexedGroup
+
+    spec = pgl(7)
+    ig = indexed_group(spec)
+    monkeypatch.setattr(IndexedGroup, "generators_of", lambda self, sub: list(self.generating_pair()))
+    subs = small_index_subgroups(spec, spec.order)
+    assert len(subs) != 413 or [h.idx_set(ig) for h in subs] != _all_pairs_lattice(ig)
 
 
 def test_catalog_families_pgl25():
