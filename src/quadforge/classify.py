@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import multiprocessing
 import time
@@ -144,6 +145,53 @@ def _timed(fn):
         return out
 
     return timed
+
+
+# ---------------------------------------------------------------------------
+# positivity certificates for integer polynomials
+# ---------------------------------------------------------------------------
+# A polynomial is a dict {exponent tuple: integer coefficient}, with one
+# exponent per variable.
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _taylor_shift(poly: dict, lows: tuple[int, ...]) -> dict:
+    """The coefficients of poly(x + lows), expanded binomially."""
+    out: dict = {}
+    for exps, c in poly.items():
+        for sub in itertools.product(*(range(e + 1) for e in exps)):
+            term = c
+            for e, j, x0 in zip(exps, sub, lows):
+                term *= math.comb(e, j) * x0 ** (e - j)
+            out[sub] = out.get(sub, 0) + term
+    return {e: c for e, c in out.items() if c}
+
+
+def _positive_from(poly: dict, lows: tuple[int, ...]) -> bool:
+    """Certify poly(x) > 0 for every x >= lows (componentwise).
+
+    After the shift x -> x + lows every coefficient is >= 0 and the
+    constant is > 0, so at any x >= lows each term of the shifted
+    polynomial is >= 0 and the constant is positive.  The test is
+    sufficient, not necessary: False proves nothing either way.
+    """
+    shifted = _taylor_shift(poly, lows)
+    return shifted.get((0,) * len(lows), 0) > 0 and min(shifted.values()) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -580,18 +628,19 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
     plo, phi = p_range or VERIFIERS["sporadic"].default_range
     a4_checks = 0
     for p in range(plo, phi + 1):
-        if not is_prime(p) or p % 40 not in (11, 19, 21, 29):
+        if p % 40 not in (11, 19, 21, 29) or not is_prime(p):
             continue
         tested += 1
         a4_checks += 1
         keep = p <= 100  # record details for the small primes only
         n_pts = p * (p * p - 1) // 24
-        sols = [c for c in solve_point_count(n_pts) if c.s == c.t and c.thick]
+        s = solve_equal_order(n_pts)
+        sols = [(p, s, s)] if s is not None and s >= 2 else []
         if p % 4 == 3:
             # residues +11, +19: -1 is a non-square, so p | s+1 is forced
             # and s >= p-1 pushes the count past |P|
             over = p * (p * p - 2 * p + 2) > n_pts
-            survivors.extend((p, c.s, c.t) for c in sols)
+            survivors.extend(sols)
             if keep:
                 checks.append(
                     _check(
@@ -608,7 +657,7 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
         quarter = pg == (p - 1) // 4 and pg is not None and pg > 1
         k_odd = (p - 1) // 4 % 2 == 1
         if not (quarter and k_odd):
-            survivors.extend((p, c.s, c.t) for c in sols or [type("o", (), {"s": 0, "t": 0})()])
+            survivors.extend(sols or [(p, 0, 0)])
             continue
         if keep:
             checks.append(
@@ -814,11 +863,11 @@ def fixed_structure_contradiction(
     if s_prime < 2:
         # non-thick: the caller must eliminate via the ambient count equation
         if n_omega is not None:
-            sols = [c for c in solve_point_count(n_omega) if c.s == c.t and c.thick]
+            s = solve_equal_order(n_omega)
             checks.append(
                 _check(
                     "count-pre-check",
-                    not sols,
+                    s is None or s < 2,
                     f"(1+s)(1+s^2) = {n_omega} has no thick solution",
                 )
             )
@@ -1035,15 +1084,20 @@ def _eliminate_equal_7(grid_range) -> EliminationRecord:
     )
 
 
+# D(k) = 4k^4 + 8k^2 - 4k - 4, the discriminant of case 8's odd branch
+_ODD_DISCRIMINANT = {(4,): 4, (2,): 8, (1,): -4, (0,): -4}
+
+
 def _eliminate_equal_8(q_range) -> EliminationRecord:
     """Equal split-torus dihedral stabilizers: (s+1)(s^2+1) = q(q+1)/2.
 
     The exact solver runs per admissible q.  The structural reduction is
     recorded as executed arithmetic: the odd branch forces the
     discriminant 4k^4+8k^2-4k-4 to be a perfect square, which happens
-    only at k = 1 (scanned), leading to q = 5 which the family excludes;
-    the even branch forces a = 1 in (2^(2f-5)a^2 - 2^(f-2)a + 1)a = 2^f+1
-    (an increasing function of a, scanned) with no solution for f >= 3."""
+    only at k = 1 (certified for every k), leading to q = 5 which the
+    family excludes; the even branch forces a = 1 in
+    (2^(2f-5)a^2 - 2^(f-2)a + 1)a = 2^f+1 (an increasing function of a,
+    scanned) with no solution for f >= 3."""
     tested = 0
     survivors = []
     checks = []
@@ -1053,9 +1107,21 @@ def _eliminate_equal_8(q_range) -> EliminationRecord:
         s = solve_equal_order(n)
         if s is not None and s >= 2:
             survivors.append((q, s, s))
-    square_ks = [k for k in range(1, 100_000) if is_square_int(4 * k**4 + 8 * k**2 - 4 * k - 4)]
+    # for k >= 2, (2k^2+1)^2 < D(k) < (2k^2+2)^2: the gaps 4k^2-4k-5 and
+    # 4k+8 are certified positive from k = 2, so only k = 1 can be a square
+    disc = _ODD_DISCRIMINANT
+    below, above = ({(2,): 2, (0,): c} for c in (1, 2))  # 2k^2+1, 2k^2+2
+    gaps = (_poly_sub(disc, _poly_mul(below, below)), _poly_sub(_poly_mul(above, above), disc))
+    between = all(_positive_from(gap, (2,)) for gap in gaps)
+    square_ks = [1] if is_square_int(sum(disc.values())) else []  # D(1)
     checks.append(
-        _check("odd-branch-discriminant", square_ks == [1], f"square discriminant only at k = {square_ks}")
+        _check(
+            "odd-branch-discriminant",
+            between and square_ks == [1],
+            f"square discriminant only at k = {square_ks}"
+            if between
+            else "no gap certificate between squares for k >= 2",
+        )
     )
     checks.append(
         _check(
@@ -1222,39 +1288,37 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
 _CASE1_SAMPLE = (5, 7, 9)
 
 
+def _pair_orbit(perms) -> set[tuple[int, int]]:
+    """Images of the ordered pair of points with ids 0 and 1 under each
+    row of a permutation array of PG(1,q), laid out as
+    `psl2.IndexedGroup.perms`."""
+    return set(zip(perms[:, 0].tolist(), perms[:, 1].tolist()))
+
+
 @_timed
 def eliminate_case1(sample_q=_CASE1_SAMPLE) -> EliminationRecord:
     """Neither stabilizer can be the Borel subgroup: its coset action is
     the 2-transitive natural action on the projective line, while a thick
     quadrangle always has both collinear and noncollinear point pairs."""
-    from .psl2 import act_on_line, enumerate_group, projective_line, psl
+    from .psl2 import indexed_group, psl
 
     checks = []
     for q in sample_q:
-        spec = psl(q)
-        pts = projective_line(spec.field)
-        base = (pts[0], pts[1])
-        orbit = {
-            (act_on_line(g, base[0]), act_on_line(g, base[1]))
-            for g in enumerate_group(spec)
-        }
         checks.append(
             _check(
                 f"two-transitive-q={q}",
-                len(orbit) == (q + 1) * q,
+                len(_pair_orbit(indexed_group(psl(q)).perms)) == (q + 1) * q,
                 "the natural action is 2-transitive on ordered pairs",
             )
         )
-    # a thick GQ has a noncollinear point pair: |P| > 1 + s(t+1)
-    witness = all(
-        (s + 1) * (s * t + 1) > 1 + s * (t + 1)
-        for s in range(2, 12)
-        for t in range(2, 12)
-    )
+    # a thick GQ has a noncollinear point pair: |P| - 1 - s(t+1) = s^2 t,
+    # certified positive for all s, t >= 2
+    points = _poly_mul({(1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1})
+    excess = _poly_sub(points, {(0, 0): 1, (1, 1): 1, (1, 0): 1})
     checks.append(
         _check(
             "noncollinear-pair-exists",
-            witness,
+            _positive_from(excess, (2, 2)),
             "1 + s(t+1) < (s+1)(st+1) for all thick orders",
         )
     )

@@ -1,6 +1,9 @@
 import pytest
+import sympy
 
+from quadforge._ints import is_prime, is_square_int
 from quadforge.errors import VerificationError
+from quadforge.feasibility import solve_equal_order, solve_point_count
 from quadforge.geometry import fixed_count
 from quadforge.classify import (
     CONFIRMED,
@@ -22,6 +25,10 @@ from quadforge.classify import (
     theorem_driver,
     verify,
     verify_table_rows_at,
+    _ODD_DISCRIMINANT,
+    _pair_orbit,
+    _positive_from,
+    _taylor_shift,
 )
 from quadforge.subgroups import index_formula
 
@@ -174,15 +181,121 @@ def test_sporadic_eliminations():
 def test_a4s4_count_check_fails_on_a_solution(monkeypatch):
     # a thick equal order at p = 11 (55 points) makes the recorded check false
     from quadforge import classify
-    from quadforge.feasibility import GQOrder
 
-    solve = classify.solve_point_count
-    monkeypatch.setattr(
-        classify, "solve_point_count", lambda n: [GQOrder(3, 3)] if n == 55 else solve(n)
-    )
+    solve = classify.solve_equal_order
+    monkeypatch.setattr(classify, "solve_equal_order", lambda n: 3 if n == 55 else solve(n))
     with pytest.raises(VerificationError) as exc:
         eliminate_sporadic()
     assert exc.value.name == "a4s4-p=11-count-too-large"
+
+
+def _thick_equal_orders(n):
+    return [c.s for c in solve_point_count(n) if c.s == c.t and c.thick]
+
+
+def _from_cube_root(n):
+    s = solve_equal_order(n)
+    return [s] if s is not None and s >= 2 else []
+
+
+def test_equal_order_is_the_thick_equal_point_count_solution():
+    # every A4 < S4 count the sporadic row can meet for p <= 10,000
+    for p in range(5, 10_001):
+        if is_prime(p):
+            n = p * (p * p - 1) // 24
+            assert _from_cube_root(n) == _thick_equal_orders(n), p
+    # the equal orders themselves, and their neighbours
+    for s in range(1, 300):
+        for n in (s**3 + 1, s**3, (s + 1) * (s * s + 1) + 1):
+            assert _from_cube_root(n) == _thick_equal_orders(n), n
+        n = (s + 1) * (s * s + 1)
+        assert _from_cube_root(n) == _thick_equal_orders(n) == ([s] if s >= 2 else [])
+
+
+def test_equal_order_matches_every_count_pre_check(monkeypatch):
+    from quadforge import classify
+
+    seen = []
+    contradiction = classify.fixed_structure_contradiction
+
+    def spy(*args, **kwargs):
+        out = contradiction(*args, **kwargs)
+        if out.path == "count-pre-check":
+            seen.append(kwargs["n_omega"])
+        return out
+
+    monkeypatch.setattr(classify, "fixed_structure_contradiction", spy)
+    theorem_driver(108_003)
+    assert seen
+    for n in seen:
+        assert _from_cube_root(n) == _thick_equal_orders(n) == [], n
+
+
+def test_equal_order_matches_point_count_on_a_sample():
+    from hypothesis import given, settings, strategies as st
+
+    near_equal = st.builds(
+        lambda s, d: (s + 1) * (s * s + 1) + d, st.integers(1, 10**4), st.integers(-2, 2)
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(min_value=1, max_value=10**12) | near_equal)
+    def agree(n):
+        assert _from_cube_root(n) == _thick_equal_orders(n)
+
+    agree()
+
+
+# ---------------------------------------------------------------------------
+# exact positivity certificates
+# ---------------------------------------------------------------------------
+
+_k = sympy.Symbol("k")
+_DISC = 4 * _k**4 + 8 * _k**2 - 4 * _k - 4
+
+
+def _coeffs(poly):
+    """A sympy Poly as the {exponent tuple: coefficient} dicts of classify."""
+    return {e: int(c) for e, c in poly.terms() if c}
+
+
+def test_odd_discriminant_loop_oracle():
+    # the bounded scan the certificate replaced
+    assert [k for k in range(1, 100_000) if is_square_int(4 * k**4 + 8 * k**2 - 4 * k - 4)] == [1]
+    assert _coeffs(sympy.Poly(_DISC, _k)) == _ODD_DISCRIMINANT
+
+
+def test_certificates_agree_with_sympy_shift():
+    gaps = (_DISC - (2 * _k**2 + 1) ** 2, (2 * _k**2 + 2) ** 2 - _DISC)
+    assert [sympy.expand(g) for g in gaps] == [4 * _k**2 - 4 * _k - 5, 4 * _k + 8]
+    for gap in gaps:
+        poly = sympy.Poly(gap, _k)
+        assert _taylor_shift(_coeffs(poly), (2,)) == _coeffs(poly.shift(2))
+        assert _positive_from(_coeffs(poly), (2,))
+        # an independent look: no real root at or beyond k = 2
+        assert all(r < 2 for r in sympy.real_roots(poly))
+    s, t = sympy.symbols("s t")
+    excess = sympy.expand((s + 1) * (s * t + 1) - 1 - s * (t + 1))
+    assert excess == s**2 * t
+    poly = sympy.Poly(excess, s, t)
+    shifted = sympy.Poly(excess.subs({s: s + 2, t: t + 2}, simultaneous=True), s, t)
+    assert _taylor_shift(_coeffs(poly), (2, 2)) == _coeffs(shifted)
+    assert _positive_from(_coeffs(poly), (2, 2))
+
+
+def test_certificate_rejects_a_perturbed_coefficient(monkeypatch):
+    from quadforge import classify
+
+    assert not _positive_from({(2,): 4, (1,): -4, (0,): -13}, (2,))  # constant -5 -> -13
+    assert not _positive_from({(2, 1): 1, (0, 0): -9}, (2, 2))
+    assert not _positive_from({(1,): 1}, (0,))  # zero constant proves nothing
+    # D(1) = 4 stays a square, but the lower gap 4k^2-12k+3 fails at k = 2
+    mutated = dict(_ODD_DISCRIMINANT)
+    mutated[(1,)] = -12
+    monkeypatch.setattr(classify, "_ODD_DISCRIMINANT", mutated)
+    with pytest.raises(VerificationError) as exc:
+        eliminate_equal(8, (4, 1000))
+    assert exc.value.name == "odd-branch-discriminant"
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +354,42 @@ def test_case1_exclusion():
     rec = eliminate_case1()
     assert rec.verdict == ELIMINATED
     assert any(c["name"].startswith("two-transitive") for c in rec.checks)
+
+
+def _point_id(pt, q):
+    return q if pt.y.is_zero() else pt.x.index
+
+
+@pytest.mark.parametrize("kind", ["psl", "pgl"])
+def test_pair_orbit_kernel_matches_scalar_action(kind):
+    from quadforge import psl2
+
+    for q in (4, 5, 7, 8, 9, 11, 13):
+        spec = getattr(psl2, kind)(q)
+        pts = psl2.projective_line(spec.field)
+        scalar = {
+            (_point_id(psl2.act_on_line(g, pts[0]), q), _point_id(psl2.act_on_line(g, pts[1]), q))
+            for g in psl2.enumerate_group(spec)
+        }
+        orbit = _pair_orbit(psl2.indexed_group(spec).perms)
+        assert orbit == scalar, (kind, q)
+        assert len(orbit) == (q + 1) * q
+
+
+def test_pair_orbit_of_a_borel_subgroup_is_refused(monkeypatch):
+    from types import SimpleNamespace
+
+    from quadforge import psl2
+    from quadforge.subgroups import build_case
+
+    spec = psl2.psl(5)
+    ig = psl2.indexed_group(spec)
+    borel = ig.perms[list(build_case(1, spec).idx_set(ig))]
+    assert len(_pair_orbit(borel)) == 5  # it fixes the point with id 0
+    monkeypatch.setattr(psl2, "indexed_group", lambda spec: SimpleNamespace(perms=borel))
+    with pytest.raises(VerificationError) as exc:
+        eliminate_case1()
+    assert exc.value.name == "two-transitive-q=5"
 
 
 # ---------------------------------------------------------------------------
