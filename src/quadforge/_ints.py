@@ -3,14 +3,18 @@
 Everything here is plain integer arithmetic (Python ints are unbounded, so
 the 128-bit headroom the scans need is automatic).  Primality is a
 deterministic Miller-Rabin valid far beyond the scan ranges; factorization
-is trial division plus Brent's variant of Pollard rho.
+is trial division plus Brent's variant of Pollard rho.  The prime powers of
+a scan range also come as numpy arrays: int64 inside the shared sieve,
+where every q**3 fits in 63 bits, and Python ints (dtype=object) beyond.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+
+import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -152,9 +156,13 @@ def divisors_from_factors(fac: dict[int, int]) -> list[int]:
 
 
 SIEVE_LIMIT = 2_000_000  # the largest range end the shared table is built for
+# every q in the table has q**3 <= 8e18 < 2**63, so the scan kernels may
+# evaluate the index formulas in int64 anywhere inside it
 
 _SPF = array("i")
-_PP = (_SPF, array("i"))  # (the table it indexes, its prime powers ascending)
+# (the table it indexes, its prime powers ascending as an int32 view, the
+# smallest prime factor and the exponent of each)
+_PP = (_SPF, np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, np.int32))
 
 
 def spf_sieve(limit: int) -> array:
@@ -163,8 +171,9 @@ def spf_sieve(limit: int) -> array:
     The process keeps one table: it is rebuilt only when a caller asks for
     a larger limit and otherwise returned as is, so it may run past
     `limit`.  `prime_power` reads it for every q it covers.  Next to it
-    sits a compact index of the prime powers it covers, rebuilt whenever
-    the table changes, which `iter_prime_powers` walks."""
+    sits a compact index of the prime powers it covers, (q, p, f) as numpy
+    arrays, rebuilt whenever the table changes: q is a zero-copy view of an
+    `array`, p is read off the table and f counts the divisions by p."""
     global _SPF, _PP
     if limit >= len(_SPF):
         spf = array("i", range(limit + 1))
@@ -182,7 +191,14 @@ def spf_sieve(limit: int) -> array:
             while pk < n:
                 powers.append(pk)
                 pk *= p
-        _PP = (_SPF, array("i", sorted(primes + powers)))
+        q = np.frombuffer(array("i", sorted(primes + powers)), dtype=np.int32)
+        p = np.frombuffer(_SPF, dtype=np.int32)[q]
+        f = np.zeros_like(q)
+        m = q
+        while (left := m > 1).any():  # q < 2**31, so at most 30 rounds
+            m = np.where(left, m // p, m)
+            f += left
+        _PP = (_SPF, q, p, f)
     return _SPF
 
 
@@ -224,7 +240,7 @@ def iter_prime_powers(lo: int, hi: int):
     """Yield (q, p, f) for every prime power q = p**f with lo <= q <= hi,
     ascending.
 
-    Up to SIEVE_LIMIT this walks the prime-power index of the shared table
+    Up to SIEVE_LIMIT this reads the prime-power index of the shared table
     (see `spf_sieve`) and never visits another integer; beyond it each q
     is tested by `prime_power`."""
     if hi < lo:
@@ -235,12 +251,24 @@ def iter_prime_powers(lo: int, hi: int):
             if pf is not None:
                 yield q, pf[0], pf[1]
         return
-    spf = spf_sieve(hi)
-    pp = _PP[1]
-    for q in pp[bisect_left(pp, lo) : bisect_right(pp, hi)]:
-        p = spf[q]
-        m, f = q // p, 1
-        while m > 1:
-            m //= p
-            f += 1
-        yield q, p, f
+    yield from zip(*(col.tolist() for col in prime_power_arrays(lo, hi)))
+
+
+def prime_power_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, p, f) as three equal-length arrays: every prime power
+    q = p**f with lo <= q <= hi, ascending.
+
+    The dtype follows from hi.  Up to SIEVE_LIMIT the arrays are int64
+    copies of a slice of the shared prime-power index, and q**3 < 2**63
+    holds for every entry.  Beyond it they hold Python ints (dtype=object),
+    found by `iter_prime_powers`, so the same array expressions stay exact
+    at any size."""
+    if hi > SIEVE_LIMIT:
+        rows = list(iter_prime_powers(lo, hi))
+        return tuple(np.array([r[i] for r in rows], dtype=object) for i in range(3))
+    if hi < lo:
+        return tuple(np.zeros(0, np.int64) for _ in range(3))
+    spf_sieve(hi)
+    _, q, p, f = _PP
+    i, j = np.searchsorted(q, lo), np.searchsorted(q, hi, side="right")
+    return tuple(col[i:j].astype(np.int64) for col in (q, p, f))

@@ -39,6 +39,7 @@ from ._ints import (
     is_square_int,
     iter_prime_powers,
     prime_power,
+    prime_power_arrays,
     spf_sieve,
 )
 from .errors import VerificationError
@@ -47,7 +48,9 @@ from .feasibility import (
     divisibility,
     higman,
     solve_equal_order,
+    solve_equal_order_array,
     solve_orders,
+    solve_orders_array,
     solve_point_count,
     stabilizer_bounds,
 )
@@ -233,30 +236,34 @@ def _feasible_orders(nP, nL):
 
 
 def _cross_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
-    """Worker: scan one q-interval of a (case_i, case_j) pair."""
+    """Worker: scan one q-interval of a (case_i, case_j) pair in one array
+    pass over its prime powers.  Only the q whose two counts have a thick
+    solution leave the arrays; each is re-solved, filters included, in
+    Python ints."""
     case_i, case_j, qlo, qhi = args
     index_i, index_j = Q_INDEX[case_i], Q_INDEX[case_j]
-    tested = 0
-    survivors = []
-    for q, p, f in iter_prime_powers(qlo, qhi):
-        if not (case_condition_at(case_i, q, p, f) and case_condition_at(case_j, q, p, f)):
-            continue
-        tested += 1
-        for cand in _feasible_orders(index_i(q), index_j(q)):
-            survivors.append((q, cand.s, cand.t))
-    return tested, survivors
+    q, p, f = prime_power_arrays(qlo, qhi)
+    q = q[case_condition_at(case_i, q, p, f) & case_condition_at(case_j, q, p, f)]
+    s, _ = solve_orders_array(index_i(q), index_j(q))
+    survivors = [
+        (x, cand.s, cand.t)
+        for x in q[s > 0].tolist()
+        for cand in _feasible_orders(index_i(x), index_j(x))
+    ]
+    return len(q), survivors
 
 
 def _run_chunked(worker, base_args, qlo, qhi, workers: int):
-    """Deterministic chunked scan: results merge in interval order.  The
-    shared prime-power table is sized to the whole range first, so neither
-    the chunks nor the forked workers rebuild it."""
+    """Deterministic chunked scan: results merge in interval order.  One
+    worker scans the range as one chunk.  The shared prime-power table is
+    sized to the whole range first, so neither the chunks nor the forked
+    workers rebuild it."""
     if qhi < qlo:
         return 0, []
     if qhi <= SIEVE_LIMIT:
         spf_sieve(qhi)
     workers = max(1, workers)
-    n_chunks = max(1, min(workers * 4, qhi - qlo + 1))
+    n_chunks = 1 if workers == 1 else min(workers * 4, qhi - qlo + 1)
     step = (qhi - qlo + 1 + n_chunks - 1) // n_chunks
     chunks = []
     lo = qlo
@@ -264,7 +271,7 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
         hi = min(lo + step - 1, qhi)
         chunks.append(base_args + (lo, hi))
         lo = hi + 1
-    if workers == 1 or len(chunks) == 1:
+    if len(chunks) == 1:
         results = [worker(c) for c in chunks]
     else:
         ctx = multiprocessing.get_context("fork")
@@ -748,34 +755,10 @@ def row_values(case_id: int, q: int, q0: int | None = None) -> dict:
     centralizer order, its cyclic part, the intersection with the
     stabilizer, and the fixed-point count.  Raises if no row applies."""
     p, f = prime_power(q)
-    if case_id == 3:
-        if p % 4 != 1:
+    if case_id in (3, 4, 5):
+        if case_id != 5 and p % 4 != 1:
             raise ValueError("row requires p = 1 (mod 4)")
-        return {
-            "o_g": 2, "class": q * (q + 1) // 2, "meet": 15,
-            "cent": q - 1, "k": (q - 1) // 2, "k_meet": 2,
-            "fixed": (q - 1) // 4,
-        }
-    if case_id == 4:
-        if p % 4 != 1:
-            raise ValueError("row requires p = 1 (mod 4)")
-        return {
-            "o_g": 2, "class": q * (q + 1) // 2, "meet": 3,
-            "cent": q - 1, "k": (q - 1) // 2, "k_meet": 2,
-            "fixed": (q - 1) // 4,
-        }
-    if case_id == 5:
-        if p % 3 == 1:
-            return {
-                "o_g": 3, "class": p * (p + 1), "meet": 8,
-                "cent": (p - 1) // 2, "k": (p - 1) // 2, "k_meet": 3,
-                "fixed": (p - 1) // 6,
-            }
-        return {
-            "o_g": 3, "class": p * (p - 1), "meet": 8,
-            "cent": (p + 1) // 2, "k": (p + 1) // 2, "k_meet": 3,
-            "fixed": (p + 1) // 6,
-        }
+        return _triangle_row(case_id, q, p)
     if case_id == 6:
         if q0 is None:
             raise ValueError("case 6 rows need q0")
@@ -791,6 +774,32 @@ def row_values(case_id: int, q: int, q0: int | None = None) -> dict:
             "fixed": (q - 1) // (q0 - 1),
         }
     raise ValueError(f"no fixed-substructure row for case {case_id}")
+
+
+def _triangle_row(case_id: int, q, p) -> dict:
+    """`row_values` for case 3, 4 or 5, elementwise when q and p are
+    integer arrays: an involution (cases 3, 4; p = 1 (mod 4)) or an element
+    of order 3 (case 5) shared by both stabilizers."""
+    if case_id in (3, 4):
+        return {
+            "o_g": 2, "class": q * (q + 1) // 2, "meet": 15 if case_id == 3 else 3,
+            "cent": q - 1, "k": (q - 1) // 2, "k_meet": 2,
+            "fixed": (q - 1) // 4,
+        }
+    # e = 1 if p = 1 (mod 3), else -1: the element of order 3 then lies in
+    # a torus of order (p - e)/2, and its class has p(p + e) elements
+    e = 2 * (p % 3 == 1) - 1
+    return {
+        "o_g": 3, "class": p * (p + e), "meet": 8,
+        "cent": (p - e) // 2, "k": (p - e) // 2, "k_meet": 3,
+        "fixed": (p - e) // 6,
+    }
+
+
+def _row_applies(case_id: int, p):
+    """Whether case 3, 4 or 5's fixed-substructure row applies at p
+    (elementwise on an array of p)."""
+    return (p > 5) & ((p % 4 == 1) | (case_id == 5))
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +820,7 @@ def fixed_structure_contradiction(
     *,
     row: dict | None = None,
     n_omega: int | None = None,
+    s_omega: int | None = None,
 ) -> ContradictionOutcome:
     """Close out a surviving equal-stabilizer scenario via its fixed
     substructure.
@@ -822,7 +832,8 @@ def fixed_structure_contradiction(
     through whichever branch applies: no integer subquadrangle order, a
     non-thick structure that falls to the count pre-check on n_omega, or a
     thick one contradicted by the transitive odd cyclic group on its
-    points and lines.
+    points and lines.  A caller that already holds the solution of
+    (1+s)(1+s^2) = n_omega passes it as s_omega.
     """
     checks = []
     if p_g is None:
@@ -863,7 +874,7 @@ def fixed_structure_contradiction(
     if s_prime < 2:
         # non-thick: the caller must eliminate via the ambient count equation
         if n_omega is not None:
-            s = solve_equal_order(n_omega)
+            s = solve_equal_order(n_omega) if s_omega is None else s_omega
             checks.append(
                 _check(
                     "count-pre-check",
@@ -889,21 +900,24 @@ def fixed_structure_contradiction(
 # ---------------------------------------------------------------------------
 
 
-def _iter_equal_case_q(case_id: int, q_range):
-    """Admissible scan parameters (q, p, f) with q = p**f for the
-    equal-stabilizer case; for case 2 the parameter is the odd q0 of
-    q = q0^2."""
-    lo, hi = q_range
-    if case_id == 2:
-        for q0, p, f in iter_prime_powers(lo, hi):
-            if p != 2:
-                yield q0, p, f
-    elif case_id in (3, 4, 5, 8, 9):
-        for q, p, f in iter_prime_powers(lo, hi):
-            if case_condition_at(case_id, q, p, f):
-                yield q, p, f
-    else:
-        raise ValueError(f"case {case_id} scans a (q0, r) grid instead")
+def _admissible(case_id: int, q_range):
+    """(q, p, f) arrays of the q in q_range where the family applies."""
+    q, p, f = prime_power_arrays(*q_range)
+    keep = case_condition_at(case_id, q, p, f)
+    return q[keep], p[keep], f[keep]
+
+
+def _thick_equal_orders(params, n_of) -> list[tuple[int, int]]:
+    """(x, s) for each x in the array params whose count
+    (1+s)(1+s^2) = n_of(x) has a thick solution: one array pass finds
+    them, and each is re-solved in Python ints."""
+    s = solve_equal_order_array(n_of(params))
+    out = []
+    for x in params[s >= 2].tolist():
+        sx = solve_equal_order(n_of(x))
+        if sx is not None and sx >= 2:
+            out.append((x, sx))
+    return out
 
 
 def _equal_record(case_id, inputs, tested, survivors, checks, notes=()) -> EliminationRecord:
@@ -927,20 +941,22 @@ def _eliminate_equal_2(q_range) -> EliminationRecord:
     machine-checkable ingredient, that a subgroup of index at most q0 in
     PGL(2,q0) is PSL or PGL, is verified exhaustively at q0 = 7 and 9 by
     the subgroup search (see the small-index acceptance test)."""
-    tested = 0
-    survivors = []
+    def count(x):
+        return x * (x * x + 1) // 2
+
+    q0, p, _ = prime_power_arrays(*q_range)
+    q0 = q0[p != 2]
+    thick = dict(_thick_equal_orders(q0, count))
+    survivors = [(x * x, s, s) for x, s in thick.items()]
     checks = []
-    for q0, _, _ in _iter_equal_case_q(2, q_range):
-        tested += 1
-        n = q0 * (q0 * q0 + 1) // 2
-        s = solve_equal_order(n)
-        if s is not None and s >= 2:
-            survivors.append((q0 * q0, s, s))
-        elif q0 in (3, 5):
+    for x in q0[(q0 == 3) | (q0 == 5)].tolist():
+        if x not in thick:
+            s = solve_equal_order(count(x))
             checks.append(
-                _check(f"q0={q0}-no-solution" if s is None else f"q0={q0}-thin",
-                       s is None or s < 2, f"(1+s)(1+s^2) = {n}")
+                _check(f"q0={x}-no-solution" if s is None else f"q0={x}-thin",
+                       s is None or s < 2, f"(1+s)(1+s^2) = {count(x)}")
             )
+    tested = len(q0)
     return _equal_record(
         2,
         {"q0_lo": q_range[0], "q0_hi": q_range[1], "method": "scan"},
@@ -956,6 +972,25 @@ def _eliminate_equal_2(q_range) -> EliminationRecord:
     )
 
 
+def _equal_345_at(case_id: int, q: int, p: int):
+    """One q of the equal triangle-group scan, in Python ints: the
+    survivor it leaves (or None) and the checks it made."""
+    n = Q_INDEX[case_id](q)
+    s = solve_equal_order(n)
+    count_killed = s is None or s < 2
+    row = row_values(case_id, q) if _row_applies(case_id, p) else None
+    if row is not None and row["fixed"] >= 2:
+        out = fixed_structure_contradiction(row=row, n_omega=n, s_omega=s)
+        if out.verdict != ELIMINATED:
+            return (q, s or 0, s or 0), []
+        return None, list(out.checks)
+    if not count_killed:
+        return (q, s, s), []
+    return None, [
+        _check(f"q={q}-count-equation", count_killed, f"(1+s)(1+s^2) = {n} has no thick solution")
+    ]
+
+
 def _eliminate_equal_345(case_id, q_range) -> EliminationRecord:
     """Equal triangle-group stabilizers (A5, A4 or S4).
 
@@ -963,31 +998,36 @@ def _eliminate_equal_345(case_id, q_range) -> EliminationRecord:
     is solved exactly, and the fixed-substructure endgame (quarter / sixth
     fixed counts, transitive odd cyclic complement) is executed whenever
     its row applies."""
-    tested = 0
+    q, p, _ = _admissible(case_id, q_range)
+    n = Q_INDEX[case_id](q)
+    s = solve_equal_order_array(n)
+    row = _triangle_row(case_id, q, p)
+    endgame = _row_applies(case_id, p) & (row["fixed"] >= 2)
+    # the endgame's predicates (see fixed_structure_contradiction) at every
+    # q at once; n * meet <= q^3/6 < 2**63 for q <= 2e6
+    num = n * row["meet"]
+    p_g = num // row["class"]
+    closes = (
+        (num % row["class"] == 0)
+        & (p_g == row["fixed"])
+        & (row["k"] % row["k_meet"] == 0)
+        & (row["k"] // row["k_meet"] == p_g)
+        # rows with p_g < 2 already fail p_g == fixed >= 2
+        & ((solve_equal_order_array(np.maximum(p_g, 1)) != 1) | (s < 2))
+    )
+    # Python runs the per-q step where the record keeps its checks, where
+    # the count leaves a thick order and where a predicate fails, in scan
+    # order, so a failure raises just as a per-q scan would raise it
+    touch = (q <= 200) | np.where(endgame, ~closes, s >= 2)
     survivors = []
     checks = []
-    endgames = 0
-    for q, p, f in _iter_equal_case_q(case_id, q_range):
-        tested += 1
-        n = Q_INDEX[case_id](q)
-        s = solve_equal_order(n)
-        count_killed = s is None or s < 2
-        row_applies = p > 5 and ((case_id in (3, 4) and p % 4 == 1) or case_id == 5)
-        row = row_values(case_id, q) if row_applies else None
-        if row_applies and row["fixed"] >= 2:
-            out = fixed_structure_contradiction(row=row, n_omega=n)
-            endgames += 1
-            if out.verdict != ELIMINATED:
-                survivors.append((q, s or 0, s or 0))
-                continue
-            if q <= 200:
-                checks.extend(out.checks)
-        elif not count_killed:
-            survivors.append((q, s, s))
-        elif q <= 200:
-            checks.append(
-                _check(f"q={q}-count-equation", count_killed, f"(1+s)(1+s^2) = {n} has no thick solution")
-            )
+    for x, px in zip(q[touch].tolist(), p[touch].tolist()):
+        survivor, found = _equal_345_at(case_id, x, px)
+        if survivor:
+            survivors.append(survivor)
+        elif x <= 200:
+            checks.extend(found)
+    tested, endgames = len(q), int(endgame.sum())
     return _equal_record(
         case_id,
         {"q_lo": q_range[0], "q_hi": q_range[1], "method": "scan+consequence"},
@@ -1088,6 +1128,11 @@ def _eliminate_equal_7(grid_range) -> EliminationRecord:
 _ODD_DISCRIMINANT = {(4,): 4, (2,): 8, (1,): -4, (0,): -4}
 
 
+# F(x, a) = x^2 a^3 - 2x a^2 + 2a - 8x - 2: twice the left side of case
+# 8's even branch minus twice its right side 2^f + 1, at x = 2^(f-2)
+_EVEN_BRANCH = {(2, 3): 1, (1, 2): -2, (0, 1): 2, (1, 0): -8, (0, 0): -2}
+
+
 def _eliminate_equal_8(q_range) -> EliminationRecord:
     """Equal split-torus dihedral stabilizers: (s+1)(s^2+1) = q(q+1)/2.
 
@@ -1095,18 +1140,12 @@ def _eliminate_equal_8(q_range) -> EliminationRecord:
     recorded as executed arithmetic: the odd branch forces the
     discriminant 4k^4+8k^2-4k-4 to be a perfect square, which happens
     only at k = 1 (certified for every k), leading to q = 5 which the
-    family excludes; the even branch forces a = 1 in
-    (2^(2f-5)a^2 - 2^(f-2)a + 1)a = 2^f+1 (an increasing function of a,
-    scanned) with no solution for f >= 3."""
-    tested = 0
-    survivors = []
+    family excludes; the even branch (2^(2f-5)a^2 - 2^(f-2)a + 1)a = 2^f+1
+    has an increasing left side in a and no solution for f >= 3 (both
+    certified for every f and a)."""
+    q, _, _ = _admissible(8, q_range)
+    survivors = [(x, s, s) for x, s in _thick_equal_orders(q, Q_INDEX[8])]
     checks = []
-    for q, _, _ in _iter_equal_case_q(8, q_range):
-        tested += 1
-        n = q * (q + 1) // 2
-        s = solve_equal_order(n)
-        if s is not None and s >= 2:
-            survivors.append((q, s, s))
     # for k >= 2, (2k^2+1)^2 < D(k) < (2k^2+2)^2: the gaps 4k^2-4k-5 and
     # 4k+8 are certified positive from k = 2, so only k = 1 can be a square
     disc = _ODD_DISCRIMINANT
@@ -1130,23 +1169,32 @@ def _eliminate_equal_8(q_range) -> EliminationRecord:
             "k = 1 leads to (s, q) = (2, 5), outside the family",
         )
     )
-    even_hits = []
-    increasing_ok = True
-    for f in range(3, 61):
-        prev = None
-        for a in range(1, 8):
-            val = (2 ** (2 * f - 5) * a * a - 2 ** (f - 2) * a + 1) * a
-            if prev is not None and val <= prev:
-                increasing_ok = False
-            prev = val
-            if val == 2**f + 1:
-                even_hits.append((f, a))
-    checks.append(_check("even-branch-increasing", increasing_ok, "left side increases in a"))
-    checks.append(_check("even-branch-no-solution", even_hits == [], "no (f, a) solves the even branch"))
+    # the even branch at x = 2^(f-2) >= 2 (f >= 3): the left side is
+    # L(x, a) = (x^2 a^2 / 2 - x a + 1) a, and 2(L(x, a+1) - L(x, a)) comes
+    # from shifting a by one
+    even = _EVEN_BRANCH
+    rise = _poly_sub(_taylor_shift(even, (0, 1)), even)
+    checks.append(
+        _check("even-branch-increasing", _positive_from(rise, (2, 1)), "left side increases in a")
+    )
+    # F is certified positive from (x, a) = (2, 2); at a = 1 it must be
+    # x^2 - r x, whose one root x = r >= 2 may not be a power of 2
+    at_a1: dict = {}
+    for (ex, _), c in even.items():
+        at_a1[ex] = at_a1.get(ex, 0) + c
+    r = -at_a1.get(1, 0)
+    a1_ok = at_a1 == {2: 1, 1: -r, 0: 0} and (r < 2 or r & (r - 1) != 0)
+    checks.append(
+        _check(
+            "even-branch-no-solution",
+            _positive_from(even, (2, 2)) and a1_ok,
+            "no (f, a) solves the even branch",
+        )
+    )
     return _equal_record(
         8,
         {"q_lo": q_range[0], "q_hi": q_range[1], "method": "scan+consequence"},
-        tested,
+        len(q),
         survivors,
         checks,
     )
@@ -1157,18 +1205,12 @@ def _eliminate_equal_9(q_range) -> EliminationRecord:
 
     The scan leaves exactly (s, q) = (9, 41); that survivor is flagged
     for the fixed-substructure stage rather than eliminated here."""
-    tested = 0
-    survivors = []
-    for q, _, _ in _iter_equal_case_q(9, q_range):
-        tested += 1
-        n = q * (q - 1) // 2
-        s = solve_equal_order(n)
-        if s is not None and s >= 2:
-            survivors.append((q, s, s))
+    q, _, _ = _admissible(9, q_range)
+    survivors = [(x, s, s) for x, s in _thick_equal_orders(q, Q_INDEX[9])]
     return _equal_record(
         9,
         {"q_lo": q_range[0], "q_hi": q_range[1], "method": "scan"},
-        tested,
+        len(q),
         survivors,
         [],
         notes=["survivors go to the fixed-substructure contradiction"],

@@ -180,10 +180,28 @@ def case_condition(case_id: int, q: int, q0: int | None = None, r: int | None = 
     return pf is not None and case_condition_at(case_id, q, *pf, q0=q0, r=r)
 
 
+# the conditions of the families that depend on (q, p, f) alone, written
+# with & | == != so that they evaluate on Python ints and elementwise on
+# integer arrays alike (`case_condition_at` adds q >= 4)
+_ELEMENTWISE_CONDITIONS = {
+    3: lambda q, p, f: ((f == 1) & ((q % 10 == 1) | (q % 10 == 9)))
+    | ((f == 2) & ((p % 10 == 3) | (p % 10 == 7))),
+    4: lambda q, p, f: (f == 1) & ((q % 8 == 3) | (q % 8 == 5)) & (q % 10 != 1) & (q % 10 != 9),
+    5: lambda q, p, f: (f == 1) & ((q % 8 == 1) | (q % 8 == 7)),
+    8: lambda q, p, f: (q != 5) & (q != 7) & (q != 9) & (q != 11),
+    9: lambda q, p, f: (q != 7) & (q != 9),
+}
+
+
 def case_condition_at(
     case_id: int, q: int, p: int, f: int, q0: int | None = None, r: int | None = None
 ) -> bool:
-    """`case_condition` at q = p**f, for a scan that already holds (p, f)."""
+    """`case_condition` at q = p**f, for a scan that already holds (p, f).
+
+    For cases 3, 4, 5, 8 and 9, q, p and f may also be equal-length
+    integer arrays; the answer is then a boolean mask."""
+    if case_id in _ELEMENTWISE_CONDITIONS:
+        return (q >= 4) & _ELEMENTWISE_CONDITIONS[case_id](q, p, f)
     if q < 4:
         return False
     if case_id == 1:
@@ -193,12 +211,6 @@ def case_condition_at(
             return False
         want = p ** (f // 2)
         return q0 in (None, want)
-    if case_id == 3:
-        return (f == 1 and q % 10 in (1, 9)) or (f == 2 and p % 10 in (3, 7))
-    if case_id == 4:
-        return f == 1 and q % 8 in (3, 5) and q % 10 not in (1, 9)
-    if case_id == 5:
-        return f == 1 and q % 8 in (1, 7)
     if case_id == 6:
         if q % 2 == 0:
             return False
@@ -213,10 +225,6 @@ def case_condition_at(
         if r is not None:
             return r in opts and (q0 is None or q0 == 2 ** (f // r))
         return bool(opts)
-    if case_id == 8:
-        return q not in (5, 7, 9, 11)
-    if case_id == 9:
-        return q not in (7, 9)
     raise ValueError(f"unknown case {case_id}")
 
 
@@ -256,7 +264,9 @@ def case_params(case_id: int, q: int) -> list[dict]:
     return [{}]
 
 
-# [PSL(2,q) : M] for the families whose index depends on q alone
+# [PSL(2,q) : M] for the families whose index depends on q alone; each
+# evaluates elementwise on an integer array of q too (exact in int64 while
+# q**3 < 2**63)
 Q_INDEX = {
     1: lambda q: q + 1,
     3: lambda q: q * (q * q - 1) // 120,

@@ -25,6 +25,7 @@ from quadforge.classify import (
     theorem_driver,
     verify,
     verify_table_rows_at,
+    _EVEN_BRANCH,
     _ODD_DISCRIMINANT,
     _pair_orbit,
     _positive_from,
@@ -296,6 +297,68 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch):
     with pytest.raises(VerificationError) as exc:
         eliminate_equal(8, (4, 1000))
     assert exc.value.name == "odd-branch-discriminant"
+
+
+_x, _a = sympy.symbols("x a")
+# twice (left side - right side) of case 8's even branch at x = 2^(f-2)
+_EVEN = _x**2 * _a**3 - 2 * _x * _a**2 + 2 * _a - 8 * _x - 2
+
+
+def _shift2(expr, x0, a0):
+    """The Taylor shift (x, a) -> (x + x0, a + a0), one variable at a time
+    through sympy's univariate Poly.shift."""
+    in_a = sympy.Poly(expr, _a, domain=sympy.ZZ[_x]).shift(a0).as_expr()
+    return sympy.Poly(sympy.Poly(in_a, _x, domain=sympy.ZZ[_a]).shift(x0).as_expr(), _x, _a)
+
+
+def test_even_branch_loop_oracle():
+    # the bounded scan the certificates replaced: f <= 60, a <= 7
+    hits, increasing = [], True
+    for f in range(3, 61):
+        prev = None
+        for a in range(1, 8):
+            val = (2 ** (2 * f - 5) * a * a - 2 ** (f - 2) * a + 1) * a
+            increasing = increasing and (prev is None or val > prev)
+            prev = val
+            if val == 2**f + 1:
+                hits.append((f, a))
+    assert hits == [] and increasing
+    # F is that equation, doubled, at x = 2^(f-2)
+    assert _coeffs(sympy.Poly(_EVEN, _x, _a)) == _EVEN_BRANCH
+    for f in range(3, 30):
+        x = 2 ** (f - 2)
+        for a in range(1, 8):
+            val = (2 ** (2 * f - 5) * a * a - 2 ** (f - 2) * a + 1) * a
+            assert _EVEN.subs({_x: x, _a: a}) == 2 * (val - 2**f - 1)
+
+
+def test_even_branch_certificates_agree_with_sympy_shift():
+    rise = sympy.expand(_EVEN.subs(_a, _a + 1) - _EVEN)
+    assert rise == sympy.expand(_x**2 * (3 * _a**2 + 3 * _a + 1) - 2 * _x * (2 * _a + 1) + 2)
+    for expr, lows in ((_EVEN, (2, 2)), (rise, (2, 1))):
+        coeffs = _coeffs(sympy.Poly(expr, _x, _a))
+        assert _taylor_shift(coeffs, lows) == _coeffs(_shift2(expr, *lows))
+        assert _positive_from(coeffs, lows)
+    assert sympy.factor(_EVEN.subs(_a, 1)) == _x * (_x - 10)
+
+
+@pytest.mark.parametrize(
+    "exps,coeff,name",
+    [
+        ((1, 0), -40, "even-branch-no-solution"),  # F(2, 2) < 0
+        ((1, 0), -6, "even-branch-no-solution"),  # a = 1 then solves at x = 8
+        ((0, 1), -20, "even-branch-increasing"),  # the rise is -4 at (2, 1)
+    ],
+)
+def test_even_branch_rejects_a_perturbed_coefficient(monkeypatch, exps, coeff, name):
+    from quadforge import classify
+
+    mutated = dict(_EVEN_BRANCH)
+    mutated[exps] = coeff
+    monkeypatch.setattr(classify, "_EVEN_BRANCH", mutated)
+    with pytest.raises(VerificationError) as exc:
+        eliminate_equal(8, (4, 1000))
+    assert exc.value.name == name
 
 
 # ---------------------------------------------------------------------------

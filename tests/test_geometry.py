@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import types
 
 import pytest
 
@@ -379,6 +380,29 @@ def test_every_single_flag_flip_of_w2_is_rejected(w2_bundle):
             assert not _check_axioms(rows, cols, n_p, n_l).is_gq, (p, l)
             flips += 1
     assert flips == 225
+
+
+def test_every_degree_preserving_switch_of_w2_is_rejected(w2_bundle):
+    # (p1,l1),(p2,l2) -> (p1,l2),(p2,l1) with neither new flag present keeps
+    # every degree; each of the 720 such switches must break an axiom
+    geom = w2_bundle.geometry
+    flags = {(p, l) for p in range(geom.n_points) for l in range(geom.n_lines) if geom.incident(p, l)}
+    switches = {
+        frozenset((a, b))
+        for a in flags
+        for b in flags
+        if a[0] != b[0] and a[1] != b[1] and (a[0], b[1]) not in flags and (b[0], a[1]) not in flags
+    }
+    assert len(flags) == 45 and len(switches) == 720
+    for switch in switches:
+        (p1, l1), (p2, l2) = sorted(switch)
+        rows, cols = list(geom.rows), list(geom.cols)
+        for p, l in ((p1, l1), (p2, l2), (p1, l2), (p2, l1)):
+            rows[p] ^= 1 << l
+            cols[l] ^= 1 << p
+        assert [bin(m).count("1") for m in rows + cols] == [3] * 30
+        switched = types.SimpleNamespace(rows=rows, cols=cols, n_points=15, n_lines=15)
+        assert not check_gq(switched).is_gq, sorted(switch)
 
 
 def _w2_export(w2_bundle):

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
+import sympy
 
 from quadforge.errors import MixedFieldError
-from quadforge.gfq import arith, enumerate_field, is_square, make_field
+from quadforge.gfq import _is_irreducible, arith, enumerate_field, is_square, make_field
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -269,3 +272,36 @@ def test_int_tables_match_direct_arithmetic(p, f):
     assert spec.int_tables() == direct_int_tables(spec)
     g = spec.primitive_element()
     assert len({spec.pow_t(g, k) for k in range(spec.q - 1)}) == spec.q - 1
+
+
+# ---------------------------------------------------------------------------
+# moduli against sympy's irreducibility test over GF(p)
+# ---------------------------------------------------------------------------
+
+
+def _sympy_irreducible(coeffs, p) -> bool:
+    """coeffs low to high, as gfq stores a modulus."""
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=p).is_irreducible
+
+
+_FIELDS = [(p, f) for p in (2, 3, 5, 7, 11, 13) for f in range(1, 12) if p**f <= 2187]
+_FIELDS += [(17, 2), (19, 2), (23, 2), (29, 2), (31, 2), (41, 2), (43, 2), (47, 2), (7, 4)]
+
+
+@pytest.mark.parametrize("p,f", _FIELDS)
+def test_modulus_is_the_least_irreducible_by_sympy(p, f):
+    modulus = make_field(p, f).modulus
+    assert len(modulus) == f + 1 and modulus[-1] == 1
+    assert _sympy_irreducible(modulus, p)
+    for tail in itertools.product(range(p), repeat=f):
+        candidate = tail + (1,)
+        if candidate == modulus:
+            break
+        assert not _sympy_irreducible(candidate, p), candidate
+
+
+@pytest.mark.parametrize("p,f", [(2, 6), (3, 4), (5, 3), (7, 2), (2, 8)])
+def test_irreducibility_test_agrees_with_sympy_on_every_monic(p, f):
+    for tail in itertools.product(range(p), repeat=f):
+        candidate = tail + (1,)
+        assert _is_irreducible(candidate, p) == _sympy_irreducible(candidate, p), candidate

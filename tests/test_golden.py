@@ -21,6 +21,9 @@ TABLES_SHA256 = "3d6f60ed193c825dcb56cf7dd807de0c1caf9efb3c309e1fb19e529c654dab0
 # the full published range, recorded before the scans took (p, f) from
 # iter_prime_powers and solved each q by one cube root
 FULL_RANGE_SHA256 = "34f358d0cee9c1d6fed09a97bb159269246e87050067e30236f0730f64c087a3"
+# the top of the shared sieve, where q^3 = 8e18 is just under 2^63: recorded
+# before the scans became numpy passes, so it pins their int64 edge
+SIEVE_TOP_SHA256 = "4cb070f6af05c765dae5d9ea371c7077dd779b4544a9dab166cffcf9750e1e00"
 
 
 def _sha256_of(argv, path) -> str:
@@ -38,6 +41,11 @@ def test_theorem_report_bytes(tmp_path, q_max):
 def test_full_range_report_bytes(tmp_path):
     argv = ["verify", "--lemma", "theorem", "--qmax", "108003", "--workers", "1"]
     assert _sha256_of(argv, tmp_path / "r.json") == FULL_RANGE_SHA256
+
+
+def test_sieve_top_report_bytes(tmp_path):
+    argv = ["verify", "--lemma", "theorem", "--qmax", "2000000"]
+    assert _sha256_of(argv, tmp_path / "r.json") == SIEVE_TOP_SHA256
 
 
 def test_tables_report_bytes(tmp_path):
