@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 
 import numpy as np
 
@@ -160,7 +159,7 @@ SIEVE_LIMIT = 2_000_000  # the largest range end the shared table is built for
 # evaluate the index formulas in int64 anywhere inside it
 
 _SPF = array("i")
-# (the table it indexes, its prime powers ascending as an int32 view, the
+# (the table it indexes, its prime powers ascending as int32, the
 # smallest prime factor and the exponent of each)
 _PP = (_SPF, np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, np.int32))
 
@@ -172,8 +171,9 @@ def spf_sieve(limit: int) -> array:
     a larger limit and otherwise returned as is, so it may run past
     `limit`.  `prime_power` reads it for every q it covers.  Next to it
     sits a compact index of the prime powers it covers, (q, p, f) as numpy
-    arrays, rebuilt whenever the table changes: q is a zero-copy view of an
-    `array`, p is read off the table and f counts the divisions by p."""
+    arrays, rebuilt whenever the table changes: the primes are the entries
+    that are their own smallest prime factor, p is read off the table and f
+    counts the divisions by p."""
     global _SPF, _PP
     if limit >= len(_SPF):
         spf = array("i", range(limit + 1))
@@ -184,15 +184,17 @@ def spf_sieve(limit: int) -> array:
         _SPF = spf
     if _PP[0] is not _SPF:
         n = len(_SPF)
-        primes = [m for m in range(2, n) if _SPF[m] == m]
+        table = np.frombuffer(_SPF, dtype=np.int32)
+        primes = np.flatnonzero(table[2:] == np.arange(2, n, dtype=np.int32)) + 2
         powers = []
-        for p in primes[: bisect_right(primes, math.isqrt(n))]:
+        for p in primes[primes <= math.isqrt(n)].tolist():
             pk = p * p
             while pk < n:
                 powers.append(pk)
                 pk *= p
-        q = np.frombuffer(array("i", sorted(primes + powers)), dtype=np.int32)
-        p = np.frombuffer(_SPF, dtype=np.int32)[q]
+        powers = np.array(powers, dtype=np.int64)
+        q = np.sort(np.concatenate([primes, powers])).astype(np.int32)
+        p = table[q]
         f = np.zeros_like(q)
         m = q
         while (left := m > 1).any():  # q < 2**31, so at most 30 rounds

@@ -1402,7 +1402,7 @@ def build_w2(budget: int | None = None) -> W2Result:
     """
     from .geometry import double_cosets, find_gq_selections
     from .psl2 import indexed_group, psl
-    from .subgroups import build_case
+    from .subgroups import build_case, handle_from_ids
 
     spec = psl(9)
     M0 = build_case(2, spec, budget=budget)
@@ -1410,26 +1410,12 @@ def build_w2(budget: int | None = None) -> W2Result:
     from .gfq import enumerate_field, is_square
 
     omega = next(e for e in enumerate_field(fld) if not e.is_zero() and not is_square(e))
-    # conjugation by diag(omega, 1): (a, b; c, d) -> (a, b/omega; omega c, d)
     ig = indexed_group(spec, budget)
-    twisted = []
-    for g in M0.elements:
-        a, b, c, d = g.matrix
-        twisted.append(spec.canonicalize_t(
-            (a.index, (b / omega).index, (c * omega).index, d.index)
-        ))
-    from .subgroups import handle_from_elements
-
-    M1 = handle_from_elements(spec, twisted)
-    if M1.t_set == M0.t_set:
+    M1 = handle_from_ids(spec, _diagonal_twist(ig, M0.ids, omega.index))
+    if M1.ids == M0.ids:
         raise VerificationError("w2-twist", "the twist fixed the subgroup")
     # the two copies must not be conjugate inside the socle
-    in_m0 = ig.mask(M0.idx_set(ig))
-    everyone = np.arange(ig.n)
-    conjugating = np.ones(ig.n, dtype=bool)
-    for x in ig.ids_of([g.t for g in M1.ensure_generators()]):
-        conjugating &= in_m0[ig.conj_ids(x, everyone)]
-    if conjugating.any():
+    if ig.transporter(M1.ensure_generators(), M0.ids).size:
         raise VerificationError("w2-twist", "the twisted copy is conjugate to the original")
     decomposition = double_cosets(M0, M1, spec, budget)
     hits = find_gq_selections(M0, M1, spec, budget)
@@ -1437,6 +1423,17 @@ def build_w2(budget: int | None = None) -> W2Result:
         raise VerificationError("w2-selection", "no axiom-passing selection found")
     selection, verdict, geometry = hits[0]
     return W2Result(geometry, verdict, selection, hits, M0, M1, decomposition)
+
+
+def _diagonal_twist(ig, ids, w: int) -> np.ndarray:
+    """Ids of the conjugates of `ids` by diag(w, 1), w a field index:
+    (a, b; c, d) -> (a, b/w; cw, d).  `ids_of` reads only projective
+    images, so the twisted rows need no canonical form."""
+    from .psl2 import array_tables
+
+    _, mul, _, inv = array_tables(ig.spec.field)
+    a, b, c, d = ig.spec.element_array()[list(ids)].T
+    return ig.ids_of(np.stack([a, mul[b, inv[w]], mul[c, w], d], axis=1))
 
 
 @_timed
@@ -1477,7 +1474,7 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=Non
     k_meet, fixed} for comparison with row_values(); every value is
     derived from explicit elements and cosets, not formulas.
     """
-    from .psl2 import indexed_group, involution_class, order3_class, psl
+    from .psl2 import centralizer, indexed_group, involution_class, order3_class, psl
     from .subgroups import build_case, is_cyclic, is_dihedral
 
     spec = psl(q)
@@ -1490,15 +1487,12 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=Non
         rep, _ = order3_class(spec)
     cls = ig.conjugacy_class(ig.id_of(rep.t))
     in_cls = ig.mask(cls)
-    sub_idx = np.asarray(handle.idx_set(ig))
+    sub_idx = np.asarray(handle.ids)
     meet = int(in_cls[sub_idx].sum())
     # pick a class element inside the subgroup so K ^ M is meaningful
     g_in = int(sub_idx[in_cls[sub_idx]][0])
-    everyone = np.arange(ig.n)
-    cent = np.flatnonzero(ig.mul_ids(everyone, g_in) == ig.mul_ids(g_in, everyone))
-    from .subgroups import handle_from_elements
-
-    cent_handle = handle_from_elements(spec, [ig.elements[i] for i in cent])
+    cent_handle = centralizer(g_in, spec, budget)
+    cent = np.asarray(cent_handle.ids)
     orders = np.asarray(ig.orders())
     k_gen = int(cent[orders[cent] == vals["k"]][0])
     k_members = ig.closure_idx((k_gen,))

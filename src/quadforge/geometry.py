@@ -77,8 +77,8 @@ def double_cosets(
     """
     spec = spec or M0.group
     ig = indexed_group(spec, budget)
-    m0 = np.asarray(M0.idx_set(ig))
-    m1 = np.asarray(M1.idx_set(ig))
+    m0 = np.asarray(M0.ids)
+    m1 = np.asarray(M1.ids)
     assigned = np.zeros(ig.n, dtype=bool)
     out = []
     for g in range(ig.n):
@@ -149,8 +149,8 @@ class IncidenceGeometry:
         self.decomposition = decomposition
         self.selection = tuple(sorted(selection))
         ig = self.ig
-        self.point_label, self.point_reps = ig.coset_labels(M0.idx_set(ig))
-        self.line_label, self.line_reps = ig.coset_labels(M1.idx_set(ig))
+        self.point_label, self.point_reps = ig.coset_labels(M0.ids)
+        self.line_label, self.line_reps = ig.coset_labels(M1.ids)
         self.n_points = len(self.point_reps)
         self.n_lines = len(self.line_reps)
         in_d = ig.mask([x for i in self.selection for x in decomposition[i].members])
@@ -447,7 +447,7 @@ def transitive_on_fixed(
     fixed = {p for p in range(geom.n_points) if pa[p] == p}
     base_rep = geom.point_reps[base]
     orbit = {
-        geom.point_label[x] for x in ig.mul_ids(base_rep, subgroup.idx_set(ig)).tolist()
+        geom.point_label[x] for x in ig.mul_ids(base_rep, subgroup.ids).tolist()
     }
     return orbit == fixed
 

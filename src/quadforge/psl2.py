@@ -156,7 +156,16 @@ class GroupSpec:
             )
 
     def elements_t(self, budget: int | None = None) -> list[tuple[int, int, int, int]]:
-        """All canonical 4-tuples, each once, in sorted order.
+        """All canonical 4-tuples, each once, in sorted order: the rows of
+        `element_array` as tuples."""
+        arr = self.element_array(budget)
+        if self._elements_t is None:
+            self._elements_t = list(zip(*arr.T.tolist()))
+        return self._elements_t
+
+    def element_array(self, budget: int | None = None) -> np.ndarray:
+        """All canonical matrices, each once, in sorted order, as a
+        read-only (|G|, 4) uint16 array of field indices.
 
         One numpy batch over the field's int tables, emitted already in
         sorted order.  PSL: every determinant-1 matrix is canonical up to
@@ -171,14 +180,14 @@ class GroupSpec:
         larger q raises BudgetExceededError whatever the budget.
         """
         self.check_budget(budget)
-        if self._elements_t is None:
+        if self._element_array is None:
             q = self.q
             if q > TABLE_LIMIT:
                 raise BudgetExceededError(
                     f"{self!r} is not enumerable: the enumeration needs dense field "
                     f"tables, q <= {TABLE_LIMIT}; formula-only mode required"
                 )
-            add, mul, neg, inv = _array_tables(self.field)
+            add, mul, neg, inv = array_tables(self.field)
             one = self._one
             r = np.arange(q, dtype=np.int32)
             rows, cols = r[:, None], r[None, :]
@@ -202,12 +211,6 @@ class GroupSpec:
                 keys, arr[:, col] = np.divmod(keys, q)
             arr.flags.writeable = False
             self._element_array = arr
-            self._elements_t = list(zip(*arr.T.tolist()))
-        return self._elements_t
-
-    def element_array(self, budget: int | None = None) -> np.ndarray:
-        """`elements_t` as a read-only (|G|, 4) uint16 array, same order."""
-        self.elements_t(budget)
         return self._element_array
 
 
@@ -218,7 +221,7 @@ def _matrix_keys(q: int, a, b, c, d) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _array_tables(field: FieldSpec) -> tuple[np.ndarray, ...]:
+def array_tables(field: FieldSpec) -> tuple[np.ndarray, ...]:
     """The field's ADD, MUL, NEG and INV int tables as int32 arrays."""
     return tuple(np.asarray(t, dtype=np.int32) for t in field.int_tables()[:4])
 
@@ -378,15 +381,16 @@ def order3_class(spec: GroupSpec) -> tuple[GroupElement, int]:
     return rep, size
 
 
-def centralizer(g: GroupElement, spec: GroupSpec | None = None, budget: int | None = None):
-    """Centralizer {x : xg = gx} as a SubgroupHandle with a recognized type."""
+def centralizer(g: GroupElement | int, spec: GroupSpec | None = None, budget: int | None = None):
+    """Centralizer {x : xg = gx} as a SubgroupHandle with a recognized type.
+    g is an element or, with `spec` given, an element id."""
     from . import subgroups  # deferred: subgroups builds on this module
 
     spec = spec or g.group
     ig = indexed_group(spec, budget)
-    ids, gi = np.arange(ig.n), ig.id_of(g.t)
+    ids, gi = np.arange(ig.n), g if isinstance(g, int) else ig.id_of(g.t)
     members = np.flatnonzero(ig.mul_ids(ids, gi) == ig.mul_ids(gi, ids))
-    return subgroups.handle_from_elements(spec, [ig.elements[i] for i in members])
+    return subgroups.handle_from_ids(spec, members)
 
 
 # -- projective line --------------------------------------------------------
@@ -455,7 +459,7 @@ class IndexedGroup:
         self.n = n = len(els)
         q = spec.q
         m = q + 1
-        self._add, self._mul, _, self._inv_f = _array_tables(spec.field)
+        self._add, self._mul, _, self._inv_f = array_tables(spec.field)
         E = spec.element_array(budget)
         xs = np.arange(q)
         perms = np.empty((n, m), dtype=np.uint16)
@@ -534,6 +538,16 @@ class IndexedGroup:
     def conj_ids(self, xs, g) -> np.ndarray:
         """g^-1 x g over broadcast id arrays xs and g."""
         return self.mul_ids(self.mul_ids(self.inverses()[g], xs), g)
+
+    def transporter(self, gens, target) -> np.ndarray:
+        """Ids of every g with g^-1 x g in `target` for each id x in `gens`:
+        the g with <gens>^g inside the subgroup with ids `target`."""
+        in_target = self.mask(target)
+        everyone = np.arange(self.n)
+        keep = np.ones(self.n, dtype=bool)
+        for x in gens:
+            keep &= in_target[self.conj_ids(x, everyone)]
+        return np.flatnonzero(keep)
 
     def orders(self) -> list[int]:
         """Element orders: all ids are powered together until each hits e."""

@@ -6,25 +6,35 @@ A4/S4/A5, and the two dihedral normalizers of tori), the ten sporadic
 classical catalog of subgroups of PGL(2,q) for odd q used as a verified
 reference at small q.
 
-Constructions are explicit element sets: subfield cases enumerate
-matrices with subfield entries, A4/S4/A5 come from a deterministic
+A subgroup is stored as the sorted ids of its members in the group's
+`IndexedGroup` (ids follow the canonical element order).  The Borel and
+subfield constructors select ids from the element array (the rows with
+c = 0, or with every entry in the subfield, for PGL(2,q0) after dividing
+by the first nonzero entry), A4/S4/A5 come from a deterministic
 generator-pair search (first witness in canonical element order), and
 the dihedral cases take a maximal-order torus element together with an
-inverting involution.  Subgroup equality is set equality of canonical
-element sets.
+inverting involution.  Subgroup equality is equality of id tuples.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._ints import prime_power
 from .errors import BudgetExceededError, VerificationError
-from .psl2 import GroupElement, GroupSpec, IndexedGroup, indexed_group, orbit_labels, resolve_budget
+from .psl2 import (
+    GroupElement,
+    GroupSpec,
+    IndexedGroup,
+    array_tables,
+    indexed_group,
+    orbit_labels,
+    resolve_budget,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,39 +55,36 @@ class SubgroupDescriptor:
 
 @dataclass
 class SubgroupHandle:
-    """Explicit subgroup: descriptor plus canonical element set."""
+    """Explicit subgroup: descriptor plus its members as sorted ids of the
+    group's `IndexedGroup` and, where known, generator ids."""
 
     group: GroupSpec
     descriptor: SubgroupDescriptor
-    elements: tuple[GroupElement, ...]
-    generators: tuple[GroupElement, ...] | None = None
-    _t_set: frozenset | None = dc_field(default=None, repr=False, compare=False)
-    _ids: tuple[int, ...] | None = dc_field(default=None, repr=False, compare=False)
+    ids: tuple[int, ...]
+    gen_ids: tuple[int, ...] | None = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.ids)
 
     @property
-    def t_set(self) -> frozenset:
-        if self._t_set is None:
-            self._t_set = frozenset(g.t for g in self.elements)
-        return self._t_set
+    def elements(self) -> tuple[GroupElement, ...]:
+        """The members as canonical elements, in id order."""
+        return _elements(self.group, self.ids)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g.t in self.t_set
+        return g in self.elements
 
-    def idx_set(self, ig: IndexedGroup) -> tuple[int, ...]:
-        if self._ids is None:
-            ids = ig.ids_of([g.t for g in self.elements])
-            self._ids = tuple(sorted(ids.tolist()))
-        return self._ids
+    def idx_set(self, ig: IndexedGroup | None = None) -> tuple[int, ...]:
+        """`ids`, for callers that still pass the indexed group
+        (`perfbench/unit.py`)."""
+        return self.ids
 
-    def ensure_generators(self) -> tuple[GroupElement, ...]:
-        """A small generating set (2 elements where possible), found
-        deterministically; verified by closure."""
-        if self.generators is None:
+    def ensure_generators(self) -> tuple[int, ...]:
+        """Generator ids: a pair where one generates (the first in id
+        order), else every member; verified by closure."""
+        if self.gen_ids is None:
             ig = indexed_group(self.group)
-            ids = self.idx_set(ig)
+            ids = self.ids
             pair = next(
                 (
                     (x, y)
@@ -87,9 +94,8 @@ class SubgroupHandle:
                 ),
                 None,
             )
-            # not 2-generated: fall back to everything
-            self.generators = self.elements if pair is None else _wrap(ig, pair)
-        return self.generators
+            self.gen_ids = ids if pair is None else pair
+        return self.gen_ids
 
     def __repr__(self):
         return (
@@ -98,26 +104,33 @@ class SubgroupHandle:
         )
 
 
-def _wrap(ig: IndexedGroup, ids) -> tuple[GroupElement, ...]:
-    return tuple(ig.spec.wrap(ig.elements[i]) for i in ids)
+def _elements(spec: GroupSpec, ids) -> tuple[GroupElement, ...]:
+    """The canonical elements with these ids.  The ids come from the
+    enumerated group, so its own order passes the budget."""
+    els = spec.elements_t(spec.order)
+    return tuple(GroupElement(spec, els[i]) for i in ids)
 
 
-def handle_from_elements(spec, ts, descriptor=None, generators=None) -> SubgroupHandle:
-    ts = sorted(set(ts))
+def handle_from_ids(spec: GroupSpec, ids, descriptor=None, gen_ids=None) -> SubgroupHandle:
+    """Handle of the subgroup with these member ids.  Without a descriptor
+    its structure is recognized and its index read off its order."""
+    ids = tuple(sorted(set(np.asarray(ids).tolist())))
+    handle = SubgroupHandle(spec, descriptor, ids, gen_ids)
     if descriptor is None:
-        if spec.order % len(ts):
+        if not ids or spec.order % len(ids):
             raise ValueError("element count does not divide the group order")
-        handle = SubgroupHandle(spec, None, tuple(spec.wrap(t) for t in ts), generators)
-        handle.descriptor = SubgroupDescriptor(
-            None, recognize(handle), spec.order // len(ts)
-        )
-        return handle
-    return SubgroupHandle(spec, descriptor, tuple(spec.wrap(t) for t in ts), generators)
+        handle.descriptor = SubgroupDescriptor(None, recognize(handle), spec.order // len(ids))
+    return handle
+
+
+def handle_from_elements(spec: GroupSpec, ts, descriptor=None) -> SubgroupHandle:
+    """`handle_from_ids` for members given as matrix 4-tuples."""
+    return handle_from_ids(spec, indexed_group(spec).ids_of(list(ts)), descriptor)
 
 
 def whole_group_handle(spec: GroupSpec, budget=None) -> SubgroupHandle:
     desc = SubgroupDescriptor(None, repr(spec), 1)
-    return SubgroupHandle(spec, desc, tuple(spec.wrap(t) for t in spec.elements_t(budget)))
+    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array(budget)))))
 
 
 # ---------------------------------------------------------------------------
@@ -361,49 +374,36 @@ def closure(generators, spec: GroupSpec | None = None, budget: int | None = None
     ids = ig.closure_idx(ig.ids_of([g.t for g in gens]).tolist())
     if len(ids) > (budget or spec.order):
         raise BudgetExceededError("closure exceeded the element budget")
-    return _wrap(ig, ids)
+    return _elements(spec, ids)
 
 
-def _build_borel(spec: GroupSpec) -> set:
-    q = spec.q
-    out = set()
-    fi = spec._finv
-    for a in range(1, q):
-        ia = fi(a)
-        for b in range(q):
-            out.add(spec.canonicalize_t((a, b, 0, ia)))
-    return out
+def _borel_ids(spec: GroupSpec, budget=None) -> np.ndarray:
+    """The upper triangular elements: canonical rows with c = 0."""
+    return np.flatnonzero(spec.element_array(budget)[:, 2] == 0)
 
 
-def _build_subfield(spec: GroupSpec, q0: int, want_pgl: bool) -> set:
-    """All subfield-entry matrices: full PGL(2,q0) (any nonzero determinant,
-    legitimate inside PSL(2,q0^2) since subfield scalars are squares there)
-    or just the PSL(2,q0) image (determinant 1)."""
-    sub = subfield_indices(spec.field, q0)
-    out = set()
-    if want_pgl:
-        for a in sub:
-            for b in sub:
-                for c in sub:
-                    for d in sub:
-                        t = (a, b, c, d)
-                        if spec.det_t(t) != 0:
-                            out.add(spec.canonicalize_t(t))
-    else:
-        one = spec._one
-        fm, fa, fi, fn = spec._fmul, spec._fadd, spec._finv, spec._fneg
-        nz = [s for s in sub if s != 0]
-        for a in nz:
-            ia = fi(a)
-            for b in sub:
-                for c in sub:
-                    d = fm(fa(one, fm(b, c)), ia)
-                    out.add(spec.canonicalize_t((a, b, c, d)))
-        for b in nz:
-            c = fn(fi(b))
-            for d in sub:
-                out.add(spec.canonicalize_t((0, b, c, d)))
-    return out
+def _subfield_ids(spec: GroupSpec, q0: int, projective: bool, budget=None) -> np.ndarray:
+    """The elements with a matrix over the subfield of order q0.
+
+    A canonical row has determinant 1, so its entries lie in the subfield
+    exactly for the PSL(2,q0) image.  With `projective`, each row is first
+    divided by its first nonzero entry, which selects every subfield
+    matrix up to scalars: all of PGL(2,q0), which lies in PSL(2,q0^2)
+    because subfield scalars are squares there.  The rows are tested one
+    column at a time, each column only on the rows still kept."""
+    rows = spec.element_array(budget)
+    in_sub = np.zeros(spec.q, dtype=bool)
+    in_sub[subfield_indices(spec.field, q0)] = True
+    if projective:
+        _, mul, _, inv = array_tables(spec.field)
+        scale = inv[np.where(rows[:, 0] != 0, rows[:, 0], rows[:, 1])]
+    keep = np.arange(len(rows))
+    for col in range(4):
+        entries = rows[keep, col]
+        if projective:
+            entries = mul[entries, scale[keep]]
+        keep = keep[in_sub[entries]]
+    return keep
 
 
 _TRIANGLE_TARGET = {3: (5, 60), 4: (3, 12), 5: (4, 24)}  # case -> (|xy|, |subgroup|)
@@ -460,21 +460,15 @@ def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int 
         raise BudgetExceededError("group too large to enumerate")
     gens = None
     if case == 1:
-        ts = _build_borel(spec)
-    elif case == 2:
-        ts = _build_subfield(spec, descriptor.q0, want_pgl=True)
+        ids = _borel_ids(spec, budget)
+    elif case in (2, 6, 7):
+        ids = _subfield_ids(spec, descriptor.q0, case == 2, budget)
     elif case in (3, 4, 5, 8, 9):
-        ig = indexed_group(spec)
         build = _build_triangle if case in (3, 4, 5) else _build_dihedral
         ids, gens = build(spec, case)
-        ts, gens = [ig.elements[i] for i in ids], _wrap(ig, gens)
-    elif case in (6, 7):
-        ts = _build_subfield(spec, descriptor.q0, want_pgl=False)
     else:
         raise ValueError(f"unknown case {case}")
-    handle = SubgroupHandle(
-        spec, descriptor, tuple(spec.wrap(t) for t in sorted(ts)), gens
-    )
+    handle = handle_from_ids(spec, ids, descriptor, gens)
     if len(handle) * descriptor.claimed_index != spec.order:
         raise VerificationError(
             "subgroup-order",
@@ -496,23 +490,16 @@ def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | No
 def conjugate(handle: SubgroupHandle, g: GroupElement) -> SubgroupHandle:
     ig = indexed_group(handle.group)
     gi = ig.id_of(g.t)
-    ids = np.sort(ig.conj_ids(handle.idx_set(ig), gi))
-    gens = None
-    if handle.generators:
-        gens = _wrap(ig, ig.conj_ids(ig.ids_of([x.t for x in handle.generators]), gi))
-    return SubgroupHandle(handle.group, handle.descriptor, _wrap(ig, ids), gens)
+    ids = np.sort(ig.conj_ids(np.asarray(handle.ids), gi))
+    gens = handle.gen_ids and tuple(ig.conj_ids(np.asarray(handle.gen_ids), gi).tolist())
+    return SubgroupHandle(handle.group, handle.descriptor, tuple(ids.tolist()), gens)
 
 
 def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None, budget=None) -> SubgroupHandle:
     """Set-level normalizer {g : H^g = H}."""
     spec = spec or handle.group
     ig = indexed_group(spec, budget)
-    in_h = ig.mask(handle.idx_set(ig))
-    everyone = np.arange(ig.n)
-    keep = np.ones(ig.n, dtype=bool)
-    for x in ig.ids_of([x.t for x in handle.ensure_generators()]):
-        keep &= in_h[ig.conj_ids(x, everyone)]
-    return handle_from_elements(spec, [ig.elements[i] for i in np.flatnonzero(keep)])
+    return handle_from_ids(spec, ig.transporter(handle.ensure_generators(), handle.ids))
 
 
 def _conj_maps(ig: IndexedGroup) -> list[np.ndarray]:
@@ -533,13 +520,11 @@ def _orbit(idxs: np.ndarray, conj_maps) -> dict[bytes, np.ndarray]:
     return out
 
 
-def _class_handles(spec: GroupSpec, ig: IndexedGroup, members) -> list[SubgroupHandle]:
+def _class_handles(spec: GroupSpec, members) -> list[SubgroupHandle]:
     """Handles for one conjugacy class of subgroups, given as sorted id
     arrays: the first is recognized and the rest copy its descriptor (every
     structure `recognize` reads is a conjugacy invariant)."""
-    handles = [
-        SubgroupHandle(spec, None, _wrap(ig, ids), _ids=tuple(ids.tolist())) for ids in members
-    ]
+    handles = [SubgroupHandle(spec, None, tuple(ids.tolist())) for ids in members]
     desc = SubgroupDescriptor(None, recognize(handles[0]), spec.order // len(handles[0]))
     for h in handles:
         h.descriptor = desc
@@ -584,10 +569,10 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
         orbit = _orbit(min(found.values(), key=tuple), conj_maps)
         for key in orbit:
             found.pop(key, None)
-        cls = [handle_from_elements(spec, [ig.elements[i] for i in ids]) for ids in orbit.values()]
-        cls.sort(key=lambda h: h.elements)
+        cls = _class_handles(spec, list(orbit.values()))
+        cls.sort(key=lambda h: h.ids)
         classes.append(cls)
-    classes.sort(key=lambda c: c[0].elements)
+    classes.sort(key=lambda c: c[0].ids)
     return classes
 
 
@@ -659,8 +644,8 @@ def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[Subg
         if key not in closed:
             orbit = _orbit(idxs, conj_maps)
             closed.update(orbit)
-            handles += _class_handles(spec, ig, list(orbit.values()))
-    handles.sort(key=lambda h: (-len(h), h._ids))
+            handles += _class_handles(spec, list(orbit.values()))
+    handles.sort(key=lambda h: (-len(h), h.ids))
     return handles
 
 
@@ -684,18 +669,15 @@ def two_generated_abelian_subgroups(spec: GroupSpec, budget=None) -> list[Subgro
             if row[j]:
                 idxs = ig.closure_idx((i, j))
                 found.setdefault(frozenset(idxs), idxs)
-    handles = [
-        handle_from_elements(spec, [ig.elements[k] for k in idxs])
-        for idxs in found.values()
-    ]
-    handles.sort(key=lambda h: (len(h), h.elements))
+    handles = [handle_from_ids(spec, idxs) for idxs in found.values()]
+    handles.sort(key=lambda h: (len(h), h.ids))
     return handles
 
 
 def _ids_and_orders(handle: SubgroupHandle):
     """(indexed group, member ids, their element orders) as arrays."""
     ig = indexed_group(handle.group)
-    ids = np.asarray(handle.idx_set(ig))
+    ids = np.asarray(handle.ids)
     return ig, ids, np.asarray(ig.orders())[ids]
 
 
@@ -705,7 +687,7 @@ def order_profile(handle: SubgroupHandle) -> Counter:
 
 def is_abelian(handle: SubgroupHandle) -> bool:
     ig = indexed_group(handle.group)
-    ids = np.asarray(handle.idx_set(ig))
+    ids = np.asarray(handle.ids)
     prod = ig.mul_ids(ids[:, None], ids)
     return bool((prod == prod.T).all())
 

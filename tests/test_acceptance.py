@@ -132,7 +132,7 @@ def test_acceptance_3_fixed_point_formula():
         for case in range(1, 10):
             for params in case_params(case, q):
                 handle = build_case(case, spec, **params)
-                sub = set(handle.idx_set(ig))
+                sub = set(handle.ids)
                 labels, reps = ig.coset_labels(sorted(sub))
                 meets = [0] * len(classes)
                 for ci, cls in enumerate(classes):

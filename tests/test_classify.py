@@ -447,7 +447,7 @@ def test_pair_orbit_of_a_borel_subgroup_is_refused(monkeypatch):
 
     spec = psl2.psl(5)
     ig = psl2.indexed_group(spec)
-    borel = ig.perms[list(build_case(1, spec).idx_set(ig))]
+    borel = ig.perms[list(build_case(1, spec).ids)]
     assert len(_pair_orbit(borel)) == 5  # it fixes the point with id 0
     monkeypatch.setattr(psl2, "indexed_group", lambda spec: SimpleNamespace(perms=borel))
     with pytest.raises(VerificationError) as exc:
@@ -665,7 +665,7 @@ def test_case9_q41_group_level_backstop():
     h = build_case(9, spec)
     assert len(h) == 42
     orders = ig.orders()
-    sub = h.idx_set(ig)
+    sub = h.ids
     invs_in_m = [i for i in sub if orders[i] == 2]
     assert len(invs_in_m) == 21
     assert sum(1 for i in range(ig.n) if orders[i] == 2) == 861

@@ -61,9 +61,9 @@ def test_failed_check_reports_mismatch_and_exits_one(monkeypatch, capsys):
 def test_failed_group_guard_reports_mismatch_and_exits_one(monkeypatch, capsys):
     from quadforge import subgroups
 
-    build = subgroups._build_subfield
+    build = subgroups._subfield_ids
     # one element short: build_subgroup's order/index guard must catch it
-    monkeypatch.setattr(subgroups, "_build_subfield", lambda *a, **k: set(sorted(build(*a, **k))[1:]))
+    monkeypatch.setattr(subgroups, "_subfield_ids", lambda *a, **k: build(*a, **k)[1:])
     assert main(["verify", "--lemma", "w2-construction"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("MISMATCH: subgroup-order (constructed order 23") and "Traceback" not in err

@@ -70,8 +70,8 @@ def test_double_cosets_partition_and_meets(w2_bundle):
     dcs = res.decomposition
     assert sum(dc.size for dc in dcs) == 360
     ig = indexed_group(spec)
-    m0 = set(res.M0.idx_set(ig))
-    m1 = set(res.M1.idx_set(ig))
+    m0 = set(res.M0.ids)
+    m1 = set(res.M1.ids)
     for dc in dcs:
         # oracle: compute |M1 ^ h^-1 M0 h| directly
         h = dc.rep
@@ -194,8 +194,8 @@ def test_fixed_count_formula_values():
 def test_fixed_count_matches_direct_count_everywhere(w2_bundle):
     geom = w2_bundle.geometry
     ig = geom.ig
-    m0_idx = set(w2_bundle.M0.idx_set(ig))
-    m1_idx = set(w2_bundle.M1.idx_set(ig))
+    m0_idx = set(w2_bundle.M0.ids)
+    m1_idx = set(w2_bundle.M1.ids)
     for cls in ig.all_classes():
         cls_set = set(cls)
         meet0 = len(cls_set & m0_idx)
@@ -223,7 +223,7 @@ def test_involution_fixed_structure(w2_bundle):
     # choose an involution fixing the base point so the sets are nonempty
     ig = geom.ig
     orders = ig.orders()
-    m0 = w2_bundle.M0.idx_set(ig)
+    m0 = w2_bundle.M0.ids
     g = next(i for i in m0 if orders[i] == 2)
     fs = fixed_structure(g, geom)
     assert len(fs.fixed_points) == 3
@@ -257,7 +257,7 @@ def test_transitive_on_fixed(w2_bundle):
     ig = geom.ig
     orders = ig.orders()
     base_rep = geom.point_reps[geom.base_point]
-    m0 = w2_bundle.M0.idx_set(ig)
+    m0 = w2_bundle.M0.ids
     g_idx = next(i for i in m0 if orders[i] == 2)
     g = geom.spec.wrap(ig.elements[g_idx])
     cent = centralizer(g, geom.spec)

@@ -24,6 +24,11 @@ FULL_RANGE_SHA256 = "34f358d0cee9c1d6fed09a97bb159269246e87050067e30236f0730f64c
 # the top of the shared sieve, where q^3 = 8e18 is just under 2^63: recorded
 # before the scans became numpy passes, so it pins their int64 edge
 SIEVE_TOP_SHA256 = "4cb070f6af05c765dae5d9ea371c7077dd779b4544a9dab166cffcf9750e1e00"
+# W(2) with every selection, and its incidence file: recorded while subgroups
+# were still stored as element tuples, so they pin the double-coset rep ids
+# and the coset labels that the id-native handles must reproduce
+BUILD_W2_SHA256 = "a9d54dec4abd01457e6671586e5f7fe4255ab1af2c0988b9fbae1236cf98300c"
+EXPORT_SHA256 = "b9f8664c3467a2b7d864ffe9dc6d587171fbb4dae0a8e06b25b5fa0932f819b5"
 
 
 def _sha256_of(argv, path) -> str:
@@ -50,6 +55,16 @@ def test_sieve_top_report_bytes(tmp_path):
 
 def test_tables_report_bytes(tmp_path):
     assert _sha256_of(["tables"], tmp_path / "t.json") == TABLES_SHA256
+
+
+def test_build_w2_report_bytes(tmp_path):
+    assert _sha256_of(["build-w2", "--all-selections"], tmp_path / "w.json") == BUILD_W2_SHA256
+
+
+def test_export_file_bytes(tmp_path):
+    path = tmp_path / "w2.gq"
+    assert main(["export", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_SHA256
 
 
 def test_theorem_runs_the_registry_in_order():

@@ -558,7 +558,7 @@ def _kernel_subgroups(spec, ig):
     if spec.kind == "PSL":
         for case in range(1, 10):
             for params in case_params(case, spec.q):
-                subs[f"family-{case}-{params}"] = build_case(case, spec, **params).idx_set(ig)
+                subs[f"family-{case}-{params}"] = build_case(case, spec, **params).ids
     return subs
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from quadforge.subgroups import (
     conjugate,
     dihedral_involution_count,
     handle_from_elements,
+    handle_from_ids,
     index_formula,
     is_dihedral,
     normalizer,
@@ -27,6 +30,7 @@ from quadforge.subgroups import (
     recognize,
     small_index_subgroups,
     sporadic_table,
+    subfield_indices,
     subgroup_classes,
     two_generated_abelian_subgroups,
     whole_group_handle,
@@ -116,7 +120,7 @@ def test_sporadic_m0_exists_in_socle():
             )
             sub = ig.closure_idx((x, y))
             assert len(sub) == n
-            h = handle_from_elements(spec, [ig.elements[i] for i in sub])
+            h = handle_from_ids(spec, sub)
             assert is_dihedral(h)
 
 
@@ -173,6 +177,66 @@ def test_borel_fixes_one_point_transitive_elsewhere(psl9):
 
 
 # ---------------------------------------------------------------------------
+# the id selections against matrix-at-a-time constructions
+# ---------------------------------------------------------------------------
+
+ORACLE_Q = (5, 7, 8, 9, 11, 16, 25, 27, 41, 43, 47, 49, 64, 81, 121, 125)
+
+
+def _matrix_oracle(spec, case, q0):
+    """The family as canonical 4-tuples, one matrix at a time: the Borel
+    subgroup from (a, b; 0, 1/a), PGL(2,q0) from every nonsingular subfield
+    matrix, PSL(2,q0) from the determinant-1 ones."""
+    add, mul, neg, inv, _ = spec.field.int_tables()
+    q = spec.q
+    if case == 1:
+        return {spec.canonicalize_t((a, b, 0, inv[a])) for a in range(1, q) for b in range(q)}
+    sub = subfield_indices(spec.field, q0)
+    out = set()
+    for a, b, c, d in itertools.product(sub, repeat=4):
+        det = add[mul[a][d]][neg[mul[b][c]]]
+        if det != 0 and (case == 2 or det == spec.identity_t[0]):
+            out.add(spec.canonicalize_t((a, b, c, d)))
+    return out
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+def test_id_selections_match_matrix_oracle(q):
+    spec = psl(q)
+    for case in (1, 2, 6, 7):
+        for params in case_params(case, q):
+            h = build_case(case, spec, **params)
+            rows = {tuple(r) for r in spec.element_array()[list(h.ids)].tolist()}
+            assert rows == _matrix_oracle(spec, case, params.get("q0")), (case, params)
+
+
+@pytest.mark.parametrize("q", [9, 25, 49])
+def test_diagonal_twist_matches_canonical_twist(q):
+    from quadforge.classify import _diagonal_twist
+    from quadforge.gfq import enumerate_field, is_square
+
+    spec = psl(q)
+    ig = indexed_group(spec)
+    fld = spec.field
+    omega = next(e for e in enumerate_field(fld) if not e.is_zero() and not is_square(e))
+    m0 = build_case(2, spec)
+    want = set()
+    for g in m0.elements:
+        a, b, c, d = g.matrix
+        want.add(spec.canonicalize_t((a.index, (b / omega).index, (c * omega).index, d.index)))
+    got = _diagonal_twist(ig, m0.ids, omega.index)
+    assert {ig.elements[i] for i in got.tolist()} == want
+    assert len(got) == len(want) == len(m0)
+
+
+def test_idx_set_reads_ids(psl9, ig9):
+    # kept for callers that pass the indexed group
+    h = build_case(1, psl9)
+    assert h.idx_set(ig9) == h.ids
+    assert handle_from_elements(psl9, [g.t for g in h.elements]).ids == h.ids
+
+
+# ---------------------------------------------------------------------------
 # closure
 # ---------------------------------------------------------------------------
 
@@ -222,13 +286,13 @@ def test_closure_lagrange(psl9):
 def test_normalizer_of_maximal_subfield_copy(psl9):
     h = build_case(2, psl9)
     n = normalizer(h)
-    assert n.t_set == h.t_set  # self-normalizing maximal subgroup
+    assert n.ids == h.ids  # self-normalizing maximal subgroup
 
 
 def test_conjugate_by_identity(psl9):
     h = build_case(2, psl9)
     e = psl9.wrap(psl9.identity_t)
-    assert conjugate(h, e).t_set == h.t_set
+    assert conjugate(h, e).ids == h.ids
 
 
 def test_conjugate_preserves_order_profile(psl9):
@@ -244,7 +308,7 @@ def test_two_classes_of_s4_in_psl29(psl9, ig9):
     assert [len(c) for c in classes] == [15, 15]
     reps = [c[0] for c in classes]
     # classes are genuinely non-conjugate: no group element maps one rep into the other
-    a, b = (np.array(h.idx_set(ig9)) for h in reps)
+    a, b = (np.array(h.ids) for h in reps)
     in_b = ig9.mask(b)
     for t in range(ig9.n):
         if in_b[ig9.conj_ids(a, t)].all():
@@ -278,7 +342,7 @@ def test_subgroup_classes_match_exhaustive_search(type_name, q):
     spec = psl(q)
     ig = indexed_group(spec)
     classes = subgroup_classes(type_name, spec)
-    got = {frozenset(frozenset(h.idx_set(ig)) for h in cls) for cls in classes}
+    got = {frozenset(frozenset(h.ids) for h in cls) for cls in classes}
     assert len(got) == len(classes)
     assert got == exhaustive_subgroup_classes(type_name, spec)
     assert got or (type_name, q) == ("PGL(2,3)", 11)  # S4 < PSL(2,q) needs q = +-1 (mod 8)
@@ -341,7 +405,7 @@ def test_lattice_matches_all_pairs_search(kind, q, count):
     ig = indexed_group(spec)
     subs = small_index_subgroups(spec, spec.order)
     assert len(subs) == count
-    assert [h.idx_set(ig) for h in subs] == _all_pairs_lattice(ig)
+    assert [h.ids for h in subs] == _all_pairs_lattice(ig)
 
 
 @pytest.mark.parametrize("q", [7, 9])
@@ -361,7 +425,7 @@ def test_lattice_check_rejects_pruning_by_whole_group_orbits(monkeypatch):
     ig = indexed_group(spec)
     monkeypatch.setattr(IndexedGroup, "generators_of", lambda self, sub: list(self.generating_pair()))
     subs = small_index_subgroups(spec, spec.order)
-    assert len(subs) != 413 or [h.idx_set(ig) for h in subs] != _all_pairs_lattice(ig)
+    assert len(subs) != 413 or [h.ids for h in subs] != _all_pairs_lattice(ig)
 
 
 def test_catalog_families_pgl25():
