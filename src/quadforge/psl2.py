@@ -448,32 +448,36 @@ class IndexedGroup:
     its images of 0, 1 and infinity: `tri[i]` holds them and `code` maps
     every such triple back to its id.  The product i*j is then row j of
     `perms` read at tri[i], and products, inverses, orders, classes,
-    closures and cosets all run on arrays of ids.  Shared, read-only once
-    constructed.
+    closures and cosets all run as 1-D gathers from the flattened `perms`
+    and `code`.  Shared, read-only once constructed.
     """
 
     def __init__(self, spec: GroupSpec, budget: int | None = None):
         self.spec = spec
-        els = spec.elements_t(budget)
-        self.elements = els
-        self.n = n = len(els)
-        q = spec.q
-        m = q + 1
-        self._add, self._mul, _, self._inv_f = array_tables(spec.field)
         E = spec.element_array(budget)
-        xs = np.arange(q)
+        self.n = n = len(E)
+        q = spec.q
+        self.m = m = q + 1
+        self._add, mul, _, inv = array_tables(spec.field)
+        # div[x*q + y] is the point id of (x:y)
+        div = np.full((q, q), q, dtype=np.intp)
+        div[:, 1:] = mul[:, inv[1:]]
+        self._div = div.ravel()
+        add, mulq = self._add.ravel(), mul.astype(np.intp) * q  # mulq[a, x] = (x*a)*q
         perms = np.empty((n, m), dtype=np.uint16)
         for rows in _blocks(n, m):
-            a, b, c, d = E[rows].T[..., None]
+            a, b, c, d = E[rows].T.astype(np.intp)
             # (x:1) -> (xa+c : xb+d), (1:0) -> (a : b)
-            perms[rows, :q] = self._point(
-                self._add[self._mul[xs, a], c], self._add[self._mul[xs, b], d]
-            )
-            perms[rows, q] = self._point(a[:, 0], b[:, 0])
-        self.perms = perms
-        self.tri = perms[:, (0, spec._one, q)]
+            perms[rows, :q] = self._point(add[mulq[a] + c[:, None]], add[mulq[b] + d[:, None]])
+            perms[rows, q] = self._point(a, b)
+        self.perms, self._perms_flat = perms, perms.ravel()
+        self._tri = np.ascontiguousarray(perms.T[[0, spec._one, q]])  # rows for 1-D gathers
+        self.tri = self._tri.T
         self.code = np.full((m, m, m), -1, dtype=np.int32)
         self.code[tuple(self.tri.T)] = np.arange(n, dtype=np.int32)
+        if np.count_nonzero(self.code >= 0) != n:  # two rows share their images of 0, 1, inf
+            raise VerificationError("kernel-code", f"{spec!r}: {n} rows give fewer ids")
+        self._code = self.code.ravel()
         self.e = self.id_of(spec.identity_t)
         self._inv: np.ndarray | None = None
         self._orders: list[int] | None = None
@@ -483,17 +487,19 @@ class IndexedGroup:
 
     def _point(self, x, y):
         """Point id of (x:y) for field-index arrays x, y."""
-        return np.where(y == 0, self.spec.q, self._mul[x, self._inv_f[y]])
+        return self._div[x * self.spec.q + y]
+
+    def _id_at(self, i0, i1, i2) -> np.ndarray:
+        """Ids of the elements taking 0, 1 and infinity to point ids i0, i1,
+        i2.  The index is summed in intp: a uint16 gather times an int wraps."""
+        return self._code[(i0.astype(np.intp) * self.m + i1) * self.m + i2]
 
     def ids_of(self, ts) -> np.ndarray:
         """Ids of canonical 4-tuples, read off their images of 0, 1 and
         infinity: (c:d), (a+c:b+d) and (a:b)."""
         a, b, c, d = np.asarray(ts, dtype=np.intp).reshape(-1, 4).T
-        ids = self.code[
-            self._point(c, d),
-            self._point(self._add[a, c], self._add[b, d]),
-            self._point(a, b),
-        ]
+        images = (c, d), (self._add[a, c], self._add[b, d]), (a, b)
+        ids = self._id_at(*(self._point(x, y) for x, y in images))
         if (ids < 0).any():
             raise KeyError("matrix is not an element of the group")
         return ids
@@ -510,9 +516,11 @@ class IndexedGroup:
     # -- basic ops --
 
     def mul_ids(self, xs, ys) -> np.ndarray:
-        """Products x*y over id arrays, broadcast as numpy broadcasts."""
-        img = self.perms[np.asarray(ys)[..., None], self.tri[np.asarray(xs)]]
-        return self.code[img[..., 0], img[..., 1], img[..., 2]]
+        """Products x*y over id arrays, broadcast as numpy broadcasts: row y
+        of `perms` read at the images of 0, 1 and infinity under x."""
+        xs, row = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp) * self.m
+        (t0, t1, t2), pf = self._tri, self._perms_flat
+        return self._id_at(pf[row + t0[xs]], pf[row + t1[xs]], pf[row + t2[xs]])
 
     def mul_idx(self, i: int, j: int) -> int:
         row = self.perms[j]
@@ -523,13 +531,9 @@ class IndexedGroup:
         """inverses()[i] is the id of element i's inverse: the element
         taking 0, 1 and infinity to their preimages under i."""
         if self._inv is None:
-            pts = (0, self.spec._one, self.spec.q)
-            pre = np.empty((self.n, 3), dtype=np.intp)
-            for rows in _blocks(self.n, self.spec.q + 1):
-                block = self.perms[rows]
-                for k, pt in enumerate(pts):
-                    pre[rows, k] = np.argmax(block == pt, axis=1)
-            self._inv = self.code[tuple(pre.T)]
+            row, pf = np.arange(self.n) * self.m, self._perms_flat
+            pre = (np.flatnonzero(pf == pt) - row for pt in (0, self.spec._one, self.spec.q))
+            self._inv = self._id_at(*pre)
         return self._inv
 
     def inv_idx(self, i: int) -> int:
@@ -550,18 +554,23 @@ class IndexedGroup:
         return np.flatnonzero(keep)
 
     def orders(self) -> list[int]:
-        """Element orders: all ids are powered together until each hits e."""
+        """Element orders: each element's images of 0, 1 and infinity are
+        walked under it until all three are back.  Every order divides p,
+        q-1 or q+1, so a walk past q+1 steps means broken action rows."""
         if self._orders is None:
+            base, pf = (0, self.spec._one, self.spec.q), self._perms_flat
             orders = np.zeros(self.n, dtype=np.int64)
-            live = np.arange(self.n)
-            cur = live
-            k = 1
-            while live.size:
-                hit = cur == self.e
-                orders[live[hit]] = k
-                live, cur = live[~hit], cur[~hit]
-                cur = self.mul_ids(cur, live)
-                k += 1
+            live, c = np.arange(self.n), self._tri
+            for k in range(1, self.m + 1):
+                back = (c[0] == base[0]) & (c[1] == base[1]) & (c[2] == base[2])
+                orders[live[back]] = k
+                live, c = live[~back], [ck[~back] for ck in c]
+                if not live.size:
+                    break
+                row = live * self.m
+                c = [pf[row + ck] for ck in c]
+            else:
+                raise VerificationError("element-order", f"{self.spec!r}: walks past {self.m} steps")
             self._orders = orders.tolist()
         return self._orders
 

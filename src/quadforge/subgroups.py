@@ -577,8 +577,9 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
 
 
 def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[SubgroupHandle]:
-    """Every subgroup of index <= bound, by exhaustive closure of all
-    generator sets of size <= 2.
+    """Every 2-generated subgroup of index <= bound, by exhaustive closure
+    of all generator sets of size <= 2.  A subgroup that needs three
+    generators, such as the Sylow 2-subgroup E_8 of PSL(2,8), is missed.
 
     <x, y> depends only on (<x>, <y>) = (C_i, C_j), and some conjugate of
     it has C_i replaced by the representative of its class of cyclic

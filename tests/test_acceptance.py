@@ -276,7 +276,7 @@ def test_acceptance_8_property_suites(w2_bundle):
         spec = psl(q)
         ig = indexed_group(spec)
         for cls in ig.all_classes():
-            c = centralizer(spec.wrap(ig.elements[cls[0]]), spec)
+            c = centralizer(spec.wrap(spec.elements_t()[cls[0]]), spec)
             assert len(cls) * len(c) == spec.order
     # order solver against the brute-force double loop
     def brute(nP, nL):

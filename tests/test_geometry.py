@@ -259,7 +259,7 @@ def test_transitive_on_fixed(w2_bundle):
     base_rep = geom.point_reps[geom.base_point]
     m0 = w2_bundle.M0.ids
     g_idx = next(i for i in m0 if orders[i] == 2)
-    g = geom.spec.wrap(ig.elements[g_idx])
+    g = geom.spec.wrap(geom.spec.elements_t()[g_idx])
     cent = centralizer(g, geom.spec)
     # direct orbit oracle: the centralizer orbit of the base point
     orbit = {

@@ -439,7 +439,7 @@ def test_orbit_stabilizer_all_classes():
         spec = psl(q)
         ig = indexed_group(spec)
         for cls in ig.all_classes():
-            rep = spec.wrap(ig.elements[cls[0]])
+            rep = spec.wrap(spec.elements_t()[cls[0]])
             c = centralizer(rep, spec)
             assert len(cls) * len(c) == spec.order
 
@@ -503,6 +503,65 @@ def test_kernel_classes_partition_the_group(kind, q):
         assert len(classes) == ((q + 5) // 2 if kind == "PSL" else q + 2)
     orders = ig.orders()
     assert all(len({orders[i] for i in cls}) == 1 for cls in classes)
+
+
+# flat-table oracles; at q >= 41, m^3 > 2^16 for m = q + 1, so an index sum
+# taken in the uint16 of `perms` would wrap
+FLAT_GROUPS = [(kind, q) for q in (8, 9, 25, 27, 41, 47, 49) for kind in ("PSL", "PGL")]
+
+
+@pytest.mark.parametrize("kind,q", FLAT_GROUPS)
+def test_flat_kernel_rows_products_and_orders_match_the_tuple_layer(kind, q):
+    spec = psl(q) if kind == "PSL" else pgl(q)
+    ig = psl2.IndexedGroup(spec)  # uncached: the large groups are not kept
+    E = spec.element_array()
+    rng = np.random.default_rng(q)
+
+    def el(i):
+        return tuple(int(v) for v in E[i])
+
+    assert ig.ids_of(E).tolist() == list(range(ig.n))
+
+    line = projective_line(spec.field)
+    point_id = {p: i for i, p in enumerate(line)}
+    rows = range(ig.n) if ig.n <= 1000 else rng.choice(ig.n, 300, replace=False)
+    for i in rows:
+        g = spec.wrap(el(i))
+        assert ig.perms[i].tolist() == [point_id[act_on_line(g, p)] for p in line]
+
+    xs, ys = rng.integers(0, ig.n, (2, 2000))
+    want = ig.ids_of([spec.mul_t(el(x), el(y)) for x, y in zip(xs, ys)])
+    assert ig.mul_ids(xs, ys).tolist() == want.tolist()
+    x0, y0 = int(xs[0]), int(ys[0])
+    assert ig.mul_ids(x0, ys).tolist() == ig.ids_of([spec.mul_t(el(x0), el(y)) for y in ys]).tolist()
+    assert ig.mul_ids(xs, y0).tolist() == ig.ids_of([spec.mul_t(el(x), el(y0)) for x in xs]).tolist()
+
+    orders = ig.orders()
+    sample = rng.choice(ig.n, 200, replace=False)
+    assert [orders[i] for i in sample] == [spec.order_t(el(i)) for i in sample]
+
+
+def test_kernel_code_rejects_a_duplicated_element_row(monkeypatch, capsys):
+    from quadforge.cli import main
+
+    spec = psl(9)
+    bad = spec.element_array().copy()
+    bad[1] = bad[0]  # n rows, n - 1 elements
+    monkeypatch.setattr(spec, "_element_array", bad)
+    monkeypatch.setattr(psl2, "_INDEXED", {})
+    with pytest.raises(VerificationError, match="kernel-code"):
+        psl2.IndexedGroup(spec)
+    assert main(["build-w2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MISMATCH: kernel-code") and "Traceback" not in err
+
+
+def test_orders_walk_stops_on_a_corrupt_row():
+    ig = psl2.IndexedGroup(psl(9))
+    g = next(i for i in range(ig.n) if i != ig.e)
+    ig.perms[g] = 5  # every point to one point: the walk never comes back
+    with pytest.raises(VerificationError, match="element-order"):
+        ig.orders()
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_diagonal_twist_matches_canonical_twist(q):
         a, b, c, d = g.matrix
         want.add(spec.canonicalize_t((a.index, (b / omega).index, (c * omega).index, d.index)))
     got = _diagonal_twist(ig, m0.ids, omega.index)
-    assert {ig.elements[i] for i in got.tolist()} == want
+    assert {spec.elements_t()[i] for i in got.tolist()} == want
     assert len(got) == len(want) == len(m0)
 
 
@@ -426,6 +426,17 @@ def test_lattice_check_rejects_pruning_by_whole_group_orbits(monkeypatch):
     monkeypatch.setattr(IndexedGroup, "generators_of", lambda self, sub: list(self.generating_pair()))
     subs = small_index_subgroups(spec, spec.order)
     assert len(subs) != 413 or [h.ids for h in subs] != _all_pairs_lattice(ig)
+
+
+def test_lattice_misses_the_three_generated_sylow_2_subgroup_of_psl28():
+    # the search closes pairs only: E_8 = {[1, b; 0, 1]} needs three generators
+    spec = psl(8)
+    ig = indexed_group(spec)
+    one = spec.field.index_of(spec.field.one.coeffs)
+    e8 = ig.ids_of([(one, b, 0, one) for b in range(8)])
+    assert len(ig.closure_idx(e8)) == 8
+    assert max(len(ig.closure_idx((x, y))) for x in e8 for y in e8) == 4
+    assert all(len(h) != 8 for h in small_index_subgroups(spec, spec.order))
 
 
 def test_catalog_families_pgl25():
