@@ -445,9 +445,9 @@ class IndexedGroup:
     Ids follow the canonical order of `GroupSpec.elements_t`.  `perms[i]`
     is element i acting on PG(1,q) ((x:1) has point id x, (1:0) has id q).
     PGL(2,q) is sharply 3-transitive on PG(1,q), so an element is fixed by
-    its images of 0, 1 and infinity: `tri[i]` holds them and `code` maps
-    every such triple back to its id.  The product i*j is then row j of
-    `perms` read at tri[i], and products, inverses, orders, classes,
+    its images of 0, 1 and infinity: `_tri[:, i]` holds them and `code`
+    maps every such triple back to its id.  The product i*j is then row j
+    of `perms` read at _tri[:, i], and products, inverses, orders, classes,
     closures and cosets all run as 1-D gathers from the flattened `perms`
     and `code`.  Shared, read-only once constructed.
     """
@@ -456,28 +456,22 @@ class IndexedGroup:
         self.spec = spec
         E = spec.element_array(budget)
         self.n = n = len(E)
-        q = spec.q
-        self.m = m = q + 1
+        q, self.m = spec.q, spec.q + 1
         self._add, mul, _, inv = array_tables(spec.field)
-        # div[x*q + y] is the point id of (x:y)
-        div = np.full((q, q), q, dtype=np.intp)
-        div[:, 1:] = mul[:, inv[1:]]
-        self._div = div.ravel()
+        # _div[x*q + y] is the point id of (x:y)
+        self._div = np.hstack([np.full((q, 1), q), mul[:, inv[1:]]]).ravel()
         add, mulq = self._add.ravel(), mul.astype(np.intp) * q  # mulq[a, x] = (x*a)*q
-        perms = np.empty((n, m), dtype=np.uint16)
-        for rows in _blocks(n, m):
+        self.perms = perms = np.empty((n, q + 1), dtype=np.uint16)
+        for rows in _blocks(n, q + 1):
             a, b, c, d = E[rows].T.astype(np.intp)
             # (x:1) -> (xa+c : xb+d), (1:0) -> (a : b)
             perms[rows, :q] = self._point(add[mulq[a] + c[:, None]], add[mulq[b] + d[:, None]])
             perms[rows, q] = self._point(a, b)
-        self.perms, self._perms_flat = perms, perms.ravel()
         self._tri = np.ascontiguousarray(perms.T[[0, spec._one, q]])  # rows for 1-D gathers
-        self.tri = self._tri.T
-        self.code = np.full((m, m, m), -1, dtype=np.int32)
-        self.code[tuple(self.tri.T)] = np.arange(n, dtype=np.int32)
+        self.code = np.full((q + 1,) * 3, -1, dtype=np.int32)
+        self.code[tuple(self._tri)] = np.arange(n, dtype=np.int32)
         if np.count_nonzero(self.code >= 0) != n:  # two rows share their images of 0, 1, inf
             raise VerificationError("kernel-code", f"{spec!r}: {n} rows give fewer ids")
-        self._code = self.code.ravel()
         self.e = self.id_of(spec.identity_t)
         self._inv: np.ndarray | None = None
         self._orders: list[int] | None = None
@@ -490,9 +484,8 @@ class IndexedGroup:
         return self._div[x * self.spec.q + y]
 
     def _id_at(self, i0, i1, i2) -> np.ndarray:
-        """Ids of the elements taking 0, 1 and infinity to point ids i0, i1,
-        i2.  The index is summed in intp: a uint16 gather times an int wraps."""
-        return self._code[(i0.astype(np.intp) * self.m + i1) * self.m + i2]
+        """Ids taking 0, 1, infinity to point ids i0, i1, i2; summed in intp, as uint16 wraps."""
+        return self.code.ravel()[(i0.astype(np.intp) * self.m + i1) * self.m + i2]
 
     def ids_of(self, ts) -> np.ndarray:
         """Ids of canonical 4-tuples, read off their images of 0, 1 and
@@ -519,20 +512,23 @@ class IndexedGroup:
         """Products x*y over id arrays, broadcast as numpy broadcasts: row y
         of `perms` read at the images of 0, 1 and infinity under x."""
         xs, row = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp) * self.m
-        (t0, t1, t2), pf = self._tri, self._perms_flat
-        return self._id_at(pf[row + t0[xs]], pf[row + t1[xs]], pf[row + t2[xs]])
+        pf = self.perms.ravel()  # intp sums: NumPy 1 keeps scalar + uint16 array in uint16
+        return self._id_at(*(pf[np.add(row, t[xs], dtype=np.intp)] for t in self._tri))
 
     def mul_idx(self, i: int, j: int) -> int:
         row = self.perms[j]
-        a, b, c = self.tri[i]
+        a, b, c = self._tri[:, i]
         return int(self.code[row[a], row[b], row[c]])
 
     def inverses(self) -> np.ndarray:
         """inverses()[i] is the id of element i's inverse: the element
         taking 0, 1 and infinity to their preimages under i."""
         if self._inv is None:
-            row, pf = np.arange(self.n) * self.m, self._perms_flat
-            pre = (np.flatnonzero(pf == pt) - row for pt in (0, self.spec._one, self.spec.q))
+            pre = np.empty((3, self.n), dtype=np.intp)
+            for rows in _blocks(self.n, self.m):
+                block = self.perms[rows]
+                for k, pt in enumerate((0, self.spec._one, self.spec.q)):
+                    pre[k, rows] = np.flatnonzero(block == pt) % self.m
             self._inv = self._id_at(*pre)
         return self._inv
 
@@ -554,11 +550,10 @@ class IndexedGroup:
         return np.flatnonzero(keep)
 
     def orders(self) -> list[int]:
-        """Element orders: each element's images of 0, 1 and infinity are
-        walked under it until all three are back.  Every order divides p,
-        q-1 or q+1, so a walk past q+1 steps means broken action rows."""
+        """Element orders: the images of 0, 1 and infinity are walked until all three are
+        back.  Orders divide p, q-1 or q+1, so a walk past q+1 steps means broken rows."""
         if self._orders is None:
-            base, pf = (0, self.spec._one, self.spec.q), self._perms_flat
+            base, pf = (0, self.spec._one, self.spec.q), self.perms.ravel()
             orders = np.zeros(self.n, dtype=np.int64)
             live, c = np.arange(self.n), self._tri
             for k in range(1, self.m + 1):

@@ -541,6 +541,28 @@ def test_flat_kernel_rows_products_and_orders_match_the_tuple_layer(kind, q):
     assert [orders[i] for i in sample] == [spec.order_t(el(i)) for i in sample]
 
 
+def test_mul_ids_by_a_scalar_row_just_under_the_uint16_limit():
+    # PSL(2,47): m = 48 and row 1365 starts at 1365 * 48 = 65520 in the flat
+    # `perms`, so the index of any image >= 16 passes 2^16 and must not wrap
+    spec = psl(47)
+    ig = psl2.IndexedGroup(spec)
+    E = spec.element_array()
+    y = 1365
+    assert y * ig.m == 65520
+
+    def el(i):
+        return tuple(int(v) for v in E[i])
+
+    far = np.flatnonzero(ig.perms[:, [0, spec._one, spec.q]].max(axis=1) >= 16)
+    xs = np.random.default_rng(47).choice(far, 300, replace=False)
+    want = ig.ids_of([spec.mul_t(el(x), el(y)) for x in xs]).tolist()
+    assert ig.mul_ids(xs, y).tolist() == want
+    assert ig.mul_ids(xs, np.intp(y)).tolist() == want
+    yi = el(ig.inv_idx(y))
+    conj = ig.ids_of([spec.mul_t(spec.mul_t(yi, el(x)), el(y)) for x in xs]).tolist()
+    assert ig.conj_ids(xs, y).tolist() == conj
+
+
 def test_kernel_code_rejects_a_duplicated_element_row(monkeypatch, capsys):
     from quadforge.cli import main
 
