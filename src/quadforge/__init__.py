@@ -2,53 +2,37 @@
 admitting a point- and line-primitive PSL(2,q) automorphism group.
 
 The library re-runs every machine-checkable step of the case analysis:
-exact GF(p^f) arithmetic, PSL/PGL(2,q) group computations, coset-geometry
-construction with full quadrangle axiom checking, and the Diophantine
-eliminations for every maximal-subgroup case pair.  The single surviving
-example is the 15-point symplectic quadrangle of order 2 at q = 9.
+exact GF(p^f) arithmetic, PSL/PGL(2,q) computations on integer element
+ids (`indexed_group`), coset-geometry construction with full quadrangle
+axiom checking, and the Diophantine eliminations for every
+maximal-subgroup case pair.  The single surviving example is the
+15-point symplectic quadrangle of order 2 at q = 9.
 """
 
 __version__ = "0.1.0"
 
-from .gfq import FieldElement, FieldSpec, arith, enumerate_field, is_square, make_field
+from .gfq import FieldElement, FieldSpec, make_field
 from .psl2 import (
-    GroupElement,
     GroupSpec,
-    ProjectivePoint,
-    act_on_line,
-    canonicalize,
+    IndexedGroup,
     centralizer,
-    element_order,
-    enumerate_group,
-    inv,
+    indexed_group,
     involution_class,
-    mul,
     order3_class,
     pgl,
-    projective_line,
     psl,
 )
 
 __all__ = [
     "FieldElement",
     "FieldSpec",
-    "GroupElement",
     "GroupSpec",
-    "ProjectivePoint",
-    "act_on_line",
-    "arith",
-    "canonicalize",
+    "IndexedGroup",
     "centralizer",
-    "element_order",
-    "enumerate_field",
-    "enumerate_group",
-    "inv",
+    "indexed_group",
     "involution_class",
-    "is_square",
     "make_field",
-    "mul",
     "order3_class",
     "pgl",
-    "projective_line",
     "psl",
 ]

@@ -1406,16 +1406,14 @@ def build_w2(budget: int | None = None) -> W2Result:
 
     spec = psl(9)
     M0 = build_case(2, spec, budget=budget)
-    fld = spec.field
-    from .gfq import enumerate_field, is_square
-
-    omega = next(e for e in enumerate_field(fld) if not e.is_zero() and not is_square(e))
+    sqrt = spec.field.int_tables()[4]
+    omega = next(w for w in range(1, spec.q) if sqrt[w] == -1)  # the first non-square
     ig = indexed_group(spec, budget)
-    M1 = handle_from_ids(spec, _diagonal_twist(ig, M0.ids, omega.index))
+    M1 = handle_from_ids(spec, _diagonal_twist(ig, M0.ids, omega))
     if M1.ids == M0.ids:
         raise VerificationError("w2-twist", "the twist fixed the subgroup")
     # the two copies must not be conjugate inside the socle
-    if ig.transporter(M1.ensure_generators(), M0.ids).size:
+    if ig.transporter(ig.generators_of(M1.ids), M0.ids).size:
         raise VerificationError("w2-twist", "the twisted copy is conjugate to the original")
     decomposition = double_cosets(M0, M1, spec, budget)
     hits = find_gq_selections(M0, M1, spec, budget)
@@ -1481,11 +1479,8 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=Non
     ig = indexed_group(spec, budget)
     vals = row_values(case_id, q, q0=q0)
     handle = build_case(case_id, spec, q0=q0, budget=budget)
-    if vals["o_g"] == 2:
-        rep, _ = involution_class(spec)
-    else:
-        rep, _ = order3_class(spec)
-    cls = ig.conjugacy_class(ig.id_of(rep.t))
+    rep, _ = (involution_class if vals["o_g"] == 2 else order3_class)(spec, budget)
+    cls = ig.conjugacy_class(rep)
     in_cls = ig.mask(cls)
     sub_idx = np.asarray(handle.ids)
     meet = int(in_cls[sub_idx].sum())

@@ -8,13 +8,8 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-class PslMembershipError(ValueError):
-    """Raised when a matrix with non-square determinant is canonicalized as
-    a PSL element: the element lies in PGL \\ PSL."""
-
-
 class MixedFieldError(ValueError):
-    """Raised when two operands belong to different fields or groups."""
+    """Raised when two operands belong to different fields."""
 
 
 class VerificationError(AssertionError):

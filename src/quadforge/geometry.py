@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import VerificationError
-from .psl2 import GroupElement, GroupSpec, indexed_group
+from .psl2 import GroupSpec, indexed_group
 from .subgroups import SubgroupHandle
 
 
@@ -100,20 +100,18 @@ def double_cosets(
     return out
 
 
-def line_size_profile(decomposition: list[DoubleCoset], selection, M0=None, M1=None):
+def line_size_profile(
+    decomposition: list[DoubleCoset], selection, M0: SubgroupHandle, M1: SubgroupHandle
+):
     """(s+1, t+1) sums for a selection of double cosets.
 
     s+1 = sum over the selection of |M1| / |M1 ^ h^-1 M0 h| = |D| / |M0|,
-    and dually t+1 = |D| / |M1|.  Orders of M0, M1 are recovered from the
-    decomposition itself unless handles are passed.
+    and dually t+1 = |D| / |M1|.  The decomposition alone fixes only
+    |M0||M1| = size * meet, so the handles give the two orders.
     """
     sel = list(selection)
     if not sel:
         raise ValueError("selection must be nonempty")
-    if M0 is None or M1 is None:
-        # |M0||M1| = size * meet for every coset; the individual orders are
-        # not recoverable from the decomposition alone
-        raise ValueError("pass the M0 and M1 handles")
     n0, n1 = len(M0), len(M1)
     d_size = sum(decomposition[i].size for i in sel)
     s_plus_1 = sum(n1 // decomposition[i].meet_order for i in sel)
@@ -186,18 +184,17 @@ class IncidenceGeometry:
     def line_image(self, l: int, g_idx: int) -> int:
         return self.line_label[self.ig.mul_idx(self.line_reps[l], g_idx)]
 
-    def _id(self, g: GroupElement | int) -> int:
-        return g if isinstance(g, int) else self.ig.id_of(g.t)
-
-    def point_action(self, g: GroupElement | int) -> list[int]:
-        images = self.ig.mul_ids(self.point_reps, self._id(g))
+    def point_action(self, g: int) -> list[int]:
+        """Image of every point under the element with id g."""
+        images = self.ig.mul_ids(self.point_reps, g)
         return [self.point_label[x] for x in images.tolist()]
 
-    def line_action(self, g: GroupElement | int) -> list[int]:
-        images = self.ig.mul_ids(self.line_reps, self._id(g))
+    def line_action(self, g: int) -> list[int]:
+        """Image of every line under the element with id g."""
+        images = self.ig.mul_ids(self.line_reps, g)
         return [self.line_label[x] for x in images.tolist()]
 
-    def preserves_incidence(self, g: GroupElement | int) -> bool:
+    def preserves_incidence(self, g: int) -> bool:
         pa = self.point_action(g)
         la = self.line_action(g)
         for p, row in enumerate(self.rows):
@@ -208,16 +205,6 @@ class IncidenceGeometry:
                     return False
                 r &= r - 1
         return True
-
-
-def build_geometry(
-    M0: SubgroupHandle,
-    M1: SubgroupHandle,
-    selection,
-    spec: GroupSpec | None = None,
-    budget=None,
-) -> IncidenceGeometry:
-    return IncidenceGeometry(M0, M1, selection, spec, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +366,8 @@ def _grid_params(rows, cols):
     return s1, s2
 
 
-def fixed_structure(g: GroupElement | int, geom: IncidenceGeometry) -> FixedStructure:
-    """Fixed points/lines of an automorphism with its shape classification.
+def fixed_structure(g: int, geom: IncidenceGeometry) -> FixedStructure:
+    """Fixed points/lines of the element with id g, with their shape.
 
     The eight shapes are tested in the fixed order 0, 1, 1', 2, 2', 3,
     3', 4, and the first match is returned, so the answer is unique even
@@ -433,17 +420,14 @@ def fixed_structure(g: GroupElement | int, geom: IncidenceGeometry) -> FixedStru
     raise ValueError(f"unclassifiable fixed structure: {verdict.violation}")
 
 
-def transitive_on_fixed(
-    g: GroupElement | int, geom: IncidenceGeometry, subgroup: SubgroupHandle
-) -> bool:
+def transitive_on_fixed(g: int, geom: IncidenceGeometry, subgroup: SubgroupHandle) -> bool:
     """Does the subgroup's orbit of the base point cover the whole fixed
-    point set of g?  Requires g to fix the base point."""
+    point set of the element with id g?  Requires g to fix the base point."""
     ig = geom.ig
-    g_idx = geom._id(g)
     base = geom.base_point
-    if geom.point_image(base, g_idx) != base:
+    if geom.point_image(base, g) != base:
         raise ValueError("base point is not fixed by g")
-    pa = geom.point_action(g_idx)
+    pa = geom.point_action(g)
     fixed = {p for p in range(geom.n_points) if pa[p] == p}
     base_rep = geom.point_reps[base]
     orbit = {

@@ -10,9 +10,8 @@ polynomial of degree at most f/2.
 
 All arithmetic is exact; there is no floating point anywhere in this
 module.  `FieldSpec` and `FieldElement` are immutable after construction
-and safe to share between threads.  Fields small enough to enumerate
-(q <= 512) carry dense index-based operation tables used by the group
-layer; larger fields fall back to direct polynomial arithmetic.
+and safe to share between threads.  Fields with q <= 512 also carry dense
+index-based operation tables, from which the group layer is built.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ class FieldSpec:
                 red.append(tuple(cur))
         self._reduction = red
         self._elements: tuple[FieldElement, ...] | None = None
-        self._sqrt: dict[tuple[int, ...], tuple[int, ...]] | None = None
         self._tables = None
 
     # -- representation ------------------------------------------------
@@ -179,17 +177,6 @@ class FieldSpec:
     def is_zero_t(self, a) -> bool:
         return not any(a)
 
-    def sqrt_t(self, a):
-        """Some square root of a, or None.  Deterministic (first in
-        enumeration order whose square is a)."""
-        if self._sqrt is None:
-            table: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for e in self.enumerate():
-                sq = self.mul_t(e.coeffs, e.coeffs)
-                table.setdefault(sq, e.coeffs)
-            self._sqrt = table
-        return self._sqrt.get(a)
-
     def enumerate(self) -> tuple[FieldElement, ...]:
         if self._elements is None:
             self._elements = tuple(
@@ -251,7 +238,8 @@ class FieldElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.spec.f
+        if len(self.coeffs) != self.spec.f:
+            raise ValueError(f"expected {self.spec.f} coefficients, got {len(self.coeffs)}")
 
     @property
     def index(self) -> int:
@@ -338,32 +326,3 @@ def make_field(p: int, f: int) -> FieldSpec:
         if _is_irreducible(candidate, p):
             return FieldSpec(p, f, candidate)
     raise RuntimeError("irreducibility search exhausted")  # unreachable
-
-
-def arith(a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """Field arithmetic dispatch: kind in {'add','sub','mul','div'}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def is_square(a: FieldElement) -> bool:
-    """Euler criterion: a = b^2 for some b.  Requires a != 0; in even
-    characteristic every element is a square."""
-    if a.is_zero():
-        raise ValueError("squareness of zero is undefined here")
-    spec = a.spec
-    if spec.p == 2:
-        return True
-    return spec.pow_t(a.coeffs, (spec.q - 1) // 2) == spec.one.coeffs
-
-
-def enumerate_field(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements in coefficient-lexicographic order (zero first)."""
-    return list(spec.enumerate())

@@ -1,21 +1,18 @@
-"""Group arithmetic in PSL(2,q) and PGL(2,q).
+"""PSL(2,q) and PGL(2,q) with integer element ids.
 
-Elements are 2x2 matrices over GF(q) stored in a unique canonical
-projective form, so equality of canonical forms is equality in the group:
+An element is a 2x2 matrix over GF(q) up to scalars, with a unique
+canonical form:
 
-* PGL: scale so the first nonzero entry in reading order (a,b,c,d) is 1.
-* PSL: scale to determinant 1 (the determinant must be a square in the
-  field, otherwise the matrix lies in PGL \\ PSL), then pick the
-  lexicographically smaller of M and -M under the field enumeration order.
+* PGL: scaled so the first nonzero entry in reading order (a,b,c,d) is 1.
+* PSL: scaled to determinant 1, then the lexicographically smaller of M
+  and -M under the field enumeration order.
 
-Two modes are available everywhere, mirroring the dual style of the case
-analysis: closed-form class sizes and centralizer types for arbitrary q,
-and full element enumeration (within a configurable budget) used to
-verify every formula at small q.  Entries are stored as field-element
-indices; fields small enough to enumerate carry dense op tables, so the
-hot paths are pure integer table lookups.  The full enumeration is a
-single numpy batch over those int tables: it emits only canonical
-matrices, in sorted order, as int64 keys that decode to the elements.
+`GroupSpec.element_array` lists the canonical forms as one numpy batch
+over the field's int tables, in sorted order, and an element's id is its
+position in that list.  `IndexedGroup` is the integer kernel: it reads an
+element's id off its images of 0, 1 and infinity on PG(1,q), and products,
+inverses, orders, classes, closures and cosets all run on id arrays.
+Enumeration is bounded by a configurable element budget (`resolve_budget`).
 
 All values are immutable after construction and safe to share across
 scan workers.
@@ -24,14 +21,13 @@ scan workers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._ints import prime_power
-from .errors import BudgetExceededError, MixedFieldError, PslMembershipError, VerificationError
-from .gfq import TABLE_LIMIT, FieldElement, FieldSpec, make_field
+from .errors import BudgetExceededError, VerificationError
+from .gfq import TABLE_LIMIT, FieldSpec, make_field
 
 DEFAULT_BUDGET = 10_000_000
 _CAYLEY_LIMIT = 2500
@@ -61,23 +57,6 @@ class GroupSpec:
         self.q = q
         g = 2 if q % 2 else 1
         self.order = q * (q * q - 1) // (g if kind == "PSL" else 1)
-        # field ops on element indices
-        if q <= TABLE_LIMIT:
-            add, mul, neg, inv, sqrt = field.int_tables()
-            self._fadd = lambda i, j: add[i][j]
-            self._fmul = lambda i, j: mul[i][j]
-            self._fneg = lambda i: neg[i]
-            self._finv = lambda i: inv[i]
-            self._fsqrt = lambda i: sqrt[i]
-        else:
-            dec, enc = field.from_index, field.index_of
-            self._fadd = lambda i, j: enc(field.add_t(dec(i), dec(j)))
-            self._fmul = lambda i, j: enc(field.mul_t(dec(i), dec(j)))
-            self._fneg = lambda i: enc(field.neg_t(dec(i)))
-            self._finv = lambda i: enc(field.inv_t(dec(i)))
-            self._fsqrt = lambda i: (
-                -1 if (r := field.sqrt_t(dec(i))) is None else enc(r)
-            )
         self._one = field.index_of(field.one.coeffs)
         self.identity_t = (self._one, 0, 0, self._one)
         self._elements_t: list[tuple[int, int, int, int]] | None = None
@@ -86,63 +65,11 @@ class GroupSpec:
     def __repr__(self):
         return f"{self.kind}(2,{self.q})"
 
-    # -- canonical-form arithmetic on index 4-tuples ---------------------
-
-    def det_t(self, t):
-        a, b, c, d = t
-        return self._fadd(self._fmul(a, d), self._fneg(self._fmul(b, c)))
-
-    def canonicalize_t(self, t):
-        a, b, c, d = t
-        det = self.det_t(t)
-        if det == 0:
-            raise ValueError("singular matrix")
-        if self.kind == "PGL":
-            lead = a if a else b
-            s = self._finv(lead)
-            fm = self._fmul
-            return (fm(a, s), fm(b, s), fm(c, s), fm(d, s))
-        root = self._fsqrt(det)
-        if root == -1:
-            raise PslMembershipError(
-                "determinant is not a square: element lies in PGL \\ PSL"
-            )
-        s = self._finv(root)
-        fm = self._fmul
-        m = (fm(a, s), fm(b, s), fm(c, s), fm(d, s))
-        if self.q % 2 == 0:
-            return m
-        fn = self._fneg
-        return min(m, (fn(m[0]), fn(m[1]), fn(m[2]), fn(m[3])))
-
     def mul_t(self, g, h):
-        a, b, c, d = g
-        e, f_, i, j = h
-        fm, fa = self._fmul, self._fadd
-        return self.canonicalize_t(
-            (
-                fa(fm(a, e), fm(b, i)),
-                fa(fm(a, f_), fm(b, j)),
-                fa(fm(c, e), fm(d, i)),
-                fa(fm(c, f_), fm(d, j)),
-            )
-        )
-
-    def inv_t(self, g):
-        a, b, c, d = g
-        fn = self._fneg
-        return self.canonicalize_t((d, fn(b), fn(c), a))
-
-    def order_t(self, g) -> int:
-        n = 1
-        cur = g
-        while cur != self.identity_t:
-            cur = self.mul_t(cur, g)
-            n += 1
-        return n
-
-    def wrap(self, t) -> "GroupElement":
-        return GroupElement(self, t)
+        """Product of two matrix 4-tuples as a canonical 4-tuple, read
+        through the integer kernel."""
+        ig = indexed_group(self)
+        return self.elements_t()[ig.mul_idx(ig.id_of(g), ig.id_of(h))]
 
     # -- enumeration ------------------------------------------------------
 
@@ -226,36 +153,6 @@ def array_tables(field: FieldSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(t, dtype=np.int32) for t in field.int_tables()[:4])
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Canonical projective representative of a 2x2 matrix, tagged PSL or PGL."""
-
-    group: GroupSpec
-    t: tuple[int, int, int, int]
-
-    @property
-    def matrix(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
-        fld = self.group.field
-        return tuple(FieldElement(fld, fld.from_index(i)) for i in self.t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and other.group is self.group
-            and other.t == self.t
-        )
-
-    def __lt__(self, other):
-        return self.t < other.t
-
-    def __hash__(self):
-        return hash((id(self.group), self.t))
-
-    def __repr__(self):
-        a, b, c, d = (list(e.coeffs) for e in self.matrix)
-        return f"{self.group!r}[{a},{b};{c},{d}]"
-
-
 @lru_cache(maxsize=None)
 def _group(field: FieldSpec, kind: str) -> GroupSpec:
     return GroupSpec(field, kind)
@@ -275,157 +172,51 @@ def pgl(q: int) -> GroupSpec:
     return _group(make_field(*pf), "PGL")
 
 
-def _as_t(matrix, spec: GroupSpec) -> tuple[int, int, int, int]:
-    flat = []
-    for row in matrix:
-        if isinstance(row, FieldElement):
-            flat.append(row)
-        else:
-            flat.extend(row)
-    if len(flat) != 4:
-        raise ValueError("expected a 2x2 matrix")
-    out = []
-    for e in flat:
-        if isinstance(e, FieldElement):
-            if e.spec is not spec.field:
-                raise MixedFieldError("matrix entries from a different field")
-            out.append(e.index)
-        else:
-            out.append(spec.field.element(e).index)
-    return tuple(out)
-
-
-def canonicalize(matrix, kind: str, field: FieldSpec | None = None) -> GroupElement:
-    """Canonical projective representative of `matrix` in PSL or PGL.
-
-    The field may be omitted when the entries are FieldElements."""
-    if field is None:
-        flat = [e for row in matrix for e in (row if not isinstance(row, FieldElement) else [row])]
-        field = next(e.spec for e in flat if isinstance(e, FieldElement))
-    spec = _group(field, kind)
-    return spec.wrap(spec.canonicalize_t(_as_t(matrix, spec)))
-
-
-def _same_group(g: GroupElement, h: GroupElement):
-    if g.group is not h.group:
-        raise MixedFieldError("elements of different groups")
-
-
-def mul(g: GroupElement, h: GroupElement) -> GroupElement:
-    _same_group(g, h)
-    return g.group.wrap(g.group.mul_t(g.t, h.t))
-
-
-def inv(g: GroupElement) -> GroupElement:
-    return g.group.wrap(g.group.inv_t(g.t))
-
-
-def element_order(g: GroupElement) -> int:
-    return g.group.order_t(g.t)
-
-
-def enumerate_group(spec: GroupSpec, budget: int | None = None) -> list[GroupElement]:
-    """All canonical elements, each exactly once, in a fixed sorted order."""
-    return [spec.wrap(t) for t in spec.elements_t(budget)]
-
-
-def is_psl_member(g: GroupElement) -> bool:
-    """For a PGL element over odd q: does it lie in the PSL subgroup?
-
-    The square class of the determinant is invariant under projective
-    scaling, so this is well-defined on canonical representatives.
-    """
-    spec = g.group
-    if spec.q % 2 == 0:
-        return True
-    det = spec.det_t(g.t)
-    return spec._fsqrt(det) != -1
-
-
 # -- conjugacy data ---------------------------------------------------------
 
 
-def involution_class(spec: GroupSpec) -> tuple[GroupElement, int]:
-    """The single conjugacy class of involutions of PSL(2,q): (rep, size).
+def involution_class(spec: GroupSpec, budget: int | None = None) -> tuple[int, int]:
+    """The single conjugacy class of involutions of PSL(2,q): (id, size),
+    the id that of the matrix (0, 1; -1, 0).
 
     Size is q^2-1 for even q and q(q+eps)/2 for odd q = eps (mod 4).
     """
     if spec.kind != "PSL":
         raise ValueError("involution class formulas apply to PSL(2,q)")
     q = spec.q
-    fld = spec.field
-    one = fld.one
     if q % 2 == 0:
-        rep = canonicalize((fld.zero, one, one, fld.zero), "PSL", fld)
         size = q * q - 1
     else:
-        rep = canonicalize((fld.zero, one, -one, fld.zero), "PSL", fld)
         eps = 1 if q % 4 == 1 else -1
         size = q * (q + eps) // 2
-    return rep, size
+    one, minus = spec._one, (-spec.field.one).index
+    return indexed_group(spec, budget).id_of((0, one, minus, 0)), size
 
 
-def order3_class(spec: GroupSpec) -> tuple[GroupElement, int]:
-    """The single conjugacy class of order-3 elements for characteristic > 5."""
+def order3_class(spec: GroupSpec, budget: int | None = None) -> tuple[int, int]:
+    """The single conjugacy class of order-3 elements for characteristic > 5:
+    (id, size), the id that of the matrix (0, -1; 1, -1)."""
     if spec.kind != "PSL":
         raise ValueError("order-3 class formulas apply to PSL(2,q)")
-    p = spec.field.p
-    if p <= 5:
+    if spec.field.p <= 5:
         raise ValueError(
             "single-class property for order-3 elements requires characteristic > 5"
         )
     q = spec.q
-    fld = spec.field
-    rep = canonicalize((fld.zero, -fld.one, fld.one, -fld.one), "PSL", fld)
     size = q * (q - 1) if q % 3 == 2 else q * (q + 1)
-    return rep, size
+    one, minus = spec._one, (-spec.field.one).index
+    return indexed_group(spec, budget).id_of((0, minus, one, minus)), size
 
 
-def centralizer(g: GroupElement | int, spec: GroupSpec | None = None, budget: int | None = None):
-    """Centralizer {x : xg = gx} as a SubgroupHandle with a recognized type.
-    g is an element or, with `spec` given, an element id."""
+def centralizer(g: int, spec: GroupSpec, budget: int | None = None):
+    """Centralizer {x : xg = gx} of the element with id g, as a
+    SubgroupHandle with a recognized type."""
     from . import subgroups  # deferred: subgroups builds on this module
 
-    spec = spec or g.group
     ig = indexed_group(spec, budget)
-    ids, gi = np.arange(ig.n), g if isinstance(g, int) else ig.id_of(g.t)
-    members = np.flatnonzero(ig.mul_ids(ids, gi) == ig.mul_ids(gi, ids))
+    ids = np.arange(ig.n)
+    members = np.flatnonzero(ig.mul_ids(ids, g) == ig.mul_ids(g, ids))
     return subgroups.handle_from_ids(spec, members)
-
-
-# -- projective line --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point (x:y) of PG(1,q), normalized so the last nonzero coordinate is 1."""
-
-    x: FieldElement
-    y: FieldElement
-
-    @staticmethod
-    def of(x: FieldElement, y: FieldElement) -> "ProjectivePoint":
-        if not y.is_zero():
-            return ProjectivePoint(x / y, y.spec.one)
-        if x.is_zero():
-            raise ValueError("(0:0) is not a projective point")
-        return ProjectivePoint(x.spec.one, y)
-
-    def __repr__(self):
-        return f"({list(self.x.coeffs)}:{list(self.y.coeffs)})"
-
-
-def projective_line(field: FieldSpec) -> list[ProjectivePoint]:
-    """The q+1 points of PG(1,q): (x:1) in field order, then (1:0)."""
-    pts = [ProjectivePoint(x, field.one) for x in field.enumerate()]
-    pts.append(ProjectivePoint(field.one, field.zero))
-    return pts
-
-
-def act_on_line(g: GroupElement, pt: ProjectivePoint) -> ProjectivePoint:
-    """Natural right action of the group on PG(1,q): (x,y) -> (x,y)M."""
-    a, b, c, d = g.matrix
-    return ProjectivePoint.of(pt.x * a + pt.y * c, pt.x * b + pt.y * d)
 
 
 # -- indexed enumeration (fast internal core) -------------------------------
@@ -488,8 +279,11 @@ class IndexedGroup:
         return self.code.ravel()[(i0.astype(np.intp) * self.m + i1) * self.m + i2]
 
     def ids_of(self, ts) -> np.ndarray:
-        """Ids of canonical 4-tuples, read off their images of 0, 1 and
-        infinity: (c:d), (a+c:b+d) and (a:b)."""
+        """Ids of matrices given as 4-tuples (a, b, c, d) of field indices,
+        read off their images of 0, 1 and infinity: (c:d), (a+c:b+d) and
+        (a:b).  A matrix need not be canonical: every nonzero multiple has
+        the same images.  A singular matrix, or one with a non-square
+        determinant in PSL, raises KeyError."""
         a, b, c, d = np.asarray(ts, dtype=np.intp).reshape(-1, 4).T
         images = (c, d), (self._add[a, c], self._add[b, d]), (a, b)
         ids = self._id_at(*(self._point(x, y) for x, y in images))

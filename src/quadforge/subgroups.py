@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ints import prime_power
+from ._ints import factorize, prime_power
 from .errors import BudgetExceededError, VerificationError
 from .psl2 import (
-    GroupElement,
     GroupSpec,
     IndexedGroup,
     array_tables,
@@ -56,46 +55,19 @@ class SubgroupDescriptor:
 @dataclass
 class SubgroupHandle:
     """Explicit subgroup: descriptor plus its members as sorted ids of the
-    group's `IndexedGroup` and, where known, generator ids."""
+    group's `IndexedGroup`."""
 
     group: GroupSpec
     descriptor: SubgroupDescriptor
     ids: tuple[int, ...]
-    gen_ids: tuple[int, ...] | None = None
 
     def __len__(self):
         return len(self.ids)
-
-    @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        """The members as canonical elements, in id order."""
-        return _elements(self.group, self.ids)
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
 
     def idx_set(self, ig: IndexedGroup | None = None) -> tuple[int, ...]:
         """`ids`, for callers that still pass the indexed group
         (`perfbench/unit.py`)."""
         return self.ids
-
-    def ensure_generators(self) -> tuple[int, ...]:
-        """Generator ids: a pair where one generates (the first in id
-        order), else every member; verified by closure."""
-        if self.gen_ids is None:
-            ig = indexed_group(self.group)
-            ids = self.ids
-            pair = next(
-                (
-                    (x, y)
-                    for i, x in enumerate(ids)
-                    for y in ids[i:]
-                    if len(ig.closure_idx((x, y))) == len(ids)
-                ),
-                None,
-            )
-            self.gen_ids = ids if pair is None else pair
-        return self.gen_ids
 
     def __repr__(self):
         return (
@@ -104,18 +76,11 @@ class SubgroupHandle:
         )
 
 
-def _elements(spec: GroupSpec, ids) -> tuple[GroupElement, ...]:
-    """The canonical elements with these ids.  The ids come from the
-    enumerated group, so its own order passes the budget."""
-    els = spec.elements_t(spec.order)
-    return tuple(GroupElement(spec, els[i]) for i in ids)
-
-
-def handle_from_ids(spec: GroupSpec, ids, descriptor=None, gen_ids=None) -> SubgroupHandle:
+def handle_from_ids(spec: GroupSpec, ids, descriptor=None) -> SubgroupHandle:
     """Handle of the subgroup with these member ids.  Without a descriptor
     its structure is recognized and its index read off its order."""
     ids = tuple(sorted(set(np.asarray(ids).tolist())))
-    handle = SubgroupHandle(spec, descriptor, ids, gen_ids)
+    handle = SubgroupHandle(spec, descriptor, ids)
     if descriptor is None:
         if not ids or spec.order % len(ids):
             raise ValueError("element count does not divide the group order")
@@ -227,32 +192,18 @@ def case_condition_at(
     if case_id == 6:
         if q % 2 == 0:
             return False
-        opts = [rr for rr in _prime_divisors(f) if rr % 2]
+        opts = [rr for rr in sorted(factorize(f)) if rr % 2]
         if r is not None:
             return r in opts and (q0 is None or q0 == p ** (f // r))
         return bool(opts)
     if case_id == 7:
         if p != 2:
             return False
-        opts = [rr for rr in _prime_divisors(f) if f // rr >= 2]
+        opts = [rr for rr in sorted(factorize(f)) if f // rr >= 2]
         if r is not None:
             return r in opts and (q0 is None or q0 == 2 ** (f // r))
         return bool(opts)
     raise ValueError(f"unknown case {case_id}")
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def case_params(case_id: int, q: int) -> list[dict]:
@@ -266,12 +217,12 @@ def case_params(case_id: int, q: int) -> list[dict]:
         return [{"q0": p ** (f // 2), "r": 2}]
     if case_id == 6:
         return [
-            {"q0": p ** (f // r), "r": r} for r in _prime_divisors(f) if r % 2
+            {"q0": p ** (f // r), "r": r} for r in sorted(factorize(f)) if r % 2
         ]
     if case_id == 7:
         return [
             {"q0": 2 ** (f // r), "r": r}
-            for r in _prime_divisors(f)
+            for r in sorted(factorize(f))
             if f // r >= 2
         ]
     return [{}]
@@ -364,19 +315,6 @@ def subfield_indices(fld, q0: int) -> list[int]:
     return out
 
 
-def closure(generators, spec: GroupSpec | None = None, budget: int | None = None):
-    """Smallest subgroup containing `generators` (breadth-first closure);
-    more than `budget` elements raise BudgetExceededError."""
-    gens = list(generators)
-    if spec is None:
-        spec = gens[0].group
-    ig = indexed_group(spec)
-    ids = ig.closure_idx(ig.ids_of([g.t for g in gens]).tolist())
-    if len(ids) > (budget or spec.order):
-        raise BudgetExceededError("closure exceeded the element budget")
-    return _elements(spec, ids)
-
-
 def _borel_ids(spec: GroupSpec, budget=None) -> np.ndarray:
     """The upper triangular elements: canonical rows with c = 0."""
     return np.flatnonzero(spec.element_array(budget)[:, 2] == 0)
@@ -421,7 +359,7 @@ def _build_triangle(spec: GroupSpec, case_id: int):
         for y in threes[orders[ig.mul_ids(x, threes)] == prod_order].tolist():
             ids = ig.closure_idx((x, y))
             if len(ids) == size:
-                return ids, (x, y)
+                return ids
     # the subgroup exists whenever the case condition holds
     raise VerificationError("triangle-generators", f"no {size}-element <x, y> in {spec!r}")
 
@@ -445,7 +383,7 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
         raise VerificationError("inverting-involution", f"none for an order-{m} element of {spec!r}")
     y = int(hits[0])
     members[ig.mul_ids(cyc, y)] = True
-    return np.flatnonzero(members), (x, y)
+    return np.flatnonzero(members)
 
 
 def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int | None = None) -> SubgroupHandle:
@@ -458,17 +396,16 @@ def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int 
         raise ValueError(f"case {case} condition violated at q = {q}")
     if spec.order > resolve_budget(budget):
         raise BudgetExceededError("group too large to enumerate")
-    gens = None
     if case == 1:
         ids = _borel_ids(spec, budget)
     elif case in (2, 6, 7):
         ids = _subfield_ids(spec, descriptor.q0, case == 2, budget)
     elif case in (3, 4, 5, 8, 9):
         build = _build_triangle if case in (3, 4, 5) else _build_dihedral
-        ids, gens = build(spec, case)
+        ids = build(spec, case)
     else:
         raise ValueError(f"unknown case {case}")
-    handle = handle_from_ids(spec, ids, descriptor, gens)
+    handle = handle_from_ids(spec, ids, descriptor)
     if len(handle) * descriptor.claimed_index != spec.order:
         raise VerificationError(
             "subgroup-order",
@@ -487,19 +424,18 @@ def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | No
 # ---------------------------------------------------------------------------
 
 
-def conjugate(handle: SubgroupHandle, g: GroupElement) -> SubgroupHandle:
+def conjugate(handle: SubgroupHandle, g: int) -> SubgroupHandle:
+    """H^g = g^-1 H g for the element with id g."""
     ig = indexed_group(handle.group)
-    gi = ig.id_of(g.t)
-    ids = np.sort(ig.conj_ids(np.asarray(handle.ids), gi))
-    gens = handle.gen_ids and tuple(ig.conj_ids(np.asarray(handle.gen_ids), gi).tolist())
-    return SubgroupHandle(handle.group, handle.descriptor, tuple(ids.tolist()), gens)
+    ids = np.sort(ig.conj_ids(np.asarray(handle.ids), g))
+    return SubgroupHandle(handle.group, handle.descriptor, tuple(ids.tolist()))
 
 
 def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None, budget=None) -> SubgroupHandle:
     """Set-level normalizer {g : H^g = H}."""
     spec = spec or handle.group
     ig = indexed_group(spec, budget)
-    return handle_from_ids(spec, ig.transporter(handle.ensure_generators(), handle.ids))
+    return handle_from_ids(spec, ig.transporter(ig.generators_of(handle.ids), handle.ids))
 
 
 def _conj_maps(ig: IndexedGroup) -> list[np.ndarray]:

@@ -425,14 +425,16 @@ def _point_id(pt, q):
 
 @pytest.mark.parametrize("kind", ["psl", "pgl"])
 def test_pair_orbit_kernel_matches_scalar_action(kind):
+    from oracle import act_on_line, enumerate_group, projective_line
+
     from quadforge import psl2
 
     for q in (4, 5, 7, 8, 9, 11, 13):
         spec = getattr(psl2, kind)(q)
-        pts = psl2.projective_line(spec.field)
+        pts = projective_line(spec.field)
         scalar = {
-            (_point_id(psl2.act_on_line(g, pts[0]), q), _point_id(psl2.act_on_line(g, pts[1]), q))
-            for g in psl2.enumerate_group(spec)
+            (_point_id(act_on_line(g, pts[0]), q), _point_id(act_on_line(g, pts[1]), q))
+            for g in enumerate_group(spec)
         }
         orbit = _pair_orbit(psl2.indexed_group(spec).perms)
         assert orbit == scalar, (kind, q)

@@ -7,8 +7,8 @@ import pytest
 from quadforge.errors import VerificationError
 from quadforge.geometry import (
     GQVerdict,
+    IncidenceGeometry,
     _check_axioms,
-    build_geometry,
     check_gq,
     double_cosets,
     export_incidence,
@@ -119,7 +119,7 @@ def test_w2_geometry_shape(w2_bundle):
 
 def test_empty_selection_no_incidences(w2_bundle):
     res = w2_bundle
-    geom = build_geometry(res.M0, res.M1, [], res.M0.group)
+    geom = IncidenceGeometry(res.M0, res.M1, [], res.M0.group)
     assert geom.flag_count() == 0
 
 
@@ -259,26 +259,23 @@ def test_transitive_on_fixed(w2_bundle):
     base_rep = geom.point_reps[geom.base_point]
     m0 = w2_bundle.M0.ids
     g_idx = next(i for i in m0 if orders[i] == 2)
-    g = geom.spec.wrap(geom.spec.elements_t()[g_idx])
-    cent = centralizer(g, geom.spec)
+    cent = centralizer(g_idx, geom.spec)
     # direct orbit oracle: the centralizer orbit of the base point
-    orbit = {
-        geom.point_label[ig.mul_idx(base_rep, ig.id_of(x.t))] for x in cent.elements
-    }
+    orbit = {geom.point_label[ig.mul_idx(base_rep, x)] for x in cent.ids}
     pa = geom.point_action(g_idx)
     fixed = {p for p in range(15) if pa[p] == p}
     assert orbit <= fixed
     # the orbit is strictly smaller: 3 does not divide |centralizer| = 8,
     # so the centralizer cannot be transitive on the 3 fixed points
     assert len(cent) == 8
-    assert transitive_on_fixed(g, geom, cent) is (orbit == fixed)
-    assert not transitive_on_fixed(g, geom, cent)
+    assert transitive_on_fixed(g_idx, geom, cent) is (orbit == fixed)
+    assert not transitive_on_fixed(g_idx, geom, cent)
     # a trivial subgroup never covers a fixed set of size >= 2
     triv = handle_from_elements(geom.spec, [geom.spec.identity_t])
-    assert not transitive_on_fixed(g, geom, triv)
+    assert not transitive_on_fixed(g_idx, geom, triv)
     # the whole group moves the base point off the fixed set
     whole = whole_group_handle(geom.spec)
-    assert not transitive_on_fixed(g, geom, whole)
+    assert not transitive_on_fixed(g_idx, geom, whole)
 
 
 def test_transitive_on_fixed_requires_fixed_base(w2_bundle):
@@ -299,7 +296,7 @@ def test_no_abelian_subgroup_regular_on_points(w2_bundle):
     geom = w2_bundle.geometry
     ig = geom.ig
     for h in two_generated_abelian_subgroups(geom.spec):
-        idxs = [ig.id_of(g.t) for g in h.elements]
+        idxs = h.ids
         base_rep = geom.point_reps[geom.base_point]
         orbit = {geom.point_label[ig.mul_idx(base_rep, i)] for i in idxs}
         point_transitive = len(orbit) == 15

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 import sympy
+from oracle import is_square, sqrt_t
 
 from quadforge.errors import MixedFieldError
-from quadforge.gfq import _is_irreducible, arith, enumerate_field, is_square, make_field
+from quadforge.gfq import FieldElement, _is_irreducible, make_field
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -96,8 +97,8 @@ def test_gf9_x_times_x():
 def test_mul_identity():
     for p, f in [(2, 1), (3, 2), (5, 1), (2, 4)]:
         spec = make_field(p, f)
-        for a in enumerate_field(spec):
-            assert arith(a, spec.one, "mul") == a
+        for a in spec.enumerate():
+            assert a * spec.one == a
 
 
 def test_gf41_inverse_of_two():
@@ -107,20 +108,29 @@ def test_gf41_inverse_of_two():
     assert expected == 21
     two = f41.element(2)
     assert (f41.one / two).coeffs == (21,)
-    assert arith(f41.one, two, "div") == f41.element(21)
+    assert f41.one / two == f41.element(21)
 
 
 def test_division_by_zero():
     f9 = make_field(3, 2)
     with pytest.raises(ZeroDivisionError):
-        arith(f9.one, f9.zero, "div")
+        f9.one / f9.zero
 
 
 def test_mixed_field_rejected():
     a = make_field(3, 1).one
     b = make_field(5, 1).one
     with pytest.raises(MixedFieldError):
-        arith(a, b, "add")
+        a + b
+
+
+def test_coefficient_count_is_checked_without_assert():
+    # a ValueError, not an assert, so `python -O` keeps the check
+    f9 = make_field(3, 2)
+    for coeffs in [(1,), (1, 0, 0), ()]:
+        with pytest.raises(ValueError, match="expected 2 coefficients"):
+            FieldElement(f9, coeffs)
+    assert FieldElement(f9, (1, 2)).index == 5
 
 
 def test_field_axioms_exhaustive_small_q():
@@ -128,7 +138,7 @@ def test_field_axioms_exhaustive_small_q():
     for p, f in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                  (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2)]:
         spec = make_field(p, f)
-        els = enumerate_field(spec)
+        els = spec.enumerate()
         assert len(els) == spec.q
         for a in els:
             assert a + spec.zero == a
@@ -149,8 +159,8 @@ def test_field_axioms_exhaustive_small_q():
 def test_frobenius_is_additive_and_multiplicative():
     for p, f in [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 1)]:
         spec = make_field(p, f)
-        for a in enumerate_field(spec):
-            for b in enumerate_field(spec):
+        for a in spec.enumerate():
+            for b in spec.enumerate():
                 assert (a + b) ** p == a**p + b**p
                 assert (a * b) ** p == (a**p) * (b**p)
 
@@ -166,7 +176,7 @@ def test_is_square_minus_one():
         spec = make_field(p, f)
         minus_one = -spec.one
         if p == 3 and f == 2:
-            squares = {(e * e).coeffs for e in enumerate_field(spec) if not e.is_zero()}
+            squares = {(e * e).coeffs for e in spec.enumerate() if not e.is_zero()}
             assert (minus_one.coeffs in squares) is expected  # oracle
         assert is_square(minus_one) is expected
 
@@ -178,18 +188,19 @@ def test_is_square_matches_enumeration_all_odd_q_up_to_121():
                  (67, 1), (71, 1), (73, 1), (79, 1), (83, 1), (89, 1), (97, 1),
                  (101, 1), (103, 1), (107, 1), (109, 1), (113, 1), (11, 2)]:
         spec = make_field(p, f)
-        squares = {(e * e).coeffs for e in enumerate_field(spec) if not e.is_zero()}
-        for a in enumerate_field(spec):
+        squares = {(e * e).coeffs for e in spec.enumerate() if not e.is_zero()}
+        sqrt = spec.int_tables()[4]  # the table W(2)'s non-square twist reads
+        for a in spec.enumerate():
             if a.is_zero():
                 continue
-            assert is_square(a) == (a.coeffs in squares)
+            assert is_square(a) == (a.coeffs in squares) == (sqrt[a.index] != -1)
 
 
 def test_is_square_zero_rejected_and_even_char_true():
     with pytest.raises(ValueError):
         is_square(make_field(5, 1).zero)
     f16 = make_field(2, 4)
-    for a in enumerate_field(f16):
+    for a in f16.enumerate():
         if not a.is_zero():
             assert is_square(a)
 
@@ -200,17 +211,17 @@ def test_is_square_zero_rejected_and_even_char_true():
 
 
 def test_enumerate_counts_and_order():
-    assert len(enumerate_field(make_field(2, 2))) == 4
-    f9 = enumerate_field(make_field(3, 2))
+    assert len(make_field(2, 2).enumerate()) == 4
+    f9 = make_field(3, 2).enumerate()
     assert len(f9) == 9
     assert f9[0].is_zero()
-    f49 = enumerate_field(make_field(7, 2))
+    f49 = make_field(7, 2).enumerate()
     assert len({e.coeffs for e in f49}) == 49  # oracle: distinct coefficient vectors
 
 
 def test_enumeration_index_roundtrip():
     spec = make_field(3, 2)
-    for i, e in enumerate(enumerate_field(spec)):
+    for i, e in enumerate(spec.enumerate()):
         assert e.index == i
         assert spec.from_index(i) == e.coeffs
 
@@ -226,7 +237,7 @@ def test_multiplication_against_dlog_table():
     for p, f in [(7, 2), (3, 4), (11, 2)]:
         spec = make_field(p, f)
         q = spec.q
-        nonzero = [e for e in enumerate_field(spec) if not e.is_zero()]
+        nonzero = [e for e in spec.enumerate() if not e.is_zero()]
         gen = None
         for cand in nonzero:
             powers = {}
@@ -259,7 +270,7 @@ def direct_int_tables(spec):
     mul = [[idx(spec.mul_t(a, b)) for b in els] for a in els]
     neg = [idx(spec.neg_t(a)) for a in els]
     inv = [-1] + [idx(spec.inv_t(a)) for a in els[1:]]
-    sqrt = [-1 if (r := spec.sqrt_t(a)) is None else idx(r) for a in els]
+    sqrt = [-1 if (r := sqrt_t(spec, a)) is None else idx(r) for a in els]
     return add, mul, neg, inv, sqrt
 
 

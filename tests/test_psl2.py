@@ -1,25 +1,32 @@
 import numpy as np
 import pytest
-
-from quadforge import psl2
-from quadforge._ints import prime_power
-from quadforge.errors import BudgetExceededError, PslMembershipError, VerificationError
-from quadforge.gfq import enumerate_field, is_square, make_field
-from quadforge.psl2 import (
-    GroupSpec,
+from oracle import (
+    NotInPslError,
+    TupleGroup,
     act_on_line,
     canonicalize,
-    centralizer,
     element_order,
     enumerate_group,
-    indexed_group,
     inv,
-    involution_class,
     is_psl_member,
+    is_square,
     mul,
+    projective_line,
+    wrap,
+)
+
+import quadforge
+from quadforge import psl2
+from quadforge._ints import prime_power
+from quadforge.errors import BudgetExceededError, VerificationError
+from quadforge.gfq import make_field
+from quadforge.psl2 import (
+    GroupSpec,
+    centralizer,
+    indexed_group,
+    involution_class,
     order3_class,
     pgl,
-    projective_line,
     psl,
 )
 from quadforge.subgroups import is_cyclic, is_dihedral, is_elementary_abelian
@@ -31,8 +38,8 @@ from quadforge.subgroups import is_cyclic, is_dihedral, is_elementary_abelian
 
 def naive_psl_order(q):
     """Count determinant-1 matrices by brute force, then collapse +-M."""
-    fld = make_field(*__import__("quadforge._ints", fromlist=["prime_power"]).prime_power(q))
-    els = enumerate_field(fld)
+    fld = make_field(*prime_power(q))
+    els = fld.enumerate()
     count = 0
     for a in els:
         for b in els:
@@ -44,10 +51,8 @@ def naive_psl_order(q):
 
 
 def naive_pgl_order(q):
-    from quadforge._ints import prime_power
-
     fld = make_field(*prime_power(q))
-    els = enumerate_field(fld)
+    els = fld.enumerate()
     invertible = 0
     for a in els:
         for b in els:
@@ -78,26 +83,33 @@ def test_standard_involution_q7():
 
 def test_nonsquare_determinant_rejected_for_psl():
     f9 = make_field(3, 2)
-    omega = next(
-        e for e in enumerate_field(f9) if not e.is_zero() and not is_square(e)
-    )
-    with pytest.raises(PslMembershipError):
+    omega = next(e for e in f9.enumerate() if not e.is_zero() and not is_square(e))
+    with pytest.raises(NotInPslError):
         canonicalize(((omega, f9.zero), (f9.zero, f9.one)), "PSL", f9)
     # the same matrix is a fine PGL element
     g = canonicalize(((omega, f9.zero), (f9.zero, f9.one)), "PGL", f9)
     assert not is_psl_member(g)
+    # the kernel refuses it in PSL and finds it in PGL
+    row = (omega.index, 0, 0, f9.one.index)
+    with pytest.raises(KeyError):
+        indexed_group(psl(9)).ids_of([row])
+    assert pgl(9).elements_t()[indexed_group(pgl(9)).id_of(row)] == g.t
 
 
 def test_singular_matrix_rejected():
     f5 = make_field(5, 1)
     with pytest.raises(ValueError):
         canonicalize(((f5.one, f5.one), (f5.one, f5.one)), "PSL", f5)
+    for spec in (psl(5), pgl(5)):
+        for row in ((1, 1, 1, 1), (0, 0, 1, 2), (2, 3, 0, 0), (1, 2, 4, 3)):
+            with pytest.raises(KeyError):
+                indexed_group(spec).ids_of([row])
 
 
 def test_canonicalize_idempotent():
     spec = psl(7)
     for g in enumerate_group(spec)[:50]:
-        again = spec.canonicalize_t(g.t)
+        again = TupleGroup(spec).canonicalize_t(g.t)
         assert again == g.t
 
 
@@ -138,7 +150,7 @@ def test_order_of_torus_element_in_psl9():
     f9 = make_field(3, 2)
     z = next(
         e
-        for e in enumerate_field(f9)
+        for e in f9.enumerate()
         if not e.is_zero() and all((e**k).coeffs != f9.one.coeffs for k in range(1, 8))
     )
     g = canonicalize(((z, f9.zero), (f9.zero, f9.one / z)), "PSL", f9)
@@ -175,9 +187,10 @@ def scalar_elements_t(spec):
     or leading-1 invertible (PGL) matrix one at a time, then sort."""
     q = spec.q
     out = set()
-    canon = spec.canonicalize_t
+    group = TupleGroup(spec)
+    canon = group.canonicalize_t
     if spec.kind == "PSL":
-        fm, fa, fi, fn = spec._fmul, spec._fadd, spec._finv, spec._fneg
+        fm, fa, fi, fn = group._fmul, group._fadd, group._finv, group._fneg
         one = spec._one
         for a in range(1, q):
             ia = fi(a)
@@ -193,7 +206,7 @@ def scalar_elements_t(spec):
         for b in range(q):
             for c in range(q):
                 for d in range(q):
-                    if spec.det_t((one, b, c, d)) != 0:
+                    if group.det_t((one, b, c, d)) != 0:
                         out.add(canon((one, b, c, d)))
         for c in range(1, q):
             for d in range(q):
@@ -310,9 +323,11 @@ def test_involution_class_q8():
 
 
 def test_involution_class_q41_formula():
-    rep, size = involution_class(psl(41))
+    spec = psl(41)
+    rep, size = involution_class(spec)
     assert size == 861
-    assert element_order(rep) == 2
+    assert indexed_group(spec).orders()[rep] == 2
+    assert element_order(wrap(spec, spec.elements_t()[rep])) == 2
 
 
 def test_involution_class_q9(psl9):
@@ -322,9 +337,11 @@ def test_involution_class_q9(psl9):
 
 def test_order3_class_small_q():
     for q, expected in [(7, 56), (11, 110), (13, 182)]:
-        rep, size = order3_class(psl(q))
+        spec = psl(q)
+        rep, size = order3_class(spec)
         assert size == expected
-        assert element_order(rep) == 3
+        assert indexed_group(spec).orders()[rep] == 3
+        assert element_order(wrap(spec, spec.elements_t()[rep])) == 3
     # q = 13 against brute force
     spec = psl(13)
     ig = indexed_group(spec)
@@ -347,7 +364,7 @@ def test_order3_class_refuses_small_characteristic():
 
 def test_centralizer_involution_psl9(psl9):
     rep, size = involution_class(psl9)
-    c = centralizer(rep)
+    c = centralizer(rep, psl9)
     assert len(c) == 8  # q - 1
     assert is_dihedral(c)
     assert size * len(c) == psl9.order  # orbit-stabilizer
@@ -356,7 +373,7 @@ def test_centralizer_involution_psl9(psl9):
 def test_centralizer_involution_psl8():
     spec = psl(8)
     rep, _ = involution_class(spec)
-    c = centralizer(rep)
+    c = centralizer(rep, spec)
     assert len(c) == 8
     assert is_elementary_abelian(c)
 
@@ -364,10 +381,10 @@ def test_centralizer_involution_psl8():
 def test_centralizer_order3_psl7():
     spec = psl(7)
     rep, _ = order3_class(spec)
-    c = centralizer(rep)
+    c = centralizer(rep, spec)
     assert len(c) == 3
     assert is_cyclic(c)
-    assert rep in c
+    assert rep in c.ids
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +402,7 @@ def test_projective_line_size():
 
 def test_identity_action():
     spec = psl(5)
-    e = spec.wrap(spec.identity_t)
+    e = wrap(spec, spec.identity_t)
     for pt in projective_line(spec.field):
         assert act_on_line(e, pt) == pt
 
@@ -439,8 +456,7 @@ def test_orbit_stabilizer_all_classes():
         spec = psl(q)
         ig = indexed_group(spec)
         for cls in ig.all_classes():
-            rep = spec.wrap(spec.elements_t()[cls[0]])
-            c = centralizer(rep, spec)
+            c = centralizer(cls[0], spec)
             assert len(cls) * len(c) == spec.order
 
 
@@ -461,7 +477,7 @@ KERNEL_GROUPS = [(kind, q) for q in (4, 5, 7, 8, 9, 16, 25, 27) for kind in ("PS
 def _oracle(kind, q):
     spec = psl(q) if kind == "PSL" else pgl(q)
     els = spec.elements_t()
-    return spec, indexed_group(spec), els, {t: i for i, t in enumerate(els)}
+    return spec, indexed_group(spec), els, {t: i for i, t in enumerate(els)}, TupleGroup(spec)
 
 
 @pytest.mark.parametrize("kind,q", KERNEL_GROUPS)
@@ -470,7 +486,7 @@ def test_kernel_ids_products_inverses_orders_cayley(kind, q):
 
     import numpy as np
 
-    spec, ig, els, index = _oracle(kind, q)
+    spec, ig, els, index, group = _oracle(kind, q)
     assert ig.ids_of(els).tolist() == list(range(ig.n))
     assert ig.e == index[spec.identity_t]
     if ig.n <= 1000:
@@ -481,15 +497,27 @@ def test_kernel_ids_products_inverses_orders_cayley(kind, q):
         rng = random.Random(20240)
         pairs = [(rng.randrange(ig.n), rng.randrange(ig.n)) for _ in range(20000)]
         elements = sorted(rng.sample(range(ig.n), 1000))
-    want = [index[spec.mul_t(els[i], els[j])] for i, j in pairs]
+    want = [index[group.mul_t(els[i], els[j])] for i, j in pairs]
     assert [ig.mul_idx(i, j) for i, j in pairs] == want
     xs, ys = np.array(pairs).T
     assert ig.mul_ids(xs, ys).tolist() == want
     if ig.n <= 1000:
         assert ig.cayley().ravel().tolist() == want
-    assert [ig.inv_idx(i) for i in elements] == [index[spec.inv_t(els[i])] for i in elements]
+    assert [ig.inv_idx(i) for i in elements] == [index[group.inv_t(els[i])] for i in elements]
     orders = ig.orders()
-    assert [orders[i] for i in elements] == [spec.order_t(els[i]) for i in elements]
+    assert [orders[i] for i in elements] == [group.order_t(els[i]) for i in elements]
+
+
+@pytest.mark.parametrize("kind,q", [("PSL", 9), ("PGL", 8), ("PSL", 25), ("PGL", 27)])
+def test_spec_mul_t_reads_the_kernel_product(kind, q):
+    spec, _, els, _, group = _oracle(kind, q)
+    rng = np.random.default_rng(q)
+    for i, j in rng.integers(0, len(els), (300, 2)).tolist():
+        assert spec.mul_t(els[i], els[j]) == group.mul_t(els[i], els[j])
+    # a nonzero multiple of a factor has the same images, hence the same product
+    lam, fmul = spec.q - 1, spec.field.int_tables()[1]
+    scaled = tuple(fmul[lam][x] for x in els[5])
+    assert scaled != els[5] and spec.mul_t(scaled, els[7]) == group.mul_t(els[5], els[7])
 
 
 @pytest.mark.parametrize("kind,q", KERNEL_GROUPS)
@@ -514,6 +542,7 @@ FLAT_GROUPS = [(kind, q) for q in (8, 9, 25, 27, 41, 47, 49) for kind in ("PSL",
 def test_flat_kernel_rows_products_and_orders_match_the_tuple_layer(kind, q):
     spec = psl(q) if kind == "PSL" else pgl(q)
     ig = psl2.IndexedGroup(spec)  # uncached: the large groups are not kept
+    group = TupleGroup(spec)
     E = spec.element_array()
     rng = np.random.default_rng(q)
 
@@ -526,19 +555,19 @@ def test_flat_kernel_rows_products_and_orders_match_the_tuple_layer(kind, q):
     point_id = {p: i for i, p in enumerate(line)}
     rows = range(ig.n) if ig.n <= 1000 else rng.choice(ig.n, 300, replace=False)
     for i in rows:
-        g = spec.wrap(el(i))
+        g = wrap(spec, el(i))
         assert ig.perms[i].tolist() == [point_id[act_on_line(g, p)] for p in line]
 
     xs, ys = rng.integers(0, ig.n, (2, 2000))
-    want = ig.ids_of([spec.mul_t(el(x), el(y)) for x, y in zip(xs, ys)])
+    want = ig.ids_of([group.mul_t(el(x), el(y)) for x, y in zip(xs, ys)])
     assert ig.mul_ids(xs, ys).tolist() == want.tolist()
     x0, y0 = int(xs[0]), int(ys[0])
-    assert ig.mul_ids(x0, ys).tolist() == ig.ids_of([spec.mul_t(el(x0), el(y)) for y in ys]).tolist()
-    assert ig.mul_ids(xs, y0).tolist() == ig.ids_of([spec.mul_t(el(x), el(y0)) for x in xs]).tolist()
+    assert ig.mul_ids(x0, ys).tolist() == ig.ids_of([group.mul_t(el(x0), el(y)) for y in ys]).tolist()
+    assert ig.mul_ids(xs, y0).tolist() == ig.ids_of([group.mul_t(el(x), el(y0)) for x in xs]).tolist()
 
     orders = ig.orders()
     sample = rng.choice(ig.n, 200, replace=False)
-    assert [orders[i] for i in sample] == [spec.order_t(el(i)) for i in sample]
+    assert [orders[i] for i in sample] == [group.order_t(el(i)) for i in sample]
 
 
 def test_mul_ids_by_a_scalar_row_just_under_the_uint16_limit():
@@ -546,6 +575,7 @@ def test_mul_ids_by_a_scalar_row_just_under_the_uint16_limit():
     # `perms`, so the index of any image >= 16 passes 2^16 and must not wrap
     spec = psl(47)
     ig = psl2.IndexedGroup(spec)
+    group = TupleGroup(spec)
     E = spec.element_array()
     y = 1365
     assert y * ig.m == 65520
@@ -555,11 +585,11 @@ def test_mul_ids_by_a_scalar_row_just_under_the_uint16_limit():
 
     far = np.flatnonzero(ig.perms[:, [0, spec._one, spec.q]].max(axis=1) >= 16)
     xs = np.random.default_rng(47).choice(far, 300, replace=False)
-    want = ig.ids_of([spec.mul_t(el(x), el(y)) for x in xs]).tolist()
+    want = ig.ids_of([group.mul_t(el(x), el(y)) for x in xs]).tolist()
     assert ig.mul_ids(xs, y).tolist() == want
     assert ig.mul_ids(xs, np.intp(y)).tolist() == want
     yi = el(ig.inv_idx(y))
-    conj = ig.ids_of([spec.mul_t(spec.mul_t(yi, el(x)), el(y)) for x in xs]).tolist()
+    conj = ig.ids_of([group.mul_t(group.mul_t(yi, el(x)), el(y)) for x in xs]).tolist()
     assert ig.conj_ids(xs, y).tolist() == conj
 
 
@@ -692,3 +722,25 @@ def test_coset_generators_must_close_to_the_subgroup(ig9):
     x = ig9.orders().index(3)
     with pytest.raises(VerificationError, match="subgroup-closure"):
         ig9.coset_labels([ig9.e, x])  # {1, x} with x of order 3 is not a subgroup
+
+
+# ---------------------------------------------------------------------------
+# the package surface
+# ---------------------------------------------------------------------------
+
+
+def test_package_exports_are_pinned():
+    assert quadforge.__all__ == [
+        "FieldElement",
+        "FieldSpec",
+        "GroupSpec",
+        "IndexedGroup",
+        "centralizer",
+        "indexed_group",
+        "involution_class",
+        "make_field",
+        "order3_class",
+        "pgl",
+        "psl",
+    ]
+    assert all(getattr(quadforge, name) is not None for name in quadforge.__all__)

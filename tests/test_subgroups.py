@@ -3,22 +3,28 @@ import itertools
 import numpy as np
 import pytest
 
-from quadforge.psl2 import (
+from oracle import (
+    TupleGroup,
     act_on_line,
+    closure,
     element_order,
+    elements,
     enumerate_group,
-    indexed_group,
-    pgl,
+    inv,
+    is_psl_member,
+    is_square,
+    mul,
     projective_line,
-    psl,
+    wrap,
 )
+
+from quadforge.psl2 import indexed_group, pgl, psl
 from quadforge.subgroups import (
     SubgroupDescriptor,
     build_case,
     case_condition,
     case_params,
     catalog_family,
-    closure,
     conjugate,
     dihedral_involution_count,
     handle_from_elements,
@@ -146,14 +152,14 @@ def test_case8_dihedral_q13():
 def test_case4_a4_q13():
     h = build_case(4, psl(13))
     assert recognize(h) == "A_4"
-    invs = [g for g in h.elements if element_order(g) == 2]
+    invs = [g for g in elements(h) if element_order(g) == 2]
     assert len(invs) == 3
     # the three involutions form a single conjugacy class of the subgroup
-    spec = h.group
+    group = TupleGroup(h.group)
     cls = set()
     for g in invs:
-        for x in h.elements:
-            cls.add(spec.mul_t(spec.mul_t(spec.inv_t(x.t), invs[0].t), x.t))
+        for x in elements(h):
+            cls.add(group.mul_t(group.mul_t(group.inv_t(x.t), invs[0].t), x.t))
     assert cls == {g.t for g in invs}
 
 
@@ -169,10 +175,10 @@ def test_all_buildable_cases_have_claimed_index():
 def test_borel_fixes_one_point_transitive_elsewhere(psl9):
     h = build_case(1, psl9)
     pts = projective_line(psl9.field)
-    fixed = [p for p in pts if all(act_on_line(g, p) == p for g in h.elements)]
+    fixed = [p for p in pts if all(act_on_line(g, p) == p for g in elements(h))]
     assert len(fixed) == 1
     others = [p for p in pts if p != fixed[0]]
-    orbit = {act_on_line(g, others[0]) for g in h.elements}
+    orbit = {act_on_line(g, others[0]) for g in elements(h)}
     assert orbit == set(others)
 
 
@@ -187,16 +193,17 @@ def _matrix_oracle(spec, case, q0):
     """The family as canonical 4-tuples, one matrix at a time: the Borel
     subgroup from (a, b; 0, 1/a), PGL(2,q0) from every nonsingular subfield
     matrix, PSL(2,q0) from the determinant-1 ones."""
-    add, mul, neg, inv, _ = spec.field.int_tables()
+    add, fmul, neg, finv, _ = spec.field.int_tables()
+    canon = TupleGroup(spec).canonicalize_t
     q = spec.q
     if case == 1:
-        return {spec.canonicalize_t((a, b, 0, inv[a])) for a in range(1, q) for b in range(q)}
+        return {canon((a, b, 0, finv[a])) for a in range(1, q) for b in range(q)}
     sub = subfield_indices(spec.field, q0)
     out = set()
     for a, b, c, d in itertools.product(sub, repeat=4):
-        det = add[mul[a][d]][neg[mul[b][c]]]
+        det = add[fmul[a][d]][neg[fmul[b][c]]]
         if det != 0 and (case == 2 or det == spec.identity_t[0]):
-            out.add(spec.canonicalize_t((a, b, c, d)))
+            out.add(canon((a, b, c, d)))
     return out
 
 
@@ -213,17 +220,17 @@ def test_id_selections_match_matrix_oracle(q):
 @pytest.mark.parametrize("q", [9, 25, 49])
 def test_diagonal_twist_matches_canonical_twist(q):
     from quadforge.classify import _diagonal_twist
-    from quadforge.gfq import enumerate_field, is_square
 
     spec = psl(q)
     ig = indexed_group(spec)
     fld = spec.field
-    omega = next(e for e in enumerate_field(fld) if not e.is_zero() and not is_square(e))
+    omega = next(e for e in fld.enumerate() if not e.is_zero() and not is_square(e))
     m0 = build_case(2, spec)
+    canon = TupleGroup(spec).canonicalize_t
     want = set()
-    for g in m0.elements:
+    for g in elements(m0):
         a, b, c, d = g.matrix
-        want.add(spec.canonicalize_t((a.index, (b / omega).index, (c * omega).index, d.index)))
+        want.add(canon((a.index, (b / omega).index, (c * omega).index, d.index)))
     got = _diagonal_twist(ig, m0.ids, omega.index)
     assert {spec.elements_t()[i] for i in got.tolist()} == want
     assert len(got) == len(want) == len(m0)
@@ -233,7 +240,7 @@ def test_idx_set_reads_ids(psl9, ig9):
     # kept for callers that pass the indexed group
     h = build_case(1, psl9)
     assert h.idx_set(ig9) == h.ids
-    assert handle_from_elements(psl9, [g.t for g in h.elements]).ids == h.ids
+    assert handle_from_elements(psl9, [g.t for g in elements(h)]).ids == h.ids
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +248,28 @@ def test_idx_set_reads_ids(psl9, ig9):
 # ---------------------------------------------------------------------------
 
 
-def test_closure_identity(psl9):
-    e = psl9.wrap(psl9.identity_t)
-    assert closure([e]) == (e,)
+def _kernel_closure(ig, gens):
+    """The kernel's closure of oracle elements, as oracle elements."""
+    ids = ig.closure_idx(ig.ids_of([g.t for g in gens]).tolist())
+    return tuple(wrap(ig.spec, ig.spec.elements_t()[i]) for i in ids)
 
 
-def test_closure_cyclic(psl9):
+def test_closure_identity(psl9, ig9):
+    e = wrap(psl9, psl9.identity_t)
+    assert closure([e]) == _kernel_closure(ig9, [e]) == (e,)
+
+
+def test_closure_cyclic(psl9, ig9):
     g = next(g for g in enumerate_group(psl9) if element_order(g) == 5)
     c = closure([g])
     assert len(c) == 5
+    assert c == _kernel_closure(ig9, [g])
 
 
-def test_closure_dihedral_from_involutions(psl9):
+def test_closure_dihedral_from_involutions(psl9, ig9):
     # two involutions whose product has order 4 generate a dihedral group of order 8
     els = enumerate_group(psl9)
     invs = [g for g in els if element_order(g) == 2]
-    from quadforge.psl2 import mul
-
     pair = next(
         (a, b)
         for a in invs
@@ -266,16 +278,18 @@ def test_closure_dihedral_from_involutions(psl9):
     )
     c = closure(list(pair))
     assert len(c) == 8
+    assert c == _kernel_closure(ig9, pair)
     h = handle_from_elements(psl9, [g.t for g in c])
     assert is_dihedral(h)
     assert sorted(order_profile(h).items()) == [(1, 1), (2, 5), (4, 2)]
 
 
-def test_closure_lagrange(psl9):
+def test_closure_lagrange(psl9, ig9):
     els = enumerate_group(psl9)
     for a, b in [(els[3], els[17]), (els[5], els[100]), (els[40], els[41])]:
         c = closure([a, b])
         assert psl9.order % len(c) == 0
+        assert c == _kernel_closure(ig9, [a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +303,19 @@ def test_normalizer_of_maximal_subfield_copy(psl9):
     assert n.ids == h.ids  # self-normalizing maximal subgroup
 
 
-def test_conjugate_by_identity(psl9):
+def test_conjugate_by_identity(psl9, ig9):
     h = build_case(2, psl9)
-    e = psl9.wrap(psl9.identity_t)
-    assert conjugate(h, e).ids == h.ids
+    assert conjugate(h, ig9.e).ids == h.ids
 
 
 def test_conjugate_preserves_order_profile(psl9):
     h = build_case(2, psl9)
-    g = enumerate_group(psl9)[37]
-    hg = conjugate(h, g)
+    hg = conjugate(h, 37)
     assert order_profile(hg) == order_profile(h)
     assert len(hg) == len(h)
+    # oracle: g^-1 x g one element at a time
+    g = enumerate_group(psl9)[37]
+    assert elements(hg) == tuple(sorted(mul(mul(inv(g), x), g) for x in elements(h)))
 
 
 def test_two_classes_of_s4_in_psl29(psl9, ig9):
@@ -362,12 +377,10 @@ def test_small_index_trivial_bound():
 
 
 def test_small_index_pgl27():
-    from quadforge.psl2 import is_psl_member, pgl
-
     subs = small_index_subgroups(pgl(7), 7)
     assert sorted(len(s) for s in subs) == [168, 336]
     low = next(s for s in subs if len(s) == 168)
-    assert all(is_psl_member(g) for g in low.elements)
+    assert all(is_psl_member(g) for g in elements(low))
 
 
 def _all_pairs_lattice(ig):
