@@ -18,6 +18,7 @@ inverting involution.  Subgroup equality is equality of id tuples.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -171,6 +172,13 @@ _ELEMENTWISE_CONDITIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _prime_divisors(f: int) -> tuple[int, ...]:
+    """The primes dividing the exponent f, ascending: one factorization
+    per f however many (q0, r) questions the scans ask about it."""
+    return tuple(sorted(factorize(f)))
+
+
 def case_condition_at(
     case_id: int, q: int, p: int, f: int, q0: int | None = None, r: int | None = None
 ) -> bool:
@@ -192,14 +200,14 @@ def case_condition_at(
     if case_id == 6:
         if q % 2 == 0:
             return False
-        opts = [rr for rr in sorted(factorize(f)) if rr % 2]
+        opts = [rr for rr in _prime_divisors(f) if rr % 2]
         if r is not None:
             return r in opts and (q0 is None or q0 == p ** (f // r))
         return bool(opts)
     if case_id == 7:
         if p != 2:
             return False
-        opts = [rr for rr in sorted(factorize(f)) if f // rr >= 2]
+        opts = [rr for rr in _prime_divisors(f) if f // rr >= 2]
         if r is not None:
             return r in opts and (q0 is None or q0 == 2 ** (f // r))
         return bool(opts)
@@ -217,12 +225,12 @@ def case_params(case_id: int, q: int) -> list[dict]:
         return [{"q0": p ** (f // 2), "r": 2}]
     if case_id == 6:
         return [
-            {"q0": p ** (f // r), "r": r} for r in sorted(factorize(f)) if r % 2
+            {"q0": p ** (f // r), "r": r} for r in _prime_divisors(f) if r % 2
         ]
     if case_id == 7:
         return [
             {"q0": 2 ** (f // r), "r": r}
-            for r in sorted(factorize(f))
+            for r in _prime_divisors(f)
             if f // r >= 2
         ]
     return [{}]

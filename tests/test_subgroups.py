@@ -18,11 +18,13 @@ from oracle import (
     wrap,
 )
 
+from quadforge._ints import factorize, iter_prime_powers
 from quadforge.psl2 import indexed_group, pgl, psl
 from quadforge.subgroups import (
     SubgroupDescriptor,
     build_case,
     case_condition,
+    case_condition_at,
     case_params,
     catalog_family,
     conjugate,
@@ -79,6 +81,37 @@ def test_case_conditions():
     assert case_params(6, 27) == [{"q0": 3, "r": 3}]
     assert case_params(7, 16) == [{"q0": 4, "r": 2}]
     assert case_params(6, 4) == []
+
+
+def _subfield_oracle(case_id, q, p, f, q0=None, r=None):
+    """Cases 6 and 7 as written before the exponent's primes were cached:
+    f is factorized again on every call."""
+    if q < 4 or (case_id == 6 and q % 2 == 0) or (case_id == 7 and p != 2):
+        return False
+    keep = (lambda rr: rr % 2) if case_id == 6 else (lambda rr: f // rr >= 2)
+    opts = [rr for rr in sorted(factorize(f)) if keep(rr)]
+    if r is not None:
+        return r in opts and (q0 is None or q0 == p ** (f // r))
+    return bool(opts)
+
+
+@pytest.mark.parametrize("case_id", [6, 7])
+def test_subfield_conditions_match_the_uncached_definition(case_id):
+    # every prime power q <= 4096, every r up to f + 1 and every q0 that
+    # is right for it, off by one or absent
+    for q, p, f in iter_prime_powers(2, 4096):
+        for r in [None, *range(1, f + 2)]:
+            q0s = [None] if r is None else [None, p ** (f // r), p ** (f // r) + 1]
+            for q0 in q0s:
+                want = _subfield_oracle(case_id, q, p, f, q0, r)
+                assert case_condition_at(case_id, q, p, f, q0=q0, r=r) == want, (q, q0, r)
+                assert case_condition(case_id, q, q0=q0, r=r) == want, (q, q0, r)
+        params = [
+            {"q0": p ** (f // r), "r": r}
+            for r in range(2, f + 1)
+            if _subfield_oracle(case_id, q, p, f, r=r)
+        ]
+        assert case_params(case_id, q) == params, q
 
 
 # ---------------------------------------------------------------------------
