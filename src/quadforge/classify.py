@@ -20,11 +20,11 @@ axiom-checked.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -253,75 +253,15 @@ def _cross_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
     return len(q), survivors
 
 
-@dataclass
-class _ScanWorkers:
-    """The fork pool one run shares among its chunked scans (see
-    `scan_pool`)."""
-
-    workers: int
-    pool: object = None  # forked at the first scan that splits
-    table: object = None  # the shared prime-power table the pool inherited
-
-    def map(self, worker, chunks, table):
-        """worker over chunks in the pool, in order.  A pool forked before
-        the shared table last grew is replaced first, so its workers never
-        rebuild the table."""
-        if table is not None and table is not self.table:
-            self.close()
-        if self.pool is None:
-            import multiprocessing  # only a run that splits a scan pays for it
-
-            self.pool = multiprocessing.get_context("fork").Pool(self.workers)
-            self.table = table
-        return self.pool.map(worker, chunks)
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.close()
-            self.pool.join()
-            self.pool = None
-
-
-_SCAN_POOL: _ScanWorkers | None = None  # the pool of the run in progress
-
-
-@contextlib.contextmanager
-def scan_pool(workers: int):
-    """Share one fork pool among every chunked scan of a run.
-
-    The outermost entry with workers > 1 owns the pool; nested entries,
-    and entries at one worker, change nothing.  The pool forks at the
-    first scan that splits into chunks, so a run without one forks
-    nothing.  The owner closes and joins it on a normal exit and
-    terminates it when an exception propagates: no worker outlives the
-    run."""
-    global _SCAN_POOL
-    if workers <= 1 or _SCAN_POOL is not None:
-        yield
-        return
-    _SCAN_POOL = run = _ScanWorkers(workers)
-    try:
-        yield
-    except BaseException:
-        if run.pool is not None:
-            run.pool.terminate()
-        raise
-    else:
-        run.close()
-    finally:
-        _SCAN_POOL = None
-
-
 def _run_chunked(worker, base_args, qlo, qhi, workers: int):
     """Deterministic chunked scan: results merge in interval order.  One
-    worker scans the range as one chunk; more share the run's fork pool
-    (see `scan_pool`, entered here too, so a scan outside any run owns
-    its pool).  The shared prime-power table is sized to the whole range
-    first, and a pool forked before the table last grew is replaced, so
-    neither the chunks nor the forked workers rebuild it."""
+    worker scans the range as one chunk; more split it into up to four
+    chunks per worker, mapped on a thread pool of this process that is
+    opened and joined here, with at most one thread per core.  Only the
+    calling thread grows the shared prime-power table: it is sized first
+    to the largest chunk end it can cover, so no chunk rebuilds it."""
     if qhi < qlo:
         return 0, []
-    table = spf_sieve(qhi) if qhi <= SIEVE_LIMIT else None
     workers = max(1, workers)
     n_chunks = 1 if workers == 1 else min(workers * 4, qhi - qlo + 1)
     step = (qhi - qlo + 1 + n_chunks - 1) // n_chunks
@@ -331,11 +271,16 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
         hi = min(lo + step - 1, qhi)
         chunks.append(base_args + (lo, hi))
         lo = hi + 1
+    inside = [c[-1] for c in chunks if c[-1] <= SIEVE_LIMIT]
+    if inside:
+        spf_sieve(inside[-1])
     if len(chunks) == 1:
-        results = [worker(c) for c in chunks]
+        results = [worker(chunks[0])]
     else:
-        with scan_pool(workers):
-            results = _SCAN_POOL.map(worker, chunks, table)
+        from concurrent.futures import ThreadPoolExecutor  # only a split scan pays for it
+
+        with ThreadPoolExecutor(min(workers, os.cpu_count() or 1)) as pool:
+            results = list(pool.map(worker, chunks))
     tested = sum(r[0] for r in results)
     survivors = [s for r in results for s in r[1]]
     return tested, survivors
@@ -1764,27 +1709,23 @@ def theorem_driver(q_max: int, workers: int = 1, budget: int | None = None) -> T
     survivor that the row does not expect in its range raises; the report
     is ok when each row left all it expects, so the only confirmed example
     is the order-2 quadrangle at q = 9 (constructed and axiom-checked
-    whenever q_max >= 9).  With workers > 1 the run owns one fork pool,
-    shared by all its chunked scans (see `scan_pool`)."""
-    if workers > 1:
-        # every scan range is capped at q_max: size the shared table for
-        # the largest before the pool forks, so that one pool serves them all
-        spf_sieve(min(q_max, SIEVE_LIMIT))
+    whenever q_max >= 9).  With workers > 1 each scan pair splits its
+    range into chunks on up to `workers` threads, at most one per core
+    (see `_run_chunked`)."""
     records, due, ok = [], set(), True
-    with scan_pool(workers):
-        for row, rng in _theorem_ranges(q_max):
-            if row.tag in _FOLLOW_UPS and row.tag not in due:
-                continue
-            rec = row.runner(rng, workers, budget)
-            if rec.verdict != CONFIRMED:
-                expected = row.expected_in(rng)
-                stray = [s for s in rec.survivors if s not in expected]
-                if stray:
-                    raise VerificationError("unaccounted-survivors", f"{row.tag} leaves {stray}")
-                ok = ok and rec.survivors == expected
-            if rec.survivors and row.follow_up:
-                due.add(row.follow_up)
-            records.append(rec)
+    for row, rng in _theorem_ranges(q_max):
+        if row.tag in _FOLLOW_UPS and row.tag not in due:
+            continue
+        rec = row.runner(rng, workers, budget)
+        if rec.verdict != CONFIRMED:
+            expected = row.expected_in(rng)
+            stray = [s for s in rec.survivors if s not in expected]
+            if stray:
+                raise VerificationError("unaccounted-survivors", f"{row.tag} leaves {stray}")
+            ok = ok and rec.survivors == expected
+        if rec.survivors and row.follow_up:
+            due.add(row.follow_up)
+        records.append(rec)
     confirmed = [s for r in records if r.verdict == CONFIRMED for s in r.survivors]
     return TheoremReport(q_max, records, confirmed, ok)
 
@@ -1811,7 +1752,7 @@ def verify(
     the follow-up record and is ok only when the row left exactly its
     expected survivors and the follow-up reached its own expected verdict.
     `budget` caps every group enumeration (see `psl2.resolve_budget`).
-    All the records of one call share one fork pool (see `scan_pool`)."""
+    `workers` splits each scan pair's range into chunks (see `_run_chunked`)."""
     if tag == THEOREM:
         report = theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers, budget)
         return VerifyOutcome(THEOREM, CONFIRMED, report.records, report.ok)
@@ -1819,12 +1760,11 @@ def verify(
         raise KeyError(f"unknown lemma tag {tag!r}")
     row = VERIFIERS[tag]
     rng = q_range or row.default_range
-    with scan_pool(workers):
-        records = [row.runner(rng, workers, budget)]
-        ok = records[0].verdict == row.expected_verdict
-        if ok and row.follow_up:
-            follow = VERIFIERS[row.follow_up]
-            records.append(follow.runner(None, workers, budget))
-            ok = records[0].survivors == row.expected_in(rng)
-            ok = ok and records[1].verdict == follow.expected_verdict
+    records = [row.runner(rng, workers, budget)]
+    ok = records[0].verdict == row.expected_verdict
+    if ok and row.follow_up:
+        follow = VERIFIERS[row.follow_up]
+        records.append(follow.runner(None, workers, budget))
+        ok = records[0].survivors == row.expected_in(rng)
+        ok = ok and records[1].verdict == follow.expected_verdict
     return VerifyOutcome(tag, row.expected_verdict, records, ok)

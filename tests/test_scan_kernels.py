@@ -212,7 +212,7 @@ def test_pooled_theorem_merges_the_same_records():
 
 
 def test_pooled_theorem_merges_the_same_records_up_to_the_sieve_limit():
-    # one pool serves scans up to 108003 and (8, 9) up to 2e6
+    # threaded scans up to 108003, and (8, 9) up to 2e6
     pooled = theorem_driver(SIEVE_LIMIT, workers=3)
     assert pooled.records == theorem_driver(SIEVE_LIMIT, workers=1).records
 

@@ -1,37 +1,38 @@
-"""One fork pool per run: who opens it, when it forks, and that it is gone
-when the run returns or raises.
+"""Chunked scans on threads: who opens an executor, how many threads it
+may start, that none outlives the run, and that only the calling thread
+grows the shared prime-power table.
 
-Pools are counted by wrapping `Pool` on the fork context, which is where
-`classify` opens its one pool.  The worker-side test runs a chunk wrapper
-inside the forked workers and refuses a chunk whose range the inherited
-prime-power table does not cover.
+Executors are recorded by wrapping `concurrent.futures.ThreadPoolExecutor`,
+which `classify._run_chunked` imports when it splits a scan.
 """
 
-import multiprocessing
+import concurrent.futures
 import os
+import subprocess
+import sys
+import threading
 from array import array
 
 import pytest
 
+import quadforge
 from quadforge import _ints, classify
-from quadforge.classify import eliminate_cross, scan_pool, theorem_driver, verify
+from quadforge.classify import eliminate_cross, theorem_driver, verify
 from quadforge.errors import VerificationError
-
-_PARENT = os.getpid()
-_CROSS_CHUNK = classify._cross_chunk
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The list of pools opened while the test runs."""
-    ctx = multiprocessing.get_context("fork")
-    opened, make = [], ctx.Pool
+def executors(monkeypatch):
+    """(max_workers, executor) for every executor opened while the test
+    runs.  Holding each executor keeps one that was never shut down, and
+    so its threads, from being collected before the test counts them."""
+    opened, make = [], concurrent.futures.ThreadPoolExecutor
 
-    def counting(*args, **kwargs):
-        opened.append(make(*args, **kwargs))
-        return opened[-1]
+    def recording(max_workers=None, *args, **kwargs):
+        opened.append((max_workers, make(max_workers, *args, **kwargs)))
+        return opened[-1][1]
 
-    monkeypatch.setattr(ctx, "Pool", counting)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
     return opened
 
 
@@ -42,78 +43,82 @@ def no_table(monkeypatch):
     monkeypatch.setattr(_ints, "_SPF", array("i"))
 
 
-def _chunk_on_inherited_table(args):
-    """`_cross_chunk`, run only in a forked worker whose table, inherited
-    from the parent, already covers the chunk."""
-    if os.getpid() == _PARENT:
-        raise AssertionError("a chunk ran in the parent")
-    if len(_ints._SPF) <= args[-1]:
-        raise AssertionError(f"the table of {len(_ints._SPF)} entries misses q = {args[-1]}")
-    return _CROSS_CHUNK(args)
+@pytest.fixture
+def table_off_threads(monkeypatch):
+    """Fail any call that would grow the shared table from a thread other
+    than the main one; the list counts the calls the scan threads made."""
+    off_main, sieve = [], _ints.spf_sieve
+
+    def guarded(limit):
+        if threading.current_thread() is not threading.main_thread():
+            off_main.append(limit)
+            if limit >= len(_ints._SPF):
+                raise AssertionError(f"a scan thread grows the table to {limit}")
+        return sieve(limit)
+
+    monkeypatch.setattr(_ints, "spf_sieve", guarded)
+    monkeypatch.setattr(classify, "spf_sieve", guarded)
+    return off_main
 
 
 @pytest.mark.parametrize("q_max", [108003, 2_000_000])
-def test_theorem_opens_one_pool(pools, q_max):
-    theorem_driver(q_max, workers=2)
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+def test_no_thread_outlives_a_theorem_run(executors, q_max):
+    before = threading.active_count()
+    assert theorem_driver(q_max, workers=2).ok
+    assert executors and threading.active_count() == before
 
 
-def test_verify_theorem_opens_one_pool(pools):
+def test_no_thread_outlives_a_verify_run(executors):
+    before = threading.active_count()
     assert verify("theorem", workers=2, q_max=108003).ok
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+    assert executors and threading.active_count() == before
 
 
-def test_one_worker_and_scanless_tags_fork_nothing(pools):
+def test_one_worker_and_scanless_tags_fork_nothing(executors):
     theorem_driver(108003, workers=1)
     assert verify("sporadic", workers=2).ok
     assert verify("case2-equal", workers=2).ok  # a follow-up, no chunked scan
-    assert pools == []
+    assert executors == []
 
 
-def test_a_direct_scan_owns_its_pool(pools):
-    assert eliminate_cross(5, 8, q_range=(17, 6915), workers=3).scan_size > 0
-    assert eliminate_cross(5, 9, q_range=(17, 6907), workers=3).scan_size > 0
-    assert len(pools) == 2
-    assert multiprocessing.active_children() == []
-
-
-def test_nested_scans_share_the_outer_pool(pools):
-    with scan_pool(2):
-        assert multiprocessing.active_children() == []  # nothing forks until a scan splits
-        eliminate_cross(5, 8, q_range=(17, 6915), workers=2)
-        eliminate_cross(4, 9, q_range=(13, 859), workers=2)
-        assert len(multiprocessing.active_children()) == 2
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
-
-
-def test_no_worker_outlives_an_error(pools, monkeypatch):
-    # the equal-stabilizer rows run after every chunked pair scan has
-    # used the pool
+def test_no_worker_outlives_an_error(executors, monkeypatch):
+    # the equal-stabilizer rows run after every chunked pair scan
     def fail(*args):
         raise VerificationError("planted", "a later record fails")
 
     monkeypatch.setattr(classify, "eliminate_equal", fail)
+    before = threading.active_count()
     with pytest.raises(VerificationError, match="planted"):
         theorem_driver(108003, workers=2)
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
-    assert classify._SCAN_POOL is None
+    assert executors and threading.active_count() == before
 
 
-def test_a_grown_table_gets_a_fresh_pool(pools, no_table, monkeypatch):
-    monkeypatch.setattr(classify, "_cross_chunk", _chunk_on_inherited_table)
-    with scan_pool(2):
-        eliminate_cross(4, 8, q_range=(13, 867), workers=2)
-        eliminate_cross(5, 8, q_range=(17, 6915), workers=2)
-    assert len(pools) == 2
-    assert multiprocessing.active_children() == []
+def test_a_direct_scan_caps_its_threads_at_the_core_count(executors):
+    many = eliminate_cross(5, 8, q_range=(17, 6915), workers=64)
+    assert [n for n, _ in executors] == [os.cpu_count() or 1]
+    assert many == eliminate_cross(5, 8, q_range=(17, 6915), workers=1)
 
 
-def test_forked_workers_never_rebuild_the_table(pools, no_table, monkeypatch):
-    monkeypatch.setattr(classify, "_cross_chunk", _chunk_on_inherited_table)
-    report = theorem_driver(2_000_000, workers=2)
-    assert report.ok and len(pools) == 1
+def test_worker_threads_never_grow_the_table(no_table, table_off_threads):
+    assert theorem_driver(2_000_000, workers=2).ok
+    assert table_off_threads  # the chunks did ask, and found the table sized
     assert len(_ints._SPF) == 2_000_001
+
+
+def test_a_scan_past_the_sieve_limit_grows_the_table_on_the_calling_thread(
+    no_table, table_off_threads
+):
+    limit = _ints.SIEVE_LIMIT
+    rec = eliminate_cross(8, 9, q_range=(limit - 2000, limit + 10), workers=2)
+    assert rec.scan_size > 0 and table_off_threads
+    assert limit - 2000 < len(_ints._SPF) <= limit + 1
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    src = os.path.dirname(os.path.dirname(quadforge.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import quadforge.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
