@@ -1395,7 +1395,7 @@ class W2Result:
     decomposition: list
 
 
-def build_w2(budget: int | None = None) -> W2Result:
+def build_w2() -> W2Result:
     """Construct and verify the 15-point quadrangle of order 2 from the
     two conjugacy classes of order-24 subfield subgroups of PSL(2,9).
 
@@ -1409,18 +1409,18 @@ def build_w2(budget: int | None = None) -> W2Result:
     from .subgroups import build_case, handle_from_ids
 
     spec = psl(9)
-    M0 = build_case(2, spec, budget=budget)
+    M0 = build_case(2, spec)
     sqrt = spec.field.int_tables()[4]
     omega = next(w for w in range(1, spec.q) if sqrt[w] == -1)  # the first non-square
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     M1 = handle_from_ids(spec, _diagonal_twist(ig, M0.ids, omega))
     if M1.ids == M0.ids:
         raise VerificationError("w2-twist", "the twist fixed the subgroup")
     # the two copies must not be conjugate inside the socle
     if ig.transporter(ig.generators_of(M1.ids), M0.ids).size:
         raise VerificationError("w2-twist", "the twisted copy is conjugate to the original")
-    decomposition = double_cosets(M0, M1, spec, budget)
-    hits = find_gq_selections(M0, M1, spec, budget)
+    decomposition = double_cosets(M0, M1, spec)
+    hits = find_gq_selections(M0, M1, spec)
     if not hits:
         raise VerificationError("w2-selection", "no axiom-passing selection found")
     selection, verdict, geometry = hits[0]
@@ -1439,8 +1439,8 @@ def _diagonal_twist(ig, ids, w: int) -> np.ndarray:
 
 
 @_timed
-def w2_record(budget: int | None = None) -> EliminationRecord:
-    res = build_w2(budget)
+def w2_record() -> EliminationRecord:
+    res = build_w2()
     v = res.verdict
     checks = [
         _check("fifteen-points", res.geometry.n_points == 15, ""),
@@ -1469,7 +1469,7 @@ def w2_record(budget: int | None = None) -> EliminationRecord:
 # ---------------------------------------------------------------------------
 
 
-def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=None) -> dict:
+def verify_table_rows_at(case_id: int, q: int, q0: int | None = None) -> dict:
     """Brute-force the class-data row inside the enumerated group.
 
     Returns computed values {class, meet, cent, cent_is_dihedral, k,
@@ -1480,17 +1480,17 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None, budget=Non
     from .subgroups import build_case, is_cyclic, is_dihedral
 
     spec = psl(q)
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     vals = row_values(case_id, q, q0=q0)
-    handle = build_case(case_id, spec, q0=q0, budget=budget)
-    rep, _ = (involution_class if vals["o_g"] == 2 else order3_class)(spec, budget)
+    handle = build_case(case_id, spec, q0=q0)
+    rep, _ = (involution_class if vals["o_g"] == 2 else order3_class)(spec)
     cls = ig.conjugacy_class(rep)
     in_cls = ig.mask(cls)
     sub_idx = np.asarray(handle.ids)
     meet = int(in_cls[sub_idx].sum())
     # pick a class element inside the subgroup so K ^ M is meaningful
     g_in = int(sub_idx[in_cls[sub_idx]][0])
-    cent_handle = centralizer(g_in, spec, budget)
+    cent_handle = centralizer(g_in, spec)
     cent = np.asarray(cent_handle.ids)
     orders = np.asarray(ig.orders())
     k_gen = int(cent[orders[cent] == vals["k"]][0])
@@ -1524,7 +1524,7 @@ THEOREM_QMAX = 100
 class VerifierSpec:
     """One registry row: everything the engine knows about one tag.
 
-    `runner(q_range, workers, budget)` makes the record through the tag's
+    `runner(q_range, workers)` makes the record through the tag's
     public entry point, looked up when it runs; `body` is what
     `eliminate_cross` or `eliminate_equal` dispatch to.  `param` says what
     the range counts: "q", or "q0" with q = q0^2 (None: no range).
@@ -1560,7 +1560,7 @@ class VerifierSpec:
 def _pair(i: int, j: int, body, **data) -> VerifierSpec:
     return VerifierSpec(
         f"case{i}-case{j}", ELIMINATED, f"stabilizer pair (case {i}, case {j})",
-        lambda rng, workers, budget: eliminate_cross(i, j, rng, workers),
+        lambda rng, workers: eliminate_cross(i, j, rng, workers),
         body=body, pair=(i, j), **data,
     )
 
@@ -1583,7 +1583,7 @@ def _equal(case_id: int, body, default_range, param="q", **data) -> VerifierSpec
         f"case{case_id}-equal",
         NEEDS_GEOMETRY if data.get("expected_survivors") else ELIMINATED,
         f"equal stabilizers in case {case_id}",
-        lambda rng, workers, budget: eliminate_equal(case_id, rng),
+        lambda rng, workers: eliminate_equal(case_id, rng),
         body=body, default_range=default_range, param=param, **data,
     )
 
@@ -1592,7 +1592,7 @@ _ROWS = [
     VerifierSpec(
         "case1-excluded", ELIMINATED,
         "Borel stabilizers are impossible (2-transitive coset action)",
-        lambda rng, workers, budget: eliminate_case1(
+        lambda rng, workers: eliminate_case1(
             tuple(q for q in _CASE1_SAMPLE if rng[0] <= q <= rng[1])
         ),
         default_range=(5, 9), param="q", if_empty="first",
@@ -1600,7 +1600,7 @@ _ROWS = [
     VerifierSpec(
         "sporadic", ELIMINATED,
         "non-maximal-stabilizer triples: counts 28, 21, 66 and the A4<S4 row",
-        lambda rng, workers, budget: eliminate_sporadic(rng),
+        lambda rng, workers: eliminate_sporadic(rng),
         default_range=(11, 10_000), param="q", if_empty="keep",
     ),
     _pair(2, 6, lambda rng, workers: _eliminate_2_6(), condition="q = q0^2 = q1^r, r an odd prime"),
@@ -1636,17 +1636,17 @@ _ROWS = [
     VerifierSpec(
         "same-case-nonisomorphic", ELIMINATED,
         "subfield stabilizers of different degrees",
-        lambda rng, workers, budget: eliminate_same_case_nonisomorphic(),
+        lambda rng, workers: eliminate_same_case_nonisomorphic(),
     ),
     VerifierSpec(
         "case9-q41", ELIMINATED,
         "the (s, q) = (9, 41) survivor dies on its fixed substructure",
-        lambda rng, workers, budget: eliminate_case9_survivor(),
+        lambda rng, workers: eliminate_case9_survivor(),
     ),
     VerifierSpec(
         "w2-construction", CONFIRMED,
         "explicit 15-point quadrangle of order 2 at q = 9",
-        lambda rng, workers, budget: w2_record(budget),
+        lambda rng, workers: w2_record(),
     ),
 ]
 
@@ -1702,7 +1702,7 @@ def _theorem_ranges(q_max: int):
 
 
 @_timed
-def theorem_driver(q_max: int, workers: int = 1, budget: int | None = None) -> TheoremReport:
+def theorem_driver(q_max: int, workers: int = 1) -> TheoremReport:
     """Run every registry row with its range capped at q_max and collate.
 
     A follow-up row runs only when the row it follows left survivors.  A
@@ -1716,7 +1716,7 @@ def theorem_driver(q_max: int, workers: int = 1, budget: int | None = None) -> T
     for row, rng in _theorem_ranges(q_max):
         if row.tag in _FOLLOW_UPS and row.tag not in due:
             continue
-        rec = row.runner(rng, workers, budget)
+        rec = row.runner(rng, workers)
         if rec.verdict != CONFIRMED:
             expected = row.expected_in(rng)
             stray = [s for s in rec.survivors if s not in expected]
@@ -1742,29 +1742,26 @@ class VerifyOutcome:
         return self.records[-1].verdict
 
 
-def verify(
-    tag: str, q_range=None, workers: int = 1, q_max: int | None = None, budget: int | None = None
-) -> VerifyOutcome:
+def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -> VerifyOutcome:
     """Run one registered verifier and compare against its expected verdict.
 
     `theorem` runs the full driver up to q_max (default THEOREM_QMAX).  A
     row with a follow-up hands its survivors on, so its outcome includes
     the follow-up record and is ok only when the row left exactly its
     expected survivors and the follow-up reached its own expected verdict.
-    `budget` caps every group enumeration (see `psl2.resolve_budget`).
     `workers` splits each scan pair's range into chunks (see `_run_chunked`)."""
     if tag == THEOREM:
-        report = theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers, budget)
+        report = theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers)
         return VerifyOutcome(THEOREM, CONFIRMED, report.records, report.ok)
     if tag not in VERIFIERS:
         raise KeyError(f"unknown lemma tag {tag!r}")
     row = VERIFIERS[tag]
     rng = q_range or row.default_range
-    records = [row.runner(rng, workers, budget)]
+    records = [row.runner(rng, workers)]
     ok = records[0].verdict == row.expected_verdict
     if ok and row.follow_up:
         follow = VERIFIERS[row.follow_up]
-        records.append(follow.runner(None, workers, budget))
+        records.append(follow.runner(None, workers))
         ok = records[0].survivors == row.expected_in(rng)
         ok = ok and records[1].verdict == follow.expected_verdict
     return VerifyOutcome(tag, row.expected_verdict, records, ok)

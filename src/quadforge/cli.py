@@ -1,7 +1,8 @@
 """Command-line entry point: verify, scan, build-w2, export, tables.
 
 Exit codes: 0 = expected verdict reproduced, 1 = verdict mismatch or a
-failed check, 2 = usage error, 3 = budget or resource error.
+failed check, 2 = usage error, 3 = a group or table past a fixed size cap
+(`psl2.ELEMENT_LIMIT`, `gfq.TABLE_LIMIT` or the Cayley-table cap).
 
 Reports are emitted as json, csv or text.  JSON reports carry a schema
 number, the package version and a hash of the verifier registry, so
@@ -33,9 +34,6 @@ from .errors import BudgetExceededError, VerificationError
 from .geometry import export_incidence
 from .subgroups import sporadic_table
 
-_MIN_BUDGET = 10_000
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -47,6 +45,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     if hi_i < lo_i:
         raise argparse.ArgumentTypeError("empty range")
     return lo_i, hi_i
+
+
+def _parse_workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if n < 1:
+        raise argparse.ArgumentTypeError("worker count must be >= 1")
+    return n
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -66,18 +74,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--workers", type=int, default=1)
-    common.add_argument("--budget", type=int, default=None)
+    # one parent parser per shared option: each subcommand takes only those it reads
+    fmt, out, workers = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    out.add_argument("--out", metavar="PATH", default=None)
+    workers.add_argument("--workers", type=_parse_workers, default=1)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="re-run one elimination and compare verdicts")
+    p_verify = sub.add_parser("verify", parents=[fmt, out, workers], help="re-run one elimination and compare verdicts")
     p_verify.add_argument("--lemma", required=True, metavar="TAG")
     p_verify.add_argument("--range", type=_parse_range, default=None, dest="qrange")
     p_verify.add_argument("--qmax", type=int, default=None)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="scan a case pair or an equal case over a range")
+    p_scan = sub.add_parser("scan", parents=[fmt, out, workers], help="scan a case pair or an equal case over a range")
     sel = p_scan.add_mutually_exclusive_group(required=True)
     sel.add_argument("--pair", type=_parse_pair, default=None)
     sel.add_argument("--equal", type=int, default=None)
@@ -89,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
         "theorem verification)",
     )
 
-    p_w2 = sub.add_parser("build-w2", parents=[common], help="construct and verify the order-2 quadrangle at q = 9")
+    p_w2 = sub.add_parser("build-w2", parents=[fmt, out], help="construct and verify the order-2 quadrangle at q = 9")
     p_w2.add_argument("--export", metavar="PATH", default=None, dest="export_path")
     p_w2.add_argument("--all-selections", action="store_true")
 
-    p_export = sub.add_parser("export", parents=[common], help="write the verified quadrangle as an incidence file")
+    sub.add_parser("export", parents=[out], help="write the verified quadrangle as an incidence file")
 
-    p_tables = sub.add_parser("tables", parents=[common], help="print the reference tables as data")
+    p_tables = sub.add_parser("tables", parents=[fmt, out], help="print the reference tables as data")
     p_tables.add_argument("--table", type=int, choices=(1, 2, 3, 4, 5), default=None)
     return parser
 
@@ -199,7 +207,7 @@ def cmd_verify(args) -> int:
     if args.qmax is not None and (row is not None or args.qmax < 0):
         return _usage("--qmax applies only to --lemma theorem, and must be >= 0")
     qmax = None if row else (THEOREM_QMAX if args.qmax is None else args.qmax)
-    outcome = verify(args.lemma, args.qrange, args.workers, qmax, args.budget)
+    outcome = verify(args.lemma, args.qrange, args.workers, qmax)
     config = {
         "lemma": args.lemma,
         "range": list(args.qrange) if args.qrange else None,
@@ -242,7 +250,7 @@ def cmd_scan(args) -> int:
             f"range extends past the published bound {bound}; pass --beyond to scan it anyway"
         )
     print(f"scanning {what} over [{lo}, {hi}]...", file=sys.stderr)
-    rec = row.runner((lo, hi), args.workers, args.budget)
+    rec = row.runner((lo, hi), args.workers)
     expected = row.expected_in((lo, hi))
     ok = rec.survivors == expected
     report = make_report(
@@ -256,7 +264,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_build_w2(args, export_only: bool = False) -> int:
-    res = build_w2(budget=args.budget)
+    res = build_w2()
     v = res.verdict
     ok = (
         res.geometry.n_points == 15
@@ -404,10 +412,6 @@ def cmd_tables(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        return _usage("worker count must be >= 1")
-    if args.budget is not None and args.budget < _MIN_BUDGET:
-        return _usage(f"budget must be >= {_MIN_BUDGET}")
     commands = {
         "verify": cmd_verify,
         "scan": cmd_scan,

@@ -2,7 +2,8 @@
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured element budget.
+    """Raised when a group or table would exceed a fixed size cap
+    (`psl2.ELEMENT_LIMIT`, `gfq.TABLE_LIMIT` or the Cayley-table cap).
 
     Signals that formula-only mode is required at this scale.
     """

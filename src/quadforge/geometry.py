@@ -68,7 +68,7 @@ def _bitmasks(matrix) -> list[int]:
 
 
 def double_cosets(
-    M0: SubgroupHandle, M1: SubgroupHandle, spec: GroupSpec | None = None, budget=None
+    M0: SubgroupHandle, M1: SubgroupHandle, spec: GroupSpec | None = None
 ) -> list[DoubleCoset]:
     """The (M0, M1)-double coset decomposition of the whole group.
 
@@ -76,7 +76,7 @@ def double_cosets(
     size equals |M0||M1| / |M1 ^ h^-1 M0 h|.
     """
     spec = spec or M0.group
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     m0 = np.asarray(M0.ids)
     m1 = np.asarray(M1.ids)
     assigned = np.zeros(ig.n, dtype=bool)
@@ -134,16 +134,15 @@ class IncidenceGeometry:
         M1: SubgroupHandle,
         selection,
         spec: GroupSpec | None = None,
-        budget=None,
         decomposition: list[DoubleCoset] | None = None,
     ):
         spec = spec or M0.group
         self.spec = spec
-        self.ig = indexed_group(spec, budget)
+        self.ig = indexed_group(spec)
         self.M0 = M0
         self.M1 = M1
         if decomposition is None:
-            decomposition = double_cosets(M0, M1, spec, budget)
+            decomposition = double_cosets(M0, M1, spec)
         self.decomposition = decomposition
         self.selection = tuple(sorted(selection))
         ig = self.ig
@@ -180,9 +179,6 @@ class IncidenceGeometry:
 
     def point_image(self, p: int, g_idx: int) -> int:
         return self.point_label[self.ig.mul_idx(self.point_reps[p], g_idx)]
-
-    def line_image(self, l: int, g_idx: int) -> int:
-        return self.line_label[self.ig.mul_idx(self.line_reps[l], g_idx)]
 
     def point_action(self, g: int) -> list[int]:
         """Image of every point under the element with id g."""
@@ -270,7 +266,7 @@ def check_gq(geom: IncidenceGeometry) -> GQVerdict:
 
 
 def find_gq_selections(
-    M0: SubgroupHandle, M1: SubgroupHandle, spec: GroupSpec | None = None, budget=None
+    M0: SubgroupHandle, M1: SubgroupHandle, spec: GroupSpec | None = None
 ):
     """Every selection of double cosets whose geometry passes the axioms.
 
@@ -279,7 +275,7 @@ def find_gq_selections(
     search still enumerates all passing selections.
     """
     spec = spec or M0.group
-    decomposition = double_cosets(M0, M1, spec, budget)
+    decomposition = double_cosets(M0, M1, spec)
     order = sorted(
         range(len(decomposition)),
         key=lambda i: (-decomposition[i].meet_order, decomposition[i].rep),
@@ -289,9 +285,7 @@ def find_gq_selections(
         from itertools import combinations
 
         for combo in combinations(order, size):
-            geom = IncidenceGeometry(
-                M0, M1, combo, spec, budget, decomposition=decomposition
-            )
+            geom = IncidenceGeometry(M0, M1, combo, spec, decomposition=decomposition)
             verdict = check_gq(geom)
             if verdict.is_gq:
                 hits.append((tuple(sorted(combo)), verdict, geom))

@@ -174,9 +174,6 @@ class FieldSpec:
             raise ZeroDivisionError("division by zero field element")
         return self.pow_t(a, self.q - 2)
 
-    def is_zero_t(self, a) -> bool:
-        return not any(a)
-
     def enumerate(self) -> tuple[FieldElement, ...]:
         if self._elements is None:
             self._elements = tuple(

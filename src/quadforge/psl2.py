@@ -12,15 +12,14 @@ over the field's int tables, in sorted order, and an element's id is its
 position in that list.  `IndexedGroup` is the integer kernel: it reads an
 element's id off its images of 0, 1 and infinity on PG(1,q), and products,
 inverses, orders, classes, closures and cosets all run on id arrays.
-Enumeration is bounded by a configurable element budget (`resolve_budget`).
+Enumeration is capped at ELEMENT_LIMIT elements.
 
 All values are immutable after construction and safe to share across
-scan workers.
+threads.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -29,16 +28,8 @@ from ._ints import prime_power
 from .errors import BudgetExceededError, VerificationError
 from .gfq import TABLE_LIMIT, FieldSpec, make_field
 
-DEFAULT_BUDGET = 10_000_000
+ELEMENT_LIMIT = 10_000_000  # largest |G| that element_array enumerates
 _CAYLEY_LIMIT = 2500
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    """Explicit budget, else the QF_BUDGET environment override, else default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get("QF_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 class GroupSpec:
@@ -73,24 +64,15 @@ class GroupSpec:
 
     # -- enumeration ------------------------------------------------------
 
-    def check_budget(self, budget: int | None = None) -> None:
-        """Raise BudgetExceededError if the group is larger than the budget;
-        checked on every call, whether or not the group is already built."""
-        if self.order > resolve_budget(budget):
-            raise BudgetExceededError(
-                f"|{self!r}| = {self.order} exceeds the enumeration budget: "
-                "formula-only mode required"
-            )
-
-    def elements_t(self, budget: int | None = None) -> list[tuple[int, int, int, int]]:
+    def elements_t(self) -> list[tuple[int, int, int, int]]:
         """All canonical 4-tuples, each once, in sorted order: the rows of
         `element_array` as tuples."""
-        arr = self.element_array(budget)
+        arr = self.element_array()
         if self._elements_t is None:
             self._elements_t = list(zip(*arr.T.tolist()))
         return self._elements_t
 
-    def element_array(self, budget: int | None = None) -> np.ndarray:
+    def element_array(self) -> np.ndarray:
         """All canonical matrices, each once, in sorted order, as a
         read-only (|G|, 4) uint16 array of field indices.
 
@@ -103,16 +85,21 @@ class GroupSpec:
         with d != bc.  Each matrix becomes the int64 key
         ((a*q + b)*q + c)*q + d, whose order is tuple order; the keys must
         come out strictly increasing and number |G|, which certifies the
-        order and that no element repeats.  Needs the dense tables, so a
-        larger q raises BudgetExceededError whatever the budget.
+        order and that no element repeats.  A group over a field without
+        dense tables, or of more than ELEMENT_LIMIT elements, raises
+        BudgetExceededError before anything is built.
         """
-        self.check_budget(budget)
         if self._element_array is None:
             q = self.q
             if q > TABLE_LIMIT:
                 raise BudgetExceededError(
                     f"{self!r} is not enumerable: the enumeration needs dense field "
                     f"tables, q <= {TABLE_LIMIT}; formula-only mode required"
+                )
+            if self.order > ELEMENT_LIMIT:
+                raise BudgetExceededError(
+                    f"|{self!r}| = {self.order} exceeds the enumeration limit "
+                    f"{ELEMENT_LIMIT}: formula-only mode required"
                 )
             add, mul, neg, inv = array_tables(self.field)
             one = self._one
@@ -175,7 +162,7 @@ def pgl(q: int) -> GroupSpec:
 # -- conjugacy data ---------------------------------------------------------
 
 
-def involution_class(spec: GroupSpec, budget: int | None = None) -> tuple[int, int]:
+def involution_class(spec: GroupSpec) -> tuple[int, int]:
     """The single conjugacy class of involutions of PSL(2,q): (id, size),
     the id that of the matrix (0, 1; -1, 0).
 
@@ -190,10 +177,10 @@ def involution_class(spec: GroupSpec, budget: int | None = None) -> tuple[int, i
         eps = 1 if q % 4 == 1 else -1
         size = q * (q + eps) // 2
     one, minus = spec._one, (-spec.field.one).index
-    return indexed_group(spec, budget).id_of((0, one, minus, 0)), size
+    return indexed_group(spec).id_of((0, one, minus, 0)), size
 
 
-def order3_class(spec: GroupSpec, budget: int | None = None) -> tuple[int, int]:
+def order3_class(spec: GroupSpec) -> tuple[int, int]:
     """The single conjugacy class of order-3 elements for characteristic > 5:
     (id, size), the id that of the matrix (0, -1; 1, -1)."""
     if spec.kind != "PSL":
@@ -205,15 +192,15 @@ def order3_class(spec: GroupSpec, budget: int | None = None) -> tuple[int, int]:
     q = spec.q
     size = q * (q - 1) if q % 3 == 2 else q * (q + 1)
     one, minus = spec._one, (-spec.field.one).index
-    return indexed_group(spec, budget).id_of((0, minus, one, minus)), size
+    return indexed_group(spec).id_of((0, minus, one, minus)), size
 
 
-def centralizer(g: int, spec: GroupSpec, budget: int | None = None):
+def centralizer(g: int, spec: GroupSpec):
     """Centralizer {x : xg = gx} of the element with id g, as a
     SubgroupHandle with a recognized type."""
     from . import subgroups  # deferred: subgroups builds on this module
 
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     ids = np.arange(ig.n)
     members = np.flatnonzero(ig.mul_ids(ids, g) == ig.mul_ids(g, ids))
     return subgroups.handle_from_ids(spec, members)
@@ -243,9 +230,9 @@ class IndexedGroup:
     and `code`.  Shared, read-only once constructed.
     """
 
-    def __init__(self, spec: GroupSpec, budget: int | None = None):
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
-        E = spec.element_array(budget)
+        E = spec.element_array()
         self.n = n = len(E)
         q, self.m = spec.q, spec.q + 1
         self._add, mul, _, inv = array_tables(spec.field)
@@ -477,11 +464,10 @@ def orbit_labels(maps, size: int) -> np.ndarray:
 _INDEXED: dict[tuple[int, str], IndexedGroup] = {}
 
 
-def indexed_group(spec: GroupSpec, budget: int | None = None) -> IndexedGroup:
-    spec.check_budget(budget)
+def indexed_group(spec: GroupSpec) -> IndexedGroup:
     key = (spec.q, spec.kind)
     ig = _INDEXED.get(key)
     if ig is None:
-        ig = IndexedGroup(spec, budget)
+        ig = IndexedGroup(spec)
         _INDEXED[key] = ig
     return ig

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ints import factorize, prime_power
-from .errors import BudgetExceededError, VerificationError
+from .errors import VerificationError
 from .psl2 import (
     GroupSpec,
     IndexedGroup,
     array_tables,
     indexed_group,
     orbit_labels,
-    resolve_budget,
 )
 
 
@@ -94,9 +93,9 @@ def handle_from_elements(spec: GroupSpec, ts, descriptor=None) -> SubgroupHandle
     return handle_from_ids(spec, indexed_group(spec).ids_of(list(ts)), descriptor)
 
 
-def whole_group_handle(spec: GroupSpec, budget=None) -> SubgroupHandle:
+def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
     desc = SubgroupDescriptor(None, repr(spec), 1)
-    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array(budget)))))
+    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array()))))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +322,12 @@ def subfield_indices(fld, q0: int) -> list[int]:
     return out
 
 
-def _borel_ids(spec: GroupSpec, budget=None) -> np.ndarray:
+def _borel_ids(spec: GroupSpec) -> np.ndarray:
     """The upper triangular elements: canonical rows with c = 0."""
-    return np.flatnonzero(spec.element_array(budget)[:, 2] == 0)
+    return np.flatnonzero(spec.element_array()[:, 2] == 0)
 
 
-def _subfield_ids(spec: GroupSpec, q0: int, projective: bool, budget=None) -> np.ndarray:
+def _subfield_ids(spec: GroupSpec, q0: int, projective: bool) -> np.ndarray:
     """The elements with a matrix over the subfield of order q0.
 
     A canonical row has determinant 1, so its entries lie in the subfield
@@ -337,7 +336,7 @@ def _subfield_ids(spec: GroupSpec, q0: int, projective: bool, budget=None) -> np
     matrix up to scalars: all of PGL(2,q0), which lies in PSL(2,q0^2)
     because subfield scalars are squares there.  The rows are tested one
     column at a time, each column only on the rows still kept."""
-    rows = spec.element_array(budget)
+    rows = spec.element_array()
     in_sub = np.zeros(spec.q, dtype=bool)
     in_sub[subfield_indices(spec.field, q0)] = True
     if projective:
@@ -394,7 +393,7 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     return np.flatnonzero(members)
 
 
-def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int | None = None) -> SubgroupHandle:
+def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec) -> SubgroupHandle:
     """Explicit subgroup of PSL(2,q) for a Table-family descriptor."""
     if spec.kind != "PSL":
         raise ValueError("family constructors target the socle PSL(2,q)")
@@ -402,12 +401,10 @@ def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int 
     q = spec.q
     if not case_condition(case, q, q0=descriptor.q0, r=descriptor.r):
         raise ValueError(f"case {case} condition violated at q = {q}")
-    if spec.order > resolve_budget(budget):
-        raise BudgetExceededError("group too large to enumerate")
     if case == 1:
-        ids = _borel_ids(spec, budget)
+        ids = _borel_ids(spec)
     elif case in (2, 6, 7):
-        ids = _subfield_ids(spec, descriptor.q0, case == 2, budget)
+        ids = _subfield_ids(spec, descriptor.q0, case == 2)
     elif case in (3, 4, 5, 8, 9):
         build = _build_triangle if case in (3, 4, 5) else _build_dihedral
         ids = build(spec, case)
@@ -423,8 +420,8 @@ def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec, budget: int 
     return handle
 
 
-def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | None = None, budget=None) -> SubgroupHandle:
-    return build_subgroup(make_descriptor(case_id, spec.q, q0=q0, r=r), spec, budget)
+def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | None = None) -> SubgroupHandle:
+    return build_subgroup(make_descriptor(case_id, spec.q, q0=q0, r=r), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +436,10 @@ def conjugate(handle: SubgroupHandle, g: int) -> SubgroupHandle:
     return SubgroupHandle(handle.group, handle.descriptor, tuple(ids.tolist()))
 
 
-def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None, budget=None) -> SubgroupHandle:
+def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None) -> SubgroupHandle:
     """Set-level normalizer {g : H^g = H}."""
     spec = spec or handle.group
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     return handle_from_ids(spec, ig.transporter(ig.generators_of(handle.ids), handle.ids))
 
 
@@ -475,7 +472,7 @@ def _class_handles(spec: GroupSpec, members) -> list[SubgroupHandle]:
     return handles
 
 
-def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[SubgroupHandle]]:
+def subgroup_classes(type_name: str, spec: GroupSpec) -> list[list[SubgroupHandle]]:
     """All subgroups of the named small type, partitioned by conjugacy.
 
     Copies are found by closing generator pairs (x, y) with the type's
@@ -496,7 +493,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
     if type_name not in registry:
         raise ValueError(f"no search signature for type {type_name!r}")
     size, o1, o2 = registry[type_name]
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     orders = ig.orders()
     xs = [cls[0] for cls in ig.all_classes() if orders[cls[0]] == o1]
     ys = [i for i in range(ig.n) if orders[i] == o2]
@@ -520,7 +517,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec, budget=None) -> list[list[
     return classes
 
 
-def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[SubgroupHandle]:
+def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
     """Every 2-generated subgroup of index <= bound, by exhaustive closure
     of all generator sets of size <= 2.  A subgroup that needs three
     generators, such as the Sylow 2-subgroup E_8 of PSL(2,8), is missed.
@@ -534,7 +531,7 @@ def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[Subg
     Cayley table, pair closures are breadth-first sweeps over its columns,
     and one subgroup per conjugacy class is recognized.
     """
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     n = ig.n
     cay = ig.cayley()
     cayT = np.ascontiguousarray(cay.T)
@@ -599,11 +596,11 @@ def small_index_subgroups(spec: GroupSpec, bound: int, budget=None) -> list[Subg
 # ---------------------------------------------------------------------------
 
 
-def two_generated_abelian_subgroups(spec: GroupSpec, budget=None) -> list[SubgroupHandle]:
+def two_generated_abelian_subgroups(spec: GroupSpec) -> list[SubgroupHandle]:
     """Every subgroup generated by a commuting pair (hence every abelian
     subgroup whose rank is at most 2, which covers all abelian subgroups
     of PSL(2,q) for f <= 2)."""
-    ig = indexed_group(spec, budget)
+    ig = indexed_group(spec)
     cay = ig.cayley()
     sym = cay == cay.T
     found: dict[frozenset, tuple[int, ...]] = {}

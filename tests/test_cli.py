@@ -27,9 +27,28 @@ def test_verify_unknown_tag_exits_two(capsys):
     assert main(["verify", "--lemma", "not-a-tag"]) == 2
 
 
-def test_bad_workers_and_budget_exit_two(capsys):
-    assert main(["verify", "--lemma", "case4-case8", "--workers", "0"]) == 2
-    assert main(["verify", "--lemma", "case4-case8", "--budget", "10"]) == 2
+def _exits_two(argv) -> bool:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code == 2
+
+
+def test_flags_a_subcommand_does_not_read_exit_two(capsys):
+    assert _exits_two(["verify", "--lemma", "case4-case8", "--budget", "10000"])
+    assert _exits_two(["tables", "--workers", "2"])
+    assert _exits_two(["build-w2", "--workers", "2"])
+    assert _exits_two(["export", "--format", "json"])
+
+
+def test_verify_and_scan_take_workers(tmp_path, capsys):
+    verify_argv = ["verify", "--lemma", "case4-case8"]
+    scan_argv = ["scan", "--pair", "4,8", "--range", "37..866"]
+    for argv in (verify_argv, scan_argv):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--workers", "2", "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["workers"] == 2
+        assert _exits_two([*argv, "--workers", "0"])
+        assert "worker count must be >= 1" in capsys.readouterr().err
 
 
 def test_range_rejected_where_no_range_applies(capsys):
@@ -246,44 +265,16 @@ def test_module_invocation():
     assert proc.stdout.strip() == "0.1.0"
 
 
-def test_env_budget_override(monkeypatch):
-    from quadforge.psl2 import resolve_budget
-
-    monkeypatch.setenv("QF_BUDGET", "123456")
-    assert resolve_budget() == 123456
-    assert resolve_budget(999) == 999
-    monkeypatch.delenv("QF_BUDGET")
-    assert resolve_budget() == 10_000_000
-
-
-def test_budget_error_exits_three(monkeypatch):
+def test_budget_error_exits_three(monkeypatch, capsys):
     from quadforge import cli
     from quadforge.errors import BudgetExceededError
 
-    def boom(budget=None):
+    def boom():
         raise BudgetExceededError("simulated")
 
     monkeypatch.setattr(cli, "build_w2", boom)
     assert cli.main(["build-w2"]) == 3
-
-
-@pytest.mark.parametrize("lemma", [
-    ["case2-equal"], ["w2-construction"], ["theorem", "--qmax", "20"],
-])
-def test_verify_budget_reaches_w2(monkeypatch, tmp_path, lemma):
-    from quadforge import classify
-
-    seen = []
-    real = classify.build_w2
-
-    def spy(budget=None):
-        seen.append(budget)
-        return real()
-
-    monkeypatch.setattr(classify, "build_w2", spy)
-    argv = ["verify", "--lemma", *lemma, "--budget", "12345", "--out", str(tmp_path / "r")]
-    assert main(argv) == 0
-    assert seen == [12345]
+    assert "simulated" in capsys.readouterr().err
 
 
 def test_verify_theorem_q100(tmp_path):

@@ -271,32 +271,27 @@ def test_batch_enumeration_rejects_a_wrong_radix_and_collisions(monkeypatch, kin
         GroupSpec(field, kind).elements_t()
 
 
-def test_budget_exceeded():
-    spec = psl(13)
-    spec._elements_t = None  # force re-enumeration attempt
-    with pytest.raises(BudgetExceededError, match="formula-only mode"):
-        spec.elements_t(budget=100)
-    spec._elements_t = None
+def test_budget_exceeded(monkeypatch):
+    # both fields have dense tables, but both groups exceed ELEMENT_LIMIT:
+    # the cap fires before any table is read or array built
+    monkeypatch.setattr(psl2, "array_tables", None)
+    for spec in (psl(317), pgl(227)):
+        assert spec.q <= 512 < psl2.ELEMENT_LIMIT < spec.order
+        with pytest.raises(BudgetExceededError, match="exceeds the enumeration limit"):
+            spec.elements_t()
+        with pytest.raises(BudgetExceededError, match="exceeds the enumeration limit"):
+            indexed_group(spec)
+        assert spec._element_array is None and spec._elements_t is None
 
 
 @pytest.mark.parametrize("kind", ["PSL", "PGL"])
 def test_enumeration_beyond_the_dense_tables_needs_formula_mode(kind):
-    # q = 521 > 512 has no dense field tables, so no budget enumerates it
+    # q = 521 > 512 has no dense field tables, so it is never enumerated
     spec = GroupSpec(make_field(521, 1), kind)
     with pytest.raises(BudgetExceededError, match="q <= 512"):
-        spec.elements_t(budget=10**9)
+        spec.elements_t()
     with pytest.raises(BudgetExceededError, match="q <= 512"):
-        indexed_group(spec, budget=10**9)
-
-
-def test_budget_checked_on_warm_calls(psl9, ig9):
-    # the group is already enumerated and indexed; a small budget still refuses it
-    assert len(psl9.elements_t()) == 360 and indexed_group(psl9) is ig9
-    with pytest.raises(BudgetExceededError, match="formula-only mode"):
-        psl9.elements_t(budget=10)
-    with pytest.raises(BudgetExceededError, match="formula-only mode"):
-        indexed_group(psl9, budget=10)
-    assert indexed_group(psl9, budget=360) is ig9
+        indexed_group(spec)
 
 
 # ---------------------------------------------------------------------------
