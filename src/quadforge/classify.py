@@ -1410,7 +1410,7 @@ def build_w2() -> W2Result:
 
     spec = psl(9)
     M0 = build_case(2, spec)
-    sqrt = spec.field.int_tables()[4]
+    sqrt = spec.field.array_tables()[4]
     omega = next(w for w in range(1, spec.q) if sqrt[w] == -1)  # the first non-square
     ig = indexed_group(spec)
     M1 = handle_from_ids(spec, _diagonal_twist(ig, M0.ids, omega))
@@ -1431,9 +1431,7 @@ def _diagonal_twist(ig, ids, w: int) -> np.ndarray:
     """Ids of the conjugates of `ids` by diag(w, 1), w a field index:
     (a, b; c, d) -> (a, b/w; cw, d).  `ids_of` reads only projective
     images, so the twisted rows need no canonical form."""
-    from .psl2 import array_tables
-
-    _, mul, _, inv = array_tables(ig.spec.field)
+    _, mul, _, inv, _ = ig.spec.field.array_tables()
     a, b, c, d = ig.spec.element_array()[list(ids)].T
     return ig.ids_of(np.stack([a, mul[b, inv[w]], mul[c, w], d], axis=1))
 

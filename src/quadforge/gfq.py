@@ -11,7 +11,8 @@ polynomial of degree at most f/2.
 All arithmetic is exact; there is no floating point anywhere in this
 module.  `FieldSpec` and `FieldElement` are immutable after construction
 and safe to share between threads.  Fields with q <= 512 also carry dense
-index-based operation tables, from which the group layer is built.
+index-based operation tables, held once as read-only int32 arrays, from
+which the group layer is built.
 """
 
 from __future__ import annotations
@@ -191,40 +192,50 @@ class FieldSpec:
             if all(self.pow_t(e.coeffs, k) != one for k in cofactors)
         )
 
-    def int_tables(self):
-        """Dense index-based op tables (ADD, MUL, NEG, INV, SQRT) for q <= 512.
+    def array_tables(self) -> tuple[np.ndarray, ...]:
+        """Dense index-based op tables (ADD, MUL, NEG, INV, SQRT) for q <= 512,
+        as read-only int32 arrays, built once and cached.
 
-        INV[0] = -1 and SQRT[i] = -1 marks "undefined"/"non-square".
-        Addition is digit-wise mod p on the base-p index; multiplication
-        goes through log/antilog tables of `primitive_element()`.
+        INV[0] = -1 and SQRT[i] = -1 marks "undefined"/"non-square"; SQRT[i]
+        is the least root.  Addition is digit-wise mod p on the base-p index;
+        multiplication goes through log/antilog tables of
+        `primitive_element()`.
         """
         if self._tables is None:
             q, p, f = self.q, self.p, self.f
             if q > TABLE_LIMIT:
                 raise ValueError(f"no dense tables for q = {q} > {TABLE_LIMIT}")
-            ids = np.arange(q)
-            place = p ** np.arange(f - 1, -1, -1)  # weight of coefficient k
-            digits = ids[:, None] // place % p
-            add = ((digits[:, None, :] + digits[None, :, :]) % p) @ place
-            neg = (-digits % p) @ place
+            ids = np.arange(q, dtype=np.int32)
+            add = np.zeros((q, q), dtype=np.int32)
+            neg = np.zeros(q, dtype=np.int32)
+            for k in range(f):  # coefficient of x^k carries weight p^(f-1-k)
+                place = p ** (f - 1 - k)
+                digit = ids // place % p
+                add += (digit[:, None] + digit) % p * place
+                neg += -digit % p * place
             g = self.primitive_element()
-            antilog = np.empty(q - 1, dtype=np.int64)
+            antilog = np.empty(q - 1, dtype=np.int32)
             cur = self.one.coeffs
             for k in range(q - 1):
                 antilog[k] = self.index_of(cur)
                 cur = self.mul_t(cur, g)
-            log = np.zeros(q, dtype=np.int64)
+            log = np.zeros(q, dtype=np.intp)
             log[antilog] = np.arange(q - 1)
-            mul = np.zeros((q, q), dtype=np.int64)
-            mul[1:, 1:] = antilog[(log[1:, None] + log[None, 1:]) % (q - 1)]
-            inv = np.full(q, -1, dtype=np.int64)
+            mul = np.zeros((q, q), dtype=np.int32)
+            mul[1:, 1:] = antilog[(log[1:, None] + log[1:]) % (q - 1)]
+            inv = np.full(q, -1, dtype=np.int32)
             inv[1:] = antilog[-log[1:] % (q - 1)]
-            sqrt = [-1] * q
-            for root, square in enumerate(mul[ids, ids].tolist()):
-                if sqrt[square] < 0:
-                    sqrt[square] = root
-            self._tables = (*(t.tolist() for t in (add, mul, neg, inv)), sqrt)
+            sqrt = np.full(q, -1, dtype=np.int32)
+            sqrt[mul[ids, ids]] = np.minimum(ids, neg)  # the roots of x^2 are x and -x
+            for t in (add, mul, neg, inv, sqrt):
+                t.flags.writeable = False
+            self._tables = (add, mul, neg, inv, sqrt)
         return self._tables
+
+    def int_tables(self):
+        """`array_tables()` as Python lists, built on each call and not kept:
+        ADD and MUL as lists of rows, NEG, INV and SQRT as flat lists."""
+        return tuple(t.tolist() for t in self.array_tables())
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ class GroupSpec:
                     f"|{self!r}| = {self.order} exceeds the enumeration limit "
                     f"{ELEMENT_LIMIT}: formula-only mode required"
                 )
-            add, mul, neg, inv = array_tables(self.field)
+            add, mul, neg, inv, _ = self.field.array_tables()
             one = self._one
             r = np.arange(q, dtype=np.int32)
             rows, cols = r[:, None], r[None, :]
@@ -132,12 +132,6 @@ def _matrix_keys(q: int, a, b, c, d) -> np.ndarray:
     """Keys ((a*q + b)*q + c)*q + d of broadcast index arrays: key order is
     the tuple order of (a, b, c, d)."""
     return ((np.asarray(a, dtype=np.int64) * q + b) * q + c) * q + d
-
-
-@lru_cache(maxsize=None)
-def array_tables(field: FieldSpec) -> tuple[np.ndarray, ...]:
-    """The field's ADD, MUL, NEG and INV int tables as int32 arrays."""
-    return tuple(np.asarray(t, dtype=np.int32) for t in field.int_tables()[:4])
 
 
 @lru_cache(maxsize=None)
@@ -209,6 +203,7 @@ def centralizer(g: int, spec: GroupSpec):
 # -- indexed enumeration (fast internal core) -------------------------------
 
 _CHUNK = 1 << 16  # array entries per block of rows in bulk builds
+_SEED_PRODUCTS = 1 << 14  # member products per batch of coset seeds
 
 
 def _blocks(n: int, width: int):
@@ -217,17 +212,31 @@ def _blocks(n: int, width: int):
     return (slice(s, s + step) for s in range(0, n, step))
 
 
+def _translations(add: np.ndarray) -> np.ndarray:
+    """shift[t, x] is the point id of x + t on PG(1,q): the q x (q+1)
+    table of the translations tau_t, each fixing infinity (id q)."""
+    q = len(add)
+    shift = np.empty((q, q + 1), dtype=np.min_scalar_type(q))
+    shift[:, :q], shift[:, q] = add, q
+    return shift
+
+
 class IndexedGroup:
     """Fully enumerated group with integer element ids.
 
-    Ids follow the canonical order of `GroupSpec.elements_t`.  `perms[i]`
-    is element i acting on PG(1,q) ((x:1) has point id x, (1:0) has id q).
-    PGL(2,q) is sharply 3-transitive on PG(1,q), so an element is fixed by
-    its images of 0, 1 and infinity: `_tri[:, i]` holds them and `code`
-    maps every such triple back to its id.  The product i*j is then row j
-    of `perms` read at _tri[:, i], and products, inverses, orders, classes,
-    closures and cosets all run as 1-D gathers from the flattened `perms`
-    and `code`.  Shared, read-only once constructed.
+    Ids follow the canonical order of `GroupSpec.element_array`.
+    `perms[i]` is element i acting on PG(1,q) ((x:1) has point id x, (1:0)
+    has id q), stored byte-wide as `np.min_scalar_type(q)`.  It is built
+    factorized: every element is tau_t * g0 with tau_t: x -> x + t and g0
+    the member with the same first row and c = 0 (or d = 0 when a = 0), so
+    row i is row g0 read at x + t.  Only the n/q rows g0 come from the
+    Moebius formula; the rest are one gather each through the translation
+    table.  PGL(2,q) is sharply 3-transitive on PG(1,q), so an element is
+    fixed by its images of 0, 1 and infinity: `_tri[:, i]` holds them and
+    `code` maps every such triple back to its id.  The product i*j is then
+    row j of `perms` read at _tri[:, i], and products, inverses, orders,
+    classes, closures and cosets all run as 1-D gathers from the flattened
+    `perms` and `code`.  Shared, read-only once constructed.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -235,16 +244,10 @@ class IndexedGroup:
         E = spec.element_array()
         self.n = n = len(E)
         q, self.m = spec.q, spec.q + 1
-        self._add, mul, _, inv = array_tables(spec.field)
+        self._add, mul, _, inv, _ = spec.field.array_tables()
         # _div[x*q + y] is the point id of (x:y)
         self._div = np.hstack([np.full((q, 1), q), mul[:, inv[1:]]]).ravel()
-        add, mulq = self._add.ravel(), mul.astype(np.intp) * q  # mulq[a, x] = (x*a)*q
-        self.perms = perms = np.empty((n, q + 1), dtype=np.uint16)
-        for rows in _blocks(n, q + 1):
-            a, b, c, d = E[rows].T.astype(np.intp)
-            # (x:1) -> (xa+c : xb+d), (1:0) -> (a : b)
-            perms[rows, :q] = self._point(add[mulq[a] + c[:, None]], add[mulq[b] + d[:, None]])
-            perms[rows, q] = self._point(a, b)
+        self.perms = perms = self._action_rows(E)
         self._tri = np.ascontiguousarray(perms.T[[0, spec._one, q]])  # rows for 1-D gathers
         self.code = np.full((q + 1,) * 3, -1, dtype=np.int32)
         self.code[tuple(self._tri)] = np.arange(n, dtype=np.int32)
@@ -256,6 +259,43 @@ class IndexedGroup:
         self._cayley: np.ndarray | None = None
         self._gen_pair: tuple[int, int] | None = None
         self._class_labels: np.ndarray | None = None
+
+    def _action_rows(self, E: np.ndarray) -> np.ndarray:
+        """The (n, q+1) action table.  The rows g0 with c = 0 (a != 0) or
+        d = 0 (a = 0) come from (x:1) -> (xa+c : xb+d), (1:0) -> (a : b).
+        Any g = (a, b; c, d) is tau_t * g0 with t = c/a (or d/b when a = 0)
+        and g0 = (a, b; c - at, d - bt), which keeps g's canonical form; g0
+        is found by its key and row g is row g0 read through `shift[t]`.
+        Every row must send 0, 1 and infinity to (c:d), (a+c : b+d) and
+        (a:b), which pins it to its own matrix."""
+        q, m = self.spec.q, self.m
+        add, mul, neg, inv, _ = self.spec.field.array_tables()
+        corners = [0, self.spec._one, q]
+        reps = np.flatnonzero(np.where(E[:, 0] != 0, E[:, 2], E[:, 3]) == 0)
+        rep_keys = _matrix_keys(q, *E[reps].T)
+        base = np.empty((reps.size, m), dtype=np.min_scalar_type(q))
+        flat_add, mulq = add.ravel(), mul.astype(np.intp) * q  # mulq[a, x] = (x*a)*q
+        for rows in _blocks(reps.size, m):
+            a, b, c, d = E[reps[rows]].T.astype(np.intp)
+            base[rows, :q] = self._point(
+                flat_add[mulq[a] + c[:, None]], flat_add[mulq[b] + d[:, None]]
+            )
+            base[rows, q] = self._point(a, b)
+        shift, flat = _translations(add), base.ravel()
+        perms = np.empty((self.n, m), dtype=base.dtype)
+        for rows in _blocks(self.n, m):
+            a, b, c, d = E[rows].T.astype(np.intp)
+            lead = a != 0
+            t = mul[np.where(lead, c, d), inv[np.where(lead, a, b)]]
+            key = _matrix_keys(q, a, b, add[c, neg[mul[a, t]]], add[d, neg[mul[b, t]]])
+            at = np.searchsorted(rep_keys, key) * m
+            perms[rows] = flat[at[:, None] + shift[t]]
+            images = (c, d), (add[a, c], add[b, d]), (a, b)
+            if any((perms[rows, k] != self._point(*xy)).any() for k, xy in zip(corners, images)):
+                raise VerificationError(
+                    "kernel-code", f"{self.spec!r}: a row does not act as its own matrix"
+                )
+        return perms
 
     def _point(self, x, y):
         """Point id of (x:y) for field-index arrays x, y."""
@@ -365,15 +405,22 @@ class IndexedGroup:
     # -- closures and classes --
 
     def closure_idx(self, gens) -> tuple[int, ...]:
-        """Subgroup generated by `gens`: a breadth-first sweep from the
-        identity over right multiplication by the generators."""
+        """Subgroup generated by `gens`, as sorted ids: a breadth-first sweep
+        from the identity over right multiplication by the generators.
+        Each round touches only the new products: those not yet known, each
+        kept once through a scratch slot array, so a round costs the
+        frontier's size, not n."""
         gens = np.asarray(list(gens), dtype=np.intp)
         known = self.mask([self.e])
-        frontier = np.flatnonzero(known)
+        slot = np.empty(self.n, dtype=np.intp)
+        frontier = np.array([self.e], dtype=np.intp)
         while frontier.size:
-            new = self.mask(self.mul_ids(frontier[:, None], gens).ravel()) & ~known
-            known |= new
-            frontier = np.flatnonzero(new)
+            new = self.mul_ids(frontier[:, None], gens).ravel().astype(np.intp)
+            new = new[~known[new]]
+            known[new] = True
+            order = np.arange(new.size)
+            slot[new] = order  # one position per repeated id survives
+            frontier = new[slot[new] == order]
         return tuple(np.flatnonzero(known).tolist())
 
     def generators_of(self, sub_idxs) -> list[int]:
@@ -429,15 +476,34 @@ class IndexedGroup:
 
     def coset_labels(self, sub_idxs) -> tuple[list[int], list[int]]:
         """Right cosets H\\G as labels: labels[g] = coset id, reps[id] = min
-        element, ids in order of least element.  Hg is the orbit of g under
-        left multiplication by generators of H."""
-        ids = np.arange(self.n)
-        maps = [self.mul_ids(h, ids) for h in self.generators_of(sub_idxs)]
-        lab = orbit_labels(maps, self.n)
-        reps = np.flatnonzero(lab == ids)
+        element, ids in order of least element.  `generators_of` certifies
+        that the ids close to a subgroup H; `coset_minima` then labels each
+        g with the least member of Hg, read off member products."""
+        sub = np.asarray(sub_idxs, dtype=np.intp)
+        self.generators_of(sub)
+        lab = coset_minima(self, sub)
+        reps = np.flatnonzero(lab == np.arange(self.n))
         rank = np.empty(self.n, dtype=np.intp)
         rank[reps] = np.arange(reps.size)
         return rank[lab].tolist(), reps.tolist()
+
+
+def coset_minima(ig: IndexedGroup, sub: np.ndarray) -> np.ndarray:
+    """lab[g] is the least member of the right coset Hg, H the subgroup
+    with ids `sub`, labelled in seed batches.  Column j of
+    P = H * seeds is the whole coset H seeds[j], so its minimum is that
+    coset's least member: lab[P] = P.min(axis=0).  A batch takes about
+    _SEED_PRODUCTS products' worth of still-unlabelled ids, evenly spaced
+    through them: neighbouring ids share a first row, and for a subgroup
+    of the stabilizer of infinity that puts them in few cosets."""
+    lab = np.full(ig.n, -1, dtype=np.intp)
+    todo = np.arange(ig.n)
+    step = max(1, _SEED_PRODUCTS // sub.size)
+    while todo.size:
+        P = ig.mul_ids(sub[:, None], todo[:: -(-todo.size // step)])
+        lab[P] = P.min(axis=0)
+        todo = todo[lab[todo] < 0]
+    return lab
 
 
 def orbit_labels(maps, size: int) -> np.ndarray:
@@ -450,15 +516,17 @@ def orbit_labels(maps, size: int) -> np.ndarray:
     grows, so the orbit's least member keeps its own label.  At the fixed
     point lab <= lab[m] for every m, so lab is constant along each map's
     cycles, hence on whole orbits, and there it is the least member.
+    Maps and labels are cast to intp once, so no gather re-casts its index.
     """
-    lab = np.arange(size, dtype=np.int32)
+    maps = [np.asarray(m, dtype=np.intp) for m in maps]
+    lab = np.arange(size)
     while True:
         prev = lab
         for m in maps:
             lab = np.minimum(lab, lab[m])
         lab = lab[lab]
         if np.array_equal(lab, prev):
-            return lab
+            return lab.astype(np.int32)
 
 
 _INDEXED: dict[tuple[int, str], IndexedGroup] = {}

@@ -30,7 +30,6 @@ from .errors import VerificationError
 from .psl2 import (
     GroupSpec,
     IndexedGroup,
-    array_tables,
     indexed_group,
     orbit_labels,
 )
@@ -340,7 +339,7 @@ def _subfield_ids(spec: GroupSpec, q0: int, projective: bool) -> np.ndarray:
     in_sub = np.zeros(spec.q, dtype=bool)
     in_sub[subfield_indices(spec.field, q0)] = True
     if projective:
-        _, mul, _, inv = array_tables(spec.field)
+        _, mul, _, inv, _ = spec.field.array_tables()
         scale = inv[np.where(rows[:, 0] != 0, rows[:, 0], rows[:, 1])]
     keep = np.arange(len(rows))
     for col in range(4):

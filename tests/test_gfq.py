@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 import sympy
 from oracle import is_square, sqrt_t
@@ -280,7 +281,11 @@ def direct_int_tables(spec):
 )
 def test_int_tables_match_direct_arithmetic(p, f):
     spec = make_field(p, f)
+    tables = spec.array_tables()
+    assert spec.array_tables() is tables  # cached once, as arrays
+    assert all(t.dtype == np.int32 and not t.flags.writeable for t in tables)
     assert spec.int_tables() == direct_int_tables(spec)
+    assert spec.int_tables() is not spec.int_tables()  # lists are built on request
     g = spec.primitive_element()
     assert len({spec.pow_t(g, k) for k in range(spec.q - 1)}) == spec.q - 1
 

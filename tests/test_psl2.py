@@ -19,7 +19,7 @@ import quadforge
 from quadforge import psl2
 from quadforge._ints import prime_power
 from quadforge.errors import BudgetExceededError, VerificationError
-from quadforge.gfq import make_field
+from quadforge.gfq import FieldSpec, make_field
 from quadforge.psl2 import (
     GroupSpec,
     centralizer,
@@ -274,7 +274,7 @@ def test_batch_enumeration_rejects_a_wrong_radix_and_collisions(monkeypatch, kin
 def test_budget_exceeded(monkeypatch):
     # both fields have dense tables, but both groups exceed ELEMENT_LIMIT:
     # the cap fires before any table is read or array built
-    monkeypatch.setattr(psl2, "array_tables", None)
+    monkeypatch.setattr(FieldSpec, "array_tables", None)
     for spec in (psl(317), pgl(227)):
         assert spec.q <= 512 < psl2.ELEMENT_LIMIT < spec.order
         with pytest.raises(BudgetExceededError, match="exceeds the enumeration limit"):
@@ -545,6 +545,7 @@ def test_flat_kernel_rows_products_and_orders_match_the_tuple_layer(kind, q):
         return tuple(int(v) for v in E[i])
 
     assert ig.ids_of(E).tolist() == list(range(ig.n))
+    assert ig.perms.dtype == np.min_scalar_type(q) == np.uint8
 
     line = projective_line(spec.field)
     point_id = {p: i for i, p in enumerate(line)}
@@ -601,6 +602,24 @@ def test_kernel_code_rejects_a_duplicated_element_row(monkeypatch, capsys):
     assert main(["build-w2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("MISMATCH: kernel-code") and "Traceback" not in err
+
+
+def test_kernel_code_rejects_swapped_translation_rows(monkeypatch):
+    # rows g0 read through the wrong translation: the elements tau_1 g0 and
+    # tau_2 g0 trade rows, which leaves every row distinct, so only the
+    # check of each row's images of 0, 1 and infinity against its matrix
+    # sees it
+    translations = psl2._translations
+
+    def swapped(add):
+        shift = translations(add)
+        shift[[1, 2]] = shift[[2, 1]]
+        return shift
+
+    monkeypatch.setattr(psl2, "_translations", swapped)
+    for spec in (psl(9), pgl(8)):
+        with pytest.raises(VerificationError, match="kernel-code"):
+            psl2.IndexedGroup(spec)
 
 
 def test_orders_walk_stops_on_a_corrupt_row():
@@ -705,12 +724,26 @@ def one_round_labels(maps, size):
     return lab[lab]
 
 
+def first_batch_minima(ig, sub):
+    """The coset labelling stopped after its first seed batch."""
+    lab = np.full(ig.n, -1, dtype=np.intp)
+    step = max(1, psl2._SEED_PRODUCTS // sub.size)
+    P = ig.mul_ids(sub[:, None], np.arange(ig.n)[:: -(-ig.n // step)])
+    lab[P] = P.min(axis=0)
+    return lab
+
+
 def test_kernel_check_rejects_a_labelling_stopped_after_one_round(monkeypatch):
     monkeypatch.setattr(psl2, "orbit_labels", one_round_labels)
     spec = psl(25)
     fresh = psl2.IndexedGroup(spec)  # no cached labels
     bad = kernel_mismatches(spec, fresh)
-    assert "all_classes" in bad and any(b.startswith("coset_labels") for b in bad)
+    assert "all_classes" in bad and not any(b.startswith("coset_labels") for b in bad)
+    monkeypatch.undo()
+    monkeypatch.setattr(psl2, "coset_minima", first_batch_minima)
+    fresh = psl2.IndexedGroup(spec)
+    bad = kernel_mismatches(spec, fresh)
+    assert "all_classes" not in bad and any(b.startswith("coset_labels") for b in bad)
 
 
 def test_coset_generators_must_close_to_the_subgroup(ig9):
