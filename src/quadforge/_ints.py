@@ -3,15 +3,19 @@
 Everything here is plain integer arithmetic (Python ints are unbounded, so
 the 128-bit headroom the scans need is automatic).  Primality is a
 deterministic Miller-Rabin valid far beyond the scan ranges; factorization
-is trial division plus Brent's variant of Pollard rho.  The prime powers of
-a scan range also come as numpy arrays: int64 inside the shared sieve,
-where every q**3 fits in 63 bits, and Python ints (dtype=object) beyond.
+is trial division plus Brent's variant of Pollard rho.  The prime powers up
+to SIEVE_LIMIT sit in one process-wide (q, p, f) index, built by a sieve of
+Eratosthenes when a scan first needs it and grown only; `prime_power`
+searches it, and factorizes beyond it.  A scan range gets its prime powers
+as numpy arrays: int64 up to SIEVE_LIMIT, where every q**3 fits in 63 bits,
+and Python ints (dtype=object) past it, where only the q above the limit
+are tested one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -154,54 +158,48 @@ def divisors_from_factors(fac: dict[int, int]) -> list[int]:
     return divs
 
 
-SIEVE_LIMIT = 2_000_000  # the largest range end the shared table is built for
-# every q in the table has q**3 <= 8e18 < 2**63, so the scan kernels may
+SIEVE_LIMIT = 2_000_000  # the largest range end the shared index is built for
+# every q in the index has q**3 <= 8e18 < 2**63, so the scan kernels may
 # evaluate the index formulas in int64 anywhere inside it
 
-_SPF = array("i")
-# (the table it indexes, its prime powers ascending as int32, the
-# smallest prime factor and the exponent of each)
-_PP = (_SPF, np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, np.int32))
+# (n, q, p, f): every prime power q = p**f with q <= n, ascending, and its
+# prime and exponent, as memoryviews of int32 arrays.  Each build replaces
+# the whole tuple in one assignment, so a reader on another thread sees
+# either the old index or the new one, never a mix.
+_INDEX = (0, *map(memoryview, np.zeros((3, 0), np.int32)))
 
 
-def spf_sieve(limit: int) -> array:
-    """Smallest-prime-factor table covering 0..limit.
+def spf_sieve(limit: int) -> None:
+    """Build the shared prime-power index up to `limit`.
 
-    The process keeps one table: it is rebuilt only when a caller asks for
-    a larger limit and otherwise returned as is, so it may run past
-    `limit`.  `prime_power` reads it for every q it covers.  Next to it
-    sits a compact index of the prime powers it covers, (q, p, f) as numpy
-    arrays, rebuilt whenever the table changes: the primes are the entries
-    that are their own smallest prime factor, p is read off the table and f
-    counts the divisions by p."""
-    global _SPF, _PP
-    if limit >= len(_SPF):
-        spf = array("i", range(limit + 1))
-        # i runs down, so each j >= i*i keeps the least i > 1 dividing it,
-        # which is its smallest prime factor
-        for i in range(math.isqrt(limit), 1, -1):
-            spf[i * i :: i] = array("i", [i]) * len(range(i * i, limit + 1, i))
-        _SPF = spf
-    if _PP[0] is not _SPF:
-        n = len(_SPF)
-        table = np.frombuffer(_SPF, dtype=np.int32)
-        primes = np.flatnonzero(table[2:] == np.arange(2, n, dtype=np.int32)) + 2
-        powers = []
-        for p in primes[primes <= math.isqrt(n)].tolist():
-            pk = p * p
-            while pk < n:
-                powers.append(pk)
-                pk *= p
-        powers = np.array(powers, dtype=np.int64)
-        q = np.sort(np.concatenate([primes, powers])).astype(np.int32)
-        p = table[q]
-        f = np.zeros_like(q)
-        m = q
-        while (left := m > 1).any():  # q < 2**31, so at most 30 rounds
-            m = np.where(left, m // p, m)
-            f += left
-        _PP = (_SPF, q, p, f)
-    return _SPF
+    The process keeps one index (see `_INDEX`); it grows only, so a request
+    at or below the limit it already covers does nothing.  The primes come
+    from a sieve of Eratosthenes on a bool array, and the higher powers by
+    repeated multiplication of the primes up to isqrt(limit); the rows are
+    sorted once.  (The name is kept for perfbench/tracer.py, which looks it
+    up until the benchmark is re-pointed: ROADMAP item 1.)"""
+    global _INDEX
+    if limit <= _INDEX[0]:
+        return
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve)
+    q, p, f = [primes], [primes], [np.ones_like(primes)]
+    base = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
+    power, k = base * base, 2
+    while len(base):  # power <= limit * isqrt(limit) < 2**63
+        keep = power <= limit
+        base, power = base[keep], power[keep]
+        q.append(power)
+        p.append(base)
+        f.append(np.full_like(base, k))
+        power, k = power * base, k + 1
+    q, p, f = (np.concatenate(c) for c in (q, p, f))
+    order = np.argsort(q)
+    _INDEX = (limit, *(memoryview(c[order].astype(np.int32)) for c in (q, p, f)))
 
 
 def factorize_sieved(n: int, spf) -> dict[int, int]:
@@ -219,18 +217,14 @@ def factorize_sieved(n: int, spf) -> dict[int, int]:
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q = p**f, or None if q is not a prime power.
 
-    Inside the shared smallest-prime-factor table (see `spf_sieve`) this is
-    a lookup plus a division loop; q beyond it is factorized.  Nothing here
-    builds the table."""
+    Inside the shared prime-power index (see `spf_sieve`) this is a binary
+    search; q beyond it is factorized.  Nothing here builds the index."""
     if q < 2:
         return None
-    if q < len(_SPF):
-        p = _SPF[q]
-        m, f = q, 0
-        while m % p == 0:
-            m //= p
-            f += 1
-        return (p, f) if m == 1 else None
+    n, qs, ps, fs = _INDEX
+    if q <= n:
+        i = bisect_left(qs, q)
+        return (ps[i], fs[i]) if i < len(qs) and qs[i] == q else None
     fac = factorize(q)
     if len(fac) != 1:
         return None
@@ -240,19 +234,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 def iter_prime_powers(lo: int, hi: int):
     """Yield (q, p, f) for every prime power q = p**f with lo <= q <= hi,
-    ascending.
-
-    Up to SIEVE_LIMIT this reads the prime-power index of the shared table
-    (see `spf_sieve`) and never visits another integer; beyond it each q
-    is tested by `prime_power`."""
-    if hi < lo:
-        return
-    if hi > SIEVE_LIMIT:
-        for q in range(max(lo, 2), hi + 1):
-            pf = prime_power(q)
-            if pf is not None:
-                yield q, pf[0], pf[1]
-        return
+    ascending: the rows of `prime_power_arrays(lo, hi)` as Python ints."""
     yield from zip(*(col.tolist() for col in prime_power_arrays(lo, hi)))
 
 
@@ -260,17 +242,21 @@ def prime_power_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """(q, p, f) as three equal-length arrays: every prime power
     q = p**f with lo <= q <= hi, ascending.
 
-    The dtype follows from hi.  Up to SIEVE_LIMIT the arrays are int64
-    copies of a slice of the shared prime-power index, and q**3 < 2**63
-    holds for every entry.  Beyond it they hold Python ints (dtype=object),
-    found by `iter_prime_powers`, so the same array expressions stay exact
-    at any size."""
-    if hi > SIEVE_LIMIT:
-        rows = list(iter_prime_powers(lo, hi))
-        return tuple(np.array([r[i] for r in rows], dtype=object) for i in range(3))
-    if hi < lo:
-        return tuple(np.zeros(0, np.int64) for _ in range(3))
-    spf_sieve(hi)
-    _, q, p, f = _PP
-    i, j = np.searchsorted(q, lo), np.searchsorted(q, hi, side="right")
-    return tuple(col[i:j].astype(np.int64) for col in (q, p, f))
+    The q up to SIEVE_LIMIT are read from the shared prime-power index
+    (see `spf_sieve`), built up to min(hi, SIEVE_LIMIT) if needed; only the
+    q above the limit are tested one at a time by `prime_power`.  The dtype
+    follows from hi: int64 up to SIEVE_LIMIT, where q**3 < 2**63 holds for
+    every entry, and Python ints (dtype=object) beyond it, so the same
+    array expressions stay exact at any size."""
+    top = min(hi, SIEVE_LIMIT)
+    if lo <= top:
+        spf_sieve(top)
+    _, q, p, f = _INDEX
+    i, j = bisect_left(q, lo), bisect_right(q, top)
+    cols = [col[i:j] for col in (q, p, f)]
+    if hi <= SIEVE_LIMIT:
+        return tuple(np.asarray(col, dtype=np.int64) for col in cols)
+    past = [(x, *pf) for x in range(max(lo, SIEVE_LIMIT + 1), hi + 1) if (pf := prime_power(x))]
+    return tuple(
+        np.array(col.tolist() + [row[k] for row in past], dtype=object) for k, col in enumerate(cols)
+    )

@@ -258,8 +258,8 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
     worker scans the range as one chunk; more split it into up to four
     chunks per worker, mapped on a thread pool of this process that is
     opened and joined here, with at most one thread per core.  Only the
-    calling thread grows the shared prime-power table: it is sized first
-    to the largest chunk end it can cover, so no chunk rebuilds it."""
+    calling thread grows the shared prime-power index: it is built first
+    up to qhi or SIEVE_LIMIT, whichever is lower, so no chunk rebuilds it."""
     if qhi < qlo:
         return 0, []
     workers = max(1, workers)
@@ -271,9 +271,7 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
         hi = min(lo + step - 1, qhi)
         chunks.append(base_args + (lo, hi))
         lo = hi + 1
-    inside = [c[-1] for c in chunks if c[-1] <= SIEVE_LIMIT]
-    if inside:
-        spf_sieve(inside[-1])
+    spf_sieve(min(qhi, SIEVE_LIMIT))
     if len(chunks) == 1:
         results = [worker(chunks[0])]
     else:

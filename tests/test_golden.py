@@ -24,6 +24,10 @@ FULL_RANGE_SHA256 = "34f358d0cee9c1d6fed09a97bb159269246e87050067e30236f0730f64c
 # the top of the shared sieve, where q^3 = 8e18 is just under 2^63: recorded
 # before the scans became numpy passes, so it pins their int64 edge
 SIEVE_TOP_SHA256 = "4cb070f6af05c765dae5d9ea371c7077dd779b4544a9dab166cffcf9750e1e00"
+# 100,000 q past the sieve limit, where the scans run on Python ints: recorded
+# while every q of case8-case9 from 4 was still tested one at a time; CI
+# compares the --qmax 2100000 report with it
+PAST_SIEVE_SHA256 = "3f0b1094ce388d160569d7f8717d1f0bc17c7bdb95ec1d09402b21e543c9d628"
 # W(2) with every selection, and its incidence file: recorded while subgroups
 # were still stored as element tuples, so they pin the double-coset rep ids
 # and the coset labels that the id-native handles must reproduce

@@ -1,6 +1,6 @@
 """Chunked scans on threads: who opens an executor, how many threads it
 may start, that none outlives the run, and that only the calling thread
-grows the shared prime-power table.
+grows the shared prime-power index.
 
 Executors are recorded by wrapping `concurrent.futures.ThreadPoolExecutor`,
 which `classify._run_chunked` imports when it splits a scan.
@@ -11,8 +11,8 @@ import os
 import subprocess
 import sys
 import threading
-from array import array
 
+import numpy as np
 import pytest
 
 import quadforge
@@ -38,22 +38,21 @@ def executors(monkeypatch):
 
 @pytest.fixture
 def no_table(monkeypatch):
-    """A process whose shared prime-power table is empty, as at start-up."""
-    monkeypatch.setattr(_ints, "_PP", _ints._PP)  # put back afterwards with the table
-    monkeypatch.setattr(_ints, "_SPF", array("i"))
+    """A process whose shared prime-power index is empty, as at start-up."""
+    monkeypatch.setattr(_ints, "_INDEX", (0, *map(memoryview, np.zeros((3, 0), np.int32))))
 
 
 @pytest.fixture
 def table_off_threads(monkeypatch):
-    """Fail any call that would grow the shared table from a thread other
+    """Fail any call that would grow the shared index from a thread other
     than the main one; the list counts the calls the scan threads made."""
     off_main, sieve = [], _ints.spf_sieve
 
     def guarded(limit):
         if threading.current_thread() is not threading.main_thread():
             off_main.append(limit)
-            if limit >= len(_ints._SPF):
-                raise AssertionError(f"a scan thread grows the table to {limit}")
+            if limit > _ints._INDEX[0]:
+                raise AssertionError(f"a scan thread grows the index to {limit}")
         return sieve(limit)
 
     monkeypatch.setattr(_ints, "spf_sieve", guarded)
@@ -101,8 +100,8 @@ def test_a_direct_scan_caps_its_threads_at_the_core_count(executors):
 
 def test_worker_threads_never_grow_the_table(no_table, table_off_threads):
     assert theorem_driver(2_000_000, workers=2).ok
-    assert table_off_threads  # the chunks did ask, and found the table sized
-    assert len(_ints._SPF) == 2_000_001
+    assert table_off_threads  # the chunks did ask, and found the index built
+    assert _ints._INDEX[0] == 2_000_000
 
 
 def test_a_scan_past_the_sieve_limit_grows_the_table_on_the_calling_thread(
@@ -111,7 +110,7 @@ def test_a_scan_past_the_sieve_limit_grows_the_table_on_the_calling_thread(
     limit = _ints.SIEVE_LIMIT
     rec = eliminate_cross(8, 9, q_range=(limit - 2000, limit + 10), workers=2)
     assert rec.scan_size > 0 and table_off_threads
-    assert limit - 2000 < len(_ints._SPF) <= limit + 1
+    assert _ints._INDEX[0] == limit
 
 
 def test_importing_the_cli_loads_no_pool_module():
