@@ -21,13 +21,11 @@ axiom-checked.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +55,9 @@ from .feasibility import (
 from .geometry import fixed_count
 from .subgroups import (
     Q_INDEX,
+    _fields_eq,
+    _fields_hash,
+    _frozen,
     case_condition,
     case_condition_at,
     dihedral_involution_count,
@@ -76,7 +77,6 @@ _VERDICTS = (ELIMINATED, NEEDS_GEOMETRY, CONFIRMED)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class EliminationRecord:
     """One elimination routine's replayable outcome.
 
@@ -84,23 +84,24 @@ class EliminationRecord:
     round-trip and stay byte-identical across runs.
     """
 
-    lemma_tag: str
-    inputs: dict
-    scan_size: int
-    survivors: list[tuple[int, int, int]]  # (q, s, t)
-    verdict: str
-    checks: list[dict] = dc_field(default_factory=list)
-    notes: list[str] = dc_field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("lemma_tag", "inputs", "scan_size", "survivors", "verdict", "checks", "notes", "elapsed")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.verdict not in _VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if (self.verdict == ELIMINATED) != (not self.survivors):
+    def __init__(self, lemma_tag: str, inputs: dict, scan_size: int,
+                 survivors: list[tuple[int, int, int]],  # (q, s, t)
+                 verdict: str, checks: list[dict] | None = None, notes: list[str] | None = None,
+                 elapsed: float = 0.0):
+        if verdict not in _VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if (verdict == ELIMINATED) != (not survivors):
             raise ValueError("verdict 'eliminated' iff the survivor list is empty")
-        bad = [c for c in self.checks if not c.get("ok")]
+        checks = [] if checks is None else checks
+        bad = [c for c in checks if not c.get("ok")]
         if bad:
-            raise VerificationError(bad[0]["name"], f"{self.lemma_tag}: {bad[0].get('detail', '')}")
+            raise VerificationError(bad[0]["name"], f"{lemma_tag}: {bad[0].get('detail', '')}")
+        self.lemma_tag, self.inputs, self.scan_size = lemma_tag, inputs, scan_size
+        self.survivors, self.verdict, self.checks = survivors, verdict, checks
+        self.notes, self.elapsed = [] if notes is None else notes, elapsed
 
     def to_dict(self) -> dict:
         return {
@@ -126,9 +127,7 @@ class EliminationRecord:
         )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, EliminationRecord) and self.to_dict() == other.to_dict()
-        )
+        return isinstance(other, EliminationRecord) and self.to_dict() == other.to_dict()
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
@@ -259,7 +258,8 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
     chunks per worker, mapped on a thread pool of this process that is
     opened and joined here, with at most one thread per core.  Only the
     calling thread grows the shared prime-power index: it is built first
-    up to qhi or SIEVE_LIMIT, whichever is lower, so no chunk rebuilds it."""
+    up to qhi or SIEVE_LIMIT, whichever is lower, so no chunk rebuilds it,
+    and not at all when the whole range lies past SIEVE_LIMIT."""
     if qhi < qlo:
         return 0, []
     workers = max(1, workers)
@@ -271,7 +271,8 @@ def _run_chunked(worker, base_args, qlo, qhi, workers: int):
         hi = min(lo + step - 1, qhi)
         chunks.append(base_args + (lo, hi))
         lo = hi + 1
-    spf_sieve(min(qhi, SIEVE_LIMIT))
+    if qlo <= SIEVE_LIMIT:
+        spf_sieve(min(qhi, SIEVE_LIMIT))
     if len(chunks) == 1:
         results = [worker(chunks[0])]
     else:
@@ -308,11 +309,15 @@ def _eliminate_3_5() -> EliminationRecord:
         _check("k-candidates", ks == [2, 6, 26], f"7k-2 | 360 admits k = {ks}")
     )
     # direct cross-check: the divisibility condition itself, over a k-scan
-    direct = [
-        k
-        for k in range(2, 10_000)
-        if divisibility(2 * k - 1, 5 * k - 1)
-    ]
+    # in one array pass.  s + t = 7k-2 must divide st(s+1)(t+1) =
+    # (2k-1)(5k-1)(2k)(5k); the product is reduced mod 7k-2 < 7*10^4 after
+    # each factor, so it stays below (7*10^4)^2 in int64.
+    k = np.arange(2, 10_000, dtype=np.int64)
+    m = 7 * k - 2
+    prod = np.ones_like(k)
+    for factor in (2 * k - 1, 5 * k - 1, 2 * k, 5 * k):
+        prod = prod * (factor % m) % m
+    direct = k[prod == 0].tolist()
     checks.append(
         _check(
             "k-scan-agrees",
@@ -428,12 +433,12 @@ def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> Eliminati
     sign = -1 if case_m1 == 8 else +1  # |M1| = 2(q-1)/gcd or 2(q+1)/gcd
     for q0, r in _subfield_pair_instances(case_m0, q0_lo, q0_hi):
         q = q0**r
-        if not (case_condition(case_m1, q)):
+        if not case_condition(case_m1, q, q0=q0, r=r):
             continue
         tested += 1
         # exact solve of the two count equations with all filters
         nP = index_formula(case_m0, q, q0=q0, r=r)
-        nL = index_formula(case_m1, q)
+        nL = index_formula(case_m1, q, q0=q0, r=r)
         for cand in _feasible_orders(nP, nL):
             survivors.append((q, cand.s, cand.t))
     # r >= 11 is impossible: the cube bound already fails at r = 11
@@ -633,48 +638,44 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
                     f"s+t = {c.s + c.t} does not divide st(s+1)(t+1)",
                 )
             )
-    tested = 3
     plo, phi = p_range or VERIFIERS["sporadic"].default_range
-    a4_checks = 0
-    for p in range(plo, phi + 1):
-        if p % 40 not in (11, 19, 21, 29) or not is_prime(p):
-            continue
-        tested += 1
-        a4_checks += 1
-        keep = p <= 100  # record details for the small primes only
-        n_pts = p * (p * p - 1) // 24
-        s = solve_equal_order(n_pts)
-        sols = [(p, s, s)] if s is not None and s >= 2 else []
-        if p % 4 == 3:
-            # residues +11, +19: -1 is a non-square, so p | s+1 is forced
-            # and s >= p-1 pushes the count past |P|
-            over = p * (p * p - 2 * p + 2) > n_pts
-            survivors.extend(sols)
-            if keep:
-                checks.append(
-                    _check(
-                        f"a4s4-p={p}-count-too-large",
-                        over and not sols,
-                        "forced s >= p-1 overshoots the point count; no solution",
-                    )
-                )
-            continue
-        # residues -11, -19: the involution fixes (p-1)/4 > 1 points and the
-        # odd cyclic half of its centralizer is regular on them
-        cls = p * (p + 1) // 2
-        pg = n_pts * 3 // cls if (n_pts * 3) % cls == 0 else None
-        quarter = pg == (p - 1) // 4 and pg is not None and pg > 1
-        k_odd = (p - 1) // 4 % 2 == 1
-        if not (quarter and k_odd):
-            survivors.extend(sols or [(p, 0, 0)])
-            continue
-        if keep:
-            checks.append(
-                _check(f"a4s4-p={p}-fixed-quarter", quarter, f"|P_g| = |L_g| = {pg}")
-            )
+    _, p, f = prime_power_arrays(plo, phi)
+    r = p % 40
+    p = p[(f == 1) & ((r == 11) | (r == 19) | (r == 21) | (r == 29))]
+    # every test at every prime at once, in integers: p(p^2-1) < 2**63 for
+    # p <= SIEVE_LIMIT, and past it the arrays hold Python ints
+    n_pts = p * (p * p - 1) // 24
+    s = solve_equal_order_array(n_pts)
+    solved = s >= 2
+    # residues +11, +19 (p = 3 mod 4): -1 is a non-square, so p | s+1 is
+    # forced and s >= p-1 pushes the count past |P|
+    minus = p % 4 == 3
+    over = p * (p * p - 2 * p + 2) > n_pts
+    # residues -11, -19: the involution fixes (p-1)/4 > 1 points and the
+    # odd cyclic half of its centralizer is regular on them
+    cls = p * (p + 1) // 2
+    pg = np.where(n_pts * 3 % cls == 0, n_pts * 3 // cls, 0)  # 0: no integer count
+    quarter = (pg == (p - 1) // 4) & (pg > 1)
+    closed = ~minus & quarter & ((p - 1) // 4 % 2 == 1)
+    survivors += [(x, sx, sx) for x, sx in zip(p[solved & ~closed].tolist(), s[solved & ~closed].tolist())]
+    survivors += [(x, 0, 0) for x in p[~minus & ~closed & ~solved].tolist()]
+    # the checks the record keeps: the primes up to 100, in order
+    for x, x_minus, x_over, x_solved, x_closed, x_quarter, x_pg in zip(
+        *(col[p <= 100].tolist() for col in (p, minus, over, solved, closed, quarter, pg))
+    ):
+        if x_minus:
             checks.append(
                 _check(
-                    f"a4s4-p={p}-regular-odd-cyclic",
+                    f"a4s4-p={x}-count-too-large",
+                    x_over and not x_solved,
+                    "forced s >= p-1 overshoots the point count; no solution",
+                )
+            )
+        elif x_closed:
+            checks.append(_check(f"a4s4-p={x}-fixed-quarter", x_quarter, f"|P_g| = |L_g| = {x_pg}"))
+            checks.append(
+                _check(
+                    f"a4s4-p={x}-regular-odd-cyclic",
                     True,
                     "a cyclic group of odd order (p-1)/4 is regular on the "
                     "fixed points; a regular abelian group cannot act on a "
@@ -684,14 +685,14 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
     return EliminationRecord(
         lemma_tag="sporadic",
         inputs={"p_lo": plo, "p_hi": phi, "method": "scan+consequence"},
-        scan_size=tested,
+        scan_size=3 + len(p),
         survivors=sorted(survivors),
         verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
         checks=checks,
         notes=[
             "the three defective-extension groups over q = 9 are excluded "
             "by the almost-simple reduction and carry no point counts",
-            f"{a4_checks} primes needed the fixed-substructure endgame",
+            f"{len(p)} primes needed the fixed-substructure endgame",
         ],
     )
 
@@ -701,8 +702,7 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitiveTableRow:
+class TransitiveTableRow(NamedTuple):
     """Class data for an element of prescribed order inside both
     stabilizers, with its fixed-point count on each coset space."""
 
@@ -728,18 +728,19 @@ TRANSITIVE_TABLE = (
 )
 
 
-@dataclass(frozen=True)
 class CyclicComplementRow:
     """The large cyclic subgroup K of the centralizer and its trace in the
-    stabilizers: [K : K ^ M] recovers the fixed count."""
+    stabilizers: [K : K ^ M] recovers the fixed count.  Immutable, equal
+    and hashed by its fields."""
 
-    case_id: int
-    subcase: str
-    centralizer: str
-    k_order: str
-    k_meet: str
-    index: str
-    condition: str
+    __slots__ = ("case_id", "subcase", "centralizer", "k_order", "k_meet", "index", "condition")
+    __eq__, __hash__, __setattr__, __delattr__ = _fields_eq, _fields_hash, _frozen, _frozen
+
+    def __init__(self, case_id: int, subcase: str, centralizer: str, k_order: str, k_meet: str,
+                 index: str, condition: str):
+        values = (case_id, subcase, centralizer, k_order, k_meet, index, condition)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 CYCLIC_K_TABLE = (
@@ -756,8 +757,8 @@ def row_values(case_id: int, q: int, q0: int | None = None) -> dict:
     """Numeric row data at (case, q): class size, class-in-stabilizer,
     centralizer order, its cyclic part, the intersection with the
     stabilizer, and the fixed-point count.  Raises if no row applies."""
-    p, f = prime_power(q)
     if case_id in (3, 4, 5):
+        p, _ = prime_power(q)
         if case_id != 5 and p % 4 != 1:
             raise ValueError("row requires p = 1 (mod 4)")
         return _triangle_row(case_id, q, p)
@@ -809,8 +810,7 @@ def _row_applies(case_id: int, p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContradictionOutcome:
+class ContradictionOutcome(NamedTuple):
     verdict: str
     path: str
     checks: tuple = ()
@@ -1382,15 +1382,14 @@ def eliminate_case1(sample_q=_CASE1_SAMPLE) -> EliminationRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class W2Result:
-    geometry: object
-    verdict: object
-    selection: tuple[int, ...]
-    all_selections: list
-    M0: object
-    M1: object
-    decomposition: list
+    __slots__ = ("geometry", "verdict", "selection", "all_selections", "M0", "M1", "decomposition")
+    __eq__, __hash__ = _fields_eq, None
+
+    def __init__(self, geometry, verdict, selection: tuple[int, ...], all_selections: list,
+                 M0, M1, decomposition: list):
+        self.geometry, self.verdict, self.selection = geometry, verdict, selection
+        self.all_selections, self.M0, self.M1, self.decomposition = all_selections, M0, M1, decomposition
 
 
 def build_w2() -> W2Result:
@@ -1516,8 +1515,7 @@ THEOREM = "theorem"  # the whole driver; not a registry row
 THEOREM_QMAX = 100
 
 
-@dataclass(frozen=True)
-class VerifierSpec:
+class VerifierSpec(NamedTuple):
     """One registry row: everything the engine knows about one tag.
 
     `runner(q_range, workers)` makes the record through the tag's
@@ -1652,6 +1650,8 @@ _FOLLOW_UPS = {row.follow_up for row in _ROWS if row.follow_up}
 
 
 def registry_hash() -> str:
+    import hashlib  # loaded here only: no other path hashes, and it costs every start-up
+
     blob = ";".join(f"{tag}:{spec.expected_verdict}" for tag, spec in sorted(VERIFIERS.items()))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -1661,13 +1661,15 @@ def registry_hash() -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TheoremReport:
-    q_max: int
-    records: list[EliminationRecord]
-    confirmed: list[tuple[int, int, int]]
-    ok: bool = True  # every record left exactly its row's expected survivors
-    elapsed: float = 0.0
+    __slots__ = ("q_max", "records", "confirmed", "ok", "elapsed")
+    __eq__, __hash__ = _fields_eq, None
+
+    def __init__(self, q_max: int, records: list[EliminationRecord],
+                 confirmed: list[tuple[int, int, int]], ok: bool = True, elapsed: float = 0.0):
+        self.q_max, self.records, self.confirmed = q_max, records, confirmed
+        self.ok = ok  # every record left exactly its row's expected survivors
+        self.elapsed = elapsed
 
     def to_dict(self) -> dict:
         return {
@@ -1709,7 +1711,11 @@ def theorem_driver(q_max: int, workers: int = 1) -> TheoremReport:
     range into chunks on up to `workers` threads, at most one per core
     (see `_run_chunked`)."""
     records, due, ok = [], set(), True
-    for row, rng in _theorem_ranges(q_max):
+    ranges = list(_theorem_ranges(q_max))
+    # one build of the prime-power index for the whole run, before the first
+    # record, up to the largest q any row's range reads
+    spf_sieve(min(max(rng[1] for _, rng in ranges if rng), SIEVE_LIMIT))
+    for row, rng in ranges:
         if row.tag in _FOLLOW_UPS and row.tag not in due:
             continue
         rec = row.runner(rng, workers)
@@ -1726,12 +1732,12 @@ def theorem_driver(q_max: int, workers: int = 1) -> TheoremReport:
     return TheoremReport(q_max, records, confirmed, ok)
 
 
-@dataclass
 class VerifyOutcome:
-    tag: str
-    expected_verdict: str
-    records: list[EliminationRecord]
-    ok: bool
+    __slots__ = ("tag", "expected_verdict", "records", "ok")
+    __eq__, __hash__ = _fields_eq, None
+
+    def __init__(self, tag: str, expected_verdict: str, records: list[EliminationRecord], ok: bool):
+        self.tag, self.expected_verdict, self.records, self.ok = tag, expected_verdict, records, ok
 
     @property
     def final_verdict(self) -> str:

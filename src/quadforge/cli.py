@@ -377,8 +377,8 @@ def _tables_data() -> dict:
         if pair.note:
             row["note"] = pair.note
         t3.append(row)
-    t4 = [row.__dict__ for row in TRANSITIVE_TABLE]
-    t5 = [row.__dict__ for row in CYCLIC_K_TABLE]
+    t4 = [row._asdict() for row in TRANSITIVE_TABLE]
+    t5 = [{name: getattr(row, name) for name in row.__slots__} for row in CYCLIC_K_TABLE]
     return {"1": t1, "2": t2, "3": t3, "4": t4, "5": t5}
 
 

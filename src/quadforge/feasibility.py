@@ -11,7 +11,7 @@ expressions at any size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from ._ints import divisors_from_factors, factorize, icbrt
 INT64_COUNT_LIMIT = 1 << 59
 
 
-@dataclass(frozen=True)
-class GQOrder:
+class GQOrder(NamedTuple):
     s: int
     t: int
 
@@ -191,8 +190,7 @@ def grid_order_check(s1: int, s2: int):
     return GQOrder(s1, 1) if s1 == s2 else None
 
 
-@dataclass(frozen=True)
-class StabilizerBounds:
+class StabilizerBounds(NamedTuple):
     """Size window for the line stabilizer given |G| and |G_alpha|.
 
     |G_alpha|^(4/3) / |G|^(1/3)  <  |G_ell|  <  |G_alpha|^(3/4) |G|^(1/4),

@@ -21,27 +21,28 @@ the scales this module enumerates stay small (thousands of cosets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import VerificationError
-from .psl2 import GroupSpec, indexed_group
+from .psl2 import GroupSpec, _blocks, indexed_group
 from .subgroups import SubgroupHandle
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(NamedTuple):
     """One M0 h M1 with its size and |M1 ^ h^-1 M0 h|."""
 
     rep: int  # element index of h (least member)
     size: int
     meet_order: int
-    members: tuple[int, ...] = dc_field(repr=False, default=())
+    members: tuple[int, ...] = ()
+
+    def __repr__(self):  # without the members, which run to thousands of ids
+        return f"DoubleCoset(rep={self.rep}, size={self.size}, meet_order={self.meet_order})"
 
 
-@dataclass(frozen=True)
-class GQVerdict:
+class GQVerdict(NamedTuple):
     is_gq: bool
     s: int | None
     t: int | None
@@ -49,8 +50,7 @@ class GQVerdict:
     violation: str | None = None
 
 
-@dataclass(frozen=True)
-class FixedStructure:
+class FixedStructure(NamedTuple):
     fixed_points: tuple[int, ...]
     fixed_lines: tuple[int, ...]
     kind: str  # one of "0", "1", "1'", "2", "2'", "3", "3'", "4"
@@ -152,9 +152,12 @@ class IncidenceGeometry:
         self.n_lines = len(self.line_reps)
         in_d = ig.mask([x for i in self.selection for x in decomposition[i].members])
         self.d_size = int(in_d.sum())
-        # M0x lies on M1y exactly when x y^-1 is in D: one row of products per point
-        line_rep_inv = ig.inverses()[self.line_reps]
-        inc = np.stack([in_d[ig.mul_ids(x, line_rep_inv)] for x in self.point_reps])
+        # M0x lies on M1y exactly when x y^-1 is in D: products of a block
+        # of points with every line at a time
+        point_reps, line_rep_inv = np.asarray(self.point_reps), ig.inverses()[self.line_reps]
+        inc = np.empty((self.n_points, self.n_lines), dtype=bool)
+        for rows in _blocks(self.n_points, self.n_lines):
+            inc[rows] = in_d[ig.mul_ids(point_reps[rows, None], line_rep_inv)]
         self.rows = _bitmasks(inc)
         self.cols = _bitmasks(inc.T)
         self.base_point = self.point_label[ig.e]

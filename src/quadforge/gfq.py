@@ -17,7 +17,6 @@ which the group layer is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -238,16 +237,21 @@ class FieldSpec:
         return tuple(t.tolist() for t in self.array_tables())
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """An element of a FieldSpec; immutable, compares by coefficient vector."""
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = ("spec", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.f:
-            raise ValueError(f"expected {self.spec.f} coefficients, got {len(self.coeffs)}")
+    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+        if len(coeffs) != spec.f:
+            raise ValueError(f"expected {spec.f} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def index(self) -> int:

@@ -404,35 +404,42 @@ class IndexedGroup:
 
     # -- closures and classes --
 
-    def closure_idx(self, gens) -> tuple[int, ...]:
-        """Subgroup generated by `gens`, as sorted ids: a breadth-first sweep
-        from the identity over right multiplication by the generators.
-        Each round touches only the new products: those not yet known, each
+    def _grow(self, known: np.ndarray, new: np.ndarray, gens) -> None:
+        """Mark in the mask `known` the ids `new` and every product of them
+        with words in `gens` on the right: a breadth-first sweep in which
+        each round touches only the new products, those not yet known, each
         kept once through a scratch slot array, so a round costs the
         frontier's size, not n."""
         gens = np.asarray(list(gens), dtype=np.intp)
-        known = self.mask([self.e])
         slot = np.empty(self.n, dtype=np.intp)
-        frontier = np.array([self.e], dtype=np.intp)
-        while frontier.size:
-            new = self.mul_ids(frontier[:, None], gens).ravel().astype(np.intp)
+        while True:
             new = new[~known[new]]
+            if not new.size:
+                return
             known[new] = True
             order = np.arange(new.size)
             slot[new] = order  # one position per repeated id survives
             frontier = new[slot[new] == order]
+            new = self.mul_ids(frontier[:, None], gens).ravel().astype(np.intp)
+
+    def closure_idx(self, gens) -> tuple[int, ...]:
+        """Subgroup generated by `gens`, as sorted ids: the sweep of `_grow`
+        from the identity."""
+        known = np.zeros(self.n, dtype=bool)
+        self._grow(known, np.array([self.e], dtype=np.intp), gens)
         return tuple(np.flatnonzero(known).tolist())
 
     def generators_of(self, sub_idxs) -> list[int]:
         """A generating set of the subgroup with ids `sub_idxs`, taken
         greedily in id order: each generator is the least member outside
-        the closure of those before it."""
+        the closure of those before it.  Each closure extends the one
+        before: <H, g> is H together with the sweep from the coset Hg."""
         sub = np.asarray(sub_idxs, dtype=np.intp)
         gens: list[int] = []
         have = self.mask([self.e])
         while (outside := sub[~have[sub]]).size:
             gens.append(int(outside[0]))
-            have = self.mask(self.closure_idx(gens))
+            self._grow(have, self.mul_ids(np.flatnonzero(have), gens[-1]), gens)
         if np.count_nonzero(have) != sub.size:
             raise VerificationError(
                 "subgroup-closure", f"{sub.size} ids generate {np.count_nonzero(have)} elements"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +39,27 @@ from .psl2 import (
 # descriptors and handles
 # ---------------------------------------------------------------------------
 
+# Slots records share these: equality field by field, and for the immutable
+# ones a hash of the fields and no assignment after __init__.
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
+
+def _fields(rec) -> tuple:
+    return tuple(getattr(rec, name) for name in rec.__slots__)
+
+
+def _fields_eq(rec, other):
+    return _fields(rec) == _fields(other) if type(other) is type(rec) else NotImplemented
+
+
+def _fields_hash(rec) -> int:
+    return hash(_fields(rec))
+
+
+def _frozen(rec, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class SubgroupDescriptor(NamedTuple):
     """Structural claim about a subgroup: which family, with what index."""
 
     case_id: int | str | None
@@ -51,14 +69,15 @@ class SubgroupDescriptor:
     r: int | None = None
 
 
-@dataclass
 class SubgroupHandle:
     """Explicit subgroup: descriptor plus its members as sorted ids of the
-    group's `IndexedGroup`."""
+    group's `IndexedGroup`.  Handles are equal when all three agree."""
 
-    group: GroupSpec
-    descriptor: SubgroupDescriptor
-    ids: tuple[int, ...]
+    __slots__ = ("group", "descriptor", "ids")
+    __eq__, __hash__ = _fields_eq, None
+
+    def __init__(self, group: GroupSpec, descriptor: SubgroupDescriptor | None, ids: tuple[int, ...]):
+        self.group, self.descriptor, self.ids = group, descriptor, ids
 
     def __len__(self):
         return len(self.ids)
@@ -102,13 +121,16 @@ def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SporadicTriple:
-    group: str
-    m0_type: str
-    m_type: str
-    index: int | None  # None for the parametric final row
-    condition: str = ""
+    """One (G, M0, M) row; immutable, equal and hashed by its fields."""
+
+    __slots__ = ("group", "m0_type", "m_type", "index", "condition")
+    __eq__, __hash__, __setattr__, __delattr__ = _fields_eq, _fields_hash, _frozen, _frozen
+
+    def __init__(self, group: str, m0_type: str, m_type: str, index: int | None, condition: str = ""):
+        # index is None for the parametric final row
+        for name, value in zip(self.__slots__, (group, m0_type, m_type, index, condition)):
+            object.__setattr__(self, name, value)
 
     def index_value(self, p: int | None = None) -> int:
         if self.index is not None:
@@ -152,8 +174,14 @@ def case_condition(case_id: int, q: int, q0: int | None = None, r: int | None = 
 
     Cases 2, 6, 7 are parametrized by (q0, r); passing them checks the
     specific decomposition, otherwise any valid decomposition counts.
+    When q = q0^r, in any case, q is decomposed through q0, so a q past
+    the prime-power index needs no factorization.
     """
-    pf = prime_power(q)
+    if q0 is not None and r is not None and r > 0 and q0**r == q:
+        pf = prime_power(q0)
+        pf = pf and (pf[0], pf[1] * r)
+    else:
+        pf = prime_power(q)
     return pf is not None and case_condition_at(case_id, q, *pf, q0=q0, r=r)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import sympy
 
@@ -183,8 +184,8 @@ def test_a4s4_count_check_fails_on_a_solution(monkeypatch):
     # a thick equal order at p = 11 (55 points) makes the recorded check false
     from quadforge import classify
 
-    solve = classify.solve_equal_order
-    monkeypatch.setattr(classify, "solve_equal_order", lambda n: 3 if n == 55 else solve(n))
+    solve = classify.solve_equal_order_array
+    monkeypatch.setattr(classify, "solve_equal_order_array", lambda n: np.where(n == 55, 3, solve(n)))
     with pytest.raises(VerificationError) as exc:
         eliminate_sporadic()
     assert exc.value.name == "a4s4-p=11-count-too-large"

@@ -1,7 +1,7 @@
-import dataclasses
 import io
 import types
 
+import numpy as np
 import pytest
 
 from quadforge.errors import VerificationError
@@ -20,6 +20,7 @@ from quadforge.geometry import (
 )
 from quadforge.psl2 import indexed_group, involution_class, psl
 from quadforge.subgroups import (
+    build_case,
     handle_from_elements,
     two_generated_abelian_subgroups,
     whole_group_handle,
@@ -99,7 +100,7 @@ def test_line_size_profile(w2_bundle):
     assert one == (24 // meet, 24 // meet)
     # a decomposition whose meet order disagrees with its size is refused
     bad = list(dcs)
-    bad[ident_idx] = dataclasses.replace(dcs[ident_idx], meet_order=2 * meet)
+    bad[ident_idx] = dcs[ident_idx]._replace(meet_order=2 * meet)
     with pytest.raises(VerificationError, match="line-size-profile"):
         line_size_profile(bad, [ident_idx], res.M0, res.M1)
 
@@ -107,6 +108,31 @@ def test_line_size_profile(w2_bundle):
 # ---------------------------------------------------------------------------
 # geometry construction
 # ---------------------------------------------------------------------------
+
+
+def per_point_rows(geom):
+    """Incidence bitmasks built one point at a time: M0x lies on M1y
+    exactly when x y^-1 is in the selected double cosets."""
+    ig = geom.ig
+    in_d = ig.mask([x for i in geom.selection for x in geom.decomposition[i].members])
+    line_rep_inv = ig.inverses()[geom.line_reps]
+    rows = []
+    for x in geom.point_reps:
+        hits = np.flatnonzero(in_d[ig.mul_ids(x, line_rep_inv)]).tolist()
+        rows.append(sum(1 << l for l in hits))
+    return rows
+
+
+def test_blocked_incidence_matches_the_per_point_build(w2_bundle):
+    assert w2_bundle.geometry.rows == per_point_rows(w2_bundle.geometry)
+    # the q = 27 dihedral pair spans several blocks of points
+    spec = psl(27)
+    m0, m1 = build_case(9, spec), build_case(8, spec)
+    dcs = double_cosets(m0, m1, spec)
+    for selection in ([0], [len(dcs) - 1], range(0, len(dcs), 2)):
+        geom = IncidenceGeometry(m0, m1, selection, spec, decomposition=dcs)
+        assert geom.n_points > 65536 // geom.n_lines  # more than one block
+        assert geom.rows == per_point_rows(geom), list(selection)
 
 
 def test_w2_geometry_shape(w2_bundle):

@@ -161,3 +161,12 @@ def test_theorem_report_independent_of_table(no_table):
     fresh = theorem_driver(2000).to_dict()
     spf_sieve(200_000)
     assert theorem_driver(2000).to_dict() == fresh
+
+
+def test_a_theorem_run_factorizes_no_prime_power_query(no_table, monkeypatch):
+    # the driver builds the index before its first record, and each q = q0^r
+    # of the subfield grids is decomposed through q0
+    calls, real = [], factorize
+    monkeypatch.setattr(_ints, "factorize", lambda n: calls.append(n) or real(n))
+    assert theorem_driver(108003).ok
+    assert calls == [] and _covered() == 108003

@@ -716,6 +716,27 @@ def test_orbit_labels_match_the_coset_loop_for_every_family_at_q41():
     assert kernel_mismatches(spec, ig, classes=False) == []
 
 
+def reclosing_generators_of(ig, sub_idxs):
+    """The greedy generating set with every closure taken afresh from the
+    identity by `closure_idx`."""
+    sub = np.asarray(sub_idxs, dtype=np.intp)
+    gens, have = [], ig.mask([ig.e])
+    while (outside := sub[~have[sub]]).size:
+        gens.append(int(outside[0]))
+        have = ig.mask(ig.closure_idx(gens))
+    return gens
+
+
+@pytest.mark.parametrize("q", [9, 27, 47])
+def test_generators_of_extends_the_closure_to_the_same_generators(q):
+    spec = psl(q)
+    ig = indexed_group(spec)
+    subs = _kernel_subgroups(spec, ig)
+    assert sum(name.startswith("family-") for name in subs) >= 3
+    for name, sub in subs.items():
+        assert ig.generators_of(sub) == reclosing_generators_of(ig, sub), name
+
+
 def one_round_labels(maps, size):
     """The kernel stopped after its first round."""
     lab = np.arange(size, dtype=np.int32)

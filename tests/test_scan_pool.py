@@ -113,6 +113,14 @@ def test_a_scan_past_the_sieve_limit_grows_the_table_on_the_calling_thread(
     assert _ints._INDEX[0] == limit
 
 
+def test_a_scan_wholly_past_the_sieve_limit_builds_no_index(no_table):
+    limit = _ints.SIEVE_LIMIT
+    rec = eliminate_cross(8, 9, q_range=(limit + 100, limit + 200))
+    assert _ints._INDEX[0] < limit
+    _ints.spf_sieve(limit)
+    assert rec == eliminate_cross(8, 9, q_range=(limit + 100, limit + 200))
+
+
 def test_importing_the_cli_loads_no_pool_module():
     src = os.path.dirname(os.path.dirname(quadforge.__file__))
     code = (
