@@ -1401,7 +1401,7 @@ def build_w2() -> W2Result:
     in the other class (verified set-theoretically).  The double-coset
     selection search then finds every incidence rule passing the axioms.
     """
-    from .geometry import double_cosets, find_gq_selections
+    from .geometry import find_gq_selections
     from .psl2 import indexed_group, psl
     from .subgroups import build_case, handle_from_ids
 
@@ -1416,12 +1416,11 @@ def build_w2() -> W2Result:
     # the two copies must not be conjugate inside the socle
     if ig.transporter(ig.generators_of(M1.ids), M0.ids).size:
         raise VerificationError("w2-twist", "the twisted copy is conjugate to the original")
-    decomposition = double_cosets(M0, M1, spec)
     hits = find_gq_selections(M0, M1, spec)
     if not hits:
         raise VerificationError("w2-selection", "no axiom-passing selection found")
     selection, verdict, geometry = hits[0]
-    return W2Result(geometry, verdict, selection, hits, M0, M1, decomposition)
+    return W2Result(geometry, verdict, selection, hits, M0, M1, geometry.decomposition)
 
 
 def _diagonal_twist(ig, ids, w: int) -> np.ndarray:
@@ -1487,7 +1486,7 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None) -> dict:
     g_in = int(sub_idx[in_cls[sub_idx]][0])
     cent_handle = centralizer(g_in, spec)
     cent = np.asarray(cent_handle.ids)
-    orders = np.asarray(ig.orders())
+    orders = ig.orders()
     k_gen = int(cent[orders[cent] == vals["k"]][0])
     k_members = ig.closure_idx((k_gen,))
     k_meet = int(ig.mask(sub_idx)[list(k_members)].sum())

@@ -2,7 +2,7 @@
 
 Exit codes: 0 = expected verdict reproduced, 1 = verdict mismatch or a
 failed check, 2 = usage error, 3 = a group or table past a fixed size cap
-(`psl2.ELEMENT_LIMIT`, `gfq.TABLE_LIMIT` or the Cayley-table cap).
+(`psl2.ELEMENT_LIMIT` or `gfq.TABLE_LIMIT`).
 
 Reports are emitted as json, csv or text.  JSON reports carry a schema
 number, the package version and a hash of the verifier registry, so

@@ -3,7 +3,8 @@
 
 class BudgetExceededError(RuntimeError):
     """Raised when a group or table would exceed a fixed size cap
-    (`psl2.ELEMENT_LIMIT`, `gfq.TABLE_LIMIT` or the Cayley-table cap).
+    (`psl2.ELEMENT_LIMIT` or `gfq.TABLE_LIMIT`; also `IndexedGroup.cayley`
+    past 2500 elements, which no engine path calls).
 
     Signals that formula-only mode is required at this scale.
     """

@@ -126,7 +126,10 @@ def line_size_profile(
 
 
 class IncidenceGeometry:
-    """Points and lines as cosets of M0, M1 with double-coset incidence."""
+    """Points and lines as cosets of M0, M1 with double-coset incidence.
+
+    `cosets`, the pair (ig.coset_labels(M0.ids), ig.coset_labels(M1.ids)),
+    lets geometries on the same (M0, M1) share one labelling."""
 
     def __init__(
         self,
@@ -135,6 +138,7 @@ class IncidenceGeometry:
         selection,
         spec: GroupSpec | None = None,
         decomposition: list[DoubleCoset] | None = None,
+        cosets=None,
     ):
         spec = spec or M0.group
         self.spec = spec
@@ -146,8 +150,9 @@ class IncidenceGeometry:
         self.decomposition = decomposition
         self.selection = tuple(sorted(selection))
         ig = self.ig
-        self.point_label, self.point_reps = ig.coset_labels(M0.ids)
-        self.line_label, self.line_reps = ig.coset_labels(M1.ids)
+        if cosets is None:
+            cosets = ig.coset_labels(M0.ids), ig.coset_labels(M1.ids)
+        (self.point_label, self.point_reps), (self.line_label, self.line_reps) = cosets
         self.n_points = len(self.point_reps)
         self.n_lines = len(self.line_reps)
         in_d = ig.mask([x for i in self.selection for x in decomposition[i].members])
@@ -275,10 +280,13 @@ def find_gq_selections(
 
     Cosets are ordered by intersection size descending and subsets are
     tried smallest-first, so the first hit is the canonical one; the
-    search still enumerates all passing selections.
+    search still enumerates all passing selections.  The points and lines
+    are labelled once, and every geometry tried shares the labels.
     """
     spec = spec or M0.group
     decomposition = double_cosets(M0, M1, spec)
+    ig = indexed_group(spec)
+    cosets = ig.coset_labels(M0.ids), ig.coset_labels(M1.ids)
     order = sorted(
         range(len(decomposition)),
         key=lambda i: (-decomposition[i].meet_order, decomposition[i].rep),
@@ -288,7 +296,7 @@ def find_gq_selections(
         from itertools import combinations
 
         for combo in combinations(order, size):
-            geom = IncidenceGeometry(M0, M1, combo, spec, decomposition=decomposition)
+            geom = IncidenceGeometry(M0, M1, combo, spec, decomposition, cosets)
             verdict = check_gq(geom)
             if verdict.is_gq:
                 hits.append((tuple(sorted(combo)), verdict, geom))

@@ -255,7 +255,7 @@ class IndexedGroup:
             raise VerificationError("kernel-code", f"{spec!r}: {n} rows give fewer ids")
         self.e = self.id_of(spec.identity_t)
         self._inv: np.ndarray | None = None
-        self._orders: list[int] | None = None
+        self._orders: np.ndarray | None = None
         self._cayley: np.ndarray | None = None
         self._gen_pair: tuple[int, int] | None = None
         self._class_labels: np.ndarray | None = None
@@ -305,15 +305,19 @@ class IndexedGroup:
         """Ids taking 0, 1, infinity to point ids i0, i1, i2; summed in intp, as uint16 wraps."""
         return self.code.ravel()[(i0.astype(np.intp) * self.m + i1) * self.m + i2]
 
-    def ids_of(self, ts) -> np.ndarray:
-        """Ids of matrices given as 4-tuples (a, b, c, d) of field indices,
-        read off their images of 0, 1 and infinity: (c:d), (a+c:b+d) and
-        (a:b).  A matrix need not be canonical: every nonzero multiple has
-        the same images.  A singular matrix, or one with a non-square
-        determinant in PSL, raises KeyError."""
-        a, b, c, d = np.asarray(ts, dtype=np.intp).reshape(-1, 4).T
+    def _ids_at(self, a, b, c, d) -> np.ndarray:
+        """Ids of the matrices (a, b; c, d) over field-index arrays, -1 for
+        one outside the group: read off their images of 0, 1 and
+        infinity, (c:d), (a+c:b+d) and (a:b)."""
         images = (c, d), (self._add[a, c], self._add[b, d]), (a, b)
-        ids = self._id_at(*(self._point(x, y) for x, y in images))
+        return self._id_at(*(self._point(x, y) for x, y in images))
+
+    def ids_of(self, ts) -> np.ndarray:
+        """Ids of matrices given as 4-tuples (a, b, c, d) of field indices.
+        A matrix need not be canonical: every nonzero multiple has the
+        same images of 0, 1 and infinity.  A singular matrix, or one with
+        a non-square determinant in PSL, raises KeyError."""
+        ids = self._ids_at(*np.asarray(ts, dtype=np.intp).reshape(-1, 4).T)
         if (ids < 0).any():
             raise KeyError("matrix is not an element of the group")
         return ids
@@ -342,15 +346,19 @@ class IndexedGroup:
         return int(self.code[row[a], row[b], row[c]])
 
     def inverses(self) -> np.ndarray:
-        """inverses()[i] is the id of element i's inverse: the element
-        taking 0, 1 and infinity to their preimages under i."""
+        """inverses()[i] is the id of element i's inverse, read off the
+        adjugate (d, -b; -c, a), a nonzero multiple of the inverse matrix
+        with the same determinant, block by block (int32, cached).  Every
+        x * x^-1 must come out as the identity."""
         if self._inv is None:
-            pre = np.empty((3, self.n), dtype=np.intp)
-            for rows in _blocks(self.n, self.m):
-                block = self.perms[rows]
-                for k, pt in enumerate((0, self.spec._one, self.spec.q)):
-                    pre[k, rows] = np.flatnonzero(block == pt) % self.m
-            self._inv = self._id_at(*pre)
+            E, neg = self.spec.element_array(), self.spec.field.array_tables()[2]
+            inv = np.empty(self.n, dtype=np.int32)
+            for rows in _blocks(self.n, 16):  # about 16 intp temporaries per row
+                a, b, c, d = E[rows].T.astype(np.intp)
+                inv[rows] = ids = self._ids_at(d, neg[b], neg[c], a)
+                if (ids < 0).any() or (self.mul_ids(np.arange(self.n)[rows], ids) != self.e).any():
+                    raise VerificationError("kernel-inverse", f"{self.spec!r}: x * x^-1 is not 1")
+            self._inv = inv
         return self._inv
 
     def inv_idx(self, i: int) -> int:
@@ -370,12 +378,13 @@ class IndexedGroup:
             keep &= in_target[self.conj_ids(x, everyone)]
         return np.flatnonzero(keep)
 
-    def orders(self) -> list[int]:
-        """Element orders: the images of 0, 1 and infinity are walked until all three are
-        back.  Orders divide p, q-1 or q+1, so a walk past q+1 steps means broken rows."""
+    def orders(self) -> np.ndarray:
+        """Element orders as a cached, read-only int32 array: the images of
+        0, 1 and infinity are walked until all three are back.  Orders
+        divide p, q-1 or q+1, so a walk past q+1 steps means broken rows."""
         if self._orders is None:
             base, pf = (0, self.spec._one, self.spec.q), self.perms.ravel()
-            orders = np.zeros(self.n, dtype=np.int64)
+            orders = np.zeros(self.n, dtype=np.int32)
             live, c = np.arange(self.n), self._tri
             for k in range(1, self.m + 1):
                 back = (c[0] == base[0]) & (c[1] == base[1]) & (c[2] == base[2])
@@ -387,7 +396,8 @@ class IndexedGroup:
                 c = [pf[row + ck] for ck in c]
             else:
                 raise VerificationError("element-order", f"{self.spec!r}: walks past {self.m} steps")
-            self._orders = orders.tolist()
+            orders.flags.writeable = False
+            self._orders = orders
         return self._orders
 
     def cayley(self) -> np.ndarray:
@@ -405,22 +415,29 @@ class IndexedGroup:
     # -- closures and classes --
 
     def _grow(self, known: np.ndarray, new: np.ndarray, gens) -> None:
-        """Mark in the mask `known` the ids `new` and every product of them
-        with words in `gens` on the right: a breadth-first sweep in which
-        each round touches only the new products, those not yet known, each
-        kept once through a scratch slot array, so a round costs the
-        frontier's size, not n."""
+        """Mark in the mask `known` the states `new` and every product of
+        them with words in the generators on the right.  With `gens` a list
+        of ids a state is an id.  With `gens` a 2-D array, closures run
+        side by side: state l*n + x is id x in layer l, whose generators
+        are the row gens[l], and `known` has n states per layer.  Each
+        breadth-first round touches only the new products, those not yet
+        known, each kept once through a scratch slot array, so a round
+        costs the frontier's size, not n."""
         gens = np.asarray(list(gens), dtype=np.intp)
-        slot = np.empty(self.n, dtype=np.intp)
+        slot = np.empty(known.size, dtype=np.intp)
         while True:
             new = new[~known[new]]
             if not new.size:
                 return
             known[new] = True
             order = np.arange(new.size)
-            slot[new] = order  # one position per repeated id survives
+            slot[new] = order  # one position per repeated state survives
             frontier = new[slot[new] == order]
-            new = self.mul_ids(frontier[:, None], gens).ravel().astype(np.intp)
+            if gens.ndim == 1:
+                new = self.mul_ids(frontier[:, None], gens).ravel().astype(np.intp)
+            else:
+                layer, x = np.divmod(frontier, self.n)
+                new = (self.mul_ids(x[:, None], gens[layer]) + layer[:, None] * self.n).ravel()
 
     def closure_idx(self, gens) -> tuple[int, ...]:
         """Subgroup generated by `gens`, as sorted ids: the sweep of `_grow`

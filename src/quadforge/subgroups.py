@@ -30,6 +30,7 @@ from .errors import VerificationError
 from .psl2 import (
     GroupSpec,
     IndexedGroup,
+    _blocks,
     indexed_group,
     orbit_labels,
 )
@@ -386,7 +387,7 @@ def _build_triangle(spec: GroupSpec, case_id: int):
     (x, y) in canonical order with |x| = 2, |y| = 3, |xy| as required and
     closure of the right size."""
     ig = indexed_group(spec)
-    orders = np.asarray(ig.orders())
+    orders = ig.orders()
     prod_order, size = _TRIANGLE_TARGET[case_id]
     threes = np.flatnonzero(orders == 3)
     for x in np.flatnonzero(orders == 2).tolist():
@@ -405,7 +406,7 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     g = 2 if q % 2 else 1
     m = (q - 1) // g if case_id == 8 else (q + 1) // g
     ig = indexed_group(spec)
-    orders = np.asarray(ig.orders())
+    orders = ig.orders()
     x = int(np.argmax(orders == m))
     cyc = np.asarray(ig.closure_idx((x,)))
     members = ig.mask(cyc)
@@ -523,7 +524,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec) -> list[list[SubgroupHandl
     ig = indexed_group(spec)
     orders = ig.orders()
     xs = [cls[0] for cls in ig.all_classes() if orders[cls[0]] == o1]
-    ys = [i for i in range(ig.n) if orders[i] == o2]
+    ys = np.flatnonzero(orders == o2).tolist()
     found: dict[bytes, np.ndarray] = {}
     for x in xs:
         for y in ys:
@@ -554,22 +555,21 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
     subgroups.  For g in the normalizer N(C_i), <C_i, C_j^g> = <C_i, C_j>^g,
     so C_j need only run over the least member of each N(C_i)-orbit of
     cyclic subgroups.  Closing what is found under conjugation is then
-    exhaustive.  Cyclic subgroups come from walking powers along the dense
-    Cayley table, pair closures are breadth-first sweeps over its columns,
-    and one subgroup per conjugacy class is recognized.
+    exhaustive.  Cyclic subgroups come from powers taken with `mul_ids`;
+    the pair closures run side by side, one layer of n ids per pair, in
+    `IndexedGroup._grow` sweeps over blocks of about _CHUNK states; and
+    one subgroup per conjugacy class is recognized.
     """
     ig = indexed_group(spec)
     n = ig.n
-    cay = ig.cayley()
-    cayT = np.ascontiguousarray(cay.T)
     ids = np.arange(n)
-    orders = np.asarray(ig.orders())
+    orders = ig.orders()
     top = int(orders.max())
     powers = np.empty((n, top), dtype=np.intp)  # powers[i, k - 1] = i^k
     cur = ids
     for k in range(top):
         powers[:, k] = cur
-        cur = cay[cur, ids]
+        cur = ig.mul_ids(cur, ids)
     ks = np.arange(1, top + 1)
     is_gen = (ks <= orders[:, None]) & (np.gcd(ks, orders[:, None]) == 1)
     least_gen = np.where(is_gen, powers, n).min(axis=1)  # labels <i> by its least generator
@@ -586,24 +586,19 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
 
     reps = least_in_orbits(ig.generating_pair())
     found = {cyc_members[c].tobytes(): cyc_members[c] for c in reps if n // cyc_members[c].size <= bound}
+    pairs = []
     for ci in reps.tolist():
         x = cyc_gen[ci]
         norm = np.flatnonzero(least_gen[ig.conj_ids(x, ids)] == x)
-        col_i = cayT[x]
-        for cj in least_in_orbits(ig.generators_of(norm)).tolist():
-            if cj == ci:
-                continue
-            col_j = cayT[cyc_gen[cj]]
-            member = np.zeros(n, dtype=bool)
-            member[cyc_members[ci]] = member[cyc_members[cj]] = True
-            frontier = np.flatnonzero(member)
-            while frontier.size:
-                new = np.zeros(n, dtype=bool)
-                new[col_i[frontier]] = new[col_j[frontier]] = True
-                new &= ~member
-                member |= new
-                frontier = np.flatnonzero(new)
-            if n // member.sum() <= bound:
+        pairs += [(ci, cj) for cj in least_in_orbits(ig.generators_of(norm)).tolist() if cj != ci]
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    for block in _blocks(len(pairs), n):
+        chunk = pairs[block]
+        known = np.zeros(len(chunk) * n, dtype=bool)
+        seeds = [layer * n + cyc_members[c] for layer, pair in enumerate(chunk.tolist()) for c in pair]
+        ig._grow(known, np.concatenate(seeds), cyc_gen[chunk])
+        for member in known.reshape(-1, n):
+            if n // np.count_nonzero(member) <= bound:
                 idxs = np.flatnonzero(member)
                 found.setdefault(idxs.tobytes(), idxs)
     conj_maps = _conj_maps(ig)
@@ -623,31 +618,11 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
 # ---------------------------------------------------------------------------
 
 
-def two_generated_abelian_subgroups(spec: GroupSpec) -> list[SubgroupHandle]:
-    """Every subgroup generated by a commuting pair (hence every abelian
-    subgroup whose rank is at most 2, which covers all abelian subgroups
-    of PSL(2,q) for f <= 2)."""
-    ig = indexed_group(spec)
-    cay = ig.cayley()
-    sym = cay == cay.T
-    found: dict[frozenset, tuple[int, ...]] = {}
-    n = ig.n
-    for i in range(n):
-        row = sym[i]
-        for j in range(i, n):
-            if row[j]:
-                idxs = ig.closure_idx((i, j))
-                found.setdefault(frozenset(idxs), idxs)
-    handles = [handle_from_ids(spec, idxs) for idxs in found.values()]
-    handles.sort(key=lambda h: (len(h), h.ids))
-    return handles
-
-
 def _ids_and_orders(handle: SubgroupHandle):
     """(indexed group, member ids, their element orders) as arrays."""
     ig = indexed_group(handle.group)
     ids = np.asarray(handle.ids)
-    return ig, ids, np.asarray(ig.orders())[ids]
+    return ig, ids, ig.orders()[ids]
 
 
 def order_profile(handle: SubgroupHandle) -> Counter:

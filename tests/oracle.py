@@ -12,7 +12,10 @@ canonical projective form, the rows of `GroupSpec.element_array`:
   lexicographically smaller of M and -M under the field enumeration order.
 
 Field operations are lookups in the field's dense int tables, so the
-oracle covers q <= 512.  Nothing here is cached: a group built for one
+oracle covers q <= 512.  Two whole-group references sit beside it:
+`matrix_orders` (element orders from matrix powers) and
+`two_generated_abelian_subgroups` (closures of the commuting pairs of the
+dense product table).  Nothing here is cached: a group built for one
 test is freed after it.
 """
 
@@ -20,8 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from quadforge.gfq import FieldElement, FieldSpec
-from quadforge.psl2 import GroupSpec, _group
+from quadforge.psl2 import GroupSpec, _group, indexed_group
+from quadforge.subgroups import handle_from_ids
 
 
 class NotInPslError(ValueError):
@@ -205,6 +211,45 @@ def closure(generators) -> tuple[GroupElement, ...]:
         frontier = {group.mul_t(x, g.t) for x in frontier for g in gens} - seen
         seen = seen | frontier
     return tuple(wrap(spec, t) for t in sorted(seen))
+
+
+def matrix_orders(spec: GroupSpec) -> np.ndarray:
+    """Every element's order from matrix powers: the least k with M^k a
+    scalar matrix (b = c = 0, a = d), for all rows of `element_array` at
+    once in the field's dense tables.  No permutation row is read."""
+    add, mul = spec.field.array_tables()[:2]
+    M = spec.element_array().T.astype(np.intp)
+    orders = np.zeros(M.shape[1], dtype=np.int64)
+    live, (a, b, c, d) = np.arange(M.shape[1]), M
+    for k in range(1, spec.q + 2):  # orders divide p, q-1 or q+1
+        scalar = (b == 0) & (c == 0) & (a == d)
+        orders[live[scalar]] = k
+        live, a, b, c, d = (x[~scalar] for x in (live, a, b, c, d))
+        ma, mb, mc, md = M[:, live]
+        a, b, c, d = (
+            add[mul[a, ma], mul[b, mc]], add[mul[a, mb], mul[b, md]],
+            add[mul[c, ma], mul[d, mc]], add[mul[c, mb], mul[d, md]],
+        )
+    if live.size:
+        raise AssertionError(f"{live.size} matrices have no scalar power up to q+1")
+    return orders
+
+
+def two_generated_abelian_subgroups(spec: GroupSpec):
+    """Every subgroup generated by a commuting pair (hence every abelian
+    subgroup whose rank is at most 2, which covers all abelian subgroups
+    of PSL(2,q) for f <= 2), as handles sorted by (order, ids): one
+    closure per commuting pair of the dense n x n product table."""
+    ig = indexed_group(spec)
+    ids = np.arange(ig.n)
+    cay = ig.mul_ids(ids[:, None], ids)
+    found: dict[frozenset, tuple[int, ...]] = {}
+    for i, j in zip(*np.nonzero(np.triu(cay == cay.T))):
+        idxs = ig.closure_idx((int(i), int(j)))
+        found.setdefault(frozenset(idxs), idxs)
+    handles = [handle_from_ids(spec, idxs) for idxs in found.values()]
+    handles.sort(key=lambda h: (len(h), h.ids))
+    return handles
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ lines and timings.
 
 import time
 
+from oracle import two_generated_abelian_subgroups
+
 from quadforge.classify import (
     eliminate_case9_survivor,
     eliminate_cross,
@@ -30,7 +32,6 @@ from quadforge.subgroups import (
     is_dihedral,
     is_elementary_abelian,
     small_index_subgroups,
-    two_generated_abelian_subgroups,
 )
 
 

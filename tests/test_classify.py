@@ -613,6 +613,24 @@ def test_build_w2_shape():
     assert len(res.all_selections) == 1
 
 
+def test_build_w2_labels_the_points_and_lines_once(monkeypatch):
+    # every selection tried shares the (M0, M1) coset labels, so a build
+    # labels two coset spaces however many geometries it checks
+    from quadforge.psl2 import IndexedGroup
+
+    calls = []
+    coset_labels = IndexedGroup.coset_labels
+
+    def counted(self, sub):
+        calls.append(len(sub))
+        return coset_labels(self, sub)
+
+    monkeypatch.setattr(IndexedGroup, "coset_labels", counted)
+    res = build_w2()
+    assert calls == [24, 24]
+    assert len(res.all_selections) == 1 and res.geometry.n_points == 15
+
+
 def test_row_values_internal_consistency():
     # orbit-stabilizer at the formula level: class size * centralizer = |X|,
     # and the cyclic complement index reproduces the fixed count

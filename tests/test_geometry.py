@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from oracle import two_generated_abelian_subgroups
 
 from quadforge.errors import VerificationError
 from quadforge.geometry import (
@@ -22,7 +23,6 @@ from quadforge.psl2 import indexed_group, involution_class, psl
 from quadforge.subgroups import (
     build_case,
     handle_from_elements,
-    two_generated_abelian_subgroups,
     whole_group_handle,
 )
 

@@ -10,6 +10,7 @@ from oracle import (
     inv,
     is_psl_member,
     is_square,
+    matrix_orders,
     mul,
     projective_line,
     wrap,
@@ -622,6 +623,46 @@ def test_kernel_code_rejects_swapped_translation_rows(monkeypatch):
             psl2.IndexedGroup(spec)
 
 
+ORDER_GROUPS = [("PSL", q) for q in (4, 5, 7, 8, 9, 11, 13, 16, 27, 47)] + [
+    ("PGL", q) for q in (3, 5, 7, 9)
+]
+
+
+@pytest.mark.parametrize("kind,q", ORDER_GROUPS)
+def test_orders_are_a_read_only_int32_array_equal_to_matrix_powers(kind, q):
+    spec = psl(q) if kind == "PSL" else pgl(q)
+    ig = psl2.IndexedGroup(spec)  # uncached: the large groups are not kept
+    orders = ig.orders()
+    assert isinstance(orders, np.ndarray) and orders.dtype == np.int32
+    assert ig.orders() is orders  # computed once
+    with pytest.raises(ValueError, match="read-only"):
+        orders[ig.e] = 2
+    assert np.array_equal(orders, matrix_orders(spec))
+
+
+@pytest.mark.parametrize("kind,q", [("PSL", 9), ("PGL", 8), ("PSL", 47)])
+def test_inverses_are_int32_and_multiply_to_the_identity(kind, q):
+    spec = psl(q) if kind == "PSL" else pgl(q)
+    ig = psl2.IndexedGroup(spec)
+    inv, ids = ig.inverses(), np.arange(ig.n)
+    assert inv.dtype == np.int32 and ig.inverses() is inv
+    assert (ig.mul_ids(inv, ids) == ig.e).all() and (inv[inv] == ids).all()
+
+
+def test_inverse_check_rejects_one_planted_wrong_entry(monkeypatch):
+    ig = psl2.IndexedGroup(psl(9))
+    ids_at = ig._ids_at
+
+    def planted(*entries):  # the adjugate of element 7 read as element 8's
+        ids = ids_at(*entries)
+        ids[7] = ids[8]
+        return ids
+
+    monkeypatch.setattr(ig, "_ids_at", planted)
+    with pytest.raises(VerificationError, match="kernel-inverse"):
+        ig.inverses()
+
+
 def test_orders_walk_stops_on_a_corrupt_row():
     ig = psl2.IndexedGroup(psl(9))
     g = next(i for i in range(ig.n) if i != ig.e)
@@ -768,7 +809,7 @@ def test_kernel_check_rejects_a_labelling_stopped_after_one_round(monkeypatch):
 
 
 def test_coset_generators_must_close_to_the_subgroup(ig9):
-    x = ig9.orders().index(3)
+    x = int(np.flatnonzero(ig9.orders() == 3)[0])
     with pytest.raises(VerificationError, match="subgroup-closure"):
         ig9.coset_labels([ig9.e, x])  # {1, x} with x of order 3 is not a subgroup
 

@@ -15,6 +15,7 @@ from oracle import (
     is_square,
     mul,
     projective_line,
+    two_generated_abelian_subgroups,
     wrap,
 )
 
@@ -40,7 +41,6 @@ from quadforge.subgroups import (
     sporadic_table,
     subfield_indices,
     subgroup_classes,
-    two_generated_abelian_subgroups,
     whole_group_handle,
 )
 
@@ -452,6 +452,51 @@ def test_lattice_matches_all_pairs_search(kind, q, count):
     subs = small_index_subgroups(spec, spec.order)
     assert len(subs) == count
     assert [h.ids for h in subs] == _all_pairs_lattice(ig)
+
+
+def test_lattice_of_psl2_13_is_the_cayley_lattice():
+    # sha256 of the id lists that the lattice built on the dense Cayley
+    # table returned for PSL(2,13), before it ran on `mul_ids` alone
+    import hashlib
+
+    subs = small_index_subgroups(psl(13), psl(13).order)
+    assert len(subs) == 942
+    digest = hashlib.sha256(repr([h.ids for h in subs]).encode()).hexdigest()
+    assert digest == "73ba9d46a623968067e11850d4354417984bb9d881cb99194a5f918714fd62bd"
+
+
+def _maximal_orders(subs, n):
+    """Orders of the proper subgroups in `subs` that lie in no larger
+    proper one of the list."""
+    member = np.zeros((len(subs), n), dtype=bool)
+    for row, h in zip(member, subs):
+        row[list(h.ids)] = True
+    sizes = member.sum(axis=1)
+    out = set()
+    for h in subs:
+        above = np.flatnonzero((sizes > len(h)) & (sizes < n) & (sizes % len(h) == 0))
+        if len(h) < n and not member[np.ix_(above, list(h.ids))].all(axis=1).any():
+            out.add(len(h))
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,count,maximal,a5_copies",
+    [(16, 3166, {240, 60, 34, 30}, 68), (19, 2912, {171, 60, 20, 18}, 114)],
+)
+def test_lattice_past_the_old_cayley_cap_matches_dicksons_list(q, count, maximal, a5_copies):
+    # Dickson: the Borel group, D_2(q+1)/g, D_2(q-1)/g and A_5 (as PSL(2,4) in
+    # PSL(2,16), in two classes in PSL(2,19) since 19 = -1 mod 10)
+    spec = psl(q)
+    subs = small_index_subgroups(spec, spec.order)
+    assert spec.order > 2500 and len(subs) == count
+    assert _maximal_orders(subs, spec.order) == maximal
+    borel = build_case(1, spec)
+    largest = [h for h in subs if len(h) == len(subs[1])]  # subs[0] is the whole group
+    assert len(borel) == max(maximal) and len(largest) == q + 1
+    assert borel.ids in {h.ids for h in largest}
+    a5 = [h for h in subs if len(h) == 60]
+    assert len(a5) == a5_copies and {h.descriptor.claimed_type for h in a5} == {"A_5"}
 
 
 @pytest.mark.parametrize("q", [7, 9])
