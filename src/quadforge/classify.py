@@ -1649,10 +1649,18 @@ _FOLLOW_UPS = {row.follow_up for row in _ROWS if row.follow_up}
 
 
 def registry_hash() -> str:
-    import hashlib  # loaded here only: no other path hashes, and it costs every start-up
+    # CPython's own SHA-256, as `random` takes its SHA-512: `hashlib` would
+    # map OpenSSL's libcrypto (about 3.5 MiB) into every report-writing run
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:  # an interpreter built without either
+            from hashlib import sha256
 
     blob = ";".join(f"{tag}:{spec.expected_verdict}" for tag, spec in sorted(VERIFIERS.items()))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------

@@ -466,11 +466,14 @@ class IndexedGroup:
     def generating_pair(self) -> tuple[int, int]:
         """First (i, j) in element order with <i, j> the whole group."""
         if self._gen_pair is None:
+            start = np.array([self.e], dtype=np.intp)
             for i in range(self.n):
                 if i == self.e:
                     continue
                 for j in range(i + 1, self.n):
-                    if len(self.closure_idx((i, j))) == self.n:
+                    known = np.zeros(self.n, dtype=bool)
+                    self._grow(known, start, (i, j))
+                    if np.count_nonzero(known) == self.n:
                         self._gen_pair = (i, j)
                         return self._gen_pair
             # PSL(2,q) and PGL(2,q) are 2-generated

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 import sympy
@@ -587,10 +590,23 @@ def test_registry_rows_hold_survivors_and_follow_ups():
     assert VERIFIERS["case9-equal"].expected_in((42, 1000)) == []
 
 
-def test_registry_hash_stable():
-    assert registry_hash() == registry_hash()
-    assert len(registry_hash()) == 12
+def test_registry_hash_stable(monkeypatch):
+    blob = ";".join(f"{tag}:{row.expected_verdict}" for tag, row in sorted(VERIFIERS.items()))
+    assert registry_hash() == hashlib.sha256(blob.encode()).hexdigest()[:12] == "d9f30f69bc20"
     assert "case3-case8" in VERIFIERS and "theorem" not in VERIFIERS
+    row = VERIFIERS["case3-case8"]
+    assert row.expected_verdict == ELIMINATED
+    monkeypatch.setitem(VERIFIERS, "case3-case8", row._replace(expected_verdict=CONFIRMED))
+    assert registry_hash() != "d9f30f69bc20"
+
+
+@pytest.mark.parametrize("missing", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_registry_hash_is_the_same_from_every_sha256_module(monkeypatch, missing):
+    # a None entry in sys.modules makes that import fail, as on an
+    # interpreter built without the module; the last case runs hashlib
+    for name in missing:
+        monkeypatch.setitem(sys.modules, name, None)
+    assert registry_hash() == "d9f30f69bc20"
 
 
 def test_verify_outcomes():

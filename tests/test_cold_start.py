@@ -1,6 +1,8 @@
-"""What importing the package costs a fresh process: no class is a
-dataclass (whose methods are generated and compiled at import time), and
-the CLI loads neither `dataclasses` nor `hashlib`."""
+"""What the package costs a fresh process: no class is a dataclass (whose
+methods are generated and compiled at import time), importing the CLI
+loads neither `dataclasses` nor `hashlib`, and no CLI command loads
+`hashlib` or `_hashlib`, which maps OpenSSL's libcrypto: the registry
+tag is hashed by CPython's built-in SHA-256."""
 
 import importlib
 import inspect
@@ -38,3 +40,23 @@ def test_importing_the_cli_adds_neither_dataclasses_nor_hashlib():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_cli_command_loads_hashlib(tmp_path):
+    src = os.path.dirname(os.path.dirname(quadforge.__file__))
+    commands = [
+        ["verify", "--lemma", "theorem", "--qmax", "100"],
+        ["build-w2"],
+        ["scan", "--pair", "3,8", "--range", "4..1000"],
+        ["export"],
+        ["tables"],
+    ]
+    runs = [argv + ["--out", str(tmp_path / f"{k}.out")] for k, argv in enumerate(commands)]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from quadforge.cli import main; "
+        f"codes = [main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
+    assert all((tmp_path / f"{k}.out").stat().st_size for k in range(len(commands)))
