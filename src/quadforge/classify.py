@@ -6,8 +6,9 @@ scan size, the surviving (q, s, t) triples, named arithmetic checks, and
 the verdict.  The registry at the bottom holds one row per tag: its
 runner, default range, how the theorem caps that range, the expected
 verdict and survivors, and the row that takes those survivors on.  The
-theorem driver, `verify` and the CLI read the rows; reports embed a hash
-of the registry so stale golden files fail loudly.
+theorem driver and `verify` run and judge rows through one function,
+`_run_rows`; reports embed a hash of the registry so stale golden files
+fail loudly.
 
 Two sorts of evidence appear in the records and are labeled apart:
 "scan" steps are exhaustive arithmetic over a finite range, and
@@ -1391,6 +1392,18 @@ class W2Result:
         self.geometry, self.verdict, self.selection = geometry, verdict, selection
         self.all_selections, self.M0, self.M1, self.decomposition = all_selections, M0, M1, decomposition
 
+    def checks(self) -> list[dict]:
+        """The acceptance rule for W(2), shared by its record and `build-w2`:
+        raises VerificationError on the first predicate that fails."""
+        v, n = self.verdict, len(self.all_selections)
+        return [
+            _check("fifteen-points", self.geometry.n_points == 15, ""),
+            _check("fifteen-lines", self.geometry.n_lines == 15, ""),
+            _check("order-2-2", (v.s, v.t) == (2, 2), "verified by full axiom check"),
+            _check("thick", v.thick, ""),
+            _check("selection-unique", n == 1, f"{n} axiom-passing selections"),
+        ]
+
 
 def build_w2() -> W2Result:
     """Construct and verify the 15-point quadrangle of order 2 from the
@@ -1436,24 +1449,13 @@ def _diagonal_twist(ig, ids, w: int) -> np.ndarray:
 def w2_record() -> EliminationRecord:
     res = build_w2()
     v = res.verdict
-    checks = [
-        _check("fifteen-points", res.geometry.n_points == 15, ""),
-        _check("fifteen-lines", res.geometry.n_lines == 15, ""),
-        _check("order-2-2", (v.s, v.t) == (2, 2), "verified by full axiom check"),
-        _check("thick", v.thick, ""),
-        _check(
-            "selection-unique",
-            len(res.all_selections) == 1,
-            f"{len(res.all_selections)} axiom-passing selections",
-        ),
-    ]
     return EliminationRecord(
         lemma_tag="w2-construction",
         inputs={"q": 9, "method": "construction"},
         scan_size=len(res.decomposition),
         survivors=[(9, v.s, v.t)],
         verdict=CONFIRMED,
-        checks=checks,
+        checks=res.checks(),
         notes=["the unique thick quadrangle of order 2 on 15 points"],
     )
 
@@ -1640,6 +1642,7 @@ _ROWS = [
         "w2-construction", CONFIRMED,
         "explicit 15-point quadrangle of order 2 at q = 9",
         lambda rng, workers: w2_record(),
+        expected_survivors=((9, 2, 2),),
     ),
 ]
 
@@ -1706,35 +1709,44 @@ def _theorem_ranges(q_max: int):
             yield row, (lo, lo)
 
 
+def _run_rows(plan, workers: int, due=()) -> tuple[list[EliminationRecord], bool]:
+    """Run (row, range) pairs in order and judge each record.
+
+    A follow-up row runs only when it is in `due` or the row it follows
+    left survivors.  A survivor the row does not expect in its range
+    raises `unaccounted-survivors`; the run is ok when every record left
+    exactly `row.expected_in(range)`."""
+    records, due, ok = [], set(due), True
+    for row, rng in plan:
+        if row.tag in _FOLLOW_UPS and row.tag not in due:
+            continue
+        rec = row.runner(rng, workers)
+        expected = row.expected_in(rng)
+        stray = [s for s in rec.survivors if s not in expected]
+        if stray:
+            raise VerificationError("unaccounted-survivors", f"{row.tag} leaves {stray}")
+        ok = ok and rec.survivors == expected
+        if rec.survivors and row.follow_up:
+            due.add(row.follow_up)
+        records.append(rec)
+    return records, ok
+
+
 @_timed
 def theorem_driver(q_max: int, workers: int = 1) -> TheoremReport:
     """Run every registry row with its range capped at q_max and collate.
 
-    A follow-up row runs only when the row it follows left survivors.  A
-    survivor that the row does not expect in its range raises; the report
+    The rows run and are judged by `_run_rows`, as in `verify`: the report
     is ok when each row left all it expects, so the only confirmed example
     is the order-2 quadrangle at q = 9 (constructed and axiom-checked
     whenever q_max >= 9).  With workers > 1 each scan pair splits its
     range into chunks on up to `workers` threads, at most one per core
     (see `_run_chunked`)."""
-    records, due, ok = [], set(), True
     ranges = list(_theorem_ranges(q_max))
     # one build of the prime-power index for the whole run, before the first
     # record, up to the largest q any row's range reads
     spf_sieve(min(max(rng[1] for _, rng in ranges if rng), SIEVE_LIMIT))
-    for row, rng in ranges:
-        if row.tag in _FOLLOW_UPS and row.tag not in due:
-            continue
-        rec = row.runner(rng, workers)
-        if rec.verdict != CONFIRMED:
-            expected = row.expected_in(rng)
-            stray = [s for s in rec.survivors if s not in expected]
-            if stray:
-                raise VerificationError("unaccounted-survivors", f"{row.tag} leaves {stray}")
-            ok = ok and rec.survivors == expected
-        if rec.survivors and row.follow_up:
-            due.add(row.follow_up)
-        records.append(rec)
+    records, ok = _run_rows(ranges, workers)
     confirmed = [s for r in records if r.verdict == CONFIRMED for s in r.survivors]
     return TheoremReport(q_max, records, confirmed, ok)
 
@@ -1752,13 +1764,15 @@ class VerifyOutcome:
 
 
 def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -> VerifyOutcome:
-    """Run one registered verifier and compare against its expected verdict.
+    """Run one registered verifier and judge it as the theorem does.
 
     `theorem` runs the full driver up to q_max (default THEOREM_QMAX).  A
-    row with a follow-up hands its survivors on, so its outcome includes
-    the follow-up record and is ok only when the row left exactly its
-    expected survivors and the follow-up reached its own expected verdict.
-    `workers` splits each scan pair's range into chunks (see `_run_chunked`)."""
+    row runs over q_range (default: its default range), then its follow-up
+    if it left survivors; `_run_rows` judges both, so a sub-range is ok
+    when it leaves exactly the survivors expected in it.  The expected
+    verdict is the row's own when the range holds an expected survivor,
+    else `eliminated`.  `workers` splits each scan pair's range into
+    chunks (see `_run_chunked`)."""
     if tag == THEOREM:
         report = theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers)
         return VerifyOutcome(THEOREM, CONFIRMED, report.records, report.ok)
@@ -1766,11 +1780,9 @@ def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -
         raise KeyError(f"unknown lemma tag {tag!r}")
     row = VERIFIERS[tag]
     rng = q_range or row.default_range
-    records = [row.runner(rng, workers)]
-    ok = records[0].verdict == row.expected_verdict
-    if ok and row.follow_up:
-        follow = VERIFIERS[row.follow_up]
-        records.append(follow.runner(None, workers))
-        ok = records[0].survivors == row.expected_in(rng)
-        ok = ok and records[1].verdict == follow.expected_verdict
-    return VerifyOutcome(tag, row.expected_verdict, records, ok)
+    plan = [(row, rng)]
+    if row.follow_up:
+        plan.append((VERIFIERS[row.follow_up], None))
+    records, ok = _run_rows(plan, workers, due={tag})
+    expected = row.expected_verdict if row.expected_in(rng) else ELIMINATED
+    return VerifyOutcome(tag, expected, records, ok)

@@ -1,4 +1,4 @@
-"""Command-line entry point: verify, scan, build-w2, export, tables.
+"""Command-line entry point: verify, build-w2, export, tables.
 
 Exit codes: 0 = expected verdict reproduced, 1 = verdict mismatch or a
 failed check, 2 = usage error, 3 = a group or table past a fixed size cap
@@ -57,14 +57,6 @@ def _parse_workers(text: str) -> int:
     return n
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("pair must look like i,j")
-    i, j = (int(x) for x in parts)
-    return i, j
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadforge",
@@ -75,27 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # one parent parser per shared option: each subcommand takes only those it reads
-    fmt, out, workers = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt, out = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     fmt.add_argument("--format", choices=("json", "csv", "text"), default="text")
     out.add_argument("--out", metavar="PATH", default=None)
-    workers.add_argument("--workers", type=_parse_workers, default=1)
 
-    p_verify = sub.add_parser("verify", parents=[fmt, out, workers], help="re-run one elimination and compare verdicts")
+    p_verify = sub.add_parser("verify", parents=[fmt, out], help="re-run one elimination and compare verdicts")
     p_verify.add_argument("--lemma", required=True, metavar="TAG")
     p_verify.add_argument("--range", type=_parse_range, default=None, dest="qrange")
     p_verify.add_argument("--qmax", type=int, default=None)
-
-    p_scan = sub.add_parser("scan", parents=[fmt, out, workers], help="scan a case pair or an equal case over a range")
-    sel = p_scan.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--pair", type=_parse_pair, default=None)
-    sel.add_argument("--equal", type=int, default=None)
-    p_scan.add_argument("--range", type=_parse_range, required=True, dest="qrange")
-    p_scan.add_argument(
-        "--beyond",
-        action="store_true",
-        help="allow ranges past the published bounds (reported, not part of "
-        "theorem verification)",
-    )
+    p_verify.add_argument("--workers", type=_parse_workers, default=1)
 
     p_w2 = sub.add_parser("build-w2", parents=[fmt, out], help="construct and verify the order-2 quadrangle at q = 9")
     p_w2.add_argument("--export", metavar="PATH", default=None, dest="export_path")
@@ -229,49 +209,10 @@ def cmd_verify(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def cmd_scan(args) -> int:
-    lo, hi = args.qrange
-    if args.pair is not None:
-        tag, what = "case{}-case{}".format(*args.pair), f"pair {tuple(args.pair)}"
-        selector = {"pair": list(args.pair)}
-    else:
-        tag, what = f"case{args.equal}-equal", f"equal case {args.equal}"
-        selector = {"equal": args.equal}
-    row = VERIFIERS.get(tag)
-    if row is None:
-        return _usage(f"unknown {what}")
-    if row.param is None:
-        return _usage(f"{what} has no range to scan; use verify --lemma {tag}")
-    bound = (row.widest or (None, None))[1]
-    if bound is None and args.beyond:
-        return _usage(f"{what} has no published bound; --beyond does not apply")
-    if bound is not None and hi > bound and not args.beyond:
-        return _usage(
-            f"range extends past the published bound {bound}; pass --beyond to scan it anyway"
-        )
-    print(f"scanning {what} over [{lo}, {hi}]...", file=sys.stderr)
-    rec = row.runner((lo, hi), args.workers)
-    expected = row.expected_in((lo, hi))
-    ok = rec.survivors == expected
-    report = make_report(
-        "scan",
-        {**selector, "range": [lo, hi], "workers": args.workers, "beyond": args.beyond},
-        [rec],
-        {"expected_survivors": [list(s) for s in expected], "ok": ok},
-    )
-    _write(report, args)
-    return 0 if ok else 1
-
-
 def cmd_build_w2(args, export_only: bool = False) -> int:
     res = build_w2()
     v = res.verdict
-    ok = (
-        res.geometry.n_points == 15
-        and res.geometry.n_lines == 15
-        and (v.s, v.t) == (2, 2)
-        and v.thick
-    )
+    ok = all(c["ok"] for c in res.checks())  # W(2)'s record judges it by the same checks
     export_path = getattr(args, "export_path", None) or (args.out if export_only else None)
     if export_path:
         with open(export_path, "w") as fh:
@@ -414,7 +355,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     commands = {
         "verify": cmd_verify,
-        "scan": cmd_scan,
         "build-w2": cmd_build_w2,
         "export": cmd_export,
         "tables": cmd_tables,

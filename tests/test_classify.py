@@ -560,6 +560,10 @@ def test_theorem_driver_rejects_unaccounted_survivor(monkeypatch):
     with pytest.raises(VerificationError) as exc:
         theorem_driver(50)
     assert exc.value.name == "unaccounted-survivors" and "case8-equal" in exc.value.detail
+    # verify judges a row by the same rule
+    with pytest.raises(VerificationError) as exc:
+        verify("case8-equal", q_range=(4, 50))
+    assert exc.value.name == "unaccounted-survivors"
 
 
 def test_theorem_driver_not_ok_when_expected_survivor_missing(monkeypatch):
@@ -584,6 +588,7 @@ def test_registry_rows_hold_survivors_and_follow_ups():
     assert {t: (r.expected_survivors, r.follow_up) for t, r in with_survivors.items()} == {
         "case2-equal": (((9, 2, 2),), "w2-construction"),
         "case9-equal": (((41, 9, 9),), "case9-q41"),
+        "w2-construction": (((9, 2, 2),), None),
     }
     # the q0 row counts q = q0^2, so (9, 2, 2) lies in q0 range (3, 3)
     assert VERIFIERS["case2-equal"].expected_in((3, 3)) == [(9, 2, 2)]
@@ -618,6 +623,18 @@ def test_verify_outcomes():
     out = verify("case2-equal")
     assert out.ok
     assert out.records[-1].verdict == CONFIRMED
+    # a sub-range is judged by the survivors expected in it
+    for tag, rng in (("case9-equal", (4, 40)), ("case2-equal", (5, 20))):
+        out = verify(tag, q_range=rng)
+        assert out.ok and len(out.records) == 1, tag
+        assert out.expected_verdict == out.final_verdict == ELIMINATED, tag
+    out = verify("case2-equal", q_range=(3, 5))
+    assert out.ok and out.records[-1].lemma_tag == "w2-construction"
+    assert out.final_verdict == CONFIRMED
+    # a follow-up row verified on its own still runs
+    for tag in ("case9-q41", "w2-construction"):
+        out = verify(tag)
+        assert out.ok and [r.lemma_tag for r in out.records] == [tag]
     with pytest.raises(KeyError):
         verify("no-such-tag")
 

@@ -42,8 +42,8 @@ def test_flags_a_subcommand_does_not_read_exit_two(capsys):
 
 def test_verify_and_scan_take_workers(tmp_path, capsys):
     verify_argv = ["verify", "--lemma", "case4-case8"]
-    scan_argv = ["scan", "--pair", "4,8", "--range", "37..866"]
-    for argv in (verify_argv, scan_argv):
+    range_argv = [*verify_argv, "--range", "37..866"]
+    for argv in (verify_argv, range_argv):
         out = tmp_path / "r.json"
         assert main([*argv, "--workers", "2", "--format", "json", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["workers"] == 2
@@ -54,7 +54,7 @@ def test_verify_and_scan_take_workers(tmp_path, capsys):
 def test_range_rejected_where_no_range_applies(capsys):
     assert main(["verify", "--lemma", "theorem", "--range", "1..5"]) == 2
     assert main(["verify", "--lemma", "case3-case5", "--range", "1..5"]) == 2
-    assert main(["scan", "--pair", "3,5", "--range", "1..5"]) == 2
+    assert main(["verify", "--lemma", "case9-q41", "--range", "1..5"]) == 2
     assert "--range applies only" in capsys.readouterr().err
 
 
@@ -88,10 +88,27 @@ def test_failed_group_guard_reports_mismatch_and_exits_one(monkeypatch, capsys):
     assert err.startswith("MISMATCH: subgroup-order (constructed order 23") and "Traceback" not in err
 
 
-def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--range", "notarange", "--pair", "3,8"])
-    assert exc.value.code == 2
+def test_build_w2_requires_a_unique_selection(monkeypatch, capsys):
+    from quadforge import cli
+
+    build = cli.build_w2
+
+    def two_selections():
+        res = build()
+        res.all_selections = res.all_selections * 2
+        return res
+
+    monkeypatch.setattr(cli, "build_w2", two_selections)
+    assert cli.main(["build-w2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("MISMATCH: selection-unique (2 axiom-passing") and "Traceback" not in err
+
+
+def test_usage_error_exits_two(capsys):
+    assert _exits_two(["verify", "--lemma", "case3-case8", "--range", "notarange"])
+    # `verify --lemma caseI-caseJ|caseN-equal --range A..B` runs every scan
+    assert _exits_two(["scan", "--pair", "3,8", "--range", "4..100"])
+    assert "invalid choice: 'scan'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -123,33 +140,31 @@ def test_verify_theorem_small(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# scan command
+# verify over a range: the scans of a pair or an equal case
 # ---------------------------------------------------------------------------
 
 
 def test_scan_pair_in_window(tmp_path):
     out = tmp_path / "r.json"
-    code = main(["scan", "--pair", "4,8", "--range", "37..866", "--format", "json", "--out", str(out)])
+    code = main(["verify", "--lemma", "case4-case8", "--range", "37..866",
+                 "--format", "json", "--out", str(out)])
     assert code == 0
+    report = json.loads(out.read_text())
+    assert [r["survivors"] for r in report["records"]] == [[]]
 
 
 def test_scan_beyond_guard(capsys):
-    code = main(["scan", "--pair", "4,8", "--range", "37..2000"])
-    assert code == 2  # needs --beyond
-    code = main(["scan", "--pair", "4,8", "--range", "37..1000", "--beyond"])
-    assert code == 0
-
-
-def test_scan_beyond_rejected_without_a_bound(capsys):
-    # the equal cases, (8,9) and the subfield pairs have no bound window
-    for selector in (["--equal", "2"], ["--pair", "8,9"], ["--pair", "6,8"]):
-        assert main(["scan", *selector, "--range", "3..97", "--beyond"]) == 2
-    assert "--beyond does not apply" in capsys.readouterr().err
+    # a range past the pair's published bound is scanned like any other:
+    # there is no guard to lift, and no --beyond flag to lift it with
+    assert main(["verify", "--lemma", "case4-case8", "--range", "37..2000"]) == 0
+    assert _exits_two(["verify", "--lemma", "case4-case8", "--range", "37..1000", "--beyond"])
+    assert "unrecognized arguments: --beyond" in capsys.readouterr().err
 
 
 def test_scan_equal_2(tmp_path):
     out = tmp_path / "r.json"
-    code = main(["scan", "--equal", "2", "--range", "3..97", "--format", "json", "--out", str(out)])
+    code = main(["verify", "--lemma", "case2-equal", "--range", "3..97",
+                 "--format", "json", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["records"][0]["survivors"] == [[9, 2, 2]]
@@ -157,8 +172,11 @@ def test_scan_equal_2(tmp_path):
 
 def test_scan_equal_9_includes_survivor(tmp_path):
     out = tmp_path / "r.json"
-    code = main(["scan", "--equal", "9", "--range", "4..50", "--format", "json", "--out", str(out)])
+    code = main(["verify", "--lemma", "case9-equal", "--range", "4..50",
+                 "--format", "json", "--out", str(out)])
     assert code == 0
+    report = json.loads(out.read_text())
+    assert report["records"][0]["survivors"] == [[41, 9, 9]]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +307,7 @@ def test_verify_theorem_q100(tmp_path):
 
 def test_scan_pair_3_9_full_window(tmp_path):
     out = tmp_path / "r.json"
-    code = main(["scan", "--pair", "3,9", "--range", "11..107995",
+    code = main(["verify", "--lemma", "case3-case9", "--range", "11..107995",
                  "--workers", "4", "--format", "json", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())

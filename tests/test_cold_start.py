@@ -47,7 +47,7 @@ def test_no_cli_command_loads_hashlib(tmp_path):
     commands = [
         ["verify", "--lemma", "theorem", "--qmax", "100"],
         ["build-w2"],
-        ["scan", "--pair", "3,8", "--range", "4..1000"],
+        ["verify", "--lemma", "case3-case8", "--range", "4..1000"],
         ["export"],
         ["tables"],
     ]
