@@ -202,21 +202,6 @@ def _positive_from(poly: dict, lows: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def candidate_pairs(q: int) -> list[tuple[int, int]]:
-    """Ordered case pairs (i < j) admissible at q: both family conditions
-    hold and q lies inside the pair's bound window where one exists (the
-    pair rows of the registry).  The Borel case never appears (its coset
-    action is 2-transitive)."""
-    out = []
-    for (i, j), row in PAIRS.items():
-        if not (case_condition(i, q) and case_condition(j, q)):
-            continue
-        lo, hi = row.widest or (q, None)
-        if lo <= q and (hi is None or q <= hi):
-            out.append((i, j))
-    return sorted(out)
-
-
 def _feasible_orders(nP, nL):
     """Thick (s,t) meeting both counts plus all arithmetic filters."""
     out = []
@@ -1491,9 +1476,8 @@ def verify_table_rows_at(case_id: int, q: int, q0: int | None = None) -> dict:
     orders = ig.orders()
     k_gen = int(cent[orders[cent] == vals["k"]][0])
     k_members = ig.closure_idx((k_gen,))
-    k_meet = int(ig.mask(sub_idx)[list(k_members)].sum())
+    k_meet = int(ig.mask(sub_idx)[k_members].sum())
     labels, reps = ig.coset_labels(sub_idx)
-    labels = np.asarray(labels)
     fixed = int((labels[ig.mul_ids(reps, g_in)] == labels[reps]).sum())
     return {
         "class": len(cls),

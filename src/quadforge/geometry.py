@@ -15,8 +15,10 @@ automorphism and sorts it into the eight possible shapes (empty,
 noncollinear points / dual, cone over a point / dual, grid / dual grid,
 or a subquadrangle), testing in that fixed order.
 
-Incidence is stored as per-point and per-line bitmasks; geometries at
-the scales this module enumerates stay small (thousands of cosets).
+A double coset's members and the point and line coset labels are numpy
+arrays, as the kernel returns them.  Incidence is stored as per-point and
+per-line bitmasks; geometries at the scales this module enumerates stay
+small (thousands of cosets).
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from .subgroups import SubgroupHandle
 
 
 class DoubleCoset(NamedTuple):
-    """One M0 h M1 with its size and |M1 ^ h^-1 M0 h|."""
+    """One M0 h M1 with its size, |M1 ^ h^-1 M0 h| and read-only member id array."""
 
     rep: int  # element index of h (least member)
     size: int
     meet_order: int
-    members: tuple[int, ...] = ()
+    members: np.ndarray
 
     def __repr__(self):  # without the members, which run to thousands of ids
         return f"DoubleCoset(rep={self.rep}, size={self.size}, meet_order={self.meet_order})"
@@ -73,27 +75,27 @@ def double_cosets(
     """The (M0, M1)-double coset decomposition of the whole group.
 
     Returned in order of least representative; sizes sum to |G| and each
-    size equals |M0||M1| / |M1 ^ h^-1 M0 h|.
+    size equals |M0||M1| / |M1 ^ h^-1 M0 h|.  The next representative is
+    the first id still free, found by `bytearray.find` from the last one on.
     """
     spec = spec or M0.group
     ig = indexed_group(spec)
     m0 = np.asarray(M0.ids)
     m1 = np.asarray(M1.ids)
-    assigned = np.zeros(ig.n, dtype=bool)
+    free = bytearray(b"\x01") * ig.n  # marked through a numpy view, searched in C
     out = []
-    for g in range(ig.n):
-        if assigned[g]:
-            continue
+    g = 0
+    while g >= 0:
         full = np.flatnonzero(ig.mask(ig.mul_ids(ig.mul_ids(m0, g)[:, None], m1)))
-        assigned[full] = True
+        full.flags.writeable = False
+        np.frombuffer(free, dtype=bool)[full] = False
         size = len(full)
         if (len(m0) * len(m1)) % size:
             raise VerificationError(
                 "double-coset-size", f"size {size} does not divide |M0||M1| = {len(m0) * len(m1)}"
             )
-        out.append(
-            DoubleCoset(g, size, len(m0) * len(m1) // size, tuple(full.tolist()))
-        )
+        out.append(DoubleCoset(g, size, len(m0) * len(m1) // size, full))
+        g = free.find(1, g + 1)  # -1 once every id is covered
     covered = sum(dc.size for dc in out)
     if covered != ig.n:
         raise VerificationError("double-coset-partition", f"sizes sum to {covered}, |G| = {ig.n}")
@@ -155,18 +157,20 @@ class IncidenceGeometry:
         (self.point_label, self.point_reps), (self.line_label, self.line_reps) = cosets
         self.n_points = len(self.point_reps)
         self.n_lines = len(self.line_reps)
-        in_d = ig.mask([x for i in self.selection for x in decomposition[i].members])
+        in_d = np.zeros(ig.n, dtype=bool)
+        for i in self.selection:
+            in_d[decomposition[i].members] = True
         self.d_size = int(in_d.sum())
         # M0x lies on M1y exactly when x y^-1 is in D: products of a block
         # of points with every line at a time
-        point_reps, line_rep_inv = np.asarray(self.point_reps), ig.inverses()[self.line_reps]
+        line_rep_inv = ig.inverses()[self.line_reps]
         inc = np.empty((self.n_points, self.n_lines), dtype=bool)
         for rows in _blocks(self.n_points, self.n_lines):
-            inc[rows] = in_d[ig.mul_ids(point_reps[rows, None], line_rep_inv)]
+            inc[rows] = in_d[ig.mul_ids(self.point_reps[rows, None], line_rep_inv)]
         self.rows = _bitmasks(inc)
         self.cols = _bitmasks(inc.T)
-        self.base_point = self.point_label[ig.e]
-        self.base_line = self.line_label[ig.e]
+        self.base_point = int(self.point_label[ig.e])
+        self.base_line = int(self.line_label[ig.e])
         self._coll: list[int] | None = None
 
     def incident(self, p: int, l: int) -> bool:
@@ -186,17 +190,15 @@ class IncidenceGeometry:
         return bool(self.collinearity_masks()[p] >> q & 1)
 
     def point_image(self, p: int, g_idx: int) -> int:
-        return self.point_label[self.ig.mul_idx(self.point_reps[p], g_idx)]
+        return int(self.point_label[self.ig.mul_idx(self.point_reps[p], g_idx)])
 
     def point_action(self, g: int) -> list[int]:
         """Image of every point under the element with id g."""
-        images = self.ig.mul_ids(self.point_reps, g)
-        return [self.point_label[x] for x in images.tolist()]
+        return self.point_label[self.ig.mul_ids(self.point_reps, g)].tolist()
 
     def line_action(self, g: int) -> list[int]:
         """Image of every line under the element with id g."""
-        images = self.ig.mul_ids(self.line_reps, g)
-        return [self.line_label[x] for x in images.tolist()]
+        return self.line_label[self.ig.mul_ids(self.line_reps, g)].tolist()
 
     def preserves_incidence(self, g: int) -> bool:
         pa = self.point_action(g)
@@ -423,22 +425,6 @@ def fixed_structure(g: int, geom: IncidenceGeometry) -> FixedStructure:
     if verdict.is_gq:
         return FixedStructure(fp, fl, "4", (verdict.s, verdict.t))
     raise ValueError(f"unclassifiable fixed structure: {verdict.violation}")
-
-
-def transitive_on_fixed(g: int, geom: IncidenceGeometry, subgroup: SubgroupHandle) -> bool:
-    """Does the subgroup's orbit of the base point cover the whole fixed
-    point set of the element with id g?  Requires g to fix the base point."""
-    ig = geom.ig
-    base = geom.base_point
-    if geom.point_image(base, g) != base:
-        raise ValueError("base point is not fixed by g")
-    pa = geom.point_action(g)
-    fixed = {p for p in range(geom.n_points) if pa[p] == p}
-    base_rep = geom.point_reps[base]
-    orbit = {
-        geom.point_label[x] for x in ig.mul_ids(base_rep, subgroup.ids).tolist()
-    }
-    return orbit == fixed
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ over the field's int tables, in sorted order, and an element's id is its
 position in that list.  `IndexedGroup` is the integer kernel: it reads an
 element's id off its images of 0, 1 and infinity on PG(1,q), and products,
 inverses, orders, classes, closures and cosets all run on id arrays.
-Enumeration is capped at ELEMENT_LIMIT elements.
+Id sets leave it as arrays too: `closure_idx`, `conjugacy_class` and each
+class of `all_classes` are sorted intp id arrays, and `coset_labels`
+returns int32 labels and intp representatives.  Enumeration is capped at
+ELEMENT_LIMIT elements.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -21,6 +24,7 @@ threads.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -85,9 +89,11 @@ class GroupSpec:
         with d != bc.  Each matrix becomes the int64 key
         ((a*q + b)*q + c)*q + d, whose order is tuple order; the keys must
         come out strictly increasing and number |G|, which certifies the
-        order and that no element repeats.  A group over a field without
-        dense tables, or of more than ELEMENT_LIMIT elements, raises
-        BudgetExceededError before anything is built.
+        order and that no element repeats.  Keys are made, checked and
+        decoded one block (one leading entry) at a time, so no |G|-sized
+        key array is built.  A group over a field without dense tables, or
+        of more than ELEMENT_LIMIT elements, raises BudgetExceededError
+        before anything is built.
         """
         if self._element_array is None:
             q = self.q
@@ -107,22 +113,26 @@ class GroupSpec:
             rows, cols = r[:, None], r[None, :]
             if self.kind == "PSL":
                 lead = r[r < neg] if q % 2 else r[1:]
-                b = lead[:, None]
-                blocks = [_matrix_keys(q, 0, b, neg[inv[b]], cols)]
-                one_bc = add[one, mul[rows, cols]]
-                blocks += [_matrix_keys(q, a, rows, cols, mul[one_bc, inv[a]]) for a in lead]
+                b, one_bc = lead[:, None], add[one, mul[rows, cols]]
+                first = _matrix_keys(q, 0, b, neg[inv[b]], cols)
+                rest = (_matrix_keys(q, a, rows, cols, mul[one_bc, inv[a]]) for a in lead)
             else:
-                blocks = [_matrix_keys(q, 0, one, rows[1:], cols)]
-                blocks += [_matrix_keys(q, one, b, rows, cols)[cols != mul[b, rows]] for b in r]
-            keys = np.concatenate([k.ravel() for k in blocks])
-            if keys.size != self.order or np.count_nonzero(keys[1:] <= keys[:-1]):
+                first = _matrix_keys(q, 0, one, rows[1:], cols)
+                rest = (_matrix_keys(q, one, b, rows, cols)[cols != mul[b, rows]] for b in r)
+            arr = np.empty((self.order, 4), dtype=np.uint16)
+            end, last = 0, -1
+            for keys in chain([first], rest):
+                keys, start, end = keys.ravel(), end, end + keys.size
+                if end > self.order or np.count_nonzero(np.diff(keys, prepend=last) <= 0):
+                    end = -1  # fails the count below
+                    break
+                last = keys[-1]
+                for col in (3, 2, 1, 0):
+                    keys, arr[start:end, col] = np.divmod(keys, q)
+            if end != self.order:
                 raise VerificationError(
-                    "group-enumeration",
-                    f"{self!r}: {keys.size} keys, expected {self.order} strictly increasing",
+                    "group-enumeration", f"{self!r}: the keys are not {self.order} strictly increasing"
                 )
-            arr = np.empty((keys.size, 4), dtype=np.uint16)
-            for col in (3, 2, 1, 0):
-                keys, arr[:, col] = np.divmod(keys, q)
             arr.flags.writeable = False
             self._element_array = arr
         return self._element_array
@@ -204,6 +214,7 @@ def centralizer(g: int, spec: GroupSpec):
 
 _CHUNK = 1 << 16  # array entries per block of rows in bulk builds
 _SEED_PRODUCTS = 1 << 14  # member products per batch of coset seeds
+_SPAN_SCALE = 1 << 12  # products from which mul_ids keeps no separate y*m array
 
 
 def _blocks(n: int, width: int):
@@ -301,16 +312,21 @@ class IndexedGroup:
         """Point id of (x:y) for field-index arrays x, y."""
         return self._div[x * self.spec.q + y]
 
-    def _id_at(self, i0, i1, i2) -> np.ndarray:
-        """Ids taking 0, 1, infinity to point ids i0, i1, i2; summed in intp, as uint16 wraps."""
-        return self.code.ravel()[(i0.astype(np.intp) * self.m + i1) * self.m + i2]
+    def _key(self, i0, i1, i2, out=None) -> np.ndarray:
+        """The flat `code` index (i0*m + i1)*m + i2 of the ids taking 0, 1,
+        infinity to point ids i0, i1, i2, built in place in one intp array
+        (`out` if given): intp, as uint16 sums wrap."""
+        key = np.multiply(i0, self.m, out=out, dtype=np.intp)
+        key += i1
+        key *= self.m
+        return np.add(key, i2, out=key)
 
     def _ids_at(self, a, b, c, d) -> np.ndarray:
         """Ids of the matrices (a, b; c, d) over field-index arrays, -1 for
         one outside the group: read off their images of 0, 1 and
         infinity, (c:d), (a+c:b+d) and (a:b)."""
         images = (c, d), (self._add[a, c], self._add[b, d]), (a, b)
-        return self._id_at(*(self._point(x, y) for x, y in images))
+        return self.code.ravel()[self._key(*(self._point(x, y) for x, y in images))]
 
     def ids_of(self, ts) -> np.ndarray:
         """Ids of matrices given as 4-tuples (a, b, c, d) of field indices.
@@ -335,10 +351,20 @@ class IndexedGroup:
 
     def mul_ids(self, xs, ys) -> np.ndarray:
         """Products x*y over id arrays, broadcast as numpy broadcasts: row y
-        of `perms` read at the images of 0, 1 and infinity under x."""
-        xs, row = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp) * self.m
-        pf = self.perms.ravel()  # intp sums: NumPy 1 keeps scalar + uint16 array in uint16
-        return self._id_at(*(pf[np.add(row, t[xs], dtype=np.intp)] for t in self._tri))
+        of `perms` read at the images of 0, 1 and infinity under x (int32).
+        One intp buffer of the product's shape holds each gather's index
+        y*m + image, then the `code` key; a ys spanning _SPAN_SCALE or more
+        products is scaled into it afresh, not held in a second array."""
+        xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys)
+        idx = np.empty(np.broadcast(xs, ys).shape, dtype=np.intp)
+        row = None if ys.size == idx.size >= _SPAN_SCALE else np.multiply(ys, self.m, dtype=np.intp)
+        pf, images = self.perms.ravel(), []
+        for t in self._tri:
+            if row is None:
+                np.multiply(ys, self.m, out=idx, dtype=np.intp)
+            np.add(idx if row is None else row, t[xs], out=idx)
+            images.append(pf[idx])
+        return self.code.ravel()[self._key(*images, out=idx)]
 
     def mul_idx(self, i: int, j: int) -> int:
         row = self.perms[j]
@@ -365,8 +391,9 @@ class IndexedGroup:
         return int(self.inverses()[i])
 
     def conj_ids(self, xs, g) -> np.ndarray:
-        """g^-1 x g over broadcast id arrays xs and g."""
-        return self.mul_ids(self.mul_ids(self.inverses()[g], xs), g)
+        """g^-1 x g over broadcast id arrays xs and g, taken as g^-1 (x g):
+        the int32 product x g is then read as `mul_ids`' ys, with no cast."""
+        return self.mul_ids(self.inverses()[g], self.mul_ids(xs, g))
 
     def transporter(self, gens, target) -> np.ndarray:
         """Ids of every g with g^-1 x g in `target` for each id x in `gens`:
@@ -380,22 +407,26 @@ class IndexedGroup:
 
     def orders(self) -> np.ndarray:
         """Element orders as a cached, read-only int32 array: the images of
-        0, 1 and infinity are walked until all three are back.  Orders
+        0, 1 and infinity are walked until all three are back, one block of
+        ids at a time, so each step's arrays are block-sized.  Orders
         divide p, q-1 or q+1, so a walk past q+1 steps means broken rows."""
         if self._orders is None:
             base, pf = (0, self.spec._one, self.spec.q), self.perms.ravel()
             orders = np.zeros(self.n, dtype=np.int32)
-            live, c = np.arange(self.n), self._tri
-            for k in range(1, self.m + 1):
-                back = (c[0] == base[0]) & (c[1] == base[1]) & (c[2] == base[2])
-                orders[live[back]] = k
-                live, c = live[~back], [ck[~back] for ck in c]
-                if not live.size:
-                    break
-                row = live * self.m
-                c = [pf[row + ck] for ck in c]
-            else:
-                raise VerificationError("element-order", f"{self.spec!r}: walks past {self.m} steps")
+            for rows in _blocks(self.n, 8):
+                live, c = np.arange(*rows.indices(self.n)), self._tri[:, rows]
+                for k in range(1, self.m + 1):
+                    back = (c[0] == base[0]) & (c[1] == base[1]) & (c[2] == base[2])
+                    orders[live[back]] = k
+                    live, c = live[~back], [ck[~back] for ck in c]
+                    if not live.size:
+                        break
+                    row = live * self.m
+                    c = [pf[row + ck] for ck in c]
+                else:
+                    raise VerificationError(
+                        "element-order", f"{self.spec!r}: walks past {self.m} steps"
+                    )
             orders.flags.writeable = False
             self._orders = orders
         return self._orders
@@ -424,7 +455,7 @@ class IndexedGroup:
         known, each kept once through a scratch slot array, so a round
         costs the frontier's size, not n."""
         gens = np.asarray(list(gens), dtype=np.intp)
-        slot = np.empty(known.size, dtype=np.intp)
+        slot = np.empty(known.size, dtype=np.int32)
         while True:
             new = new[~known[new]]
             if not new.size:
@@ -439,12 +470,12 @@ class IndexedGroup:
                 layer, x = np.divmod(frontier, self.n)
                 new = (self.mul_ids(x[:, None], gens[layer]) + layer[:, None] * self.n).ravel()
 
-    def closure_idx(self, gens) -> tuple[int, ...]:
-        """Subgroup generated by `gens`, as sorted ids: the sweep of `_grow`
-        from the identity."""
+    def closure_idx(self, gens) -> np.ndarray:
+        """Subgroup generated by `gens`, as a sorted intp id array: the
+        sweep of `_grow` from the identity."""
         known = np.zeros(self.n, dtype=bool)
         self._grow(known, np.array([self.e], dtype=np.intp), gens)
-        return tuple(np.flatnonzero(known).tolist())
+        return np.flatnonzero(known)
 
     def generators_of(self, sub_idxs) -> list[int]:
         """A generating set of the subgroup with ids `sub_idxs`, taken
@@ -484,35 +515,38 @@ class IndexedGroup:
         """class_labels()[i] is the least id conjugate to i: orbit labels
         under conjugation by the generating pair.  Cached, int32."""
         if self._class_labels is None:
-            ids = np.arange(self.n)
-            maps = [self.conj_ids(ids, g) for g in self.generating_pair()]
+            pair = self.generating_pair()
+            maps = [self.conj_ids(np.arange(self.n), g).astype(np.intp) for g in pair]
             self._class_labels = orbit_labels(maps, self.n)
         return self._class_labels
 
-    def conjugacy_class(self, i: int) -> tuple[int, ...]:
-        """Conjugation orbit of element i under the whole group."""
+    def conjugacy_class(self, i: int) -> np.ndarray:
+        """Conjugation orbit of element i under the whole group, as a
+        sorted intp id array."""
         lab = self.class_labels()
-        return tuple(np.flatnonzero(lab == lab[i]).tolist())
+        return np.flatnonzero(lab == lab[i])
 
-    def all_classes(self) -> list[tuple[int, ...]]:
-        """Every conjugacy class as sorted ids, in order of least member."""
+    def all_classes(self) -> list[np.ndarray]:
+        """Every conjugacy class as a sorted intp id array, in order of
+        least member: one stable argsort of the class labels, split."""
         lab = self.class_labels()
         by_class = np.argsort(lab, kind="stable")
         cuts = np.flatnonzero(np.diff(lab[by_class])) + 1
-        return [tuple(c.tolist()) for c in np.split(by_class, cuts)]
+        return np.split(by_class, cuts)
 
-    def coset_labels(self, sub_idxs) -> tuple[list[int], list[int]]:
-        """Right cosets H\\G as labels: labels[g] = coset id, reps[id] = min
-        element, ids in order of least element.  `generators_of` certifies
-        that the ids close to a subgroup H; `coset_minima` then labels each
-        g with the least member of Hg, read off member products."""
+    def coset_labels(self, sub_idxs) -> tuple[np.ndarray, np.ndarray]:
+        """Right cosets H\\G as two arrays: labels[g] = coset id (int32),
+        reps[id] = least element (intp), ids in order of least element.
+        `generators_of` certifies that the ids close to a subgroup H;
+        `coset_minima` then labels each g with the least member of Hg, read
+        off member products, and a coset's id is its minimum's rank."""
         sub = np.asarray(sub_idxs, dtype=np.intp)
         self.generators_of(sub)
         lab = coset_minima(self, sub)
         reps = np.flatnonzero(lab == np.arange(self.n))
-        rank = np.empty(self.n, dtype=np.intp)
+        rank = np.empty(self.n, dtype=np.int32)
         rank[reps] = np.arange(reps.size)
-        return rank[lab].tolist(), reps.tolist()
+        return rank[lab], reps
 
 
 def coset_minima(ig: IndexedGroup, sub: np.ndarray) -> np.ndarray:
@@ -523,7 +557,7 @@ def coset_minima(ig: IndexedGroup, sub: np.ndarray) -> np.ndarray:
     _SEED_PRODUCTS products' worth of still-unlabelled ids, evenly spaced
     through them: neighbouring ids share a first row, and for a subgroup
     of the stabilizer of infinity that puts them in few cosets."""
-    lab = np.full(ig.n, -1, dtype=np.intp)
+    lab = np.full(ig.n, -1, dtype=np.int32)
     todo = np.arange(ig.n)
     step = max(1, _SEED_PRODUCTS // sub.size)
     while todo.size:
@@ -543,16 +577,19 @@ def orbit_labels(maps, size: int) -> np.ndarray:
     grows, so the orbit's least member keeps its own label.  At the fixed
     point lab <= lab[m] for every m, so lab is constant along each map's
     cycles, hence on whole orbits, and there it is the least member.
-    Maps and labels are cast to intp once, so no gather re-casts its index.
+    As lab only falls, a round changes nothing exactly when no step lowers
+    an entry.  Maps and labels are intp, so no gather re-casts its index,
+    and every round reuses two label buffers.
     """
     maps = [np.asarray(m, dtype=np.intp) for m in maps]
-    lab = np.arange(size)
+    lab, img = np.arange(size), np.empty(size, dtype=np.intp)
     while True:
-        prev = lab
-        for m in maps:
-            lab = np.minimum(lab, lab[m])
-        lab = lab[lab]
-        if np.array_equal(lab, prev):
+        changed = False
+        for m in maps + [lab]:  # lab last: pointer jumping, as lab[lab] <= lab
+            np.take(lab, m, out=img, mode="clip")  # ids in range: no bounds pass
+            changed |= bool((img < lab).any())
+            np.minimum(lab, img, out=lab)
+        if not changed:
             return lab.astype(np.int32)
 
 

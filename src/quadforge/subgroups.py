@@ -96,25 +96,16 @@ class SubgroupHandle:
 
 
 def handle_from_ids(spec: GroupSpec, ids, descriptor=None) -> SubgroupHandle:
-    """Handle of the subgroup with these member ids.  Without a descriptor
-    its structure is recognized and its index read off its order."""
-    ids = tuple(sorted(set(np.asarray(ids).tolist())))
+    """Handle of the subgroup with these member ids, sorted and deduplicated
+    through a membership mask.  Without a descriptor its structure is
+    recognized and its index read off its order."""
+    ids = tuple(np.flatnonzero(indexed_group(spec).mask(ids)).tolist())
     handle = SubgroupHandle(spec, descriptor, ids)
     if descriptor is None:
         if not ids or spec.order % len(ids):
             raise ValueError("element count does not divide the group order")
         handle.descriptor = SubgroupDescriptor(None, recognize(handle), spec.order // len(ids))
     return handle
-
-
-def handle_from_elements(spec: GroupSpec, ts, descriptor=None) -> SubgroupHandle:
-    """`handle_from_ids` for members given as matrix 4-tuples."""
-    return handle_from_ids(spec, indexed_group(spec).ids_of(list(ts)), descriptor)
-
-
-def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
-    desc = SubgroupDescriptor(None, repr(spec), 1)
-    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array()))))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +399,7 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     ig = indexed_group(spec)
     orders = ig.orders()
     x = int(np.argmax(orders == m))
-    cyc = np.asarray(ig.closure_idx((x,)))
+    cyc = ig.closure_idx((x,))
     members = ig.mask(cyc)
     ys = np.flatnonzero(orders == 2)
     if m != 2:
@@ -530,8 +521,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec) -> list[list[SubgroupHandl
         for y in ys:
             idxs = ig.closure_idx((x, y))
             if len(idxs) == size:
-                arr = np.asarray(idxs, dtype=np.intp)
-                found.setdefault(arr.tobytes(), arr)
+                found.setdefault(idxs.tobytes(), idxs)
     conj_maps = _conj_maps(ig)
     classes: list[list[SubgroupHandle]] = []
     while found:
@@ -555,26 +545,29 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
     subgroups.  For g in the normalizer N(C_i), <C_i, C_j^g> = <C_i, C_j>^g,
     so C_j need only run over the least member of each N(C_i)-orbit of
     cyclic subgroups.  Closing what is found under conjugation is then
-    exhaustive.  Cyclic subgroups come from powers taken with `mul_ids`;
-    the pair closures run side by side, one layer of n ids per pair, in
-    `IndexedGroup._grow` sweeps over blocks of about _CHUNK states; and
-    one subgroup per conjugacy class is recognized.
+    exhaustive.  <i> is labelled by its least generator i^k, gcd(k, |i|) = 1,
+    over a running walk of powers with `mul_ids`, and only the labels'
+    powers are stored; the pair closures run side by side, one layer of n
+    ids per pair, in `IndexedGroup._grow` sweeps over blocks of about
+    _CHUNK states; and one subgroup per conjugacy class is recognized.
     """
     ig = indexed_group(spec)
     n = ig.n
     ids = np.arange(n)
     orders = ig.orders()
     top = int(orders.max())
-    powers = np.empty((n, top), dtype=np.intp)  # powers[i, k - 1] = i^k
-    cur = ids
+    least_gen, cur = ids.copy(), ids  # labels <i> by its least generator
+    for k in range(2, top + 1):  # past |i|, i^k repeats a power already seen
+        cur = ig.mul_ids(ids, cur)  # i^k
+        np.minimum(least_gen, cur, out=least_gen, where=np.gcd(k, orders) == 1)
+    cyc_gen = np.flatnonzero(least_gen == ids)
+    powers = np.empty((cyc_gen.size, top), dtype=np.intp)  # powers[c, k - 1] = cyc_gen[c]^k
+    cur = cyc_gen
     for k in range(top):
         powers[:, k] = cur
-        cur = ig.mul_ids(cur, ids)
-    ks = np.arange(1, top + 1)
-    is_gen = (ks <= orders[:, None]) & (np.gcd(ks, orders[:, None]) == 1)
-    least_gen = np.where(is_gen, powers, n).min(axis=1)  # labels <i> by its least generator
-    cyc_gen = np.flatnonzero(least_gen == ids)
-    cyc_members = [np.sort(powers[g, : orders[g]]) for g in cyc_gen]
+        cur = ig.mul_ids(cyc_gen, cur)
+    cyc_members = [np.sort(row[:o]) for row, o in zip(powers, orders[cyc_gen].tolist())]
+    del powers
     cyc_index = np.full(n, -1, dtype=np.intp)
     cyc_index[cyc_gen] = np.arange(cyc_gen.size)
 

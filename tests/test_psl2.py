@@ -732,13 +732,16 @@ def kernel_mismatches(spec, ig, classes=True):
     """Names of the kernel outputs that differ from the sweep oracles."""
     bad = []
     if classes:
-        if ig.all_classes() != sweep_all_classes(ig):
+        if [tuple(c.tolist()) for c in ig.all_classes()] != sweep_all_classes(ig):
             bad.append("all_classes")
         step = max(1, ig.n // 50)
-        if any(ig.conjugacy_class(i) != sweep_class(ig, i) for i in range(0, ig.n, step)):
+        if any(
+            tuple(ig.conjugacy_class(i).tolist()) != sweep_class(ig, i)
+            for i in range(0, ig.n, step)
+        ):
             bad.append("conjugacy_class")
     for name, sub in _kernel_subgroups(spec, ig).items():
-        if ig.coset_labels(sub) != loop_coset_labels(ig, sub):
+        if tuple(a.tolist() for a in ig.coset_labels(sub)) != loop_coset_labels(ig, sub):
             bad.append(f"coset_labels {name}")
     return bad
 

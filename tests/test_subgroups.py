@@ -10,12 +10,14 @@ from oracle import (
     element_order,
     elements,
     enumerate_group,
+    handle_from_elements,
     inv,
     is_psl_member,
     is_square,
     mul,
     projective_line,
     two_generated_abelian_subgroups,
+    whole_group_handle,
     wrap,
 )
 
@@ -30,7 +32,6 @@ from quadforge.subgroups import (
     catalog_family,
     conjugate,
     dihedral_involution_count,
-    handle_from_elements,
     handle_from_ids,
     index_formula,
     is_dihedral,
@@ -41,7 +42,6 @@ from quadforge.subgroups import (
     sporadic_table,
     subfield_indices,
     subgroup_classes,
-    whole_group_handle,
 )
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def exhaustive_subgroup_classes(type_name, spec):
     ig = indexed_group(spec)
     orders = ig.orders()
     xs = [i for i in range(ig.n) if orders[i] == o1]
-    cyclic = {ig.closure_idx((i,)): i for i in range(ig.n) if orders[i] == o2}
+    cyclic = {tuple(ig.closure_idx((i,)).tolist()): i for i in range(ig.n) if orders[i] == o2}
     ys = sorted(cyclic.values())
     found = {frozenset(s) for x in xs for y in ys if len(s := ig.closure_idx((x, y))) == size}
     every = np.arange(ig.n)
