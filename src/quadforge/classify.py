@@ -202,6 +202,21 @@ def _positive_from(poly: dict, lows: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def candidate_pairs(q: int) -> list[tuple[int, int]]:
+    """Ordered case pairs (i < j) admissible at q: both family conditions
+    hold and q lies inside the pair's bound window where one exists (the
+    pair rows of the registry).  The Borel case never appears (its coset
+    action is 2-transitive)."""
+    out = []
+    for (i, j), row in PAIRS.items():
+        if not (case_condition(i, q) and case_condition(j, q)):
+            continue
+        lo, hi = row.widest or (q, None)
+        if lo <= q and (hi is None or q <= hi):
+            out.append((i, j))
+    return sorted(out)
+
+
 def _feasible_orders(nP, nL):
     """Thick (s,t) meeting both counts plus all arithmetic filters."""
     out = []

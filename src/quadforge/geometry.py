@@ -15,10 +15,9 @@ automorphism and sorts it into the eight possible shapes (empty,
 noncollinear points / dual, cone over a point / dual, grid / dual grid,
 or a subquadrangle), testing in that fixed order.
 
-A double coset's members and the point and line coset labels are numpy
-arrays, as the kernel returns them.  Incidence is stored as per-point and
-per-line bitmasks; geometries at the scales this module enumerates stay
-small (thousands of cosets).
+Double coset members and coset labels are the kernel's numpy arrays;
+incidence is stored as per-point and per-line bitmasks, and geometries at
+the scales this module enumerates stay small (thousands of cosets).
 """
 
 from __future__ import annotations
@@ -75,27 +74,24 @@ def double_cosets(
     """The (M0, M1)-double coset decomposition of the whole group.
 
     Returned in order of least representative; sizes sum to |G| and each
-    size equals |M0||M1| / |M1 ^ h^-1 M0 h|.  The next representative is
-    the first id still free, found by `bytearray.find` from the last one on.
+    size equals |M0||M1| / |M1 ^ h^-1 M0 h|.  Each representative is the
+    first id still free, found by `bytearray.find` from the last one on.
     """
     spec = spec or M0.group
     ig = indexed_group(spec)
-    m0 = np.asarray(M0.ids)
-    m1 = np.asarray(M1.ids)
+    m0, m1 = np.asarray(M0.ids), np.asarray(M1.ids)
     free = bytearray(b"\x01") * ig.n  # marked through a numpy view, searched in C
-    out = []
-    g = 0
-    while g >= 0:
+    out, g, both = [], 0, len(m0) * len(m1)
+    while g >= 0:  # -1 once every id is covered
         full = np.flatnonzero(ig.mask(ig.mul_ids(ig.mul_ids(m0, g)[:, None], m1)))
         full.flags.writeable = False
         np.frombuffer(free, dtype=bool)[full] = False
-        size = len(full)
-        if (len(m0) * len(m1)) % size:
+        if both % full.size:
             raise VerificationError(
-                "double-coset-size", f"size {size} does not divide |M0||M1| = {len(m0) * len(m1)}"
+                "double-coset-size", f"size {full.size} does not divide |M0||M1| = {both}"
             )
-        out.append(DoubleCoset(g, size, len(m0) * len(m1) // size, full))
-        g = free.find(1, g + 1)  # -1 once every id is covered
+        out.append(DoubleCoset(g, full.size, both // full.size, full))
+        g = free.find(1, g + 1)
     covered = sum(dc.size for dc in out)
     if covered != ig.n:
         raise VerificationError("double-coset-partition", f"sizes sum to {covered}, |G| = {ig.n}")
@@ -425,6 +421,17 @@ def fixed_structure(g: int, geom: IncidenceGeometry) -> FixedStructure:
     if verdict.is_gq:
         return FixedStructure(fp, fl, "4", (verdict.s, verdict.t))
     raise ValueError(f"unclassifiable fixed structure: {verdict.violation}")
+
+
+def transitive_on_fixed(g: int, geom: IncidenceGeometry, subgroup: SubgroupHandle) -> bool:
+    """Does the subgroup's orbit of the base point cover the whole fixed
+    point set of the element with id g?  Requires g to fix the base point."""
+    base = geom.base_point
+    if geom.point_image(base, g) != base:
+        raise ValueError("base point is not fixed by g")
+    fixed = {p for p, image in enumerate(geom.point_action(g)) if image == p}
+    orbit = geom.point_label[geom.ig.mul_ids(geom.point_reps[base], subgroup.ids)]
+    return set(orbit.tolist()) == fixed
 
 
 # ---------------------------------------------------------------------------

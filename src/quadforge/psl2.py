@@ -11,11 +11,9 @@ canonical form:
 over the field's int tables, in sorted order, and an element's id is its
 position in that list.  `IndexedGroup` is the integer kernel: it reads an
 element's id off its images of 0, 1 and infinity on PG(1,q), and products,
-inverses, orders, classes, closures and cosets all run on id arrays.
-Id sets leave it as arrays too: `closure_idx`, `conjugacy_class` and each
-class of `all_classes` are sorted intp id arrays, and `coset_labels`
-returns int32 labels and intp representatives.  Enumeration is capped at
-ELEMENT_LIMIT elements.
+inverses, orders, classes, closures and cosets all run on id arrays and
+return them: id sets as sorted intp arrays, `coset_labels` as int32 labels
+and intp representatives.  Enumeration is capped at ELEMENT_LIMIT elements.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -87,13 +85,12 @@ class GroupSpec:
         (0, b, -1/b, d), then (a, b, c, (1 + bc)/a) for each such leading
         b or a.  PGL: the rows (0, 1, c, d) with c != 0, then (1, b, c, d)
         with d != bc.  Each matrix becomes the int64 key
-        ((a*q + b)*q + c)*q + d, whose order is tuple order; the keys must
-        come out strictly increasing and number |G|, which certifies the
-        order and that no element repeats.  Keys are made, checked and
-        decoded one block (one leading entry) at a time, so no |G|-sized
-        key array is built.  A group over a field without dense tables, or
-        of more than ELEMENT_LIMIT elements, raises BudgetExceededError
-        before anything is built.
+        ((a*q + b)*q + c)*q + d, whose order is tuple order, one leading
+        entry's block at a time; the keys must come out strictly increasing
+        and number |G|, which certifies the order and that no element
+        repeats.  A group over a field without dense tables, or of more
+        than ELEMENT_LIMIT elements, raises BudgetExceededError before
+        anything is built.
         """
         if self._element_array is None:
             q = self.q
@@ -119,20 +116,16 @@ class GroupSpec:
             else:
                 first = _matrix_keys(q, 0, one, rows[1:], cols)
                 rest = (_matrix_keys(q, one, b, rows, cols)[cols != mul[b, rows]] for b in r)
-            arr = np.empty((self.order, 4), dtype=np.uint16)
-            end, last = 0, -1
+            arr, end, last = np.empty((self.order, 4), dtype=np.uint16), 0, -1
             for keys in chain([first], rest):
                 keys, start, end = keys.ravel(), end, end + keys.size
                 if end > self.order or np.count_nonzero(np.diff(keys, prepend=last) <= 0):
-                    end = -1  # fails the count below
-                    break
+                    raise VerificationError("group-enumeration", f"{self!r}: keys out of order")
                 last = keys[-1]
                 for col in (3, 2, 1, 0):
                     keys, arr[start:end, col] = np.divmod(keys, q)
             if end != self.order:
-                raise VerificationError(
-                    "group-enumeration", f"{self!r}: the keys are not {self.order} strictly increasing"
-                )
+                raise VerificationError("group-enumeration", f"{self!r}: {end} keys, not |G|")
             arr.flags.writeable = False
             self._element_array = arr
         return self._element_array
@@ -214,7 +207,6 @@ def centralizer(g: int, spec: GroupSpec):
 
 _CHUNK = 1 << 16  # array entries per block of rows in bulk builds
 _SEED_PRODUCTS = 1 << 14  # member products per batch of coset seeds
-_SPAN_SCALE = 1 << 12  # products from which mul_ids keeps no separate y*m array
 
 
 def _blocks(n: int, width: int):
@@ -312,21 +304,19 @@ class IndexedGroup:
         """Point id of (x:y) for field-index arrays x, y."""
         return self._div[x * self.spec.q + y]
 
-    def _key(self, i0, i1, i2, out=None) -> np.ndarray:
-        """The flat `code` index (i0*m + i1)*m + i2 of the ids taking 0, 1,
-        infinity to point ids i0, i1, i2, built in place in one intp array
-        (`out` if given): intp, as uint16 sums wrap."""
-        key = np.multiply(i0, self.m, out=out, dtype=np.intp)
+    def _id_at(self, i0, i1, i2, out=None) -> np.ndarray:
+        """Ids taking 0, 1, infinity to point ids i0, i1, i2; keyed in place in intp (`out`)."""
+        key = np.multiply(i0, self.m, out=out, dtype=np.intp)  # intp, as uint16 sums wrap
         key += i1
         key *= self.m
-        return np.add(key, i2, out=key)
+        return self.code.ravel()[np.add(key, i2, out=key)]
 
     def _ids_at(self, a, b, c, d) -> np.ndarray:
         """Ids of the matrices (a, b; c, d) over field-index arrays, -1 for
         one outside the group: read off their images of 0, 1 and
         infinity, (c:d), (a+c:b+d) and (a:b)."""
         images = (c, d), (self._add[a, c], self._add[b, d]), (a, b)
-        return self.code.ravel()[self._key(*(self._point(x, y) for x, y in images))]
+        return self._id_at(*(self._point(x, y) for x, y in images))
 
     def ids_of(self, ts) -> np.ndarray:
         """Ids of matrices given as 4-tuples (a, b, c, d) of field indices.
@@ -350,21 +340,17 @@ class IndexedGroup:
     # -- basic ops --
 
     def mul_ids(self, xs, ys) -> np.ndarray:
-        """Products x*y over id arrays, broadcast as numpy broadcasts: row y
-        of `perms` read at the images of 0, 1 and infinity under x (int32).
-        One intp buffer of the product's shape holds each gather's index
-        y*m + image, then the `code` key; a ys spanning _SPAN_SCALE or more
-        products is scaled into it afresh, not held in a second array."""
+        """Products x*y over id arrays, broadcast as numpy broadcasts: row y of
+        `perms` read at the images of 0, 1 and infinity under x (int32), each
+        gather index y*m + image and then the key built in one intp buffer."""
         xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys)
         idx = np.empty(np.broadcast(xs, ys).shape, dtype=np.intp)
-        row = None if ys.size == idx.size >= _SPAN_SCALE else np.multiply(ys, self.m, dtype=np.intp)
+        row = None if ys.size == idx.size else np.multiply(ys, self.m, dtype=np.intp)
         pf, images = self.perms.ravel(), []
         for t in self._tri:
-            if row is None:
-                np.multiply(ys, self.m, out=idx, dtype=np.intp)
-            np.add(idx if row is None else row, t[xs], out=idx)
-            images.append(pf[idx])
-        return self.code.ravel()[self._key(*images, out=idx)]
+            y_m = np.multiply(ys, self.m, out=idx, dtype=np.intp) if row is None else row
+            images.append(pf[np.add(y_m, t[xs], out=idx)])
+        return self._id_at(*images, out=idx)
 
     def mul_idx(self, i: int, j: int) -> int:
         row = self.perms[j]
@@ -391,8 +377,7 @@ class IndexedGroup:
         return int(self.inverses()[i])
 
     def conj_ids(self, xs, g) -> np.ndarray:
-        """g^-1 x g over broadcast id arrays xs and g, taken as g^-1 (x g):
-        the int32 product x g is then read as `mul_ids`' ys, with no cast."""
+        """g^-1 (x g) over broadcast id arrays xs and g: no int32 x g is cast."""
         return self.mul_ids(self.inverses()[g], self.mul_ids(xs, g))
 
     def transporter(self, gens, target) -> np.ndarray:
@@ -406,9 +391,8 @@ class IndexedGroup:
         return np.flatnonzero(keep)
 
     def orders(self) -> np.ndarray:
-        """Element orders as a cached, read-only int32 array: the images of
-        0, 1 and infinity are walked until all three are back, one block of
-        ids at a time, so each step's arrays are block-sized.  Orders
+        """Element orders as a cached, read-only int32 array: the images of 0, 1 and
+        infinity are walked, block by block, until all three are back.  Orders
         divide p, q-1 or q+1, so a walk past q+1 steps means broken rows."""
         if self._orders is None:
             base, pf = (0, self.spec._one, self.spec.q), self.perms.ravel()
@@ -421,12 +405,9 @@ class IndexedGroup:
                     live, c = live[~back], [ck[~back] for ck in c]
                     if not live.size:
                         break
-                    row = live * self.m
-                    c = [pf[row + ck] for ck in c]
+                    c = [pf[live * self.m + ck] for ck in c]
                 else:
-                    raise VerificationError(
-                        "element-order", f"{self.spec!r}: walks past {self.m} steps"
-                    )
+                    raise VerificationError("element-order", f"{self.spec!r}: walks past {self.m} steps")
             orders.flags.writeable = False
             self._orders = orders
         return self._orders
@@ -515,38 +496,36 @@ class IndexedGroup:
         """class_labels()[i] is the least id conjugate to i: orbit labels
         under conjugation by the generating pair.  Cached, int32."""
         if self._class_labels is None:
-            pair = self.generating_pair()
-            maps = [self.conj_ids(np.arange(self.n), g).astype(np.intp) for g in pair]
-            self._class_labels = orbit_labels(maps, self.n)
+            self._class_labels = orbit_labels(self.conj_maps(), self.n)
         return self._class_labels
 
+    def conj_maps(self) -> list[np.ndarray]:
+        """Conjugation by each element of the generating pair, as intp id maps."""
+        ids = np.arange(self.n)
+        return [self.conj_ids(ids, g).astype(np.intp) for g in self.generating_pair()]
+
     def conjugacy_class(self, i: int) -> np.ndarray:
-        """Conjugation orbit of element i under the whole group, as a
-        sorted intp id array."""
+        """Conjugation orbit of element i under the whole group, as sorted intp ids."""
         lab = self.class_labels()
         return np.flatnonzero(lab == lab[i])
 
     def all_classes(self) -> list[np.ndarray]:
-        """Every conjugacy class as a sorted intp id array, in order of
-        least member: one stable argsort of the class labels, split."""
+        """Every conjugacy class as sorted intp ids, in order of least member."""
         lab = self.class_labels()
         by_class = np.argsort(lab, kind="stable")
         cuts = np.flatnonzero(np.diff(lab[by_class])) + 1
         return np.split(by_class, cuts)
 
     def coset_labels(self, sub_idxs) -> tuple[np.ndarray, np.ndarray]:
-        """Right cosets H\\G as two arrays: labels[g] = coset id (int32),
-        reps[id] = least element (intp), ids in order of least element.
-        `generators_of` certifies that the ids close to a subgroup H;
-        `coset_minima` then labels each g with the least member of Hg, read
-        off member products, and a coset's id is its minimum's rank."""
+        """Right cosets H\\G as arrays: labels[g] = coset id (int32), reps[id]
+        = least element (intp), ids in order of least element.  `generators_of`
+        certifies that the ids close to a subgroup H; `coset_minima` then
+        labels each g with the least member of Hg, read off member products."""
         sub = np.asarray(sub_idxs, dtype=np.intp)
         self.generators_of(sub)
         lab = coset_minima(self, sub)
-        reps = np.flatnonzero(lab == np.arange(self.n))
-        rank = np.empty(self.n, dtype=np.int32)
-        rank[reps] = np.arange(reps.size)
-        return rank[lab], reps
+        is_rep = lab == np.arange(self.n)
+        return (np.cumsum(is_rep, dtype=np.int32) - 1)[lab], np.flatnonzero(is_rep)
 
 
 def coset_minima(ig: IndexedGroup, sub: np.ndarray) -> np.ndarray:
@@ -572,24 +551,21 @@ def orbit_labels(maps, size: int) -> np.ndarray:
     `maps`, permutations of range(size) given as id arrays (int32 result).
 
     Min-label propagation with pointer jumping: each round sets
-    lab = min(lab, lab[m]) for every map m and then lab = lab[lab], until
-    a round changes nothing.  lab[i] always lies in i's orbit and never
-    grows, so the orbit's least member keeps its own label.  At the fixed
-    point lab <= lab[m] for every m, so lab is constant along each map's
-    cycles, hence on whole orbits, and there it is the least member.
-    As lab only falls, a round changes nothing exactly when no step lowers
-    an entry.  Maps and labels are intp, so no gather re-casts its index,
-    and every round reuses two label buffers.
+    lab = min(lab, lab[m]) for every map m and then for m = lab, until its
+    sum stops falling.  lab[i] always lies in i's orbit and never grows,
+    so the orbit's least member keeps its own label.  At the fixed point
+    lab <= lab[m] for every m, so lab is constant along each map's cycles,
+    hence on whole orbits, and there it is the least member.  Maps and
+    labels are intp, and every round reuses two label buffers.
     """
     maps = [np.asarray(m, dtype=np.intp) for m in maps]
     lab, img = np.arange(size), np.empty(size, dtype=np.intp)
     while True:
-        changed = False
+        total = int(lab.sum())
         for m in maps + [lab]:  # lab last: pointer jumping, as lab[lab] <= lab
             np.take(lab, m, out=img, mode="clip")  # ids in range: no bounds pass
-            changed |= bool((img < lab).any())
             np.minimum(lab, img, out=lab)
-        if not changed:
+        if lab.sum() == total:
             return lab.astype(np.int32)
 
 

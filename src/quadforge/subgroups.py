@@ -96,9 +96,8 @@ class SubgroupHandle:
 
 
 def handle_from_ids(spec: GroupSpec, ids, descriptor=None) -> SubgroupHandle:
-    """Handle of the subgroup with these member ids, sorted and deduplicated
-    through a membership mask.  Without a descriptor its structure is
-    recognized and its index read off its order."""
+    """Handle of the subgroup with these member ids.  Without a descriptor
+    its structure is recognized and its index read off its order."""
     ids = tuple(np.flatnonzero(indexed_group(spec).mask(ids)).tolist())
     handle = SubgroupHandle(spec, descriptor, ids)
     if descriptor is None:
@@ -106,6 +105,16 @@ def handle_from_ids(spec: GroupSpec, ids, descriptor=None) -> SubgroupHandle:
             raise ValueError("element count does not divide the group order")
         handle.descriptor = SubgroupDescriptor(None, recognize(handle), spec.order // len(ids))
     return handle
+
+
+def handle_from_elements(spec: GroupSpec, ts, descriptor=None) -> SubgroupHandle:
+    """`handle_from_ids` for members given as matrix 4-tuples."""
+    return handle_from_ids(spec, indexed_group(spec).ids_of(list(ts)), descriptor)
+
+
+def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
+    desc = SubgroupDescriptor(None, repr(spec), 1)
+    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array()))))
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +471,6 @@ def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None) -> Subgrou
     return handle_from_ids(spec, ig.transporter(ig.generators_of(handle.ids), handle.ids))
 
 
-def _conj_maps(ig: IndexedGroup) -> list[np.ndarray]:
-    """Conjugation by each element of the generating pair, as id maps."""
-    ids = np.arange(ig.n)
-    return [ig.conj_ids(ids, g).astype(np.intp) for g in ig.generating_pair()]
-
-
 def _orbit(idxs: np.ndarray, conj_maps) -> dict[bytes, np.ndarray]:
     """The conjugates of a subgroup given as a sorted intp id array, keyed
     by their bytes, the subgroup itself first."""
@@ -522,7 +525,7 @@ def subgroup_classes(type_name: str, spec: GroupSpec) -> list[list[SubgroupHandl
             idxs = ig.closure_idx((x, y))
             if len(idxs) == size:
                 found.setdefault(idxs.tobytes(), idxs)
-    conj_maps = _conj_maps(ig)
+    conj_maps = ig.conj_maps()
     classes: list[list[SubgroupHandle]] = []
     while found:
         orbit = _orbit(min(found.values(), key=tuple), conj_maps)
@@ -545,11 +548,11 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
     subgroups.  For g in the normalizer N(C_i), <C_i, C_j^g> = <C_i, C_j>^g,
     so C_j need only run over the least member of each N(C_i)-orbit of
     cyclic subgroups.  Closing what is found under conjugation is then
-    exhaustive.  <i> is labelled by its least generator i^k, gcd(k, |i|) = 1,
-    over a running walk of powers with `mul_ids`, and only the labels'
-    powers are stored; the pair closures run side by side, one layer of n
-    ids per pair, in `IndexedGroup._grow` sweeps over blocks of about
-    _CHUNK states; and one subgroup per conjugacy class is recognized.
+    exhaustive.  <i> is labelled by its least generator, over a walk of
+    powers with `mul_ids` that keeps only the labels' powers; the pair
+    closures run side by side, one layer of n ids per pair, in
+    `IndexedGroup._grow` sweeps over blocks of about _CHUNK states; and
+    one subgroup per conjugacy class is recognized.
     """
     ig = indexed_group(spec)
     n = ig.n
@@ -561,12 +564,11 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
         cur = ig.mul_ids(ids, cur)  # i^k
         np.minimum(least_gen, cur, out=least_gen, where=np.gcd(k, orders) == 1)
     cyc_gen = np.flatnonzero(least_gen == ids)
-    powers = np.empty((cyc_gen.size, top), dtype=np.intp)  # powers[c, k - 1] = cyc_gen[c]^k
-    cur = cyc_gen
-    for k in range(top):
-        powers[:, k] = cur
-        cur = ig.mul_ids(cyc_gen, cur)
-    cyc_members = [np.sort(row[:o]) for row, o in zip(powers, orders[cyc_gen].tolist())]
+    powers = np.empty((top, cyc_gen.size), dtype=np.intp)  # powers[k - 1, c] = cyc_gen[c]^k
+    powers[0] = cyc_gen
+    for k in range(1, top):
+        powers[k] = ig.mul_ids(cyc_gen, powers[k - 1])
+    cyc_members = [np.sort(powers[:o, c]) for c, o in enumerate(orders[cyc_gen].tolist())]
     del powers
     cyc_index = np.full(n, -1, dtype=np.intp)
     cyc_index[cyc_gen] = np.arange(cyc_gen.size)
@@ -594,7 +596,7 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
             if n // np.count_nonzero(member) <= bound:
                 idxs = np.flatnonzero(member)
                 found.setdefault(idxs.tobytes(), idxs)
-    conj_maps = _conj_maps(ig)
+    conj_maps = ig.conj_maps()
     closed: set[bytes] = set()
     handles: list[SubgroupHandle] = []
     for key, idxs in found.items():

@@ -15,9 +15,8 @@ Field operations are lookups in the field's dense int tables, so the
 oracle covers q <= 512.  Two whole-group references sit beside it:
 `matrix_orders` (element orders from matrix powers) and
 `two_generated_abelian_subgroups` (closures of the commuting pairs of the
-dense product table), with two handle builders the engine does not need,
-`handle_from_elements` and `whole_group_handle`.  Nothing here is cached:
-a group built for one test is freed after it.
+dense product table).  Nothing here is cached: a group built for one
+test is freed after it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from quadforge.gfq import FieldElement, FieldSpec
 from quadforge.psl2 import GroupSpec, _group, indexed_group
-from quadforge.subgroups import SubgroupDescriptor, SubgroupHandle, handle_from_ids
+from quadforge.subgroups import handle_from_ids
 
 
 class NotInPslError(ValueError):
@@ -251,17 +250,6 @@ def two_generated_abelian_subgroups(spec: GroupSpec):
     handles = [handle_from_ids(spec, idxs) for idxs in found.values()]
     handles.sort(key=lambda h: (len(h), h.ids))
     return handles
-
-
-def handle_from_elements(spec: GroupSpec, ts, descriptor=None) -> SubgroupHandle:
-    """`handle_from_ids` for members given as matrix 4-tuples."""
-    return handle_from_ids(spec, indexed_group(spec).ids_of(list(ts)), descriptor)
-
-
-def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
-    """The whole group as a handle, with every id as a member."""
-    desc = SubgroupDescriptor(None, repr(spec), 1)
-    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array()))))
 
 
 # ---------------------------------------------------------------------------

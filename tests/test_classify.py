@@ -14,9 +14,9 @@ from quadforge.classify import (
     ELIMINATED,
     NEEDS_GEOMETRY,
     EliminationRecord,
-    PAIRS,
     VERIFIERS,
     build_w2,
+    candidate_pairs,
     eliminate_case1,
     eliminate_case9_survivor,
     eliminate_cross,
@@ -35,26 +35,11 @@ from quadforge.classify import (
     _positive_from,
     _taylor_shift,
 )
-from quadforge.subgroups import case_condition, index_formula
+from quadforge.subgroups import index_formula
 
 # ---------------------------------------------------------------------------
 # candidate pairs
 # ---------------------------------------------------------------------------
-
-
-def candidate_pairs(q: int) -> list[tuple[int, int]]:
-    """Ordered case pairs (i < j) admissible at q: both family conditions
-    hold and q lies inside the pair's bound window where one exists (the
-    pair rows of the registry).  The Borel case never appears (its coset
-    action is 2-transitive)."""
-    out = []
-    for (i, j), row in PAIRS.items():
-        if not (case_condition(i, q) and case_condition(j, q)):
-            continue
-        lo, hi = row.widest or (q, None)
-        if lo <= q and (hi is None or q <= hi):
-            out.append((i, j))
-    return sorted(out)
 
 
 def test_candidate_pairs_examples():

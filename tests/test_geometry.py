@@ -3,7 +3,7 @@ import types
 
 import numpy as np
 import pytest
-from oracle import handle_from_elements, two_generated_abelian_subgroups, whole_group_handle
+from oracle import two_generated_abelian_subgroups
 
 from quadforge.errors import VerificationError
 from quadforge.geometry import (
@@ -17,9 +17,14 @@ from quadforge.geometry import (
     fixed_structure,
     line_size_profile,
     parse_incidence,
+    transitive_on_fixed,
 )
 from quadforge.psl2 import indexed_group, involution_class, psl
-from quadforge.subgroups import build_case
+from quadforge.subgroups import (
+    build_case,
+    handle_from_elements,
+    whole_group_handle,
+)
 
 # ---------------------------------------------------------------------------
 # hand-built incidence oracles
@@ -269,18 +274,6 @@ def test_order5_element_fixes_nothing(w2_bundle):
     g = next(i for i in range(ig.n) if orders[i] == 5)
     fs = fixed_structure(g, geom)
     assert fs.kind == "0"
-
-
-def transitive_on_fixed(g, geom, subgroup):
-    """Does the subgroup's orbit of the base point cover the whole fixed
-    point set of the element with id g?  Requires g to fix the base point."""
-    base = geom.base_point
-    if geom.point_image(base, g) != base:
-        raise ValueError("base point is not fixed by g")
-    pa = geom.point_action(g)
-    fixed = {p for p in range(geom.n_points) if pa[p] == p}
-    images = geom.ig.mul_ids(geom.point_reps[base], subgroup.ids)
-    return set(geom.point_label[images].tolist()) == fixed
 
 
 def test_transitive_on_fixed(w2_bundle):

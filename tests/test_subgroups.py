@@ -10,14 +10,12 @@ from oracle import (
     element_order,
     elements,
     enumerate_group,
-    handle_from_elements,
     inv,
     is_psl_member,
     is_square,
     mul,
     projective_line,
     two_generated_abelian_subgroups,
-    whole_group_handle,
     wrap,
 )
 
@@ -32,6 +30,7 @@ from quadforge.subgroups import (
     catalog_family,
     conjugate,
     dihedral_involution_count,
+    handle_from_elements,
     handle_from_ids,
     index_formula,
     is_dihedral,
@@ -42,6 +41,7 @@ from quadforge.subgroups import (
     sporadic_table,
     subfield_indices,
     subgroup_classes,
+    whole_group_handle,
 )
 
 # ---------------------------------------------------------------------------
