@@ -115,18 +115,6 @@ class EliminationRecord:
             "notes": self.notes,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EliminationRecord":
-        return cls(
-            lemma_tag=d["lemma_tag"],
-            inputs=d["inputs"],
-            scan_size=d["scan_size"],
-            survivors=[tuple(s) for s in d["survivors"]],
-            verdict=d["verdict"],
-            checks=d.get("checks", []),
-            notes=d.get("notes", []),
-        )
-
     def __eq__(self, other):
         return isinstance(other, EliminationRecord) and self.to_dict() == other.to_dict()
 
@@ -195,26 +183,6 @@ def _positive_from(poly: dict, lows: tuple[int, ...]) -> bool:
     """
     shifted = _taylor_shift(poly, lows)
     return shifted.get((0,) * len(lows), 0) > 0 and min(shifted.values()) >= 0
-
-
-# ---------------------------------------------------------------------------
-# candidate pairs (which line-stabilizer cases can face which)
-# ---------------------------------------------------------------------------
-
-
-def candidate_pairs(q: int) -> list[tuple[int, int]]:
-    """Ordered case pairs (i < j) admissible at q: both family conditions
-    hold and q lies inside the pair's bound window where one exists (the
-    pair rows of the registry).  The Borel case never appears (its coset
-    action is 2-transitive)."""
-    out = []
-    for (i, j), row in PAIRS.items():
-        if not (case_condition(i, q) and case_condition(j, q)):
-            continue
-        lo, hi = row.widest or (q, None)
-        if lo <= q and (hi is None or q <= hi):
-            out.append((i, j))
-    return sorted(out)
 
 
 def _feasible_orders(nP, nL):
@@ -1521,7 +1489,8 @@ class VerifierSpec(NamedTuple):
     `runner(q_range, workers)` makes the record through the tag's
     public entry point, looked up when it runs; `body` is what
     `eliminate_cross` or `eliminate_equal` dispatch to.  `param` says what
-    the range counts: "q", or "q0" with q = q0^2 (None: no range).
+    the range counts: "q", "q0" with q = q0^2, or "q0^r", the q0 of every
+    q = q0^r on the row's grid of exponents r (None: no range).
     `if_empty` is what the theorem does when capping empties the range
     (see `_theorem_ranges`).  Pair rows also carry the pair table: the
     published range, the widest window the bound inequality allows (upper
@@ -1569,7 +1538,7 @@ def _scanned_pair(i: int, j: int, widest, **data) -> VerifierSpec:
 
 def _grid_pair(i: int, j: int, body, default_range) -> VerifierSpec:
     """A subfield pair: exact solves over a (q0, r) grid plus its endgame."""
-    return _pair(i, j, body, default_range=default_range, param="q", if_empty="first")
+    return _pair(i, j, body, default_range=default_range, param="q0^r", if_empty="first")
 
 
 def _equal(case_id: int, body, default_range, param="q", **data) -> VerifierSpec:
@@ -1620,8 +1589,8 @@ _ROWS = [
     _equal(3, lambda rng: _eliminate_equal_345(3, rng), (4, 100_000)),
     _equal(4, lambda rng: _eliminate_equal_345(4, rng), (4, 100_000)),
     _equal(5, lambda rng: _eliminate_equal_345(5, rng), (4, 100_000)),
-    _equal(6, _eliminate_equal_6, (3, 61)),
-    _equal(7, _eliminate_equal_7, (4, 64)),
+    _equal(6, _eliminate_equal_6, (3, 61), param="q0^r"),
+    _equal(7, _eliminate_equal_7, (4, 64), param="q0^r"),
     _equal(8, _eliminate_equal_8, (4, 100_000)),
     _equal(
         9, _eliminate_equal_9, (4, 100_000),
@@ -1680,20 +1649,15 @@ class TheoremReport:
         self.ok = ok  # every record left exactly its row's expected survivors
         self.elapsed = elapsed
 
-    def to_dict(self) -> dict:
-        return {
-            "q_max": self.q_max,
-            "records": [r.to_dict() for r in self.records],
-            "confirmed": [list(c) for c in self.confirmed],
-        }
-
 
 def _theorem_ranges(q_max: int):
     """(row, range) for every row the theorem runs at q_max, in report
     order: each row's widest window (else its default range) capped at
-    q_max, or at sqrt(q_max) for a q0 range.  A capped range that is empty
-    drops the row ("drop"), is run as it stands ("keep": the row's other
-    checks need no range) or is widened back to its first value ("first")."""
+    q_max, or at sqrt(q_max) for a q0 range.  A q0^r range is capped at
+    q_max too, which covers every q = q0^r <= q_max since q0 <= q0^r.  A
+    capped range that is empty drops the row ("drop"), is run as it
+    stands ("keep": the row's other checks need no range) or is widened
+    back to its first value ("first")."""
     for row in VERIFIERS.values():
         window = row.widest or row.default_range
         if window is None:

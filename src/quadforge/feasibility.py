@@ -182,33 +182,19 @@ def cube_bounds(s: int, t: int, nP: int, nL: int) -> bool:
     return a**3 < nP * b**3 and b**3 < nL * a**3
 
 
-def grid_order_check(s1: int, s2: int):
-    """A grid with parameters (s1, s2) is a generalized quadrangle exactly
-    when s1 = s2, of order (s1, 1).  Returns GQOrder or None."""
-    if s1 < 1 or s2 < 1:
-        raise ValueError("grid parameters must be >= 1")
-    return GQOrder(s1, 1) if s1 == s2 else None
-
-
 class StabilizerBounds(NamedTuple):
     """Size window for the line stabilizer given |G| and |G_alpha|.
 
     |G_alpha|^(4/3) / |G|^(1/3)  <  |G_ell|  <  |G_alpha|^(3/4) |G|^(1/4),
-    evaluated exactly: the lower test is |G_ell|^3 |G| > |G_alpha|^4 and
-    the upper |G_ell|^4 < |G_alpha|^3 |G|.  Strict on both sides.
+    strict on both sides.  The scans need only the upper side, tested
+    exactly as |G_ell|^4 < |G_alpha|^3 |G|.
     """
 
     group_order: int
     point_stab_order: int
 
-    def lower_ok(self, line_stab_order: int) -> bool:
-        return line_stab_order**3 * self.group_order > self.point_stab_order**4
-
     def upper_ok(self, line_stab_order: int) -> bool:
         return line_stab_order**4 < self.point_stab_order**3 * self.group_order
-
-    def admits(self, line_stab_order: int) -> bool:
-        return self.lower_ok(line_stab_order) and self.upper_ok(line_stab_order)
 
 
 def stabilizer_bounds(group_order: int, point_stab_order: int) -> StabilizerBounds:
@@ -216,24 +202,3 @@ def stabilizer_bounds(group_order: int, point_stab_order: int) -> StabilizerBoun
         raise ValueError("point stabilizer order must divide the group order")
     return StabilizerBounds(group_order, point_stab_order)
 
-
-def apply_filters(candidates: list[GQOrder], nP: int, nL: int):
-    """Run the named feasibility predicates over candidates.
-
-    Returns (survivors, trace) where trace lists (order, filter_name,
-    passed) for reproducibility.
-    """
-    survivors = []
-    trace = []
-    for cand in candidates:
-        ok = True
-        for name, res in (
-            ("higman", higman(cand.s, cand.t)),
-            ("divisibility", divisibility(cand.s, cand.t)),
-            ("cube", cube_bounds(cand.s, cand.t, nP, nL)),
-        ):
-            trace.append((cand, name, res))
-            ok = ok and res
-        if ok:
-            survivors.append(cand)
-    return survivors, trace

@@ -10,10 +10,9 @@ with D recovering which points lie on the base line.
 `check_gq` verifies the quadrangle axioms outright: constant line size
 and point degree, no two points on two common lines, and the
 one-collinear-point axiom tested over every non-incident point-line
-pair.  `fixed_structure` computes the fixed substructure of an
-automorphism and sorts it into the eight possible shapes (empty,
-noncollinear points / dual, cone over a point / dual, grid / dual grid,
-or a subquadrangle), testing in that fixed order.
+pair.  `fixed_count` reads an element's fixed points off class data.
+`export_incidence` writes the incidence file and `parse_incidence` reads
+one back, re-checking the counts, the degrees and the axioms.
 
 Double coset members and coset labels are the kernel's numpy arrays;
 incidence is stored as per-point and per-line bitmasks, and geometries at
@@ -49,13 +48,6 @@ class GQVerdict(NamedTuple):
     t: int | None
     thick: bool
     violation: str | None = None
-
-
-class FixedStructure(NamedTuple):
-    fixed_points: tuple[int, ...]
-    fixed_lines: tuple[int, ...]
-    kind: str  # one of "0", "1", "1'", "2", "2'", "3", "3'", "4"
-    params: tuple = ()
 
 
 def _popcount(x: int) -> int:
@@ -96,31 +88,6 @@ def double_cosets(
     if covered != ig.n:
         raise VerificationError("double-coset-partition", f"sizes sum to {covered}, |G| = {ig.n}")
     return out
-
-
-def line_size_profile(
-    decomposition: list[DoubleCoset], selection, M0: SubgroupHandle, M1: SubgroupHandle
-):
-    """(s+1, t+1) sums for a selection of double cosets.
-
-    s+1 = sum over the selection of |M1| / |M1 ^ h^-1 M0 h| = |D| / |M0|,
-    and dually t+1 = |D| / |M1|.  The decomposition alone fixes only
-    |M0||M1| = size * meet, so the handles give the two orders.
-    """
-    sel = list(selection)
-    if not sel:
-        raise ValueError("selection must be nonempty")
-    n0, n1 = len(M0), len(M1)
-    d_size = sum(decomposition[i].size for i in sel)
-    s_plus_1 = sum(n1 // decomposition[i].meet_order for i in sel)
-    t_plus_1 = sum(n0 // decomposition[i].meet_order for i in sel)
-    if (s_plus_1, t_plus_1) != (d_size // n0, d_size // n1):
-        raise VerificationError(
-            "line-size-profile",
-            f"(s+1, t+1) = ({s_plus_1}, {t_plus_1}) but |D|/|M0|, |D|/|M1| = "
-            f"({d_size // n0}, {d_size // n1})",
-        )
-    return s_plus_1, t_plus_1
 
 
 class IncidenceGeometry:
@@ -167,46 +134,9 @@ class IncidenceGeometry:
         self.cols = _bitmasks(inc.T)
         self.base_point = int(self.point_label[ig.e])
         self.base_line = int(self.line_label[ig.e])
-        self._coll: list[int] | None = None
-
-    def incident(self, p: int, l: int) -> bool:
-        return bool(self.rows[p] >> l & 1)
 
     def flag_count(self) -> int:
         return sum(_popcount(r) for r in self.rows)
-
-    def collinearity_masks(self) -> list[int]:
-        """coll[p]: bitmask of points sharing at least one line with p
-        (p itself excluded)."""
-        if self._coll is None:
-            self._coll = _collinearity(self.rows, self.cols)
-        return self._coll
-
-    def collinear(self, p: int, q: int) -> bool:
-        return bool(self.collinearity_masks()[p] >> q & 1)
-
-    def point_image(self, p: int, g_idx: int) -> int:
-        return int(self.point_label[self.ig.mul_idx(self.point_reps[p], g_idx)])
-
-    def point_action(self, g: int) -> list[int]:
-        """Image of every point under the element with id g."""
-        return self.point_label[self.ig.mul_ids(self.point_reps, g)].tolist()
-
-    def line_action(self, g: int) -> list[int]:
-        """Image of every line under the element with id g."""
-        return self.line_label[self.ig.mul_ids(self.line_reps, g)].tolist()
-
-    def preserves_incidence(self, g: int) -> bool:
-        pa = self.point_action(g)
-        la = self.line_action(g)
-        for p, row in enumerate(self.rows):
-            r = row
-            while r:
-                l = (r & -r).bit_length() - 1
-                if not self.incident(pa[p], la[l]):
-                    return False
-                r &= r - 1
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +232,7 @@ def find_gq_selections(
 
 
 # ---------------------------------------------------------------------------
-# fixed substructures
+# fixed points
 # ---------------------------------------------------------------------------
 
 
@@ -317,121 +247,6 @@ def fixed_count(n_omega: int, class_size: int, class_meet_stabilizer: int) -> in
             f"non-integral fixed count {num}/{class_size}: inconsistent inputs"
         )
     return num // class_size
-
-
-def _induced(geom: IncidenceGeometry, fp, fl):
-    """Incidence of the fixed substructure, reindexed densely."""
-    rows = []
-    for p in fp:
-        row = 0
-        for k, l in enumerate(fl):
-            if geom.incident(p, l):
-                row |= 1 << k
-        rows.append(row)
-    cols = [0] * len(fl)
-    for i, row in enumerate(rows):
-        r = row
-        while r:
-            k = (r & -r).bit_length() - 1
-            cols[k] |= 1 << i
-            r &= r - 1
-    return rows, cols
-
-
-def _grid_params(rows, cols):
-    """(s1, s2) with s1 <= s2 if the substructure is a grid, else None."""
-    n_points, n_lines = len(rows), len(cols)
-    if n_points == 0 or n_lines < 2:
-        return None
-    if any(_popcount(r) != 2 for r in rows):
-        return None
-    # family A: line 0 and the lines disjoint from it; B: the rest
-    fam_a = [l for l in range(n_lines) if l == 0 or not (cols[l] & cols[0])]
-    fam_b = [l for l in range(n_lines) if l not in fam_a]
-    if not fam_b:
-        return None
-    for fam in (fam_a, fam_b):
-        for i, l1 in enumerate(fam):
-            for l2 in fam[i + 1 :]:
-                if cols[l1] & cols[l2]:
-                    return None
-    for la in fam_a:
-        for lb in fam_b:
-            if _popcount(cols[la] & cols[lb]) != 1:
-                return None
-    if n_points != len(fam_a) * len(fam_b):
-        return None
-    if any(_popcount(cols[l]) != len(fam_b) for l in fam_a):
-        return None
-    if any(_popcount(cols[l]) != len(fam_a) for l in fam_b):
-        return None
-    s1, s2 = sorted((len(fam_a) - 1, len(fam_b) - 1))
-    return s1, s2
-
-
-def fixed_structure(g: int, geom: IncidenceGeometry) -> FixedStructure:
-    """Fixed points/lines of the element with id g, with their shape.
-
-    The eight shapes are tested in the fixed order 0, 1, 1', 2, 2', 3,
-    3', 4, and the first match is returned, so the answer is unique even
-    for shapes whose defining conditions overlap.
-    """
-    pa = geom.point_action(g)
-    la = geom.line_action(g)
-    fp = tuple(p for p in range(geom.n_points) if pa[p] == p)
-    fl = tuple(l for l in range(geom.n_lines) if la[l] == l)
-    if not fp and not fl:
-        return FixedStructure(fp, fl, "0")
-    coll = geom.collinearity_masks()
-    if not fl:
-        for i, p in enumerate(fp):
-            for q in fp[i + 1 :]:
-                if coll[p] >> q & 1:
-                    raise ValueError("fixed points collinear but no fixed line")
-        return FixedStructure(fp, fl, "1")
-    if not fp:
-        for i, l1 in enumerate(fl):
-            for l2 in fl[i + 1 :]:
-                if geom.cols[l1] & geom.cols[l2]:
-                    raise ValueError("fixed lines concurrent but no fixed point")
-        return FixedStructure(fp, fl, "1'")
-    fp_mask = 0
-    for p in fp:
-        fp_mask |= 1 << p
-    fl_mask = 0
-    for l in fl:
-        fl_mask |= 1 << l
-    # "2": a fixed point on every fixed line, collinear with every fixed point
-    for p in fp:
-        if geom.rows[p] & fl_mask == fl_mask and (coll[p] | 1 << p) & fp_mask == fp_mask:
-            return FixedStructure(fp, fl, "2", (p,))
-    # "2'": a fixed line through every fixed point, meeting every fixed line
-    for l in fl:
-        if geom.cols[l] & fp_mask == fp_mask:
-            if all(l2 == l or geom.cols[l] & geom.cols[l2] for l2 in fl):
-                return FixedStructure(fp, fl, "2'", (l,))
-    rows, cols = _induced(geom, fp, fl)
-    grid = _grid_params(rows, cols)
-    if grid and grid[0] < grid[1]:
-        return FixedStructure(fp, fl, "3", grid)
-    dual = _grid_params(cols, rows)
-    if dual and dual[0] < dual[1]:
-        return FixedStructure(fp, fl, "3'", dual)
-    verdict = _check_axioms(rows, cols, len(fp), len(fl))
-    if verdict.is_gq:
-        return FixedStructure(fp, fl, "4", (verdict.s, verdict.t))
-    raise ValueError(f"unclassifiable fixed structure: {verdict.violation}")
-
-
-def transitive_on_fixed(g: int, geom: IncidenceGeometry, subgroup: SubgroupHandle) -> bool:
-    """Does the subgroup's orbit of the base point cover the whole fixed
-    point set of the element with id g?  Requires g to fix the base point."""
-    base = geom.base_point
-    if geom.point_image(base, g) != base:
-        raise ValueError("base point is not fixed by g")
-    fixed = {p for p, image in enumerate(geom.point_action(g)) if image == p}
-    orbit = geom.point_label[geom.ig.mul_ids(geom.point_reps[base], subgroup.ids)]
-    return set(orbit.tolist()) == fixed
 
 
 # ---------------------------------------------------------------------------

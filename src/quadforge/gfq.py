@@ -106,10 +106,6 @@ class FieldSpec:
         return FieldElement(self, c)
 
     @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.f)
-
-    @property
     def one(self) -> FieldElement:
         return self.element(1)
 
@@ -119,13 +115,6 @@ class FieldSpec:
         for c in coeffs:
             idx = idx * self.p + c
         return idx
-
-    def from_index(self, idx: int) -> tuple[int, ...]:
-        c = []
-        for _ in range(self.f):
-            c.append(idx % self.p)
-            idx //= self.p
-        return tuple(reversed(c))
 
     # -- tuple-level arithmetic -----------------------------------------
 
@@ -256,9 +245,6 @@ class FieldElement:
     @property
     def index(self) -> int:
         return self.spec.index_of(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):

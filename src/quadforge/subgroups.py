@@ -2,9 +2,9 @@
 
 Covers the nine maximal-subgroup families (Borel, subfield PGL/PSL,
 A4/S4/A5, and the two dihedral normalizers of tori), the ten sporadic
-(G, M, M0) triples where M0 is not maximal in the socle, and the
-classical catalog of subgroups of PGL(2,q) for odd q used as a verified
-reference at small q.
+(G, M, M0) triples where M0 is not maximal in the socle, structure
+recognition, and the search for every 2-generated subgroup of small
+index.
 
 A subgroup is stored as the sorted ids of its members in the group's
 `IndexedGroup` (ids follow the canonical element order).  The Borel and
@@ -19,7 +19,6 @@ inverting involution.  Subgroup equality is equality of id tuples.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from typing import NamedTuple
 
@@ -107,16 +106,6 @@ def handle_from_ids(spec: GroupSpec, ids, descriptor=None) -> SubgroupHandle:
     return handle
 
 
-def handle_from_elements(spec: GroupSpec, ts, descriptor=None) -> SubgroupHandle:
-    """`handle_from_ids` for members given as matrix 4-tuples."""
-    return handle_from_ids(spec, indexed_group(spec).ids_of(list(ts)), descriptor)
-
-
-def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
-    desc = SubgroupDescriptor(None, repr(spec), 1)
-    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array()))))
-
-
 # ---------------------------------------------------------------------------
 # the sporadic (G, M, M0) triples
 # ---------------------------------------------------------------------------
@@ -132,15 +121,6 @@ class SporadicTriple:
         # index is None for the parametric final row
         for name, value in zip(self.__slots__, (group, m0_type, m_type, index, condition)):
             object.__setattr__(self, name, value)
-
-    def index_value(self, p: int | None = None) -> int:
-        if self.index is not None:
-            return self.index
-        if p is None:
-            raise ValueError("the A4 < S4 row needs a prime p")
-        if p % 40 not in (11, 19, 21, 29):
-            raise ValueError("condition p = +-11, +-19 (mod 40) violated")
-        return p * (p * p - 1) // 24
 
 
 _SPORADIC = (
@@ -457,20 +437,6 @@ def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | No
 # ---------------------------------------------------------------------------
 
 
-def conjugate(handle: SubgroupHandle, g: int) -> SubgroupHandle:
-    """H^g = g^-1 H g for the element with id g."""
-    ig = indexed_group(handle.group)
-    ids = np.sort(ig.conj_ids(np.asarray(handle.ids), g))
-    return SubgroupHandle(handle.group, handle.descriptor, tuple(ids.tolist()))
-
-
-def normalizer(handle: SubgroupHandle, spec: GroupSpec | None = None) -> SubgroupHandle:
-    """Set-level normalizer {g : H^g = H}."""
-    spec = spec or handle.group
-    ig = indexed_group(spec)
-    return handle_from_ids(spec, ig.transporter(ig.generators_of(handle.ids), handle.ids))
-
-
 def _orbit(idxs: np.ndarray, conj_maps) -> dict[bytes, np.ndarray]:
     """The conjugates of a subgroup given as a sorted intp id array, keyed
     by their bytes, the subgroup itself first."""
@@ -492,50 +458,6 @@ def _class_handles(spec: GroupSpec, members) -> list[SubgroupHandle]:
     for h in handles:
         h.descriptor = desc
     return handles
-
-
-def subgroup_classes(type_name: str, spec: GroupSpec) -> list[list[SubgroupHandle]]:
-    """All subgroups of the named small type, partitioned by conjugacy.
-
-    Copies are found by closing generator pairs (x, y) with the type's
-    signature element orders; every copy has such a generating pair.  x
-    runs over one representative per conjugacy class and y over the whole
-    group: a copy generated by (x, y) has a conjugate generated by (x's
-    representative, y'), and the orbit closure below recovers the rest.
-    """
-    registry = {
-        "A4": (12, 2, 3),
-        "PSL(2,3)": (12, 2, 3),
-        "S4": (24, 2, 4),
-        "PGL(2,3)": (24, 2, 4),
-        "A5": (60, 2, 5),
-        "PSL(2,4)": (60, 2, 5),
-        "PSL(2,5)": (60, 2, 5),
-    }
-    if type_name not in registry:
-        raise ValueError(f"no search signature for type {type_name!r}")
-    size, o1, o2 = registry[type_name]
-    ig = indexed_group(spec)
-    orders = ig.orders()
-    xs = [cls[0] for cls in ig.all_classes() if orders[cls[0]] == o1]
-    ys = np.flatnonzero(orders == o2).tolist()
-    found: dict[bytes, np.ndarray] = {}
-    for x in xs:
-        for y in ys:
-            idxs = ig.closure_idx((x, y))
-            if len(idxs) == size:
-                found.setdefault(idxs.tobytes(), idxs)
-    conj_maps = ig.conj_maps()
-    classes: list[list[SubgroupHandle]] = []
-    while found:
-        orbit = _orbit(min(found.values(), key=tuple), conj_maps)
-        for key in orbit:
-            found.pop(key, None)
-        cls = _class_handles(spec, list(orbit.values()))
-        cls.sort(key=lambda h: h.ids)
-        classes.append(cls)
-    classes.sort(key=lambda c: c[0].ids)
-    return classes
 
 
 def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
@@ -694,82 +616,6 @@ def recognize(handle: SubgroupHandle) -> str:
         if n == q0 * (q0 * q0 - 1):
             return f"PGL(2,{q0})"
     return f"order-{n}"
-
-
-# ---------------------------------------------------------------------------
-# the classical subgroup catalog of PGL(2,q), q odd
-# ---------------------------------------------------------------------------
-
-
-def catalog_family(handle: SubgroupHandle, q: int) -> str | None:
-    """Which family of the classical subgroup catalog of PGL(2,q), q >= 5
-    odd, contains this subgroup; None if none matches."""
-    n = len(handle)
-    p, f = prime_power(q)
-    if n == 1:
-        return "trivial"
-    if is_cyclic(handle):
-        if n == 2:
-            return "(i) C_2"
-        if n > 2 and ((q - 1) % n == 0 or (q + 1) % n == 0):
-            return "(ii) C_d, d | q+-1"
-        if n == p:
-            return "(ix) elementary abelian"
-    if is_elementary_abelian(handle):
-        pf = prime_power(n)
-        if pf and pf[0] == p and pf[1] <= f:
-            return "(ix) elementary abelian"
-        if n == 4:
-            return "(iii) D_4"
-    if is_dihedral(handle):
-        d = n // 2
-        if n == 4:
-            return "(iii) D_4"
-        if d > 2:
-            for sign in (-1, 1):
-                m = q + sign
-                if m % 2 == 0 and (m // 2) % d == 0:
-                    return "(iv) D_2d, d | (q+-1)/2"
-            for sign in (-1, 1):
-                m = q + sign
-                if m % d == 0 and (m // d) % 2 == 1:
-                    return "(v) D_2d, (q+-1)/d odd"
-        # dihedral groups over the unipotent radical fall through to (x)
-    prof = order_profile(handle)
-    if prof == _PROFILES["A_4"]:
-        return "(vi) A_4"
-    if prof == _PROFILES["S_4"]:
-        return "(vi) S_4"
-    if prof == _PROFILES["A_5"] and q % 10 in (1, 9):
-        return "(vi) A_5"
-    for m in range(1, f + 1):
-        if f % m == 0:
-            qm = p**m
-            if qm % 2 and n == qm * (qm * qm - 1) // 2 and qm >= 5:
-                return f"(vii) PSL(2,{qm})"
-            if n == qm * (qm * qm - 1):
-                return f"(viii) PGL(2,{qm})"
-    # (x): elementary abelian p-group extended by a cyclic group
-    ig, ids, orders = _ids_and_orders(handle)
-    u = ids[(orders == 1) | (orders == p)]
-    in_u = ig.mask(u)
-    pf = prime_power(len(u)) if len(u) > 1 else None
-    if pf and pf[0] == p and pf[1] <= f and n % len(u) == 0:
-        closed = in_u[ig.mul_ids(u[:, None], u)].all()
-        normal = closed and in_u[ig.conj_ids(u, ids[:, None])].all()
-        if closed and normal:
-            d = n // len(u)
-            if d > 1 and math.gcd(q - 1, p ** pf[1] - 1) % d == 0:
-                # quotient must be cyclic: some h with h^k hitting every coset
-                for h in ids.tolist():
-                    kk = 1
-                    cur = h
-                    while not in_u[cur]:
-                        cur = ig.mul_idx(cur, h)
-                        kk += 1
-                    if kk == d:
-                        return "(x) E_{p^m}:C_d"
-    return None
 
 
 def dihedral_involution_count(order: int) -> int:

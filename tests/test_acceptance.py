@@ -6,7 +6,7 @@ lines and timings.
 
 import time
 
-from oracle import two_generated_abelian_subgroups
+from oracle import collinearity_masks, incident, two_generated_abelian_subgroups
 
 from quadforge.classify import (
     eliminate_case9_survivor,
@@ -60,13 +60,13 @@ def test_acceptance_1_w2_end_to_end(tmp_path):
     assert (v.s, v.t) == (2, 2) and v.thick
     # the one-collinear-point axiom ranges over all 15 * 12 non-incident pairs
     non_incident = sum(
-        1 for p in range(15) for l in range(15) if not geom.incident(p, l)
+        1 for p in range(15) for l in range(15) if not incident(geom, p, l)
     )
     assert non_incident == 15 * 12
-    coll = geom.collinearity_masks()
+    coll = collinearity_masks(geom)
     for p in range(15):
         for l in range(15):
-            if not geom.incident(p, l):
+            if not incident(geom, p, l):
                 assert bin(geom.cols[l] & coll[p]).count("1") == 1
     assert elapsed < 5.0
     _report(1, f"W(2) built and axiom-checked, order (2,2), {non_incident} "

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 import sympy
+from oracle import candidate_pairs, is_zero, record_from_dict
 
 from quadforge._ints import is_prime, is_square_int
 from quadforge.errors import VerificationError
@@ -16,7 +17,6 @@ from quadforge.classify import (
     EliminationRecord,
     VERIFIERS,
     build_w2,
-    candidate_pairs,
     eliminate_case1,
     eliminate_case9_survivor,
     eliminate_cross,
@@ -85,7 +85,7 @@ def test_record_with_failed_check_raises_verification_error():
 
 def test_record_roundtrip_ignores_elapsed():
     rec = eliminate_cross(4, 8, q_range=(37, 866))
-    clone = EliminationRecord.from_dict(rec.to_dict())
+    clone = record_from_dict(rec.to_dict())
     assert clone == rec
     assert clone.elapsed == 0.0 and rec.elapsed > 0
 
@@ -424,7 +424,7 @@ def test_case1_exclusion():
 
 
 def _point_id(pt, q):
-    return q if pt.y.is_zero() else pt.x.index
+    return q if is_zero(pt.y) else pt.x.index
 
 
 @pytest.mark.parametrize("kind", ["psl", "pgl"])
@@ -593,6 +593,20 @@ def test_registry_rows_hold_survivors_and_follow_ups():
     # the q0 row counts q = q0^2, so (9, 2, 2) lies in q0 range (3, 3)
     assert VERIFIERS["case2-equal"].expected_in((3, 3)) == [(9, 2, 2)]
     assert VERIFIERS["case9-equal"].expected_in((42, 1000)) == []
+
+
+def test_registry_param_names_what_the_range_counts():
+    # read off the range keys of each row's default-range record
+    def counted(inputs):
+        if "q0_lo" in inputs:
+            return "q0^r" if "r_set" in inputs else "q0"
+        return "q" if {"q_lo", "p_lo", "sample_q"} & set(inputs) else None
+
+    got = {tag: counted(verify(tag).records[0].inputs) for tag in VERIFIERS}
+    assert got == {tag: row.param for tag, row in VERIFIERS.items()}
+    assert {t for t, p in got.items() if p == "q0^r"} == {
+        "case6-case8", "case6-case9", "case7-case8", "case7-case9", "case6-equal", "case7-equal",
+    }
 
 
 def test_registry_hash_stable(monkeypatch):

@@ -4,8 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from oracle import record_from_dict
 
-from quadforge.classify import EliminationRecord, registry_hash
+from quadforge.classify import registry_hash
 from quadforge.cli import main
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,17 @@ def test_range_rejected_where_no_range_applies(capsys):
     assert main(["verify", "--lemma", "case3-case5", "--range", "1..5"]) == 2
     assert main(["verify", "--lemma", "case9-q41", "--range", "1..5"]) == 2
     assert "--range applies only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tag, rng",
+    [("case1-excluded", "10..20"), ("case7-equal", "1..2"), ("case8-case9", "1..3"), ("case3-case8", "20..22")],
+)
+def test_range_that_tests_nothing_is_refused(tmp_path, capsys, tag, rng):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--lemma", tag, "--range", rng, "--format", "json", "--out", str(out)]) == 2
+    assert f"--range {rng} tests nothing for {tag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_qmax_rejected_outside_theorem(capsys):
@@ -189,7 +201,7 @@ def test_json_report_roundtrips_records(tmp_path):
     main(["verify", "--lemma", "case5-case8", "--format", "json", "--out", str(out)])
     report = json.loads(out.read_text())
     for rec_dict in report["records"]:
-        rec = EliminationRecord.from_dict(rec_dict)
+        rec = record_from_dict(rec_dict)
         assert rec.to_dict() == rec_dict
 
 
@@ -245,6 +257,39 @@ def test_export_to_file(tmp_path):
     inc = tmp_path / "w2.inc"
     assert main(["export", "--out", str(inc)]) == 0
     assert inc.read_text().startswith("GQ 15 15 2 2\n")
+
+
+def _drop_a_flag(flags):
+    return flags[1:]
+
+
+def _swap_points_0_and_1(flags):
+    # an isomorphic copy: the reader accepts it, but its flags differ
+    swap = {"0": "1", "1": "0"}
+    return [f"{swap.get(p, p)} {l}" for p, l in (f.split() for f in flags)]
+
+
+@pytest.mark.parametrize(
+    "change, why",
+    [(_drop_a_flag, "not every point on 3 lines"), (_swap_points_0_and_1, "flags are not the geometry's")],
+)
+@pytest.mark.parametrize("argv", [["export"], ["export", "--out"], ["build-w2", "--export"]])
+def test_export_reads_back_what_it_wrote(monkeypatch, capsys, tmp_path, argv, change, why):
+    from quadforge import cli, geometry
+
+    def export(geom, stream, s=None, t=None):
+        buf = io.StringIO()
+        geometry.export_incidence(geom, buf, s, t)
+        header, *flags = buf.getvalue().splitlines()
+        stream.write("".join(f"{line}\n" for line in [header, *change(flags)]))
+
+    monkeypatch.setattr(cli, "export_incidence", export)
+    if argv[-1].startswith("--"):
+        argv = [*argv, str(tmp_path / "w2.inc")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("MISMATCH: export-readback (") and why in err and "Traceback" not in err
+    assert out == ""  # nothing is printed that was not read back
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,18 @@ import types
 
 import numpy as np
 import pytest
-from oracle import two_generated_abelian_subgroups
+from oracle import (
+    collinearity_masks,
+    fixed_structure,
+    incident,
+    line_action,
+    line_size_profile,
+    point_action,
+    preserves_incidence,
+    transitive_on_fixed,
+    two_generated_abelian_subgroups,
+    whole_group_handle,
+)
 
 from quadforge.errors import VerificationError
 from quadforge.geometry import (
@@ -14,17 +25,10 @@ from quadforge.geometry import (
     double_cosets,
     export_incidence,
     fixed_count,
-    fixed_structure,
-    line_size_profile,
     parse_incidence,
-    transitive_on_fixed,
 )
 from quadforge.psl2 import indexed_group, involution_class, psl
-from quadforge.subgroups import (
-    build_case,
-    handle_from_elements,
-    whole_group_handle,
-)
+from quadforge.subgroups import build_case, handle_from_ids
 
 # ---------------------------------------------------------------------------
 # hand-built incidence oracles
@@ -152,13 +156,13 @@ def test_empty_selection_no_incidences(w2_bundle):
 def test_group_acts_preserving_incidence(w2_bundle):
     geom = w2_bundle.geometry
     for idx in range(geom.ig.n):
-        assert geom.preserves_incidence(idx)
+        assert preserves_incidence(geom, idx)
 
 
 def test_point_action_is_permutation(w2_bundle):
     geom = w2_bundle.geometry
     for idx in (1, 7, 100, 359):
-        pa = geom.point_action(idx)
+        pa = point_action(geom, idx)
         assert sorted(pa) == list(range(15))
 
 
@@ -227,8 +231,8 @@ def test_fixed_count_matches_direct_count_everywhere(w2_bundle):
         meet0 = len(cls_set & m0_idx)
         meet1 = len(cls_set & m1_idx)
         g = cls[0]
-        pa = geom.point_action(g)
-        la = geom.line_action(g)
+        pa = point_action(geom, g)
+        la = line_action(geom, g)
         direct_p = sum(1 for p in range(15) if pa[p] == p)
         direct_l = sum(1 for l in range(15) if la[l] == l)
         assert fixed_count(15, len(cls), meet0) == direct_p
@@ -256,11 +260,11 @@ def test_involution_fixed_structure(w2_bundle):
     assert len(fs.fixed_lines) == 3
     # oracle: check the shape directly; a fixed point on every fixed line
     # collinear with all fixed points exists, so this is the cone shape
-    coll = geom.collinearity_masks()
+    coll = collinearity_masks(geom)
     centers = [
         p
         for p in fs.fixed_points
-        if all(geom.incident(p, l) for l in fs.fixed_lines)
+        if all(incident(geom, p, l) for l in fs.fixed_lines)
         and all(q == p or (coll[p] >> q) & 1 for q in fs.fixed_points)
     ]
     assert centers
@@ -288,7 +292,7 @@ def test_transitive_on_fixed(w2_bundle):
     cent = centralizer(g_idx, geom.spec)
     # direct orbit oracle: the centralizer orbit of the base point
     orbit = {geom.point_label[ig.mul_idx(base_rep, x)] for x in cent.ids}
-    pa = geom.point_action(g_idx)
+    pa = point_action(geom, g_idx)
     fixed = {p for p in range(15) if pa[p] == p}
     assert orbit <= fixed
     # the orbit is strictly smaller: 3 does not divide |centralizer| = 8,
@@ -297,7 +301,7 @@ def test_transitive_on_fixed(w2_bundle):
     assert transitive_on_fixed(g_idx, geom, cent) is (orbit == fixed)
     assert not transitive_on_fixed(g_idx, geom, cent)
     # a trivial subgroup never covers a fixed set of size >= 2
-    triv = handle_from_elements(geom.spec, [geom.spec.identity_t])
+    triv = handle_from_ids(geom.spec, ig.ids_of([geom.spec.identity_t]))
     assert not transitive_on_fixed(g_idx, geom, triv)
     # the whole group moves the base point off the fixed set
     whole = whole_group_handle(geom.spec)
@@ -352,7 +356,7 @@ def test_export_parse_roundtrip(w2_bundle):
     np_, nl, s, t, parsed = parse_incidence(io.StringIO(text))
     assert (np_, nl, s, t) == (15, 15, 2, 2)
     assert set(parsed) == {
-        (p, l) for p in range(15) for l in range(15) if geom.incident(p, l)
+        (p, l) for p in range(15) for l in range(15) if incident(geom, p, l)
     }
 
 
@@ -383,7 +387,7 @@ def test_w2_collinearity_graph_is_strongly_regular(w2_bundle):
 
     geom = w2_bundle.geometry
     n = geom.n_points
-    A = np.array([[m >> j & 1 for j in range(n)] for m in geom.collinearity_masks()])
+    A = np.array([[m >> j & 1 for j in range(n)] for m in collinearity_masks(geom)])
     k, lam, mu = 6, 1, 3
     I, J = np.eye(n, dtype=int), np.ones((n, n), dtype=int)
     assert n == 15 and (A == A.T).all()
@@ -409,7 +413,7 @@ def test_every_degree_preserving_switch_of_w2_is_rejected(w2_bundle):
     # (p1,l1),(p2,l2) -> (p1,l2),(p2,l1) with neither new flag present keeps
     # every degree; each of the 720 such switches must break an axiom
     geom = w2_bundle.geometry
-    flags = {(p, l) for p in range(geom.n_points) for l in range(geom.n_lines) if geom.incident(p, l)}
+    flags = {(p, l) for p in range(geom.n_points) for l in range(geom.n_lines) if incident(geom, p, l)}
     switches = {
         frozenset((a, b))
         for a in flags

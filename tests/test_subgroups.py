@@ -6,16 +6,23 @@ import pytest
 from oracle import (
     TupleGroup,
     act_on_line,
+    catalog_family,
     closure,
+    conjugate,
     element_order,
     elements,
     enumerate_group,
+    index_value,
     inv,
     is_psl_member,
     is_square,
+    is_zero,
     mul,
+    normalizer,
     projective_line,
+    subgroup_classes,
     two_generated_abelian_subgroups,
+    whole_group_handle,
     wrap,
 )
 
@@ -27,21 +34,15 @@ from quadforge.subgroups import (
     case_condition,
     case_condition_at,
     case_params,
-    catalog_family,
-    conjugate,
     dihedral_involution_count,
-    handle_from_elements,
     handle_from_ids,
     index_formula,
     is_dihedral,
-    normalizer,
     order_profile,
     recognize,
     small_index_subgroups,
     sporadic_table,
     subfield_indices,
-    subgroup_classes,
-    whole_group_handle,
 )
 
 # ---------------------------------------------------------------------------
@@ -128,9 +129,9 @@ def test_sporadic_table_rows():
     assert (rows[8].group, rows[8].m0_type, rows[8].m_type, rows[8].index) == (
         "PGL(2,11)", "D_10", "D_20", 66,
     )
-    assert rows[9].index_value(11) == 55
+    assert index_value(rows[9], 11) == 55
     with pytest.raises(ValueError):
-        rows[9].index_value(13)
+        index_value(rows[9], 13)
 
 
 def test_sporadic_index_consistency():
@@ -257,7 +258,7 @@ def test_diagonal_twist_matches_canonical_twist(q):
     spec = psl(q)
     ig = indexed_group(spec)
     fld = spec.field
-    omega = next(e for e in fld.enumerate() if not e.is_zero() and not is_square(e))
+    omega = next(e for e in fld.enumerate() if not is_zero(e) and not is_square(e))
     m0 = build_case(2, spec)
     canon = TupleGroup(spec).canonicalize_t
     want = set()
@@ -273,7 +274,7 @@ def test_idx_set_reads_ids(psl9, ig9):
     # kept for callers that pass the indexed group
     h = build_case(1, psl9)
     assert h.idx_set(ig9) == h.ids
-    assert handle_from_elements(psl9, [g.t for g in elements(h)]).ids == h.ids
+    assert handle_from_ids(psl9, ig9.ids_of([g.t for g in elements(h)])).ids == h.ids
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def test_closure_dihedral_from_involutions(psl9, ig9):
     c = closure(list(pair))
     assert len(c) == 8
     assert c == _kernel_closure(ig9, pair)
-    h = handle_from_elements(psl9, [g.t for g in c])
+    h = handle_from_ids(psl9, ig9.ids_of([g.t for g in c]))
     assert is_dihedral(h)
     assert sorted(order_profile(h).items()) == [(1, 1), (2, 5), (4, 2)]
 
