@@ -34,15 +34,6 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_divmod(a, b, p):
     """Quotient and remainder of coefficient-tuple polynomials over GF(p)."""
     a = list(a)

@@ -194,7 +194,7 @@ def order3_class(spec: GroupSpec) -> tuple[int, int]:
 
 def centralizer(g: int, spec: GroupSpec):
     """Centralizer {x : xg = gx} of the element with id g, as a
-    SubgroupHandle with a recognized type."""
+    SubgroupHandle."""
     from . import subgroups  # deferred: subgroups builds on this module
 
     ig = indexed_group(spec)

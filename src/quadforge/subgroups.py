@@ -1,10 +1,11 @@
-"""Maximal-subgroup constructors and recognition for PSL(2,q).
+"""Maximal-subgroup constructors for PSL(2,q).
 
 Covers the nine maximal-subgroup families (Borel, subfield PGL/PSL,
 A4/S4/A5, and the two dihedral normalizers of tori), the ten sporadic
-(G, M, M0) triples where M0 is not maximal in the socle, structure
-recognition, and the search for every 2-generated subgroup of small
-index.
+(G, M, M0) triples where M0 is not maximal in the socle, the order
+profile and the cyclic and dihedral checks that the table rows read, and
+the search for every 2-generated subgroup of small index.  Structure
+recognition, which no engine path reads, lives in `tests/oracle.py`.
 
 A subgroup is stored as the sorted ids of its members in the group's
 `IndexedGroup` (ids follow the canonical element order).  The Borel and
@@ -13,14 +14,14 @@ c = 0, or with every entry in the subfield, for PGL(2,q0) after dividing
 by the first nonzero entry), A4/S4/A5 come from a deterministic
 generator-pair search (first witness in canonical element order), and
 the dihedral cases take a maximal-order torus element together with an
-inverting involution.  Subgroup equality is equality of id tuples.
+inverting involution.  A handle holds only the group and the ids; its
+index is |G| / |H|.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .psl2 import (
 
 
 # ---------------------------------------------------------------------------
-# descriptors and handles
+# handles
 # ---------------------------------------------------------------------------
 
 # Slots records share these: equality field by field, and for the immutable
@@ -59,25 +60,15 @@ def _frozen(rec, name, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class SubgroupDescriptor(NamedTuple):
-    """Structural claim about a subgroup: which family, with what index."""
-
-    case_id: int | str | None
-    claimed_type: str
-    claimed_index: int
-    q0: int | None = None
-    r: int | None = None
-
-
 class SubgroupHandle:
-    """Explicit subgroup: descriptor plus its members as sorted ids of the
-    group's `IndexedGroup`.  Handles are equal when all three agree."""
+    """Explicit subgroup: its members as sorted ids of the group's
+    `IndexedGroup`.  Handles are equal when group and ids agree."""
 
-    __slots__ = ("group", "descriptor", "ids")
+    __slots__ = ("group", "ids")
     __eq__, __hash__ = _fields_eq, None
 
-    def __init__(self, group: GroupSpec, descriptor: SubgroupDescriptor | None, ids: tuple[int, ...]):
-        self.group, self.descriptor, self.ids = group, descriptor, ids
+    def __init__(self, group: GroupSpec, ids: tuple[int, ...]):
+        self.group, self.ids = group, ids
 
     def __len__(self):
         return len(self.ids)
@@ -88,22 +79,16 @@ class SubgroupHandle:
         return self.ids
 
     def __repr__(self):
-        return (
-            f"<{self.descriptor.claimed_type} of order {len(self)} "
-            f"in {self.group!r}, index {self.descriptor.claimed_index}>"
-        )
+        return f"<subgroup of order {len(self)} in {self.group!r}, index {self.group.order // len(self)}>"
 
 
-def handle_from_ids(spec: GroupSpec, ids, descriptor=None) -> SubgroupHandle:
-    """Handle of the subgroup with these member ids.  Without a descriptor
-    its structure is recognized and its index read off its order."""
+def handle_from_ids(spec: GroupSpec, ids) -> SubgroupHandle:
+    """Handle of the subgroup with these member ids, sorted and deduplicated;
+    their count must divide |G|."""
     ids = tuple(np.flatnonzero(indexed_group(spec).mask(ids)).tolist())
-    handle = SubgroupHandle(spec, descriptor, ids)
-    if descriptor is None:
-        if not ids or spec.order % len(ids):
-            raise ValueError("element count does not divide the group order")
-        handle.descriptor = SubgroupDescriptor(None, recognize(handle), spec.order // len(ids))
-    return handle
+    if not ids or spec.order % len(ids):
+        raise ValueError("element count does not divide the group order")
+    return SubgroupHandle(spec, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -275,45 +260,6 @@ def index_formula(case_id: int, q: int, q0: int | None = None, r: int | None = N
     raise ValueError(f"unknown case {case_id}")
 
 
-def case_type_name(case_id: int, q: int, q0: int | None = None) -> str:
-    p, f = prime_power(q)
-    g = 2 if q % 2 else 1
-    if case_id == 1:
-        return f"C_{p}^{f}:C_{(q - 1) // g}"
-    if case_id == 2:
-        return f"PGL(2,{q0})"
-    if case_id == 3:
-        return "A_5"
-    if case_id == 4:
-        return "A_4"
-    if case_id == 5:
-        return "S_4"
-    if case_id == 6:
-        return f"PSL(2,{q0})"
-    if case_id == 7:
-        return f"PGL(2,{q0})"
-    if case_id == 8:
-        return f"D_{2 * (q - 1) // g}"
-    if case_id == 9:
-        return f"D_{2 * (q + 1) // g}"
-    raise ValueError(f"unknown case {case_id}")
-
-
-def make_descriptor(case_id: int, q: int, q0: int | None = None, r: int | None = None) -> SubgroupDescriptor:
-    if case_id in (2, 6, 7) and q0 is None:
-        params = case_params(case_id, q)
-        if len(params) != 1:
-            raise ValueError("ambiguous (q0, r); pass them explicitly")
-        q0, r = params[0]["q0"], params[0]["r"]
-    return SubgroupDescriptor(
-        case_id,
-        case_type_name(case_id, q, q0),
-        index_formula(case_id, q, q0=q0, r=r),
-        q0=q0,
-        r=r,
-    )
-
-
 # ---------------------------------------------------------------------------
 # explicit constructions
 # ---------------------------------------------------------------------------
@@ -401,35 +347,31 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     return np.flatnonzero(members)
 
 
-def build_subgroup(descriptor: SubgroupDescriptor, spec: GroupSpec) -> SubgroupHandle:
-    """Explicit subgroup of PSL(2,q) for a Table-family descriptor."""
+def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | None = None) -> SubgroupHandle:
+    """The case's maximal subgroup of PSL(2,q), its order checked against
+    `index_formula`.  Cases 2, 6 and 7 take (q0, r) from `case_params`
+    when q0 is not given and q = q0^r in one way only."""
+    q = spec.q
+    if case_id in (2, 6, 7) and q0 is None:
+        params = case_params(case_id, q)
+        if len(params) != 1:
+            raise ValueError("ambiguous (q0, r); pass them explicitly")
+        q0, r = params[0]["q0"], params[0]["r"]
+    index = index_formula(case_id, q, q0=q0, r=r)  # raises outside the family
     if spec.kind != "PSL":
         raise ValueError("family constructors target the socle PSL(2,q)")
-    case = descriptor.case_id
-    q = spec.q
-    if not case_condition(case, q, q0=descriptor.q0, r=descriptor.r):
-        raise ValueError(f"case {case} condition violated at q = {q}")
-    if case == 1:
+    if case_id == 1:
         ids = _borel_ids(spec)
-    elif case in (2, 6, 7):
-        ids = _subfield_ids(spec, descriptor.q0, case == 2)
-    elif case in (3, 4, 5, 8, 9):
-        build = _build_triangle if case in (3, 4, 5) else _build_dihedral
-        ids = build(spec, case)
+    elif case_id in (2, 6, 7):
+        ids = _subfield_ids(spec, q0, case_id == 2)
     else:
-        raise ValueError(f"unknown case {case}")
-    handle = handle_from_ids(spec, ids, descriptor)
-    if len(handle) * descriptor.claimed_index != spec.order:
+        ids = (_build_triangle if case_id in (3, 4, 5) else _build_dihedral)(spec, case_id)
+    if len(ids) * index != spec.order:
         raise VerificationError(
             "subgroup-order",
-            f"constructed order {len(handle)} inconsistent with claimed index "
-            f"{descriptor.claimed_index} in {spec!r}",
+            f"constructed order {len(ids)} inconsistent with claimed index {index} in {spec!r}",
         )
-    return handle
-
-
-def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | None = None) -> SubgroupHandle:
-    return build_subgroup(make_descriptor(case_id, spec.q, q0=q0, r=r), spec)
+    return handle_from_ids(spec, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +391,6 @@ def _orbit(idxs: np.ndarray, conj_maps) -> dict[bytes, np.ndarray]:
     return out
 
 
-def _class_handles(spec: GroupSpec, members) -> list[SubgroupHandle]:
-    """Handles for one conjugacy class of subgroups, given as sorted id
-    arrays: the first is recognized and the rest copy its descriptor (every
-    structure `recognize` reads is a conjugacy invariant)."""
-    handles = [SubgroupHandle(spec, None, tuple(ids.tolist())) for ids in members]
-    desc = SubgroupDescriptor(None, recognize(handles[0]), spec.order // len(handles[0]))
-    for h in handles:
-        h.descriptor = desc
-    return handles
-
-
 def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
     """Every 2-generated subgroup of index <= bound, by exhaustive closure
     of all generator sets of size <= 2.  A subgroup that needs three
@@ -473,8 +404,7 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
     exhaustive.  <i> is labelled by its least generator, over a walk of
     powers with `mul_ids` that keeps only the labels' powers; the pair
     closures run side by side, one layer of n ids per pair, in
-    `IndexedGroup._grow` sweeps over blocks of about _CHUNK states; and
-    one subgroup per conjugacy class is recognized.
+    `IndexedGroup._grow` sweeps over blocks of about _CHUNK states.
     """
     ig = indexed_group(spec)
     n = ig.n
@@ -525,13 +455,13 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
         if key not in closed:
             orbit = _orbit(idxs, conj_maps)
             closed.update(orbit)
-            handles += _class_handles(spec, list(orbit.values()))
+            handles += [SubgroupHandle(spec, tuple(ids.tolist())) for ids in orbit.values()]
     handles.sort(key=lambda h: (-len(h), h.ids))
     return handles
 
 
 # ---------------------------------------------------------------------------
-# structure recognition
+# structure checks
 # ---------------------------------------------------------------------------
 
 
@@ -546,27 +476,8 @@ def order_profile(handle: SubgroupHandle) -> Counter:
     return Counter(_ids_and_orders(handle)[2].tolist())
 
 
-def is_abelian(handle: SubgroupHandle) -> bool:
-    ig = indexed_group(handle.group)
-    ids = np.asarray(handle.ids)
-    prod = ig.mul_ids(ids[:, None], ids)
-    return bool((prod == prod.T).all())
-
-
 def is_cyclic(handle: SubgroupHandle) -> bool:
     return max(order_profile(handle)) == len(handle)
-
-
-def is_elementary_abelian(handle: SubgroupHandle) -> bool:
-    n = len(handle)
-    if n == 1:
-        return True
-    pf = prime_power(n)
-    if pf is None:
-        return False
-    p = pf[0]
-    prof = order_profile(handle)
-    return set(prof) == {1, p} and is_abelian(handle)
 
 
 def is_dihedral(handle: SubgroupHandle) -> bool:
@@ -581,41 +492,6 @@ def is_dihedral(handle: SubgroupHandle) -> bool:
     x = int(xs[0])
     ys = ids[(orders == 2) & ~ig.mask(ig.closure_idx((x,)))[ids]]
     return bool((ig.conj_ids(x, ys) == ig.inv_idx(x)).any())
-
-
-_PROFILES = {
-    "A_4": Counter({1: 1, 2: 3, 3: 8}),
-    "S_4": Counter({1: 1, 2: 9, 3: 8, 4: 6}),
-    "A_5": Counter({1: 1, 2: 15, 3: 20, 5: 24}),
-}
-
-
-def recognize(handle: SubgroupHandle) -> str:
-    """Structural name: cyclic, dihedral, elementary abelian, the three
-    triangle groups, PSL/PGL(2,q0) by order, or a generic order label."""
-    n = len(handle)
-    if n == 1:
-        return "1"
-    prof = order_profile(handle)
-    for name, ref in _PROFILES.items():
-        if n == sum(ref.values()) and prof == ref:
-            return name
-    if is_cyclic(handle):
-        return f"C_{n}"
-    if is_elementary_abelian(handle):
-        p = prime_power(n)[0]
-        m = prime_power(n)[1]
-        return f"C_{p}^{m}"
-    if is_dihedral(handle):
-        return f"D_{n}"
-    for q0 in range(3, 100):
-        if prime_power(q0) is None:
-            continue
-        if q0 % 2 and n == q0 * (q0 * q0 - 1) // 2:
-            return f"PSL(2,{q0})"
-        if n == q0 * (q0 * q0 - 1):
-            return f"PGL(2,{q0})"
-    return f"order-{n}"
 
 
 def dihedral_involution_count(order: int) -> int:

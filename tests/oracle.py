@@ -21,13 +21,16 @@ test is freed after it.
 The last section holds the references that no engine path calls: field
 helpers, the grid and lower stabilizer-bound tests, `candidate_pairs`,
 the record reader, subgroup conjugation, normalizers, the conjugacy
-classes of small subgroups, the classical subgroup catalog, and the point
-and line actions and fixed substructures of a coset geometry.
+classes of small subgroups, structure recognition (`recognize`, with the
+abelian and elementary abelian tests), the classical subgroup catalog,
+and the point and line actions and fixed substructures of a coset
+geometry.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,17 +44,13 @@ from quadforge.geometry import IncidenceGeometry, _check_axioms, _collinearity, 
 from quadforge.gfq import FieldElement, FieldSpec
 from quadforge.psl2 import GroupSpec, _group, indexed_group
 from quadforge.subgroups import (
-    _PROFILES,
     SporadicTriple,
-    SubgroupDescriptor,
     SubgroupHandle,
-    _class_handles,
     _orbit,
     case_condition,
     handle_from_ids,
     is_cyclic,
     is_dihedral,
-    is_elementary_abelian,
     order_profile,
 )
 
@@ -397,15 +396,14 @@ def index_value(row: SporadicTriple, p: int | None = None) -> int:
 
 
 def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
-    desc = SubgroupDescriptor(None, repr(spec), 1)
-    return SubgroupHandle(spec, desc, tuple(range(len(spec.element_array()))))
+    return SubgroupHandle(spec, tuple(range(len(spec.element_array()))))
 
 
 def conjugate(handle: SubgroupHandle, g: int) -> SubgroupHandle:
     """H^g = g^-1 H g for the element with id g."""
     ig = indexed_group(handle.group)
     ids = np.sort(ig.conj_ids(np.asarray(handle.ids), g))
-    return SubgroupHandle(handle.group, handle.descriptor, tuple(ids.tolist()))
+    return SubgroupHandle(handle.group, tuple(ids.tolist()))
 
 
 def normalizer(handle: SubgroupHandle) -> SubgroupHandle:
@@ -452,11 +450,64 @@ def subgroup_classes(type_name: str, spec: GroupSpec) -> list[list[SubgroupHandl
         orbit = _orbit(min(found.values(), key=tuple), conj_maps)
         for key in orbit:
             found.pop(key, None)
-        cls = _class_handles(spec, list(orbit.values()))
-        cls.sort(key=lambda h: h.ids)
+        cls = sorted((SubgroupHandle(spec, tuple(ids.tolist())) for ids in orbit.values()), key=lambda h: h.ids)
         classes.append(cls)
     classes.sort(key=lambda c: c[0].ids)
     return classes
+
+
+def is_abelian(handle: SubgroupHandle) -> bool:
+    ig = indexed_group(handle.group)
+    ids = np.asarray(handle.ids)
+    prod = ig.mul_ids(ids[:, None], ids)
+    return bool((prod == prod.T).all())
+
+
+def is_elementary_abelian(handle: SubgroupHandle) -> bool:
+    n = len(handle)
+    if n == 1:
+        return True
+    pf = prime_power(n)
+    if pf is None:
+        return False
+    p = pf[0]
+    prof = order_profile(handle)
+    return set(prof) == {1, p} and is_abelian(handle)
+
+
+_PROFILES = {
+    "A_4": Counter({1: 1, 2: 3, 3: 8}),
+    "S_4": Counter({1: 1, 2: 9, 3: 8, 4: 6}),
+    "A_5": Counter({1: 1, 2: 15, 3: 20, 5: 24}),
+}
+
+
+def recognize(handle: SubgroupHandle) -> str:
+    """Structural name: cyclic, dihedral, elementary abelian, the three
+    triangle groups, PSL/PGL(2,q0) by order, or a generic order label."""
+    n = len(handle)
+    if n == 1:
+        return "1"
+    prof = order_profile(handle)
+    for name, ref in _PROFILES.items():
+        if n == sum(ref.values()) and prof == ref:
+            return name
+    if is_cyclic(handle):
+        return f"C_{n}"
+    if is_elementary_abelian(handle):
+        p = prime_power(n)[0]
+        m = prime_power(n)[1]
+        return f"C_{p}^{m}"
+    if is_dihedral(handle):
+        return f"D_{n}"
+    for q0 in range(3, 100):
+        if prime_power(q0) is None:
+            continue
+        if q0 % 2 and n == q0 * (q0 * q0 - 1) // 2:
+            return f"PSL(2,{q0})"
+        if n == q0 * (q0 * q0 - 1):
+            return f"PGL(2,{q0})"
+    return f"order-{n}"
 
 
 def catalog_family(handle: SubgroupHandle, q: int) -> str | None:

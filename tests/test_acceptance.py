@@ -6,7 +6,7 @@ lines and timings.
 
 import time
 
-from oracle import collinearity_masks, incident, two_generated_abelian_subgroups
+from oracle import collinearity_masks, incident, is_elementary_abelian, two_generated_abelian_subgroups
 
 from quadforge.classify import (
     eliminate_case9_survivor,
@@ -30,7 +30,6 @@ from quadforge.subgroups import (
     case_params,
     is_cyclic,
     is_dihedral,
-    is_elementary_abelian,
     small_index_subgroups,
 )
 

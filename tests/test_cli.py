@@ -93,7 +93,7 @@ def test_failed_group_guard_reports_mismatch_and_exits_one(monkeypatch, capsys):
     from quadforge import subgroups
 
     build = subgroups._subfield_ids
-    # one element short: build_subgroup's order/index guard must catch it
+    # one element short: build_case's order/index guard must catch it
     monkeypatch.setattr(subgroups, "_subfield_ids", lambda *a, **k: build(*a, **k)[1:])
     assert main(["verify", "--lemma", "w2-construction"]) == 1
     err = capsys.readouterr().err

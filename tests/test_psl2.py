@@ -8,6 +8,7 @@ from oracle import (
     element_order,
     enumerate_group,
     inv,
+    is_elementary_abelian,
     is_psl_member,
     is_square,
     is_zero,
@@ -31,7 +32,7 @@ from quadforge.psl2 import (
     pgl,
     psl,
 )
-from quadforge.subgroups import is_cyclic, is_dihedral, is_elementary_abelian
+from quadforge.subgroups import is_cyclic, is_dihedral
 
 # ---------------------------------------------------------------------------
 # oracles

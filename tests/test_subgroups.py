@@ -14,12 +14,14 @@ from oracle import (
     enumerate_group,
     index_value,
     inv,
+    is_abelian,
     is_psl_member,
     is_square,
     is_zero,
     mul,
     normalizer,
     projective_line,
+    recognize,
     subgroup_classes,
     two_generated_abelian_subgroups,
     whole_group_handle,
@@ -29,7 +31,7 @@ from oracle import (
 from quadforge._ints import factorize, iter_prime_powers
 from quadforge.psl2 import indexed_group, pgl, psl
 from quadforge.subgroups import (
-    SubgroupDescriptor,
+    _orbit,
     build_case,
     case_condition,
     case_condition_at,
@@ -39,7 +41,6 @@ from quadforge.subgroups import (
     index_formula,
     is_dihedral,
     order_profile,
-    recognize,
     small_index_subgroups,
     sporadic_table,
     subfield_indices,
@@ -173,14 +174,15 @@ def test_case2_subfield_pgl(psl9):
     h = build_case(2, psl9)
     assert len(h) == 24
     assert recognize(h) == "S_4"  # PGL(2,3) is S_4
-    assert h.descriptor.claimed_index == 15
+    assert psl9.order // len(h) == index_formula(2, 9, q0=3) == 15
 
 
 def test_case8_dihedral_q13():
-    h = build_case(8, psl(13))
+    spec = psl(13)
+    h = build_case(8, spec)
     assert len(h) == 12
     assert is_dihedral(h)
-    assert h.descriptor.claimed_index == 91
+    assert spec.order // len(h) == index_formula(8, 13) == 91
 
 
 def test_case4_a4_q13():
@@ -203,7 +205,7 @@ def test_all_buildable_cases_have_claimed_index():
         for case in range(1, 10):
             for params in case_params(case, q):
                 h = build_case(case, spec, **params)
-                assert len(h) * h.descriptor.claimed_index == spec.order, (case, q)
+                assert len(h) * index_formula(case, q, **params) == spec.order, (case, q)
 
 
 def test_borel_fixes_one_point_transitive_elsewhere(psl9):
@@ -497,16 +499,24 @@ def test_lattice_past_the_old_cayley_cap_matches_dicksons_list(q, count, maximal
     assert len(borel) == max(maximal) and len(largest) == q + 1
     assert borel.ids in {h.ids for h in largest}
     a5 = [h for h in subs if len(h) == 60]
-    assert len(a5) == a5_copies and {h.descriptor.claimed_type for h in a5} == {"A_5"}
+    assert len(a5) == a5_copies and {recognize(h) for h in a5} == {"A_5"}
 
 
 @pytest.mark.parametrize("q", [7, 9])
-def test_lattice_copied_descriptors_match_fresh_recognition(q):
+def test_lattice_recognition_is_constant_on_conjugacy_classes(q):
+    # the lattice is closed under conjugation, and every structure
+    # `recognize` reads is a conjugacy invariant
     spec = pgl(q)
     subs = small_index_subgroups(spec, spec.order)
-    assert len({id(h.descriptor) for h in subs}) < len(subs)  # conjugates share one
-    for h in subs:
-        assert h.descriptor == SubgroupDescriptor(None, recognize(h), spec.order // len(h))
+    conj_maps = indexed_group(spec).conj_maps()
+    name = {h.ids: recognize(h) for h in subs}
+    classes = 0
+    while name:
+        ids, first = name.popitem()
+        orbit = [tuple(c.tolist()) for c in _orbit(np.array(ids), conj_maps).values()]
+        assert orbit[0] == ids and {name.pop(c) for c in orbit[1:]} <= {first}
+        classes += 1
+    assert classes < len(subs)
 
 
 def test_lattice_check_rejects_pruning_by_whole_group_orbits(monkeypatch):
@@ -566,8 +576,6 @@ def test_catalog_large_subgroup_orders_force_psl_or_pgl():
 
 def test_abelian_subgroups_of_psl29(psl9):
     habs = two_generated_abelian_subgroups(psl9)
-    from quadforge.subgroups import is_abelian
-
     assert all(is_abelian(h) for h in habs)
     sizes = sorted({len(h) for h in habs})
     assert sizes == [1, 2, 3, 4, 5, 9]  # A6: cyclic 1..5, Klein, E9
@@ -583,7 +591,7 @@ def test_dihedral_involution_count():
 def test_whole_group_handle(psl9):
     h = whole_group_handle(psl9)
     assert len(h) == 360
-    assert h.descriptor.claimed_index == 1
+    assert psl9.order // len(h) == 1
 
 
 def test_catalog_families_pgl27_and_pgl29():
