@@ -3,12 +3,12 @@
 Every elimination step of the classification is a named routine with a
 stable tag, producing a replayable EliminationRecord: the inputs, the
 scan size, the surviving (q, s, t) triples, named arithmetic checks, and
-the verdict.  The registry at the bottom holds one row per tag: its
-runner, default range, how the theorem caps that range, the expected
-verdict and survivors, and the row that takes those survivors on.  The
-theorem driver and `verify` run and judge rows through one function,
-`_run_rows`; reports embed a hash of the registry so stale golden files
-fail loudly.
+the verdict, which follows from the survivors.  The registry at the
+bottom holds one row per tag: its runner, default range, how the theorem
+caps that range, the expected verdict and survivors, and the row that
+takes those survivors on.  The theorem driver and `verify` run and judge
+rows through one function, `_run_rows`, and return one `VerifyOutcome`;
+reports embed a hash of the registry so stale golden files fail loudly.
 
 Two sorts of evidence appear in the records and are labeled apart:
 "scan" steps are exhaustive arithmetic over a finite range, and
@@ -55,8 +55,6 @@ from .geometry import fixed_count
 from .subgroups import (
     Q_INDEX,
     _fields_eq,
-    _fields_hash,
-    _frozen,
     case_condition,
     case_condition_at,
     dihedral_involution_count,
@@ -79,8 +77,12 @@ _VERDICTS = (ELIMINATED, NEEDS_GEOMETRY, CONFIRMED)
 class EliminationRecord:
     """One elimination routine's replayable outcome.
 
-    Records are equal when their `to_dict()` forms are, so a record read
-    back from its report equals the one that wrote it.
+    The survivors are kept sorted, and the verdict follows from them:
+    `eliminated` when there are none, `survivor-needs-geometry` otherwise.
+    Only a construction passes `confirmed-example`; an explicit verdict
+    that contradicts the survivor list raises.  Records are equal when
+    their `to_dict()` forms are, so a record read back from its report
+    equals the one that wrote it.
     """
 
     __slots__ = ("lemma_tag", "inputs", "scan_size", "survivors", "verdict", "checks", "notes")
@@ -88,7 +90,10 @@ class EliminationRecord:
 
     def __init__(self, lemma_tag: str, inputs: dict, scan_size: int,
                  survivors: list[tuple[int, int, int]],  # (q, s, t)
-                 verdict: str, checks: list[dict] | None = None, notes: list[str] | None = None):
+                 verdict: str | None = None, checks: list[dict] | None = None,
+                 notes: list[str] | None = None):
+        survivors = sorted(survivors)
+        verdict = verdict or (NEEDS_GEOMETRY if survivors else ELIMINATED)
         if verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
         if (verdict == ELIMINATED) != (not survivors):
@@ -246,8 +251,7 @@ def _scan_pair_record(pair, q_range, workers) -> EliminationRecord:
         lemma_tag=f"case{pair[0]}-case{pair[1]}",
         inputs={"pair": list(pair), "q_lo": qlo, "q_hi": qhi, "method": "scan"},
         scan_size=tested,
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
+        survivors=survivors,
         notes=[note] if note else [],
     )
 
@@ -301,7 +305,6 @@ def _eliminate_3_5() -> EliminationRecord:
         inputs={"pair": [3, 5], "k_scan": 10_000, "method": "consequence+scan"},
         scan_size=len(ks),
         survivors=survivors,
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
         checks=checks,
     )
 
@@ -349,8 +352,7 @@ def _eliminate_2_6(q_cap: int = 10**12) -> EliminationRecord:
         lemma_tag="case2-case6",
         inputs={"pair": [2, 6], "q_cap": q_cap, "method": "consequence"},
         scan_size=tested,
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
+        survivors=survivors,
         checks=checks[:8],  # keep the record light; all were verified
         notes=[f"{tested} (q1, r) instances checked up to q <= {q_cap}"],
     )
@@ -471,8 +473,7 @@ def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> Eliminati
             "method": "scan+consequence",
         },
         scan_size=tested,
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
+        survivors=survivors,
         checks=checks,
     )
 
@@ -510,7 +511,6 @@ def _eliminate_7_r2(case_m1: int) -> EliminationRecord:
         inputs={"pair": [7, case_m1], "r": 2, "method": "scan+consequence"},
         scan_size=tested,
         survivors=[],
-        verdict=ELIMINATED,
         checks=checks,
     )
 
@@ -637,8 +637,7 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
         lemma_tag="sporadic",
         inputs={"p_lo": plo, "p_hi": phi, "method": "scan+consequence"},
         scan_size=3 + len(p),
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
+        survivors=survivors,
         checks=checks,
         notes=[
             "the three defective-extension groups over q = 9 are excluded "
@@ -655,7 +654,9 @@ def eliminate_sporadic(p_range=None) -> EliminationRecord:
 
 class TransitiveTableRow(NamedTuple):
     """Class data for an element of prescribed order inside both
-    stabilizers, with its fixed-point count on each coset space."""
+    stabilizers, with its fixed-point count on each coset space, and the
+    large cyclic subgroup K of the centralizer with its trace in the
+    stabilizer: [K : K ^ M] recovers the fixed count."""
 
     case_id: int
     subcase: str
@@ -667,40 +668,23 @@ class TransitiveTableRow(NamedTuple):
     centralizer_in_m: str
     fixed: str
     condition: str
+    k_order: str
+    k_meet: str
 
 
 TRANSITIVE_TABLE = (
-    TransitiveTableRow(3, "", "A_5", 2, "q(q+1)/2", "15", "D_{q-1}", "C_2xC_2", "(q-1)/4", "p = 1 (mod 4)"),
-    TransitiveTableRow(4, "", "A_4", 2, "q(q+1)/2", "3", "D_{p-1}", "C_2xC_2", "(p-1)/4", "p = 1 (mod 4)"),
-    TransitiveTableRow(5, "a", "S_4", 3, "p(p+1)", "8", "C_{(p-1)/2}", "C_3", "(p-1)/6", "p = 1 (mod 3)"),
-    TransitiveTableRow(5, "b", "S_4", 3, "p(p-1)", "8", "C_{(p+1)/2}", "C_3", "(p+1)/6", "p = 2 (mod 3)"),
-    TransitiveTableRow(6, "a", "PSL(2,q0)", 2, "q(q-1)/2", "q0(q0-1)/2", "D_{q+1}", "D_{q0+1}", "(q+1)/(q0+1)", "q0 = 3 (mod 4)"),
-    TransitiveTableRow(6, "b", "PSL(2,q0)", 2, "q(q+1)/2", "q0(q0+1)/2", "D_{q-1}", "D_{q0-1}", "(q-1)/(q0-1)", "q0 = 1 (mod 4)"),
-)
-
-
-class CyclicComplementRow:
-    """The large cyclic subgroup K of the centralizer and its trace in the
-    stabilizers: [K : K ^ M] recovers the fixed count.  Immutable, equal
-    and hashed by its fields."""
-
-    __slots__ = ("case_id", "subcase", "centralizer", "k_order", "k_meet", "index", "condition")
-    __eq__, __hash__, __setattr__, __delattr__ = _fields_eq, _fields_hash, _frozen, _frozen
-
-    def __init__(self, case_id: int, subcase: str, centralizer: str, k_order: str, k_meet: str,
-                 index: str, condition: str):
-        values = (case_id, subcase, centralizer, k_order, k_meet, index, condition)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-
-CYCLIC_K_TABLE = (
-    CyclicComplementRow(3, "", "D_{q-1}", "(q-1)/2", "2", "(q-1)/4", "p = 1 (mod 4)"),
-    CyclicComplementRow(4, "", "D_{p-1}", "(p-1)/2", "2", "(p-1)/4", "p = 1 (mod 4)"),
-    CyclicComplementRow(5, "a", "C_{(p-1)/2}", "(p-1)/2", "3", "(p-1)/6", "p = 1 (mod 3)"),
-    CyclicComplementRow(5, "b", "C_{(p+1)/2}", "(p+1)/2", "3", "(p+1)/6", "p = 2 (mod 3)"),
-    CyclicComplementRow(6, "a", "D_{q+1}", "(q+1)/2", "(q0+1)/2", "(q+1)/(q0+1)", "q0 = 3 (mod 4)"),
-    CyclicComplementRow(6, "b", "D_{q-1}", "(q-1)/2", "(q0-1)/2", "(q-1)/(q0-1)", "q0 = 1 (mod 4)"),
+    TransitiveTableRow(3, "", "A_5", 2, "q(q+1)/2", "15", "D_{q-1}", "C_2xC_2", "(q-1)/4", "p = 1 (mod 4)",
+                       "(q-1)/2", "2"),
+    TransitiveTableRow(4, "", "A_4", 2, "q(q+1)/2", "3", "D_{p-1}", "C_2xC_2", "(p-1)/4", "p = 1 (mod 4)",
+                       "(p-1)/2", "2"),
+    TransitiveTableRow(5, "a", "S_4", 3, "p(p+1)", "8", "C_{(p-1)/2}", "C_3", "(p-1)/6", "p = 1 (mod 3)",
+                       "(p-1)/2", "3"),
+    TransitiveTableRow(5, "b", "S_4", 3, "p(p-1)", "8", "C_{(p+1)/2}", "C_3", "(p+1)/6", "p = 2 (mod 3)",
+                       "(p+1)/2", "3"),
+    TransitiveTableRow(6, "a", "PSL(2,q0)", 2, "q(q-1)/2", "q0(q0-1)/2", "D_{q+1}", "D_{q0+1}", "(q+1)/(q0+1)",
+                       "q0 = 3 (mod 4)", "(q+1)/2", "(q0+1)/2"),
+    TransitiveTableRow(6, "b", "PSL(2,q0)", 2, "q(q+1)/2", "q0(q0+1)/2", "D_{q-1}", "D_{q0-1}", "(q-1)/(q0-1)",
+                       "q0 = 1 (mod 4)", "(q-1)/2", "(q0-1)/2"),
 )
 
 
@@ -769,7 +753,6 @@ class ContradictionOutcome(NamedTuple):
 
 def fixed_structure_contradiction(
     p_g: int | None = None,
-    l_g: int | None = None,
     *,
     row: dict | None = None,
     n_omega: int | None = None,
@@ -778,9 +761,9 @@ def fixed_structure_contradiction(
     """Close out a surviving equal-stabilizer scenario via its fixed
     substructure.
 
-    Supply either the fixed counts (|P_g|, |L_g|) directly, or a table
+    Supply either the fixed count |P_g| = |L_g| directly, or a table
     row's `row_values` together with the case's stabilizer index n_omega
-    (`index_formula`), from which they are computed.  The fixed structure
+    (`index_formula`), from which it is computed.  The fixed structure
     must be a subquadrangle with equal parameters; the routine eliminates
     through whichever branch applies: no integer subquadrangle order, a
     non-thick structure that falls to the count pre-check on n_omega, or a
@@ -791,9 +774,8 @@ def fixed_structure_contradiction(
     checks = []
     if p_g is None:
         if row is None or n_omega is None:
-            raise ValueError("need (p_g, l_g) or (row, n_omega)")
+            raise ValueError("need p_g or (row, n_omega)")
         p_g = fixed_count(n_omega, row["class"], row["meet"])
-        l_g = p_g
         checks.append(
             _check(
                 "fixed-count-formula",
@@ -808,10 +790,6 @@ def fixed_structure_contradiction(
                 "[K : K ^ M] equals the fixed count on both sides",
             )
         )
-    if l_g is None:
-        l_g = p_g
-    if p_g != l_g:
-        raise ValueError("scenarios here have equal fixed counts")
     if p_g < 2:
         raise ValueError("inconsistent scenario: fewer than 2 fixed points")
     s_prime = solve_equal_order(p_g)
@@ -873,18 +851,6 @@ def _thick_equal_orders(params, n_of) -> list[tuple[int, int]]:
     return out
 
 
-def _equal_record(case_id, inputs, tested, survivors, checks, notes=()) -> EliminationRecord:
-    return EliminationRecord(
-        lemma_tag=f"case{case_id}-equal",
-        inputs=inputs,
-        scan_size=tested,
-        survivors=sorted(survivors),
-        verdict=ELIMINATED if not survivors else NEEDS_GEOMETRY,
-        checks=checks,
-        notes=list(notes),
-    )
-
-
 def _eliminate_equal_2(q_range) -> EliminationRecord:
     """Both stabilizers a subfield PGL: (s+1)(s^2+1) = q0(q0^2+1)/2.
 
@@ -910,12 +876,12 @@ def _eliminate_equal_2(q_range) -> EliminationRecord:
                        s is None or s < 2, f"(1+s)(1+s^2) = {count(x)}")
             )
     tested = len(q0)
-    return _equal_record(
-        2,
+    return EliminationRecord(
+        "case2-equal",
         {"q0_lo": q_range[0], "q0_hi": q_range[1], "method": "scan"},
         tested,
         survivors,
-        checks,
+        checks=checks,
         notes=[
             "survivor (q, s) = (9, 2) is the construction candidate",
             "q0 >= 7: index-<=q0 subgroups of PGL(2,q0) are only PSL/PGL "
@@ -978,12 +944,12 @@ def _eliminate_equal_345(case_id, q_range) -> EliminationRecord:
         elif x <= 200:
             checks.extend(found)
     tested, endgames = len(q), int(endgame.sum())
-    return _equal_record(
-        case_id,
+    return EliminationRecord(
+        f"case{case_id}-equal",
         {"q_lo": q_range[0], "q_hi": q_range[1], "method": "scan+consequence"},
         tested,
         survivors,
-        checks,
+        checks=checks,
         notes=[f"{endgames} values closed by the fixed-substructure endgame"],
     )
 
@@ -1008,12 +974,12 @@ def _eliminate_equal_6(grid_range) -> EliminationRecord:
         out = fixed_structure_contradiction(row=row_values(6, q, q0=q0), n_omega=n)
         if q <= 50_000:
             checks.extend(out.checks)
-    return _equal_record(
-        6,
+    return EliminationRecord(
+        "case6-equal",
         {"q0_lo": lo, "q0_hi": hi, "r_set": [3, 5, 7], "method": "scan+consequence"},
         tested,
         [],
-        checks[:24],
+        checks=checks[:24],
     )
 
 
@@ -1060,12 +1026,12 @@ def _eliminate_equal_7(grid_range) -> EliminationRecord:
             "candidate counts straddle the target strictly at t = 1 and t = 3",
         )
     )
-    return _equal_record(
-        7,
+    return EliminationRecord(
+        "case7-equal",
         {"q0_lo": lo, "q0_hi": hi, "r_set": [2, 3, 5, 7], "method": "scan+consequence"},
         tested,
         survivors,
-        checks,
+        checks=checks,
     )
 
 
@@ -1136,12 +1102,12 @@ def _eliminate_equal_8(q_range) -> EliminationRecord:
             "no (f, a) solves the even branch",
         )
     )
-    return _equal_record(
-        8,
+    return EliminationRecord(
+        "case8-equal",
         {"q_lo": q_range[0], "q_hi": q_range[1], "method": "scan+consequence"},
         len(q),
         survivors,
-        checks,
+        checks=checks,
     )
 
 
@@ -1152,12 +1118,11 @@ def _eliminate_equal_9(q_range) -> EliminationRecord:
     for the fixed-substructure stage rather than eliminated here."""
     q, _, _ = _admissible(9, q_range)
     survivors = [(x, s, s) for x, s in _thick_equal_orders(q, Q_INDEX[9])]
-    return _equal_record(
-        9,
+    return EliminationRecord(
+        "case9-equal",
         {"q_lo": q_range[0], "q_hi": q_range[1], "method": "scan"},
         len(q),
         survivors,
-        [],
         notes=["survivors go to the fixed-substructure contradiction"],
     )
 
@@ -1191,14 +1156,13 @@ def eliminate_case9_survivor() -> EliminationRecord:
     checks.append(
         _check("centralizer-index", (41 - 1) // 2 == fixed, "[C(g) : C(g) ^ M] = 40/2 = 20, so C(g) is transitive on the fixed points")
     )
-    out = fixed_structure_contradiction(p_g=fixed, l_g=fixed)
+    out = fixed_structure_contradiction(p_g=fixed)
     checks.extend(out.checks)
     return EliminationRecord(
         lemma_tag="case9-q41",
         inputs={"q": q, "s": s, "method": "consequence"},
         scan_size=1,
         survivors=[] if out.verdict == ELIMINATED else [(q, s, s)],
-        verdict=out.verdict,
         checks=checks,
     )
 
@@ -1264,7 +1228,6 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
         inputs={"method": "consequence"},
         scan_size=tested,
         survivors=[],
-        verdict=ELIMINATED,
         checks=checks,
     )
 
@@ -1310,7 +1273,6 @@ def eliminate_case1(sample_q=_CASE1_SAMPLE) -> EliminationRecord:
         inputs={"sample_q": list(sample_q), "method": "consequence"},
         scan_size=len(sample_q),
         survivors=[],
-        verdict=ELIMINATED,
         checks=checks,
         notes=["2-transitivity makes all point pairs collinear-equivalent"],
     )
@@ -1467,7 +1429,6 @@ class VerifierSpec(NamedTuple):
 
     tag: str
     expected_verdict: str
-    description: str
     runner: Callable
     body: Callable | None = None
     default_range: tuple[int, int] | None = None
@@ -1491,7 +1452,7 @@ class VerifierSpec(NamedTuple):
 
 def _pair(i: int, j: int, body, **data) -> VerifierSpec:
     return VerifierSpec(
-        f"case{i}-case{j}", ELIMINATED, f"stabilizer pair (case {i}, case {j})",
+        f"case{i}-case{j}", ELIMINATED,
         lambda rng, workers: eliminate_cross(i, j, rng, workers),
         body=body, pair=(i, j), **data,
     )
@@ -1514,7 +1475,6 @@ def _equal(case_id: int, body, default_range, param="q", **data) -> VerifierSpec
     return VerifierSpec(
         f"case{case_id}-equal",
         NEEDS_GEOMETRY if data.get("expected_survivors") else ELIMINATED,
-        f"equal stabilizers in case {case_id}",
         lambda rng, workers: eliminate_equal(case_id, rng),
         body=body, default_range=default_range, param=param, **data,
     )
@@ -1523,7 +1483,6 @@ def _equal(case_id: int, body, default_range, param="q", **data) -> VerifierSpec
 _ROWS = [
     VerifierSpec(
         "case1-excluded", ELIMINATED,
-        "Borel stabilizers are impossible (2-transitive coset action)",
         lambda rng, workers: eliminate_case1(
             tuple(q for q in _CASE1_SAMPLE if rng[0] <= q <= rng[1])
         ),
@@ -1531,7 +1490,6 @@ _ROWS = [
     ),
     VerifierSpec(
         "sporadic", ELIMINATED,
-        "non-maximal-stabilizer triples: counts 28, 21, 66 and the A4<S4 row",
         lambda rng, workers: eliminate_sporadic(rng),
         default_range=(11, 10_000), param="q", if_empty="keep",
     ),
@@ -1567,17 +1525,14 @@ _ROWS = [
     ),
     VerifierSpec(
         "same-case-nonisomorphic", ELIMINATED,
-        "subfield stabilizers of different degrees",
         lambda rng, workers: eliminate_same_case_nonisomorphic(),
     ),
     VerifierSpec(
         "case9-q41", ELIMINATED,
-        "the (s, q) = (9, 41) survivor dies on its fixed substructure",
         lambda rng, workers: eliminate_case9_survivor(),
     ),
     VerifierSpec(
         "w2-construction", CONFIRMED,
-        "explicit 15-point quadrangle of order 2 at q = 9",
         lambda rng, workers: w2_record(),
         expected_survivors=((9, 2, 2),),
     ),
@@ -1608,14 +1563,19 @@ def registry_hash() -> str:
 # ---------------------------------------------------------------------------
 
 
-class TheoremReport:
-    __slots__ = ("q_max", "records", "confirmed", "ok")
+class VerifyOutcome:
+    """The records one tag ran, in report order; `ok` when every record
+    left exactly its row's expected survivors."""
+
+    __slots__ = ("tag", "expected_verdict", "records", "ok")
     __eq__, __hash__ = _fields_eq, None
 
-    def __init__(self, q_max: int, records: list[EliminationRecord],
-                 confirmed: list[tuple[int, int, int]], ok: bool = True):
-        self.q_max, self.records, self.confirmed = q_max, records, confirmed
-        self.ok = ok  # every record left exactly its row's expected survivors
+    def __init__(self, tag: str, expected_verdict: str, records: list[EliminationRecord], ok: bool):
+        self.tag, self.expected_verdict, self.records, self.ok = tag, expected_verdict, records, ok
+
+    @property
+    def final_verdict(self) -> str:
+        return self.records[-1].verdict
 
 
 def _theorem_ranges(q_max: int):
@@ -1663,10 +1623,11 @@ def _run_rows(plan, workers: int, due=()) -> tuple[list[EliminationRecord], bool
     return records, ok
 
 
-def theorem_driver(q_max: int, workers: int = 1) -> TheoremReport:
-    """Run every registry row with its range capped at q_max and collate.
+def theorem_driver(q_max: int, workers: int = 1) -> VerifyOutcome:
+    """Run every registry row with its range capped at q_max: the outcome
+    `verify` returns for the tag `theorem`.
 
-    The rows run and are judged by `_run_rows`, as in `verify`: the report
+    The rows run and are judged by `_run_rows`, as in `verify`: the outcome
     is ok when each row left all it expects, so the only confirmed example
     is the order-2 quadrangle at q = 9 (constructed and axiom-checked
     whenever q_max >= 9).  With workers > 1 each scan pair splits its
@@ -1676,21 +1637,7 @@ def theorem_driver(q_max: int, workers: int = 1) -> TheoremReport:
     # one build of the prime-power index for the whole run, before the first
     # record, up to the largest q any row's range reads
     spf_sieve(min(max(rng[1] for _, rng in ranges if rng), SIEVE_LIMIT))
-    records, ok = _run_rows(ranges, workers)
-    confirmed = [s for r in records if r.verdict == CONFIRMED for s in r.survivors]
-    return TheoremReport(q_max, records, confirmed, ok)
-
-
-class VerifyOutcome:
-    __slots__ = ("tag", "expected_verdict", "records", "ok")
-    __eq__, __hash__ = _fields_eq, None
-
-    def __init__(self, tag: str, expected_verdict: str, records: list[EliminationRecord], ok: bool):
-        self.tag, self.expected_verdict, self.records, self.ok = tag, expected_verdict, records, ok
-
-    @property
-    def final_verdict(self) -> str:
-        return self.records[-1].verdict
+    return VerifyOutcome(THEOREM, CONFIRMED, *_run_rows(ranges, workers))
 
 
 def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -> VerifyOutcome:
@@ -1704,8 +1651,7 @@ def verify(tag: str, q_range=None, workers: int = 1, q_max: int | None = None) -
     else `eliminated`.  `workers` splits each scan pair's range into
     chunks (see `_run_chunked`)."""
     if tag == THEOREM:
-        report = theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers)
-        return VerifyOutcome(THEOREM, CONFIRMED, report.records, report.ok)
+        return theorem_driver(THEOREM_QMAX if q_max is None else q_max, workers)
     if tag not in VERIFIERS:
         raise KeyError(f"unknown lemma tag {tag!r}")
     row = VERIFIERS[tag]

@@ -1,7 +1,8 @@
 """Command-line entry point: verify, build-w2, export, tables.
 
 Exit codes: 0 = expected verdict reproduced, 1 = verdict mismatch or a
-failed check, 2 = usage error, 3 = a group or table past a fixed size cap
+failed check, 2 = usage error (an `--out` or `--export` path that cannot
+be written is one), 3 = a group or table past a fixed size cap
 (`psl2.ELEMENT_LIMIT` or `gfq.TABLE_LIMIT`).
 
 Reports are emitted as json, csv or text.  JSON reports carry a schema
@@ -14,13 +15,13 @@ runs of the same configuration; progress chatter goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
 
 from . import __version__
 from .classify import (
-    CYCLIC_K_TABLE,
     PAIRS,
     THEOREM,
     THEOREM_QMAX,
@@ -160,12 +161,23 @@ def emit_report(report: dict, fmt: str, stream) -> None:
     stream.write(f"outcome: {'ok' if out.get('ok') else 'MISMATCH'}\n")
 
 
-def _write(report: dict, args) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            emit_report(report, args.format, fh)
-    else:
-        emit_report(report, args.format, sys.stdout)
+class _Unwritable(Exception):
+    """An output path that cannot be written: a usage error (exit 2)."""
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream a command writes to: the file at path, or stdout when
+    path is None.  An OSError from opening, writing or closing the file
+    becomes `_Unwritable` with a one-line message."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +224,8 @@ def cmd_verify(args) -> int:
             "ok": outcome.ok,
         },
     )
-    _write(report, args)
+    with _output(args.out) as stream:
+        emit_report(report, args.format, stream)
     return 0 if outcome.ok else 1
 
 
@@ -236,7 +249,7 @@ def cmd_build_w2(args, export_only: bool = False) -> int:
     res.checks()  # W(2)'s record judges it by the same checks; raises on a failed one
     export_path = getattr(args, "export_path", None) or (args.out if export_only else None)
     if export_path:
-        with open(export_path, "w") as fh:
+        with _output(export_path) as fh:
             export_incidence(res.geometry, fh, v.s, v.t)
         with open(export_path) as fh:
             _read_back(res, fh)
@@ -270,7 +283,8 @@ def cmd_build_w2(args, export_only: bool = False) -> int:
         [],
         outcome,
     )
-    _write(report, args)
+    with _output(args.out) as stream:
+        emit_report(report, args.format, stream)
     return 0
 
 
@@ -342,8 +356,14 @@ def _tables_data() -> dict:
         if pair.note:
             row["note"] = pair.note
         t3.append(row)
-    t4 = [row._asdict() for row in TRANSITIVE_TABLE]
-    t5 = [{name: getattr(row, name) for name in row.__slots__} for row in CYCLIC_K_TABLE]
+    # tables 4 and 5 are two projections of one table: the class data, and
+    # the cyclic K columns with the fixed count as K's index
+    t4 = [dict(zip(row._fields[:-2], row)) for row in TRANSITIVE_TABLE]
+    t5 = [
+        {"case_id": r.case_id, "subcase": r.subcase, "centralizer": r.centralizer,
+         "k_order": r.k_order, "k_meet": r.k_meet, "index": r.fixed, "condition": r.condition}
+        for r in TRANSITIVE_TABLE
+    ]
     return {"1": t1, "2": t2, "3": t3, "4": t4, "5": t5}
 
 
@@ -351,8 +371,7 @@ def cmd_tables(args) -> int:
     data = _tables_data()
     if args.table is not None:
         data = {str(args.table): data[str(args.table)]}
-    stream = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as stream:
         if args.format == "json":
             json.dump({"schema": 1, "version": __version__, "tables": data}, stream, indent=2, sort_keys=True)
             stream.write("\n")
@@ -368,9 +387,6 @@ def cmd_tables(args) -> int:
                 stream.write(f"table {name}\n")
                 for row in rows:
                     stream.write("  " + "  ".join(f"{k}={v}" for k, v in row.items()) + "\n")
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 
@@ -391,6 +407,8 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"MISMATCH: {exc.name} ({exc.detail})", file=sys.stderr)
         return 1
+    except _Unwritable as exc:
+        return _usage(str(exc))
 
 
 def console_main() -> None:

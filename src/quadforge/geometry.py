@@ -254,14 +254,10 @@ def fixed_count(n_omega: int, class_size: int, class_meet_stabilizer: int) -> in
 # ---------------------------------------------------------------------------
 
 
-def export_incidence(geom: IncidenceGeometry, stream, s: int | None = None, t: int | None = None) -> None:
+def export_incidence(geom: IncidenceGeometry, stream, s: int, t: int) -> None:
     """Plain-text incidence list: header `GQ |P| |L| s t`, then one
-    0-indexed `p l` pair per line, sorted, newline-terminated."""
-    if s is None or t is None:
-        verdict = check_gq(geom)
-        if not verdict.is_gq:
-            raise ValueError(f"not a generalized quadrangle: {verdict.violation}")
-        s, t = verdict.s, verdict.t
+    0-indexed `p l` pair per line, sorted, newline-terminated.  The caller
+    gives the order it verified; `parse_incidence` re-checks it."""
     stream.write(f"GQ {geom.n_points} {geom.n_lines} {s} {t}\n")
     for p in range(geom.n_points):
         r = geom.rows[p]

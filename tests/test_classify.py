@@ -74,6 +74,15 @@ def test_record_verdict_survivor_invariant():
         EliminationRecord("x", {}, 1, [(9, 2, 2)], ELIMINATED)
     with pytest.raises(ValueError):
         EliminationRecord("x", {}, 1, [], NEEDS_GEOMETRY)
+    with pytest.raises(ValueError):
+        EliminationRecord("x", {}, 1, [], CONFIRMED)
+
+
+def test_record_derives_its_verdict_and_sorts_its_survivors():
+    assert EliminationRecord("x", {}, 1, []).verdict == ELIMINATED
+    rec = EliminationRecord("x", {}, 1, [(41, 9, 9), (9, 2, 2)])
+    assert rec.verdict == NEEDS_GEOMETRY and rec.survivors == [(9, 2, 2), (41, 9, 9)]
+    assert EliminationRecord("x", {}, 1, [(9, 2, 2)], CONFIRMED).verdict == CONFIRMED
 
 
 def test_record_with_failed_check_raises_verification_error():
@@ -474,7 +483,7 @@ def test_row_values_case6_q27():
 
 
 def test_contradiction_q41_scenario():
-    out = fixed_structure_contradiction(p_g=20, l_g=20)
+    out = fixed_structure_contradiction(p_g=20)
     assert out.verdict == ELIMINATED
     assert out.path == "no-integer-order"
 
@@ -529,9 +538,14 @@ def test_table_row_brute_force_q17_case5():
 # ---------------------------------------------------------------------------
 
 
+def _confirmed(outcome) -> list[tuple[int, int, int]]:
+    return [s for r in outcome.records if r.verdict == CONFIRMED for s in r.survivors]
+
+
 def test_theorem_driver_q100():
     rep = theorem_driver(100)
-    assert rep.confirmed == [(9, 2, 2)]
+    assert rep == verify("theorem", q_max=100)
+    assert _confirmed(rep) == [(9, 2, 2)]
     confirmed_records = [r for r in rep.records if r.verdict == CONFIRMED]
     assert [r.lemma_tag for r in confirmed_records] == ["w2-construction"]
     # method labels distinguish scans from executed consequences
@@ -541,7 +555,7 @@ def test_theorem_driver_q100():
 
 def test_theorem_driver_q8_confirms_nothing():
     rep = theorem_driver(8)
-    assert rep.confirmed == []
+    assert _confirmed(rep) == []
 
 
 def test_theorem_driver_rejects_unaccounted_survivor(monkeypatch):
@@ -709,7 +723,7 @@ def test_equal_case7_full_grid_to_1024():
 def test_theorem_driver_full_published_range():
     # the complete arithmetic verification across every published window
     rep = theorem_driver(108003, workers=4)
-    assert rep.confirmed == [(9, 2, 2)]
+    assert _confirmed(rep) == [(9, 2, 2)]
     for rec in rep.records:
         if rec.verdict != CONFIRMED:
             assert set(rec.survivors) <= {(9, 2, 2), (41, 9, 9)}, rec.lemma_tag

@@ -76,6 +76,24 @@ def test_qmax_rejected_outside_theorem(capsys):
     assert "--qmax applies only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lemma", "case3-case5", "--out"],
+        ["tables", "--out"],
+        ["export", "--out"],
+        ["build-w2", "--export"],
+    ],
+)
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    # a path under a missing directory, and a directory: both exit 2 with
+    # one line, not 1 (a mismatch) with a traceback
+    for path in (tmp_path / "missing" / "x", tmp_path):
+        assert main([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1 and out == ""
+
+
 def test_failed_check_reports_mismatch_and_exits_one(monkeypatch, capsys):
     from types import SimpleNamespace
 
@@ -277,7 +295,7 @@ def _swap_points_0_and_1(flags):
 def test_export_reads_back_what_it_wrote(monkeypatch, capsys, tmp_path, argv, change, why):
     from quadforge import cli, geometry
 
-    def export(geom, stream, s=None, t=None):
+    def export(geom, stream, s, t):
         buf = io.StringIO()
         geometry.export_incidence(geom, buf, s, t)
         header, *flags = buf.getvalue().splitlines()

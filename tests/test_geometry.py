@@ -344,8 +344,9 @@ def test_no_abelian_subgroup_regular_on_points(w2_bundle):
 
 def test_export_parse_roundtrip(w2_bundle):
     geom = w2_bundle.geometry
+    v = check_gq(geom)
     buf = io.StringIO()
-    export_incidence(geom, buf)
+    export_incidence(geom, buf, v.s, v.t)
     text = buf.getvalue()
     lines = text.splitlines()
     assert lines[0] == "GQ 15 15 2 2"
@@ -362,9 +363,10 @@ def test_export_parse_roundtrip(w2_bundle):
 
 def test_export_is_deterministic(w2_bundle):
     geom = w2_bundle.geometry
+    v = check_gq(geom)
     a, b = io.StringIO(), io.StringIO()
-    export_incidence(geom, a)
-    export_incidence(geom, b)
+    export_incidence(geom, a, v.s, v.t)
+    export_incidence(geom, b, v.s, v.t)
     assert a.getvalue() == b.getvalue()
 
 
@@ -433,8 +435,9 @@ def test_every_degree_preserving_switch_of_w2_is_rejected(w2_bundle):
 
 
 def _w2_export(w2_bundle):
+    v = check_gq(w2_bundle.geometry)
     buf = io.StringIO()
-    export_incidence(w2_bundle.geometry, buf)
+    export_incidence(w2_bundle.geometry, buf, v.s, v.t)
     return buf.getvalue().splitlines(keepends=True)
 
 

@@ -18,6 +18,12 @@ THEOREM_SHA256 = {
     2000: "e7d458ceb3e0cbee0d7d7dc819f7ee65d9e50024acf5f9599bf991908c00b940",
 }
 TABLES_SHA256 = "3d6f60ed193c825dcb56cf7dd807de0c1caf9efb3c309e1fb19e529c654dab0a"
+# `tables` as csv and as text, recorded while tables 4 and 5 were still two
+# separate tables: text keeps each row's key order, which JSON sorts away
+TABLES_FORMAT_SHA256 = {
+    "csv": "40c82ed3eed153b86f85eda11b89910f65a7ea3b5ed7d33f571814390c627c4d",
+    "text": "7939b42834b3bc094e9fbc9efacead3033088e5bc36e4cc6a7eb2ea85747d89f",
+}
 # the full published range, recorded before the scans took (p, f) from
 # iter_prime_powers and solved each q by one cube root
 FULL_RANGE_SHA256 = "34f358d0cee9c1d6fed09a97bb159269246e87050067e30236f0730f64c087a3"
@@ -94,6 +100,13 @@ def test_row_report_bytes(tmp_path, tag):
 
 def test_tables_report_bytes(tmp_path):
     assert _sha256_of(["tables"], tmp_path / "t.json") == TABLES_SHA256
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLES_FORMAT_SHA256))
+def test_tables_bytes_in_csv_and_text(tmp_path, fmt):
+    path = tmp_path / f"t.{fmt}"
+    assert main(["tables", "--format", fmt, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLES_FORMAT_SHA256[fmt]
 
 
 def test_build_w2_report_bytes(tmp_path):
