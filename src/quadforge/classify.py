@@ -1320,9 +1320,9 @@ def build_w2() -> W2Result:
 
     spec = psl(9)
     M0 = build_case(2, spec)
-    sqrt = spec.field.array_tables()[4]
-    omega = next(w for w in range(1, spec.q) if sqrt[w] == -1)  # the first non-square
     ig = indexed_group(spec)
+    sqrt = ig.tables[4]
+    omega = next(w for w in range(1, spec.q) if sqrt[w] == -1)  # the first non-square
     M1 = handle_from_ids(spec, _diagonal_twist(ig, M0.ids, omega))
     if M1.ids == M0.ids:
         raise VerificationError("w2-twist", "the twist fixed the subgroup")
@@ -1340,8 +1340,8 @@ def _diagonal_twist(ig, ids, w: int) -> np.ndarray:
     """Ids of the conjugates of `ids` by diag(w, 1), w a field index:
     (a, b; c, d) -> (a, b/w; cw, d).  `ids_of` reads only projective
     images, so the twisted rows need no canonical form."""
-    _, mul, _, inv, _ = ig.spec.field.array_tables()
-    a, b, c, d = ig.spec.element_array()[list(ids)].T
+    _, mul, _, inv, _ = ig.tables
+    a, b, c, d = ig.elements[list(ids)].T
     return ig.ids_of(np.stack([a, mul[b, inv[w]], mul[c, w], d], axis=1))
 
 

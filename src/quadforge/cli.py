@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -180,6 +182,23 @@ def _output(path: str | None):
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse an output path before any work: one that names a directory,
+    or whose directory is missing or not writable.  Raises `_Unwritable`,
+    as `_output` would after the run, and creates no file."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(folder):
+            code = errno.ENOENT
+        elif not os.access(folder, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise _Unwritable(f"cannot write {path}: {os.strerror(code)}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -303,49 +322,19 @@ def _tables_data() -> dict:
         }
         for row in sporadic_table()
     ]
-    t2 = []
-    formulas = {
-        1: "q+1",
-        2: "q0(q0^2+1)/2",
-        3: "q(q^2-1)/120",
-        4: "p(p^2-1)/24",
-        5: "p(p^2-1)/48",
-        6: "q0^(r-1)(q0^(2r)-1)/(q0^2-1)",
-        7: "q0^(r-1)(q0^(2r)-1)/(q0^2-1)",
-        8: "q(q+1)/2",
-        9: "q(q-1)/2",
+    # table 2: per family, its type, index [G:M] and where it is maximal
+    families = {
+        1: ("C_p^f : C_{(q-1)/gcd(2,q-1)}", "q+1", ""),
+        2: ("PGL(2,q0)", "q0(q0^2+1)/2", "q = q0^2 odd"),
+        3: ("A_5", "q(q^2-1)/120", "q = p = +-1 (mod 10), or q = p^2 with p = +-3 (mod 10)"),
+        4: ("A_4", "p(p^2-1)/24", "q = p = +-3 (mod 8), p != +-1 (mod 10)"),
+        5: ("S_4", "p(p^2-1)/48", "q = p = +-1 (mod 8)"),
+        6: ("PSL(2,q0)", "q0^(r-1)(q0^(2r)-1)/(q0^2-1)", "q = q0^r odd, r an odd prime"),
+        7: ("PGL(2,q0)", "q0^(r-1)(q0^(2r)-1)/(q0^2-1)", "q = 2^f = q0^r, r prime, q0 != 2"),
+        8: ("D_{2(q-1)/gcd(2,q-1)}", "q(q+1)/2", "q not in {5, 7, 9, 11}"),
+        9: ("D_{2(q+1)/gcd(2,q-1)}", "q(q-1)/2", "q not in {7, 9}"),
     }
-    conditions = {
-        1: "",
-        2: "q = q0^2 odd",
-        3: "q = p = +-1 (mod 10), or q = p^2 with p = +-3 (mod 10)",
-        4: "q = p = +-3 (mod 8), p != +-1 (mod 10)",
-        5: "q = p = +-1 (mod 8)",
-        6: "q = q0^r odd, r an odd prime",
-        7: "q = 2^f = q0^r, r prime, q0 != 2",
-        8: "q not in {5, 7, 9, 11}",
-        9: "q not in {7, 9}",
-    }
-    types = {
-        1: "C_p^f : C_{(q-1)/gcd(2,q-1)}",
-        2: "PGL(2,q0)",
-        3: "A_5",
-        4: "A_4",
-        5: "S_4",
-        6: "PSL(2,q0)",
-        7: "PGL(2,q0)",
-        8: "D_{2(q-1)/gcd(2,q-1)}",
-        9: "D_{2(q+1)/gcd(2,q-1)}",
-    }
-    for case in range(1, 10):
-        t2.append(
-            {
-                "case": case,
-                "type": types[case],
-                "index": formulas[case],
-                "condition": conditions[case],
-            }
-        )
+    t2 = [{"case": c, "type": t, "index": i, "condition": k} for c, (t, i, k) in families.items()]
     t3 = []
     for (i, j), pair in PAIRS.items():
         row = {"m0_case": i, "m1_case": j}
@@ -400,6 +389,7 @@ def main(argv=None) -> int:
         "tables": cmd_tables,
     }
     try:
+        _check_writable(args.out, getattr(args, "export_path", None))
         return commands[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

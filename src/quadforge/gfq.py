@@ -10,9 +10,9 @@ polynomial of degree at most f/2.
 
 All arithmetic is exact; there is no floating point anywhere in this
 module.  `FieldSpec` and `FieldElement` are immutable after construction
-and safe to share between threads.  Fields with q <= 512 also carry dense
-index-based operation tables, held once as read-only int32 arrays, from
-which the group layer is built.
+and safe to share between threads.  Fields with q <= 512 also have dense
+index-based operation tables, read-only int32 arrays from which the group
+layer is built.  Only the tables of the field asked for last are kept.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from ._ints import factorize, is_prime
 from .errors import MixedFieldError
 
 TABLE_LIMIT = 512
+_last_tables: tuple[FieldSpec, tuple[np.ndarray, ...]] | None = None  # (field, its tables)
 
 
 def _poly_trim(c: list[int]) -> tuple[int, ...]:
@@ -78,8 +79,6 @@ class FieldSpec:
                     cur = [(cur[i] + carry * base[i]) % p for i in range(f)]
                 red.append(tuple(cur))
         self._reduction = red
-        self._elements: tuple[FieldElement, ...] | None = None
-        self._tables = None
 
     # -- representation ------------------------------------------------
 
@@ -155,11 +154,8 @@ class FieldSpec:
         return self.pow_t(a, self.q - 2)
 
     def enumerate(self) -> tuple[FieldElement, ...]:
-        if self._elements is None:
-            self._elements = tuple(
-                FieldElement(self, c) for c in product(range(self.p), repeat=self.f)
-            )
-        return self._elements
+        """Every element, in index order, built on each call and not kept."""
+        return tuple(FieldElement(self, c) for c in product(range(self.p), repeat=self.f))
 
     def primitive_element(self) -> tuple[int, ...]:
         """The first element in enumeration order that generates GF(q)*."""
@@ -173,14 +169,19 @@ class FieldSpec:
 
     def array_tables(self) -> tuple[np.ndarray, ...]:
         """Dense index-based op tables (ADD, MUL, NEG, INV, SQRT) for q <= 512,
-        as read-only int32 arrays, built once and cached.
+        as read-only int32 arrays.  One module-level slot keeps the tables
+        of the field asked for last; another field's tables are released
+        before these are built, so two fields' tables never share the peak.
 
         INV[0] = -1 and SQRT[i] = -1 marks "undefined"/"non-square"; SQRT[i]
         is the least root.  Addition is digit-wise mod p on the base-p index;
         multiplication goes through log/antilog tables of
         `primitive_element()`.
         """
-        if self._tables is None:
+        global _last_tables
+        kept = _last_tables
+        if kept is None or kept[0] is not self:
+            kept = _last_tables = None
             q, p, f = self.q, self.p, self.f
             if q > TABLE_LIMIT:
                 raise ValueError(f"no dense tables for q = {q} > {TABLE_LIMIT}")
@@ -208,8 +209,8 @@ class FieldSpec:
             sqrt[mul[ids, ids]] = np.minimum(ids, neg)  # the roots of x^2 are x and -x
             for t in (add, mul, neg, inv, sqrt):
                 t.flags.writeable = False
-            self._tables = (add, mul, neg, inv, sqrt)
-        return self._tables
+            kept = _last_tables = (self, (add, mul, neg, inv, sqrt))
+        return kept[1]
 
     def int_tables(self):
         """`array_tables()` as Python lists, built on each call and not kept:

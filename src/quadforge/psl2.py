@@ -15,8 +15,11 @@ inverses, orders, classes, closures and cosets all run on id arrays and
 return them: id sets as sorted intp arrays, `coset_labels` as int32 labels
 and intp representatives.  Enumeration is capped at ELEMENT_LIMIT elements.
 
-All values are immutable after construction and safe to share across
-threads.
+`indexed_group` keeps one kernel, that of the group asked for last, and
+the kernel owns its element array and field tables, so memory follows the
+group in hand, not every group built.  Swapping the slot is one
+assignment; the `--workers` threads run arithmetic scans and never touch
+kernels.  A kernel is read-only once built.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ class GroupSpec:
         self.order = q * (q * q - 1) // (g if kind == "PSL" else 1)
         self._one = field.index_of(field.one.coeffs)
         self.identity_t = (self._one, 0, 0, self._one)
-        self._elements_t: list[tuple[int, int, int, int]] | None = None
-        self._element_array: np.ndarray | None = None
 
     def __repr__(self):
         return f"{self.kind}(2,{self.q})"
@@ -62,21 +63,19 @@ class GroupSpec:
         """Product of two matrix 4-tuples as a canonical 4-tuple, read
         through the integer kernel."""
         ig = indexed_group(self)
-        return self.elements_t()[ig.mul_idx(ig.id_of(g), ig.id_of(h))]
+        return tuple(ig.elements[ig.mul_idx(ig.id_of(g), ig.id_of(h))].tolist())
 
     # -- enumeration ------------------------------------------------------
 
     def elements_t(self) -> list[tuple[int, int, int, int]]:
         """All canonical 4-tuples, each once, in sorted order: the rows of
-        `element_array` as tuples."""
-        arr = self.element_array()
-        if self._elements_t is None:
-            self._elements_t = list(zip(*arr.T.tolist()))
-        return self._elements_t
+        `element_array` as tuples, enumerated on each call and not kept."""
+        return list(zip(*self.element_array().T.tolist()))
 
     def element_array(self) -> np.ndarray:
         """All canonical matrices, each once, in sorted order, as a
-        read-only (|G|, 4) uint16 array of field indices.
+        read-only (|G|, 4) uint16 array of field indices, enumerated on each
+        call: the kernel keeps the array it was built from (`elements`).
 
         One numpy batch over the field's int tables, emitted already in
         sorted order.  PSL: every determinant-1 matrix is canonical up to
@@ -92,43 +91,41 @@ class GroupSpec:
         than ELEMENT_LIMIT elements, raises BudgetExceededError before
         anything is built.
         """
-        if self._element_array is None:
-            q = self.q
-            if q > TABLE_LIMIT:
-                raise BudgetExceededError(
-                    f"{self!r} is not enumerable: the enumeration needs dense field "
-                    f"tables, q <= {TABLE_LIMIT}; formula-only mode required"
-                )
-            if self.order > ELEMENT_LIMIT:
-                raise BudgetExceededError(
-                    f"|{self!r}| = {self.order} exceeds the enumeration limit "
-                    f"{ELEMENT_LIMIT}: formula-only mode required"
-                )
-            add, mul, neg, inv, _ = self.field.array_tables()
-            one = self._one
-            r = np.arange(q, dtype=np.int32)
-            rows, cols = r[:, None], r[None, :]
-            if self.kind == "PSL":
-                lead = r[r < neg] if q % 2 else r[1:]
-                b, one_bc = lead[:, None], add[one, mul[rows, cols]]
-                first = _matrix_keys(q, 0, b, neg[inv[b]], cols)
-                rest = (_matrix_keys(q, a, rows, cols, mul[one_bc, inv[a]]) for a in lead)
-            else:
-                first = _matrix_keys(q, 0, one, rows[1:], cols)
-                rest = (_matrix_keys(q, one, b, rows, cols)[cols != mul[b, rows]] for b in r)
-            arr, end, last = np.empty((self.order, 4), dtype=np.uint16), 0, -1
-            for keys in chain([first], rest):
-                keys, start, end = keys.ravel(), end, end + keys.size
-                if end > self.order or np.count_nonzero(np.diff(keys, prepend=last) <= 0):
-                    raise VerificationError("group-enumeration", f"{self!r}: keys out of order")
-                last = keys[-1]
-                for col in (3, 2, 1, 0):
-                    keys, arr[start:end, col] = np.divmod(keys, q)
-            if end != self.order:
-                raise VerificationError("group-enumeration", f"{self!r}: {end} keys, not |G|")
-            arr.flags.writeable = False
-            self._element_array = arr
-        return self._element_array
+        q = self.q
+        if q > TABLE_LIMIT:
+            raise BudgetExceededError(
+                f"{self!r} is not enumerable: the enumeration needs dense field "
+                f"tables, q <= {TABLE_LIMIT}; formula-only mode required"
+            )
+        if self.order > ELEMENT_LIMIT:
+            raise BudgetExceededError(
+                f"|{self!r}| = {self.order} exceeds the enumeration limit "
+                f"{ELEMENT_LIMIT}: formula-only mode required"
+            )
+        add, mul, neg, inv, _ = self.field.array_tables()
+        one = self._one
+        r = np.arange(q, dtype=np.int32)
+        rows, cols = r[:, None], r[None, :]
+        if self.kind == "PSL":
+            lead = r[r < neg] if q % 2 else r[1:]
+            b, one_bc = lead[:, None], add[one, mul[rows, cols]]
+            first = _matrix_keys(q, 0, b, neg[inv[b]], cols)
+            rest = (_matrix_keys(q, a, rows, cols, mul[one_bc, inv[a]]) for a in lead)
+        else:
+            first = _matrix_keys(q, 0, one, rows[1:], cols)
+            rest = (_matrix_keys(q, one, b, rows, cols)[cols != mul[b, rows]] for b in r)
+        arr, end, last = np.empty((self.order, 4), dtype=np.uint16), 0, -1
+        for keys in chain([first], rest):
+            keys, start, end = keys.ravel(), end, end + keys.size
+            if end > self.order or np.count_nonzero(np.diff(keys, prepend=last) <= 0):
+                raise VerificationError("group-enumeration", f"{self!r}: keys out of order")
+            last = keys[-1]
+            for col in (3, 2, 1, 0):
+                keys, arr[start:end, col] = np.divmod(keys, q)
+        if end != self.order:
+            raise VerificationError("group-enumeration", f"{self!r}: {end} keys, not |G|")
+        arr.flags.writeable = False
+        return arr
 
 
 def _matrix_keys(q: int, a, b, c, d) -> np.ndarray:
@@ -138,22 +135,19 @@ def _matrix_keys(q: int, a, b, c, d) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _group(field: FieldSpec, kind: str) -> GroupSpec:
-    return GroupSpec(field, kind)
+def _group(q: int, kind: str) -> GroupSpec:
+    pf = prime_power(q)
+    if pf is None:
+        raise ValueError(f"{q} is not a prime power")
+    return GroupSpec(make_field(*pf), kind)
 
 
 def psl(q: int) -> GroupSpec:
-    pf = prime_power(q)
-    if pf is None:
-        raise ValueError(f"{q} is not a prime power")
-    return _group(make_field(*pf), "PSL")
+    return _group(q, "PSL")
 
 
 def pgl(q: int) -> GroupSpec:
-    pf = prime_power(q)
-    if pf is None:
-        raise ValueError(f"{q} is not a prime power")
-    return _group(make_field(*pf), "PGL")
+    return _group(q, "PGL")
 
 
 # -- conjugacy data ---------------------------------------------------------
@@ -239,15 +233,19 @@ class IndexedGroup:
     `code` maps every such triple back to its id.  The product i*j is then
     row j of `perms` read at _tri[:, i], and products, inverses, orders,
     classes, closures and cosets all run as 1-D gathers from the flattened
-    `perms` and `code`.  Shared, read-only once constructed.
+    `perms` and `code`.  The kernel owns the element array it was built
+    from (`elements`, row i the matrix of id i) and its field's tables
+    (`tables`, as `FieldSpec.array_tables` gives them).  Read-only once
+    constructed.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        E = spec.element_array()
+        self.elements = E = spec.element_array()  # checks the budget first
+        self.tables = spec.field.array_tables()
         self.n = n = len(E)
         q, self.m = spec.q, spec.q + 1
-        self._add, mul, _, inv, _ = spec.field.array_tables()
+        self._add, mul, _, inv, _ = self.tables
         # _div[x*q + y] is the point id of (x:y)
         self._div = np.hstack([np.full((q, 1), q), mul[:, inv[1:]]]).ravel()
         self.perms = perms = self._action_rows(E)
@@ -272,7 +270,7 @@ class IndexedGroup:
         Every row must send 0, 1 and infinity to (c:d), (a+c : b+d) and
         (a:b), which pins it to its own matrix."""
         q, m = self.spec.q, self.m
-        add, mul, neg, inv, _ = self.spec.field.array_tables()
+        add, mul, neg, inv, _ = self.tables
         corners = [0, self.spec._one, q]
         reps = np.flatnonzero(np.where(E[:, 0] != 0, E[:, 2], E[:, 3]) == 0)
         rep_keys = _matrix_keys(q, *E[reps].T)
@@ -363,7 +361,7 @@ class IndexedGroup:
         with the same determinant, block by block (int32, cached).  Every
         x * x^-1 must come out as the identity."""
         if self._inv is None:
-            E, neg = self.spec.element_array(), self.spec.field.array_tables()[2]
+            E, neg = self.elements, self.tables[2]
             inv = np.empty(self.n, dtype=np.int32)
             for rows in _blocks(self.n, 16):  # about 16 intp temporaries per row
                 a, b, c, d = E[rows].T.astype(np.intp)
@@ -569,13 +567,16 @@ def orbit_labels(maps, size: int) -> np.ndarray:
             return lab.astype(np.int32)
 
 
-_INDEXED: dict[tuple[int, str], IndexedGroup] = {}
+_kernel: IndexedGroup | None = None  # the kernel of the group asked for last
 
 
 def indexed_group(spec: GroupSpec) -> IndexedGroup:
-    key = (spec.q, spec.kind)
-    ig = _INDEXED.get(key)
-    if ig is None:
-        ig = IndexedGroup(spec)
-        _INDEXED[key] = ig
+    """The kernel of `spec`, kept until another group's kernel is asked
+    for.  The old kernel is dropped before the new one is built, so two
+    kernels never share the peak, and a build that raises leaves none."""
+    global _kernel
+    ig = _kernel
+    if ig is None or ig.spec is not spec:
+        ig = _kernel = None
+        ig = _kernel = IndexedGroup(spec)
     return ig

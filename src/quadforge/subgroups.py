@@ -278,7 +278,7 @@ def subfield_indices(fld, q0: int) -> list[int]:
 
 def _borel_ids(spec: GroupSpec) -> np.ndarray:
     """The upper triangular elements: canonical rows with c = 0."""
-    return np.flatnonzero(spec.element_array()[:, 2] == 0)
+    return np.flatnonzero(indexed_group(spec).elements[:, 2] == 0)
 
 
 def _subfield_ids(spec: GroupSpec, q0: int, projective: bool) -> np.ndarray:
@@ -290,11 +290,11 @@ def _subfield_ids(spec: GroupSpec, q0: int, projective: bool) -> np.ndarray:
     matrix up to scalars: all of PGL(2,q0), which lies in PSL(2,q0^2)
     because subfield scalars are squares there.  The rows are tested one
     column at a time, each column only on the rows still kept."""
-    rows = spec.element_array()
+    ig = indexed_group(spec)
+    rows, (_, mul, _, inv, _) = ig.elements, ig.tables
     in_sub = np.zeros(spec.q, dtype=bool)
     in_sub[subfield_indices(spec.field, q0)] = True
     if projective:
-        _, mul, _, inv, _ = spec.field.array_tables()
         scale = inv[np.where(rows[:, 0] != 0, rows[:, 0], rows[:, 1])]
     keep = np.arange(len(rows))
     for col in range(4):

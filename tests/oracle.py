@@ -188,7 +188,7 @@ def canonicalize(matrix, kind: str, field: FieldSpec | None = None) -> GroupElem
         raise ValueError("expected a 2x2 matrix")
     if field is None:
         field = next(e.spec for e in flat if isinstance(e, FieldElement))
-    spec = _group(field, kind)
+    spec = _group(field.q, kind)
     t = tuple((e if isinstance(e, FieldElement) else field.element(e)).index for e in flat)
     return wrap(spec, TupleGroup(spec).canonicalize_t(t))
 
@@ -396,7 +396,7 @@ def index_value(row: SporadicTriple, p: int | None = None) -> int:
 
 
 def whole_group_handle(spec: GroupSpec) -> SubgroupHandle:
-    return SubgroupHandle(spec, tuple(range(len(spec.element_array()))))
+    return SubgroupHandle(spec, tuple(range(spec.order)))
 
 
 def conjugate(handle: SubgroupHandle, g: int) -> SubgroupHandle:

@@ -94,6 +94,29 @@ def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
         assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1 and out == ""
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unwritable_output_path_is_refused_before_any_work(monkeypatch, tmp_path, capsys, where):
+    # the run would take seconds (verify) or write and read back the
+    # incidence file first (build-w2): the path is judged before either
+    from quadforge import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "verify", boom)
+    monkeypatch.setattr(cli, "build_w2", boom)
+    bad = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+    good = tmp_path / "w2.inc"
+    for argv in (
+        ["verify", "--lemma", "theorem", "--qmax", "2100000", "--out", str(bad)],
+        ["build-w2", "--export", str(good), "--out", str(bad)],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"cannot write {bad}: ") and err.count("\n") == 1 and out == ""
+        assert not good.exists() and not (tmp_path / "missing").exists()
+
+
 def test_failed_check_reports_mismatch_and_exits_one(monkeypatch, capsys):
     from types import SimpleNamespace
 

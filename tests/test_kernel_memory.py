@@ -4,17 +4,21 @@ NumPy reports its data buffers to tracemalloc, so a traced peak counts
 every array a call builds, as well as the Python objects, and is the same
 on every run.  Each bound is stated in n-sized arrays of the group at
 hand, and each is below what the call would take if it built its result
-as Python lists, or held its temporaries for all n ids at once.
+as Python lists, or held its temporaries for all n ids at once.  Across
+calls, one kernel and one field's tables are kept, those asked for last.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from quadforge import psl2
+from quadforge._ints import prime_power
+from quadforge.errors import BudgetExceededError
 from quadforge.psl2 import indexed_group, pgl, psl
 from quadforge.subgroups import build_case, case_params, small_index_subgroups
 
@@ -94,3 +98,45 @@ def test_lattice_keeps_no_power_table():
     assert [len(h) for h in handles] == [spec.order, spec.order // 2]
     assert ig.n * top * INTP > 1_000_000
     assert peak < 3_000_000
+
+
+def kernel_bytes(ig) -> int:
+    """Bytes of the arrays a kernel owns, its field's tables included."""
+    arrays = {id(a): a for a in [*vars(ig).values(), *ig.tables] if isinstance(a, np.ndarray)}
+    return sum(a.nbytes for a in arrays.values())
+
+
+def test_a_sweep_keeps_one_kernel_and_one_fields_tables():
+    # a cache of every kernel and every field's tables puts the traced
+    # memory at the sum over the sweep: 4.6 times the last kernel's arrays
+    # at q = 31, and over this bound from q = 7 on; the 16 KiB cover the
+    # fields and groups themselves, about 7 KiB at q = 4
+    tracemalloc.start()
+    try:
+        for q in (q for q in range(4, 32) if prime_power(q)):
+            owned = kernel_bytes(indexed_group(psl(q)))
+            assert tracemalloc.get_traced_memory()[0] <= 2 * owned + 16 * 1024, q
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_next_build_releases_the_last_kernel_and_its_fields_tables():
+    ig = indexed_group(psl(23))
+    kernel, add = weakref.ref(ig), weakref.ref(ig.tables[0])
+    del ig
+    indexed_group(psl(25))
+    assert kernel() is None and add() is None
+
+
+def test_repeated_calls_return_the_kept_kernel():
+    spec = psl(13)
+    ig = indexed_group(spec)
+    assert indexed_group(spec) is ig and indexed_group(spec) is ig
+    assert ig.tables is spec.field.array_tables()
+
+
+def test_a_failed_build_keeps_no_kernel():
+    last = weakref.ref(indexed_group(psl(13)))
+    with pytest.raises(BudgetExceededError):
+        indexed_group(psl(317))
+    assert psl2._kernel is None and last() is None

@@ -19,7 +19,7 @@ from oracle import (
 )
 
 import quadforge
-from quadforge import psl2
+from quadforge import gfq, psl2
 from quadforge._ints import prime_power
 from quadforge.errors import BudgetExceededError, VerificationError
 from quadforge.gfq import FieldSpec, make_field
@@ -276,7 +276,8 @@ def test_batch_enumeration_rejects_a_wrong_radix_and_collisions(monkeypatch, kin
 
 def test_budget_exceeded(monkeypatch):
     # both fields have dense tables, but both groups exceed ELEMENT_LIMIT:
-    # the cap fires before any table is read or array built
+    # the cap fires before any table is read (reading one would raise
+    # TypeError here) or array built, and no kernel is kept
     monkeypatch.setattr(FieldSpec, "array_tables", None)
     for spec in (psl(317), pgl(227)):
         assert spec.q <= 512 < psl2.ELEMENT_LIMIT < spec.order
@@ -284,7 +285,8 @@ def test_budget_exceeded(monkeypatch):
             spec.elements_t()
         with pytest.raises(BudgetExceededError, match="exceeds the enumeration limit"):
             indexed_group(spec)
-        assert spec._element_array is None and spec._elements_t is None
+        assert psl2._kernel is None
+        assert gfq._last_tables is None or gfq._last_tables[0] is not spec.field
 
 
 @pytest.mark.parametrize("kind", ["PSL", "PGL"])
@@ -598,8 +600,9 @@ def test_kernel_code_rejects_a_duplicated_element_row(monkeypatch, capsys):
     spec = psl(9)
     bad = spec.element_array().copy()
     bad[1] = bad[0]  # n rows, n - 1 elements
-    monkeypatch.setattr(spec, "_element_array", bad)
-    monkeypatch.setattr(psl2, "_INDEXED", {})
+    real = GroupSpec.element_array  # the kernel build reads its rows from here
+    monkeypatch.setattr(GroupSpec, "element_array", lambda s: bad if s is spec else real(s))
+    monkeypatch.setattr(psl2, "_kernel", None)
     with pytest.raises(VerificationError, match="kernel-code"):
         psl2.IndexedGroup(spec)
     assert main(["build-w2"]) == 1

@@ -249,7 +249,7 @@ def test_id_selections_match_matrix_oracle(q):
     for case in (1, 2, 6, 7):
         for params in case_params(case, q):
             h = build_case(case, spec, **params)
-            rows = {tuple(r) for r in spec.element_array()[list(h.ids)].tolist()}
+            rows = {tuple(r) for r in indexed_group(spec).elements[list(h.ids)].tolist()}
             assert rows == _matrix_oracle(spec, case, params.get("q0")), (case, params)
 
 
@@ -268,7 +268,7 @@ def test_diagonal_twist_matches_canonical_twist(q):
         a, b, c, d = g.matrix
         want.add(canon((a.index, (b / omega).index, (c * omega).index, d.index)))
     got = _diagonal_twist(ig, m0.ids, omega.index)
-    assert {spec.elements_t()[i] for i in got.tolist()} == want
+    assert {tuple(r) for r in ig.elements[got].tolist()} == want
     assert len(got) == len(want) == len(m0)
 
 
@@ -287,7 +287,7 @@ def test_idx_set_reads_ids(psl9, ig9):
 def _kernel_closure(ig, gens):
     """The kernel's closure of oracle elements, as oracle elements."""
     ids = ig.closure_idx(ig.ids_of([g.t for g in gens]).tolist())
-    return tuple(wrap(ig.spec, ig.spec.elements_t()[i]) for i in ids)
+    return tuple(wrap(ig.spec, tuple(ig.elements[i].tolist())) for i in ids)
 
 
 def test_closure_identity(psl9, ig9):
