@@ -50,10 +50,6 @@ class GQVerdict(NamedTuple):
     violation: str | None = None
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _bitmasks(matrix) -> list[int]:
     """Each row of a boolean matrix as an int with bit j set for column j."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
@@ -136,7 +132,7 @@ class IncidenceGeometry:
         self.base_line = int(self.line_label[ig.e])
 
     def flag_count(self) -> int:
-        return sum(_popcount(r) for r in self.rows)
+        return sum(r.bit_count() for r in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +157,10 @@ def _collinearity(rows, cols) -> list[int]:
 def _check_axioms(rows, cols, n_points, n_lines) -> GQVerdict:
     if n_points == 0 or n_lines == 0:
         return GQVerdict(False, None, None, False, "empty point or line set")
-    line_sizes = {_popcount(c) for c in cols}
+    line_sizes = {c.bit_count() for c in cols}
     if len(line_sizes) != 1:
         return GQVerdict(False, None, None, False, "line sizes are not constant")
-    degrees = {_popcount(r) for r in rows}
+    degrees = {r.bit_count() for r in rows}
     if len(degrees) != 1:
         return GQVerdict(False, None, None, False, "point degrees are not constant")
     s = line_sizes.pop() - 1
@@ -174,7 +170,7 @@ def _check_axioms(rows, cols, n_points, n_lines) -> GQVerdict:
     for i in range(n_points):
         ri = rows[i]
         for j in range(i + 1, n_points):
-            if _popcount(ri & rows[j]) > 1:
+            if (ri & rows[j]).bit_count() > 1:
                 return GQVerdict(
                     False, s, t, False, f"points {i},{j} lie on two common lines"
                 )
@@ -183,7 +179,7 @@ def _check_axioms(rows, cols, n_points, n_lines) -> GQVerdict:
         for l in range(n_lines):
             if rows[p] >> l & 1:
                 continue
-            hits = _popcount(cols[l] & coll[p])
+            hits = (cols[l] & coll[p]).bit_count()
             if hits != 1:
                 return GQVerdict(
                     False,
@@ -293,7 +289,7 @@ def parse_incidence(stream):
         rows[p] |= 1 << l
         cols[l] |= 1 << p
         pairs.append((p, l))
-    if any(_popcount(r) != t + 1 for r in rows) or any(_popcount(c) != s + 1 for c in cols):
+    if any(r.bit_count() != t + 1 for r in rows) or any(c.bit_count() != s + 1 for c in cols):
         raise ValueError(f"not every point on {t + 1} lines and every line on {s + 1} points")
     verdict = _check_axioms(rows, cols, n_points, n_lines)
     if not verdict.is_gq:

@@ -227,10 +227,10 @@ class IndexedGroup:
     factorized: every element is tau_t * g0 with tau_t: x -> x + t and g0
     the member with the same first row and c = 0 (or d = 0 when a = 0), so
     row i is row g0 read at x + t.  Only the n/q rows g0 come from the
-    Moebius formula; the rest are one gather each through the translation
-    table.  PGL(2,q) is sharply 3-transitive on PG(1,q), so an element is
-    fixed by its images of 0, 1 and infinity: `_tri[:, i]` holds them and
-    `code` maps every such triple back to its id.  The product i*j is then
+    Moebius formula; the rest are q gathers of them, one per translation.
+    PGL(2,q) is sharply 3-transitive on PG(1,q), so an element is fixed by
+    its images of 0, 1 and infinity: `_tri[:, i]` holds them, read off
+    element i's matrix, and `code` maps every such triple back to its id.  The product i*j is then
     row j of `perms` read at _tri[:, i], and products, inverses, orders,
     classes, closures and cosets all run as 1-D gathers from the flattened
     `perms` and `code`.  The kernel owns the element array it was built
@@ -248,12 +248,8 @@ class IndexedGroup:
         self._add, mul, _, inv, _ = self.tables
         # _div[x*q + y] is the point id of (x:y)
         self._div = np.hstack([np.full((q, 1), q), mul[:, inv[1:]]]).ravel()
-        self.perms = perms = self._action_rows(E)
-        self._tri = np.ascontiguousarray(perms.T[[0, spec._one, q]])  # rows for 1-D gathers
-        self.code = np.full((q + 1,) * 3, -1, dtype=np.int32)
-        self.code[tuple(self._tri)] = np.arange(n, dtype=np.int32)
-        if np.count_nonzero(self.code >= 0) != n:  # two rows share their images of 0, 1, inf
-            raise VerificationError("kernel-code", f"{spec!r}: {n} rows give fewer ids")
+        self._tri, self.code = self._corner_code(E)
+        self.perms = self._action_rows(E)
         self.e = self.id_of(spec.identity_t)
         self._inv: np.ndarray | None = None
         self._orders: np.ndarray | None = None
@@ -261,53 +257,86 @@ class IndexedGroup:
         self._gen_pair: tuple[int, int] | None = None
         self._class_labels: np.ndarray | None = None
 
-    def _action_rows(self, E: np.ndarray) -> np.ndarray:
-        """The (n, q+1) action table.  The rows g0 with c = 0 (a != 0) or
-        d = 0 (a = 0) come from (x:1) -> (xa+c : xb+d), (1:0) -> (a : b).
-        Any g = (a, b; c, d) is tau_t * g0 with t = c/a (or d/b when a = 0)
-        and g0 = (a, b; c - at, d - bt), which keeps g's canonical form; g0
-        is found by its key and row g is row g0 read through `shift[t]`.
-        Every row must send 0, 1 and infinity to (c:d), (a+c : b+d) and
-        (a:b), which pins it to its own matrix."""
-        q, m = self.spec.q, self.m
-        add, mul, neg, inv, _ = self.tables
-        corners = [0, self.spec._one, q]
-        reps = np.flatnonzero(np.where(E[:, 0] != 0, E[:, 2], E[:, 3]) == 0)
-        rep_keys = _matrix_keys(q, *E[reps].T)
-        base = np.empty((reps.size, m), dtype=np.min_scalar_type(q))
-        flat_add, mulq = add.ravel(), mul.astype(np.intp) * q  # mulq[a, x] = (x*a)*q
-        for rows in _blocks(reps.size, m):
-            a, b, c, d = E[reps[rows]].T.astype(np.intp)
-            base[rows, :q] = self._point(
-                flat_add[mulq[a] + c[:, None]], flat_add[mulq[b] + d[:, None]]
-            )
-            base[rows, q] = self._point(a, b)
-        shift, flat = _translations(add), base.ravel()
-        perms = np.empty((self.n, m), dtype=base.dtype)
-        for rows in _blocks(self.n, m):
+    def _corner_code(self, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(_tri, code): _tri[:, i] holds the point ids of (c:d), (a+c : b+d)
+        and (a:b), the images of 0, 1 and infinity under element i = (a, b;
+        c, d), byte-wide, and code[_tri[:, i]] = i (int32, -1 off the group),
+        both read off the element array block by block.  Two elements with
+        one triple would leave fewer than n ids in `code`."""
+        q, n = self.spec.q, self.n
+        add = self.tables[0]
+        tri = np.empty((3, n), dtype=np.min_scalar_type(q))
+        code = np.full((q + 1,) * 3, -1, dtype=np.int32)
+        for rows in _blocks(n, 64):  # about 16 intp temporaries per row: a quarter block
             a, b, c, d = E[rows].T.astype(np.intp)
-            lead = a != 0
-            t = mul[np.where(lead, c, d), inv[np.where(lead, a, b)]]
-            key = _matrix_keys(q, a, b, add[c, neg[mul[a, t]]], add[d, neg[mul[b, t]]])
-            at = np.searchsorted(rep_keys, key) * m
-            perms[rows] = flat[at[:, None] + shift[t]]
-            images = (c, d), (add[a, c], add[b, d]), (a, b)
-            if any((perms[rows, k] != self._point(*xy)).any() for k, xy in zip(corners, images)):
+            tri[:, rows] = images = [
+                self._point(c, d), self._point(add[a, c], add[b, d]), self._point(a, b)
+            ]
+            code.ravel()[self._key(*images)] = np.arange(*rows.indices(n), dtype=np.int32)
+        if np.count_nonzero(code >= 0) != n:
+            raise VerificationError("kernel-code", f"{self.spec!r}: {n} rows give fewer ids")
+        return tri, code
+
+    def _action_rows(self, E: np.ndarray) -> np.ndarray:
+        """The (n, q+1) action table, byte-wide.  Every element is
+        tau_t * g0 = (a, b; c + at, d + bt) for one t and one g0 with c = 0
+        (a != 0) or d = 0 (a = 0), and its row is row g0 read at x + t.
+        The rows g0 come from their matrices (`_formula_rows`, transposed),
+        so one gather of them through `shift[t]` gives the rows of all
+        tau_t * g0 at once, with no index per entry.  Those rows must send
+        0, 1 and infinity to the images of t, t + 1 and infinity under g0,
+        which are where the matrix tau_t * g0 sends them; each row is
+        stored at the id that these images have in `code`, so it acts there
+        as its own matrix, and every id must be stored once."""
+        q, m, one = self.spec.q, self.m, self.spec._one
+        reps = np.flatnonzero(np.where(E[:, 0] != 0, E[:, 2], E[:, 3]) == 0)
+        if reps.size * q != self.n:
+            raise VerificationError("kernel-code", f"{self.spec!r}: {reps.size} rows g0 for {self.n} ids")
+        base, add = self._formula_rows(E[reps]), self.tables[0]
+        perms = np.empty((self.n, m), dtype=base.dtype)
+        key, stored = np.empty(reps.size, dtype=np.intp), np.zeros(self.n, dtype=bool)
+        for t, shift_t in enumerate(_translations(add)):
+            corners = base[shift_t[[0, one, q]]]  # rows tau_t * g0 at 0, 1 and infinity
+            ids = self._id_at(*corners, out=key)
+            if (corners != base[[t, add[t, one], q]]).any() or (ids < 0).any():
                 raise VerificationError(
                     "kernel-code", f"{self.spec!r}: a row does not act as its own matrix"
                 )
+            perms[ids] = base[shift_t].T
+            stored[ids] = True
+        if np.count_nonzero(stored) != self.n:
+            raise VerificationError("kernel-code", f"{self.spec!r}: {self.n} rows fill fewer ids")
         return perms
+
+    def _formula_rows(self, M: np.ndarray) -> np.ndarray:
+        """The rows of the matrices M (k x 4, field indices), transposed:
+        entry [x, i] is the point id of (xa+c : xb+d) for x < q and of
+        (a : b) for x = q (infinity), built one point at a time."""
+        q = self.spec.q
+        add, mul = self.tables[:2]
+        a, b, c, d = M.T.astype(np.intp)
+        out = np.empty((self.m, len(M)), dtype=self._tri.dtype)
+        flat_add, cq, dq = add.ravel(), c * q, d * q
+        for x in range(q):
+            out[x] = self._point(flat_add[cq + mul[x][a]], flat_add[dq + mul[x][b]])
+        out[q] = self._point(a, b)
+        return out
 
     def _point(self, x, y):
         """Point id of (x:y) for field-index arrays x, y."""
         return self._div[x * self.spec.q + y]
 
-    def _id_at(self, i0, i1, i2, out=None) -> np.ndarray:
-        """Ids taking 0, 1, infinity to point ids i0, i1, i2; keyed in place in intp (`out`)."""
-        key = np.multiply(i0, self.m, out=out, dtype=np.intp)  # intp, as uint16 sums wrap
+    def _key(self, i0, i1, i2, out=None) -> np.ndarray:
+        """Flat `code` index of the point-id triples (i0, i1, i2), built in
+        place in intp (`out`), as uint16 sums wrap."""
+        key = np.multiply(i0, self.m, out=out, dtype=np.intp)
         key += i1
         key *= self.m
-        return self.code.ravel()[np.add(key, i2, out=key)]
+        return np.add(key, i2, out=key)
+
+    def _id_at(self, i0, i1, i2, out=None) -> np.ndarray:
+        """Ids taking 0, 1, infinity to point ids i0, i1, i2; keyed in place in intp (`out`)."""
+        return self.code.ravel()[self._key(i0, i1, i2, out)]
 
     def _ids_at(self, a, b, c, d) -> np.ndarray:
         """Ids of the matrices (a, b; c, d) over field-index arrays, -1 for
@@ -356,27 +385,37 @@ class IndexedGroup:
         return int(self.code[row[a], row[b], row[c]])
 
     def inverses(self) -> np.ndarray:
-        """inverses()[i] is the id of element i's inverse, read off the
-        adjugate (d, -b; -c, a), a nonzero multiple of the inverse matrix
-        with the same determinant, block by block (int32, cached).  Every
-        x * x^-1 must come out as the identity."""
+        """inverses()[i] is the id of element i's inverse, read off block by
+        block by `_inverse_ids` (int32, cached)."""
         if self._inv is None:
-            E, neg = self.elements, self.tables[2]
             inv = np.empty(self.n, dtype=np.int32)
             for rows in _blocks(self.n, 16):  # about 16 intp temporaries per row
-                a, b, c, d = E[rows].T.astype(np.intp)
-                inv[rows] = ids = self._ids_at(d, neg[b], neg[c], a)
-                if (ids < 0).any() or (self.mul_ids(np.arange(self.n)[rows], ids) != self.e).any():
-                    raise VerificationError("kernel-inverse", f"{self.spec!r}: x * x^-1 is not 1")
+                inv[rows] = self._inverse_ids(np.arange(*rows.indices(self.n)))
             self._inv = inv
         return self._inv
 
-    def inv_idx(self, i: int) -> int:
-        return int(self.inverses()[i])
+    def _inverse_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Ids of the inverses of the ids `ids`, read off the adjugates
+        (d, -b; -c, a), nonzero multiples of the inverse matrices with the
+        same determinant.  Every x * x^-1 must come out as the identity."""
+        a, b, c, d = self.elements[ids].T.astype(np.intp)
+        neg = self.tables[2]
+        inv = self._ids_at(d, neg[b], neg[c], a)
+        if (inv < 0).any() or (self.mul_ids(ids, inv) != self.e).any():
+            raise VerificationError("kernel-inverse", f"{self.spec!r}: x * x^-1 is not 1")
+        return inv
 
     def conj_ids(self, xs, g) -> np.ndarray:
-        """g^-1 (x g) over broadcast id arrays xs and g: no int32 x g is cast."""
-        return self.mul_ids(self.inverses()[g], self.mul_ids(xs, g))
+        """g^-1 (x g) over broadcast id arrays xs and g, as int32 ids: no
+        int32 x g is cast.  An array g reads its inverses off `inverses()`;
+        a scalar g, while that table is not built, is inverted alone by
+        `_inverse_ids`."""
+        g = np.asarray(g)
+        if g.ndim or self._inv is not None:
+            g_inv = self.inverses()[g]
+        else:
+            g_inv = self._inverse_ids(g.reshape(1))[0]
+        return self.mul_ids(g_inv, self.mul_ids(xs, g))
 
     def transporter(self, gens, target) -> np.ndarray:
         """Ids of every g with g^-1 x g in `target` for each id x in `gens`:
@@ -498,9 +537,17 @@ class IndexedGroup:
         return self._class_labels
 
     def conj_maps(self) -> list[np.ndarray]:
-        """Conjugation by each element of the generating pair, as intp id maps."""
-        ids = np.arange(self.n)
-        return [self.conj_ids(ids, g).astype(np.intp) for g in self.generating_pair()]
+        """Conjugation x -> g^-1 (x g) by each element g of the generating
+        pair, as int32 id maps, block by block, so that only the maps are
+        n-sized; the pair is inverted once, by `_inverse_ids`."""
+        pair = np.array(self.generating_pair())
+        pair_inv = self._inverse_ids(pair)
+        maps = [np.empty(self.n, dtype=np.int32) for _ in pair]
+        for rows in _blocks(self.n, 16):  # about 16 intp temporaries per id
+            ids = np.arange(*rows.indices(self.n))
+            for cm, g, g_inv in zip(maps, pair, pair_inv):
+                cm[rows] = self.mul_ids(g_inv, self.mul_ids(ids, g))
+        return maps
 
     def conjugacy_class(self, i: int) -> np.ndarray:
         """Conjugation orbit of element i under the whole group, as sorted intp ids."""
@@ -522,8 +569,10 @@ class IndexedGroup:
         sub = np.asarray(sub_idxs, dtype=np.intp)
         self.generators_of(sub)
         lab = coset_minima(self, sub)
-        is_rep = lab == np.arange(self.n)
-        return (np.cumsum(is_rep, dtype=np.int32) - 1)[lab], np.flatnonzero(is_rep)
+        is_rep = lab == np.arange(self.n, dtype=np.int32)
+        rank = np.cumsum(is_rep, dtype=np.int32)
+        rank -= 1
+        return rank[lab], np.flatnonzero(is_rep)
 
 
 def coset_minima(ig: IndexedGroup, sub: np.ndarray) -> np.ndarray:
@@ -535,7 +584,7 @@ def coset_minima(ig: IndexedGroup, sub: np.ndarray) -> np.ndarray:
     through them: neighbouring ids share a first row, and for a subgroup
     of the stabilizer of infinity that puts them in few cosets."""
     lab = np.full(ig.n, -1, dtype=np.int32)
-    todo = np.arange(ig.n)
+    todo = np.arange(ig.n, dtype=np.int32)
     step = max(1, _SEED_PRODUCTS // sub.size)
     while todo.size:
         P = ig.mul_ids(sub[:, None], todo[:: -(-todo.size // step)])
@@ -550,21 +599,30 @@ def orbit_labels(maps, size: int) -> np.ndarray:
 
     Min-label propagation with pointer jumping: each round sets
     lab = min(lab, lab[m]) for every map m and then for m = lab, until its
-    sum stops falling.  lab[i] always lies in i's orbit and never grows,
-    so the orbit's least member keeps its own label.  At the fixed point
-    lab <= lab[m] for every m, so lab is constant along each map's cycles,
-    hence on whole orbits, and there it is the least member.  Maps and
-    labels are intp, and every round reuses two label buffers.
+    sum (taken in int64) stops falling.  lab[i] always lies in i's orbit
+    and never grows, so the orbit's least member keeps its own label.  At
+    the fixed point lab <= lab[m] for every m, so lab is constant along
+    each map's cycles, hence on whole orbits, and there it is the least
+    member.  Every map must send range(size) into itself: its min and max
+    are checked once, and a map outside the range raises
+    VerificationError.  Labels are int32 and every round reuses two label
+    buffers.  The maps are read as given (int32 from `conj_maps`), a slice
+    of _CHUNK // 8 ids at a time, as `np.take` copies int32 indices to intp.
     """
-    maps = [np.asarray(m, dtype=np.intp) for m in maps]
-    lab, img = np.arange(size), np.empty(size, dtype=np.intp)
+    maps = [np.asarray(m) for m in maps]
+    for m in maps:
+        if m.shape != (size,) or (size and (m.min() < 0 or m.max() >= size)):
+            raise VerificationError("orbit-map", f"a map on range({size}) takes a value outside it")
+    lab, img = np.arange(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    step = _CHUNK // 8
     while True:
-        total = int(lab.sum())
+        total = int(lab.sum(dtype=np.int64))
         for m in maps + [lab]:  # lab last: pointer jumping, as lab[lab] <= lab
-            np.take(lab, m, out=img, mode="clip")  # ids in range: no bounds pass
+            for s in range(0, size, step):  # ids checked in range: no bounds pass
+                np.take(lab, m[s : s + step], out=img[s : s + step], mode="clip")
             np.minimum(lab, img, out=lab)
-        if lab.sum() == total:
-            return lab.astype(np.int32)
+        if lab.sum(dtype=np.int64) == total:
+            return lab
 
 
 _kernel: IndexedGroup | None = None  # the kernel of the group asked for last

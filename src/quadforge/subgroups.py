@@ -339,7 +339,8 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
     ys = np.flatnonzero(orders == 2)
     if m != 2:
         ys = ys[~members[ys]]
-    hits = ys[ig.conj_ids(x, ys) == ig.inv_idx(x)]
+    xy = ig.mul_ids(x, ys)
+    hits = ys[ig.mul_ids(xy, xy) == ig.e]  # an involution y inverts x iff (xy)^2 = 1
     if not hits.size:  # exists by structure
         raise VerificationError("inverting-involution", f"none for an order-{m} element of {spec!r}")
     y = int(hits[0])
@@ -381,11 +382,12 @@ def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | No
 
 def _orbit(idxs: np.ndarray, conj_maps) -> dict[bytes, np.ndarray]:
     """The conjugates of a subgroup given as a sorted intp id array, keyed
-    by their bytes, the subgroup itself first."""
+    by their bytes, the subgroup itself first; the int32 images under the
+    maps `conj_maps` are widened to intp, so that equal sets share a key."""
     out = {idxs.tobytes(): idxs}
     for sub in (todo := [idxs]):
         for cm in conj_maps:
-            img = np.sort(cm[sub])
+            img = np.sort(cm[sub]).astype(np.intp)
             if out.setdefault(img.tobytes(), img) is img:
                 todo.append(img)
     return out
@@ -422,7 +424,7 @@ def small_index_subgroups(spec: GroupSpec, bound: int) -> list[SubgroupHandle]:
         powers[k] = ig.mul_ids(cyc_gen, powers[k - 1])
     cyc_members = [np.sort(powers[:o, c]) for c, o in enumerate(orders[cyc_gen].tolist())]
     del powers
-    cyc_index = np.full(n, -1, dtype=np.intp)
+    cyc_index = np.full(n, -1, dtype=np.int32)  # maps of cyclic subgroups at id width
     cyc_index[cyc_gen] = np.arange(cyc_gen.size)
 
     def least_in_orbits(gens) -> np.ndarray:
@@ -491,7 +493,8 @@ def is_dihedral(handle: SubgroupHandle) -> bool:
         return False
     x = int(xs[0])
     ys = ids[(orders == 2) & ~ig.mask(ig.closure_idx((x,)))[ids]]
-    return bool((ig.conj_ids(x, ys) == ig.inv_idx(x)).any())
+    xy = ig.mul_ids(x, ys)
+    return bool((ig.mul_ids(xy, xy) == ig.e).any())  # an involution y inverts x iff (xy)^2 = 1
 
 
 def dihedral_involution_count(order: int) -> int:

@@ -40,7 +40,7 @@ from quadforge._ints import prime_power
 from quadforge.classify import PAIRS, EliminationRecord
 from quadforge.errors import VerificationError
 from quadforge.feasibility import GQOrder, StabilizerBounds
-from quadforge.geometry import IncidenceGeometry, _check_axioms, _collinearity, _popcount
+from quadforge.geometry import IncidenceGeometry, _check_axioms, _collinearity
 from quadforge.gfq import FieldElement, FieldSpec
 from quadforge.psl2 import GroupSpec, _group, indexed_group
 from quadforge.subgroups import (
@@ -658,7 +658,7 @@ def _grid_params(rows, cols):
     n_points, n_lines = len(rows), len(cols)
     if n_points == 0 or n_lines < 2:
         return None
-    if any(_popcount(r) != 2 for r in rows):
+    if any(r.bit_count() != 2 for r in rows):
         return None
     # family A: line 0 and the lines disjoint from it; B: the rest
     fam_a = [l for l in range(n_lines) if l == 0 or not (cols[l] & cols[0])]
@@ -672,13 +672,13 @@ def _grid_params(rows, cols):
                     return None
     for la in fam_a:
         for lb in fam_b:
-            if _popcount(cols[la] & cols[lb]) != 1:
+            if (cols[la] & cols[lb]).bit_count() != 1:
                 return None
     if n_points != len(fam_a) * len(fam_b):
         return None
-    if any(_popcount(cols[l]) != len(fam_b) for l in fam_a):
+    if any(cols[l].bit_count() != len(fam_b) for l in fam_a):
         return None
-    if any(_popcount(cols[l]) != len(fam_a) for l in fam_b):
+    if any(cols[l].bit_count() != len(fam_a) for l in fam_b):
         return None
     s1, s2 = sorted((len(fam_a) - 1, len(fam_b) - 1))
     return s1, s2

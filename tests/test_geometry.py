@@ -80,7 +80,7 @@ def test_double_cosets_partition_and_meets(w2_bundle):
     for dc in dcs:
         # oracle: compute |M1 ^ h^-1 M0 h| directly
         h = dc.rep
-        hin = ig.inv_idx(h)
+        hin = ig.inverses().item(h)
         conj = {ig.mul_idx(ig.mul_idx(hin, m), h) for m in m0}
         assert len(conj & m1) == dc.meet_order
         assert dc.size * dc.meet_order == len(m0) * len(m1)

@@ -64,12 +64,21 @@ def test_orders_walk_block_by_block(q):
 
 @pytest.mark.parametrize("q", [41, 47])
 def test_class_labels_reuse_their_buffers(q):
-    # two intp conjugation maps and two label buffers, with the products
-    # that build the maps; fresh labels on every round take 68 bytes per id
+    # two int32 conjugation maps and two int32 label buffers (16 bytes per
+    # id), with the products that build the maps taken block by block; intp
+    # maps and labels, with the maps built whole, take 40 bytes per id, and
+    # fresh labels on every round 68
     fresh = psl2.IndexedGroup(psl(q))
     labels, peak = traced_peak(fresh.class_labels)
     assert labels.dtype == np.int32
-    assert peak < 6 * INTP * fresh.n
+    assert peak < 2.5 * INTP * fresh.n
+
+
+def test_class_labels_build_no_inverse_table():
+    # conjugation by the generating pair inverts two elements, not all n
+    fresh = psl2.IndexedGroup(psl(41))
+    fresh.class_labels()
+    assert fresh._inv is None
 
 
 def test_coset_labels_build_no_python_list(ig41):
@@ -104,6 +113,15 @@ def kernel_bytes(ig) -> int:
     """Bytes of the arrays a kernel owns, its field's tables included."""
     arrays = {id(a): a for a in [*vars(ig).values(), *ig.tables] if isinstance(a, np.ndarray)}
     return sum(a.nbytes for a in arrays.values())
+
+
+@pytest.mark.parametrize("q", [31, 47])
+def test_a_kernel_build_holds_its_arrays_and_less_than_half_a_block(q):
+    # the action table is gathered one translation at a time, with no index
+    # per entry; a rows x (q+1) intp index per block of _CHUNK entries puts
+    # the build 0.78 blocks over the kept arrays at q = 47 and 1.5 at q = 31
+    ig, peak = traced_peak(lambda: psl2.IndexedGroup(psl(q)))
+    assert peak < kernel_bytes(ig) + INTP * psl2._CHUNK // 2
 
 
 def test_a_sweep_keeps_one_kernel_and_one_fields_tables():

@@ -503,7 +503,7 @@ def test_kernel_ids_products_inverses_orders_cayley(kind, q):
     assert ig.mul_ids(xs, ys).tolist() == want
     if ig.n <= 1000:
         assert ig.cayley().ravel().tolist() == want
-    assert [ig.inv_idx(i) for i in elements] == [index[group.inv_t(els[i])] for i in elements]
+    assert [ig.inverses().item(i) for i in elements] == [index[group.inv_t(els[i])] for i in elements]
     orders = ig.orders()
     assert [orders[i] for i in elements] == [group.order_t(els[i]) for i in elements]
 
@@ -589,7 +589,7 @@ def test_mul_ids_by_a_scalar_row_just_under_the_uint16_limit():
     want = ig.ids_of([group.mul_t(el(x), el(y)) for x in xs]).tolist()
     assert ig.mul_ids(xs, y).tolist() == want
     assert ig.mul_ids(xs, np.intp(y)).tolist() == want
-    yi = el(ig.inv_idx(y))
+    yi = el(ig.inverses().item(y))
     conj = ig.ids_of([group.mul_t(group.mul_t(yi, el(x)), el(y)) for x in xs]).tolist()
     assert ig.conj_ids(xs, y).tolist() == conj
 
@@ -666,6 +666,26 @@ def test_inverse_check_rejects_one_planted_wrong_entry(monkeypatch):
     monkeypatch.setattr(ig, "_ids_at", planted)
     with pytest.raises(VerificationError, match="kernel-inverse"):
         ig.inverses()
+
+
+def test_conjugation_by_one_element_inverts_only_that_element(monkeypatch):
+    ig = psl2.IndexedGroup(psl(13))
+    xs, g = np.arange(ig.n), 17
+    alone = ig.conj_ids(xs, g)
+    assert alone.dtype == np.int32 and ig._inv is None  # no table for one inverse
+    assert alone.tolist() == ig.mul_ids(ig.inverses()[g], ig.mul_ids(xs, g)).tolist()
+    assert ig.conj_ids(xs, g).tolist() == alone.tolist()  # the table, once built
+    fresh = psl2.IndexedGroup(psl(13))
+    ids_at = fresh._ids_at
+
+    def planted(*entries):  # the adjugate of g read as that of another element
+        ids = ids_at(*entries)
+        ids[0] = (ids[0] + 1) % fresh.n
+        return ids
+
+    monkeypatch.setattr(fresh, "_ids_at", planted)
+    with pytest.raises(VerificationError, match="kernel-inverse"):
+        fresh.conj_ids(xs, g)
 
 
 def test_orders_walk_stops_on_a_corrupt_row():
@@ -814,6 +834,29 @@ def test_kernel_check_rejects_a_labelling_stopped_after_one_round(monkeypatch):
     fresh = psl2.IndexedGroup(spec)
     bad = kernel_mismatches(spec, fresh)
     assert "all_classes" not in bad and any(b.startswith("coset_labels") for b in bad)
+
+
+OUT_OF_RANGE_MAPS = [[1, 0, 3, 2, -1, 5], [1, 0, 3, 2, 9, 5]]
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE_MAPS)
+def test_orbit_labels_refuse_a_map_out_of_range(bad):
+    # clipped into range, -1 puts id 4 in id 0's orbit (labels 0 0 2 2 0 5)
+    # and 9 passes for a permutation
+    assert psl2.orbit_labels([[1, 0, 3, 2, 5, 4]], 6).tolist() == [0, 0, 2, 2, 4, 4]
+    with pytest.raises(VerificationError, match="orbit-map"):
+        psl2.orbit_labels([[0, 1, 2, 3, 4, 5], bad], 6)
+
+
+@pytest.mark.parametrize("past", [-1, 3])
+def test_class_labels_refuse_a_conjugation_map_out_of_range(monkeypatch, past):
+    ig = psl2.IndexedGroup(psl(9))
+    maps = ig.conj_maps()
+    assert all(cm.dtype == np.int32 for cm in maps)
+    maps[1][4] = past if past < 0 else ig.n - 1 + past
+    monkeypatch.setattr(ig, "conj_maps", lambda: maps)
+    with pytest.raises(VerificationError, match="orbit-map"):
+        ig.class_labels()
 
 
 def test_coset_generators_must_close_to_the_subgroup(ig9):

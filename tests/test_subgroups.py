@@ -29,6 +29,7 @@ from oracle import (
 )
 
 from quadforge._ints import factorize, iter_prime_powers
+from quadforge.errors import VerificationError
 from quadforge.psl2 import indexed_group, pgl, psl
 from quadforge.subgroups import (
     _orbit,
@@ -153,11 +154,11 @@ def test_sporadic_m0_exists_in_socle():
         for n in wanted:
             m = n // 2
             x = next(i for i in range(ig.n) if orders[i] == m)
-            xin = ig.inv_idx(x)
+            xin = ig.inverses().item(x)
             y = next(
                 i
                 for i in range(ig.n)
-                if orders[i] == 2 and ig.mul_idx(ig.mul_idx(ig.inv_idx(i), x), i) == xin
+                if orders[i] == 2 and ig.mul_idx(ig.mul_idx(ig.inverses().item(i), x), i) == xin
             )
             sub = ig.closure_idx((x, y))
             assert len(sub) == n
@@ -417,6 +418,23 @@ def test_small_index_pgl27():
     assert sorted(len(s) for s in subs) == [168, 336]
     low = next(s for s in subs if len(s) == 168)
     assert all(is_psl_member(g) for g in elements(low))
+
+
+@pytest.mark.parametrize("past", [-1, 3])
+def test_lattice_orbit_maps_out_of_range_are_refused(monkeypatch, past):
+    from quadforge import subgroups
+
+    real = subgroups.orbit_labels
+
+    def one_entry_out(maps, size):  # a cyclic subgroup sent to -1 or past the last one
+        maps = [m.copy() for m in maps]
+        assert maps[0].dtype == np.int32
+        maps[0][4] = past if past < 0 else size - 1 + past
+        return real(maps, size)
+
+    monkeypatch.setattr(subgroups, "orbit_labels", one_entry_out)
+    with pytest.raises(VerificationError, match="orbit-map"):
+        small_index_subgroups(pgl(7), 7)
 
 
 def _all_pairs_lattice(ig):
