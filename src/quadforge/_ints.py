@@ -173,33 +173,31 @@ def spf_sieve(limit: int) -> None:
     """Build the shared prime-power index up to `limit`.
 
     The process keeps one index (see `_INDEX`); it grows only, so a request
-    at or below the limit it already covers does nothing.  The primes come
-    from a sieve of Eratosthenes on a bool array, and the higher powers by
-    repeated multiplication of the primes up to isqrt(limit); the rows are
-    sorted once.  (The name is kept for perfbench/tracer.py, which looks it
-    up until the benchmark is re-pointed: ROADMAP item 1.)"""
+    at or below the limit it already covers does nothing.  One int8 array
+    marks the primes by a sieve of Eratosthenes and then each higher power
+    p**f with its exponent f, so its nonzero entries are the q in order and
+    no rows need sorting.  (The name is kept for perfbench/tracer.py, which
+    looks it up until the benchmark is re-pointed: ROADMAP item 1.)"""
     global _INDEX
     if limit <= _INDEX[0]:
         return
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
+    sieve = np.ones(limit + 1, dtype=np.int8)  # 1 at each prime, f at each p**f
+    sieve[:2] = 0
+    root = math.isqrt(limit)
+    for i in range(2, root + 1):
         if sieve[i]:
-            sieve[i * i :: i] = False
-    primes = np.flatnonzero(sieve)
-    q, p, f = [primes], [primes], [np.ones_like(primes)]
-    base = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")]
-    power, k = base * base, 2
-    while len(base):  # power <= limit * isqrt(limit) < 2**63
-        keep = power <= limit
-        base, power = base[keep], power[keep]
-        q.append(power)
-        p.append(base)
-        f.append(np.full_like(base, k))
-        power, k = power * base, k + 1
-    q, p, f = (np.concatenate(c) for c in (q, p, f))
-    order = np.argsort(q)
-    _INDEX = (limit, *(memoryview(c[order].astype(np.int32)) for c in (q, p, f)))
+            sieve[i * i :: i] = 0
+    base = {}  # p for each p**f with f >= 2
+    for b in np.flatnonzero(sieve[: root + 1]).tolist():
+        power, k = b * b, 2
+        while power <= limit:
+            sieve[power], base[power] = k, b
+            power, k = power * b, k + 1
+    q = np.flatnonzero(sieve).astype(np.int32)
+    f = sieve[q].astype(np.int32)
+    p = q.copy()
+    p[np.searchsorted(q, list(base))] = list(base.values())
+    _INDEX = (limit, *map(memoryview, (q, p, f)))
 
 
 def factorize_sieved(n: int, spf) -> dict[int, int]:

@@ -408,13 +408,9 @@ class IndexedGroup:
     def conj_ids(self, xs, g) -> np.ndarray:
         """g^-1 (x g) over broadcast id arrays xs and g, as int32 ids: no
         int32 x g is cast.  An array g reads its inverses off `inverses()`;
-        a scalar g, while that table is not built, is inverted alone by
-        `_inverse_ids`."""
+        a scalar g is inverted alone by `_inverse_ids`."""
         g = np.asarray(g)
-        if g.ndim or self._inv is not None:
-            g_inv = self.inverses()[g]
-        else:
-            g_inv = self._inverse_ids(g.reshape(1))[0]
+        g_inv = self.inverses()[g] if g.ndim else self._inverse_ids(g.reshape(1))[0]
         return self.mul_ids(g_inv, self.mul_ids(xs, g))
 
     def transporter(self, gens, target) -> np.ndarray:
@@ -538,15 +534,14 @@ class IndexedGroup:
 
     def conj_maps(self) -> list[np.ndarray]:
         """Conjugation x -> g^-1 (x g) by each element g of the generating
-        pair, as int32 id maps, block by block, so that only the maps are
-        n-sized; the pair is inverted once, by `_inverse_ids`."""
-        pair = np.array(self.generating_pair())
-        pair_inv = self._inverse_ids(pair)
+        pair, as int32 id maps, block by block through `conj_ids`, so that
+        only the maps are n-sized."""
+        pair = self.generating_pair()
         maps = [np.empty(self.n, dtype=np.int32) for _ in pair]
         for rows in _blocks(self.n, 16):  # about 16 intp temporaries per id
             ids = np.arange(*rows.indices(self.n))
-            for cm, g, g_inv in zip(maps, pair, pair_inv):
-                cm[rows] = self.mul_ids(g_inv, self.mul_ids(ids, g))
+            for cm, g in zip(maps, pair):
+                cm[rows] = self.conj_ids(ids, g)
         return maps
 
     def conjugacy_class(self, i: int) -> np.ndarray:

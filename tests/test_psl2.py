@@ -674,7 +674,6 @@ def test_conjugation_by_one_element_inverts_only_that_element(monkeypatch):
     alone = ig.conj_ids(xs, g)
     assert alone.dtype == np.int32 and ig._inv is None  # no table for one inverse
     assert alone.tolist() == ig.mul_ids(ig.inverses()[g], ig.mul_ids(xs, g)).tolist()
-    assert ig.conj_ids(xs, g).tolist() == alone.tolist()  # the table, once built
     fresh = psl2.IndexedGroup(psl(13))
     ids_at = fresh._ids_at
 
