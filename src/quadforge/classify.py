@@ -335,7 +335,7 @@ def _eliminate_2_6(q_cap: int = 10**12) -> EliminationRecord:
                     # the bound would allow this instance: solve it exactly
                     q = q1**r
                     q0 = math.isqrt(q)
-                    nP = index_formula(2, q, q0=q0)
+                    nP = index_formula(2, q, q0=q0, r=2)
                     nL = index_formula(6, q, q0=q1, r=r)
                     for cand in _feasible_orders(nP, nL):
                         survivors.append((q, cand.s, cand.t))
@@ -358,22 +358,21 @@ def _eliminate_2_6(q_cap: int = 10**12) -> EliminationRecord:
     )
 
 
-def _subfield_pair_instances(case_m0: int, q0_lo: int, q0_hi: int, rs=(3, 5, 7)):
-    """(q0, r) grid for the subfield point-stabilizer cases 6 and 7."""
-    for q0 in range(q0_lo, q0_hi + 1):
+# the exponents r of a subfield grid: the odd primes below 11, where the
+# cube bound fails (`cube-bound-kills-r11-*`)
+_GRID_R = (3, 5, 7)
+
+
+def _subfield_grid(case_id: int, q0_range, rs=_GRID_R):
+    """(q0, r, q = q0^r) for each q0 in q0_range and r in rs that family
+    case_id admits (`subfield_pairs`), by ascending q0, then r.  Each q0
+    is looked up in the prime-power index once, and q is decomposed
+    through it."""
+    for q0 in range(q0_range[0], q0_range[1] + 1):
         pf = prime_power(q0)
-        if pf is None:
-            continue
-        if case_m0 == 6 and q0 % 2 == 0:
-            continue
-        if case_m0 == 7 and (pf[0] != 2 or q0 < 4):
-            continue
-        for r in rs:
-            yield q0, r
-
-
-def _psl_subfield_order(q0: int, even: bool) -> int:
-    return q0 * (q0 * q0 - 1) // (1 if even else 2)
+        for r in rs if pf else ():
+            if case_condition_at(case_id, q0**r, pf[0], pf[1] * r, q0=q0, r=r):
+                yield q0, r, q0**r
 
 
 def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> EliminationRecord:
@@ -384,12 +383,7 @@ def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> Eliminati
     checks = []
     survivors = []
     tested = 0
-    even = case_m0 == 7
-    sign = -1 if case_m1 == 8 else +1  # |M1| = 2(q-1)/gcd or 2(q+1)/gcd
-    for q0, r in _subfield_pair_instances(case_m0, q0_lo, q0_hi):
-        q = q0**r
-        if not case_condition(case_m1, q, q0=q0, r=r):
-            continue
+    for q0, r, q in _subfield_grid(case_m0, (q0_lo, q0_hi)):
         tested += 1
         # exact solve of the two count equations with all filters
         nP = index_formula(case_m0, q, q0=q0, r=r)
@@ -397,22 +391,20 @@ def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> Eliminati
         for cand in _feasible_orders(nP, nL):
             survivors.append((q, cand.s, cand.t))
     # r >= 11 is impossible: the cube bound already fails at r = 11
-    for q0 in (q0_lo, 3 if not even else 4, q0_hi):
-        if prime_power(q0) is None or (even and q0 % 2) or (not even and q0 % 2 == 0):
-            continue
+    for q0 in (q0_lo, 3 if case_m0 == 6 else 4, q0_hi):
         q = q0**11
-        m1_order = 2 * (q + sign) // (1 if even else 2)
-        bounds = stabilizer_bounds(
-            q * (q * q - 1) // (1 if even else 2), _psl_subfield_order(q0, even)
-        )
+        if not case_condition(case_m0, q, q0=q0, r=11):
+            continue
+        order = q * (q * q - 1) // math.gcd(2, q - 1)  # |X| = |PSL(2,q)|
+        bounds = stabilizer_bounds(order, order // index_formula(case_m0, q, q0=q0, r=11))
         checks.append(
             _check(
                 f"cube-bound-kills-r11-q0={q0}",
-                not bounds.upper_ok(m1_order),
+                not bounds.upper_ok(order // index_formula(case_m1, q, q0=q0, r=11)),
                 f"|M1|^4 >= |M0|^3 |X| at (q0, r) = ({q0}, 11)",
             )
         )
-    if case_m1 == 8 and not even:
+    if (case_m0, case_m1) == (6, 8):
         # the three r-branch endgames for the odd subfield case
         checks.append(
             _check(
@@ -469,7 +461,7 @@ def _eliminate_subfield_vs_dihedral(case_m0, case_m1, q0_lo, q0_hi) -> Eliminati
             "pair": [case_m0, case_m1],
             "q0_lo": q0_lo,
             "q0_hi": q0_hi,
-            "r_set": [3, 5, 7],
+            "r_set": list(_GRID_R),
             "method": "scan+consequence",
         },
         scan_size=tested,
@@ -497,8 +489,6 @@ def _eliminate_7_r2(case_m1: int) -> EliminationRecord:
     for n in (2, 3):
         q0 = 2**n
         q = q0 * q0
-        if not case_condition(case_m1, q):
-            continue
         tested += 1
         nP = index_formula(7, q, q0=q0, r=2)
         nL = index_formula(case_m1, q)
@@ -965,10 +955,7 @@ def _eliminate_equal_6(grid_range) -> EliminationRecord:
     lo, hi = grid_range
     tested = 0
     checks = []
-    for q0, r in _subfield_pair_instances(6, lo, hi):
-        q = q0**r
-        if not case_condition(6, q, q0=q0, r=r):
-            continue
+    for q0, r, q in _subfield_grid(6, grid_range):
         tested += 1
         n = index_formula(6, q, q0=q0, r=r)
         out = fixed_structure_contradiction(row=row_values(6, q, q0=q0), n_omega=n)
@@ -976,7 +963,7 @@ def _eliminate_equal_6(grid_range) -> EliminationRecord:
             checks.extend(out.checks)
     return EliminationRecord(
         "case6-equal",
-        {"q0_lo": lo, "q0_hi": hi, "r_set": [3, 5, 7], "method": "scan+consequence"},
+        {"q0_lo": lo, "q0_hi": hi, "r_set": list(_GRID_R), "method": "scan+consequence"},
         tested,
         [],
         checks=checks[:24],
@@ -996,10 +983,8 @@ def _eliminate_equal_7(grid_range) -> EliminationRecord:
     checks = []
     parity_ok = True
     order_split_ok = True
-    for q0, r in _subfield_pair_instances(7, lo, hi, rs=(2, 3, 5, 7)):
-        q = q0**r
-        if not case_condition(7, q, q0=q0, r=r):
-            continue
+    rs = (2, *_GRID_R)
+    for q0, r, q in _subfield_grid(7, grid_range, rs):
         if q > 2**40:
             continue
         tested += 1
@@ -1028,7 +1013,7 @@ def _eliminate_equal_7(grid_range) -> EliminationRecord:
     )
     return EliminationRecord(
         "case7-equal",
-        {"q0_lo": lo, "q0_hi": hi, "r_set": [2, 3, 5, 7], "method": "scan+consequence"},
+        {"q0_lo": lo, "q0_hi": hi, "r_set": list(rs), "method": "scan+consequence"},
         tested,
         survivors,
         checks=checks,
@@ -1189,13 +1174,8 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
             q = m ** (r0 * r1)
             q0, q1 = m**r1, m**r0
             for qi in (q0, q1):
-                sign = 1 if qi % 4 == 3 else -1  # q mod 4 = qi mod 4 on odd towers
-                fixed = (q + sign) // (qi + sign)
-                k_order = (q + sign) // 2
-                k_meet = (qi + sign) // 2
-                identities_ok = identities_ok and (
-                    k_order % k_meet == 0 and k_order // k_meet == fixed
-                )
+                row = row_values(6, q, q0=qi)
+                identities_ok = identities_ok and divmod(row["k"], row["k_meet"]) == (row["fixed"], 0)
     checks = [
         _check(
             "odd-towers-transitive-identity",

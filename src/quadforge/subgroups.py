@@ -135,19 +135,23 @@ def sporadic_table() -> tuple[SporadicTriple, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _decompose(q: int, q0: int | None = None, r: int | None = None):
+    """(p, f) with q = p**f, or None.  When q = q0^r, q is decomposed
+    through q0, so a q past the prime-power index needs no factorization."""
+    if q0 is not None and r is not None and r > 0 and q0**r == q:
+        pf = prime_power(q0)
+        return pf and (pf[0], pf[1] * r)
+    return prime_power(q)
+
+
 def case_condition(case_id: int, q: int, q0: int | None = None, r: int | None = None) -> bool:
     """Does (case_id, q) satisfy the admissibility condition of the family?
 
-    Cases 2, 6, 7 are parametrized by (q0, r); passing them checks the
-    specific decomposition, otherwise any valid decomposition counts.
-    When q = q0^r, in any case, q is decomposed through q0, so a q past
-    the prime-power index needs no factorization.
+    Cases 2, 6, 7 are parametrized by (q0, r), their decompositions
+    q = q0^r as `subfield_pairs` lists them: a q0 or r that is given must
+    match one listed pair, and with neither any listed pair counts.
     """
-    if q0 is not None and r is not None and r > 0 and q0**r == q:
-        pf = prime_power(q0)
-        pf = pf and (pf[0], pf[1] * r)
-    else:
-        pf = prime_power(q)
+    pf = _decompose(q, q0, r)
     return pf is not None and case_condition_at(case_id, q, *pf, q0=q0, r=r)
 
 
@@ -155,6 +159,7 @@ def case_condition(case_id: int, q: int, q0: int | None = None, r: int | None = 
 # with & | == != so that they evaluate on Python ints and elementwise on
 # integer arrays alike (`case_condition_at` adds q >= 4)
 _ELEMENTWISE_CONDITIONS = {
+    1: lambda q, p, f: True,
     3: lambda q, p, f: ((f == 1) & ((q % 10 == 1) | (q % 10 == 9)))
     | ((f == 2) & ((p % 10 == 3) | (p % 10 == 7))),
     4: lambda q, p, f: (f == 1) & ((q % 8 == 3) | (q % 8 == 5)) & (q % 10 != 1) & (q % 10 != 9),
@@ -171,61 +176,58 @@ def _prime_divisors(f: int) -> tuple[int, ...]:
     return tuple(sorted(factorize(f)))
 
 
+def subfield_pairs(
+    case_id: int, p: int, f: int, q0: int | None = None, r: int | None = None
+) -> list[tuple[int, int]]:
+    """The (q0, r) with q = q0^r = p^f that subfield family 2, 6 or 7
+    admits, by ascending r, keeping those that match a q0 or r given:
+    PGL(2,q0) for q = q0^2 odd (case 2), PSL(2,q0) for q odd and r an odd
+    prime (case 6), and for q even and r a prime with q0 != 2 (case 7)."""
+    if case_id == 2:
+        rs = (2,) if p % 2 and f % 2 == 0 else ()
+    elif case_id == 6:
+        rs = [rr for rr in _prime_divisors(f) if rr % 2] if p % 2 else ()
+    elif case_id == 7:
+        rs = [rr for rr in _prime_divisors(f) if f // rr >= 2] if p == 2 else ()
+    else:
+        raise ValueError(f"case {case_id} is not a subfield family")
+    pairs = [(p ** (f // rr), rr) for rr in rs]
+    return [(a, b) for a, b in pairs if q0 in (None, a) and r in (None, b)]
+
+
 def case_condition_at(
     case_id: int, q: int, p: int, f: int, q0: int | None = None, r: int | None = None
 ) -> bool:
     """`case_condition` at q = p**f, for a scan that already holds (p, f).
 
-    For cases 3, 4, 5, 8 and 9, q, p and f may also be equal-length
+    For cases 1, 3, 4, 5, 8 and 9, q, p and f may also be equal-length
     integer arrays; the answer is then a boolean mask."""
     if case_id in _ELEMENTWISE_CONDITIONS:
         return (q >= 4) & _ELEMENTWISE_CONDITIONS[case_id](q, p, f)
-    if q < 4:
-        return False
-    if case_id == 1:
-        return True
-    if case_id == 2:
-        if q % 2 == 0 or f % 2:
-            return False
-        want = p ** (f // 2)
-        return q0 in (None, want)
-    if case_id == 6:
-        if q % 2 == 0:
-            return False
-        opts = [rr for rr in _prime_divisors(f) if rr % 2]
-        if r is not None:
-            return r in opts and (q0 is None or q0 == p ** (f // r))
-        return bool(opts)
-    if case_id == 7:
-        if p != 2:
-            return False
-        opts = [rr for rr in _prime_divisors(f) if f // rr >= 2]
-        if r is not None:
-            return r in opts and (q0 is None or q0 == 2 ** (f // r))
-        return bool(opts)
+    if case_id in (2, 6, 7):
+        return bool(subfield_pairs(case_id, p, f, q0, r))
     raise ValueError(f"unknown case {case_id}")
 
 
-def case_params(case_id: int, q: int) -> list[dict]:
+def case_params(case_id: int, q: int, q0: int | None = None, r: int | None = None) -> list[dict]:
     """All admissible parameter choices for (case_id, q): [] if the case
     does not apply, [{}] for unparametrized cases, else one {'q0','r'} per
-    valid decomposition q = q0^r."""
-    if not case_condition(case_id, q):
-        return []
-    p, f = prime_power(q)
-    if case_id == 2:
-        return [{"q0": p ** (f // 2), "r": 2}]
-    if case_id == 6:
-        return [
-            {"q0": p ** (f // r), "r": r} for r in _prime_divisors(f) if r % 2
-        ]
-    if case_id == 7:
-        return [
-            {"q0": 2 ** (f // r), "r": r}
-            for r in _prime_divisors(f)
-            if f // r >= 2
-        ]
-    return [{}]
+    pair of `subfield_pairs` that matches a q0 or r given."""
+    if case_id not in (2, 6, 7):
+        return [{}] if case_condition(case_id, q) else []
+    pf = _decompose(q, q0, r)
+    return [{"q0": a, "r": b} for a, b in (subfield_pairs(case_id, *pf, q0, r) if pf else ())]
+
+
+def _subfield_params(case_id: int, q: int, q0: int | None, r: int | None) -> tuple[int, int]:
+    """The one (q0, r) of `case_params` that matches the q0 and r given;
+    raises ValueError when none does, or more than one."""
+    params = case_params(case_id, q, q0, r)
+    if not params:
+        raise ValueError(f"case {case_id} condition violated at q = {q}")
+    if len(params) > 1:
+        raise ValueError("ambiguous (q0, r); pass them explicitly")
+    return params[0]["q0"], params[0]["r"]
 
 
 # [PSL(2,q) : M] for the families whose index depends on q alone; each
@@ -242,22 +244,15 @@ Q_INDEX = {
 
 
 def index_formula(case_id: int, q: int, q0: int | None = None, r: int | None = None) -> int:
-    """Exact index in PSL(2,q) of the case's maximal subgroup."""
+    """Exact index in PSL(2,q) of the case's maximal subgroup.  Cases 2, 6
+    and 7 need (q0, r) only where q = q0^r in more than one way."""
+    if case_id in (2, 6, 7):
+        q0, r = _subfield_params(case_id, q, q0, r)
+        # |PSL(2,q)| / |PSL(2,q0)|, halved for PGL(2,q0)
+        return q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1) // (2 if case_id == 2 else 1)
     if not case_condition(case_id, q, q0=q0, r=r):
         raise ValueError(f"case {case_id} condition violated at q = {q}")
-    if case_id in Q_INDEX:
-        return Q_INDEX[case_id](q)
-    if case_id == 2:
-        q0 = q0 or prime_power(q)[0] ** (prime_power(q)[1] // 2)
-        return q0 * (q0 * q0 + 1) // 2
-    if case_id in (6, 7):
-        if q0 is None or r is None:
-            params = case_params(case_id, q)
-            if len(params) != 1:
-                raise ValueError("ambiguous (q0, r); pass them explicitly")
-            q0, r = params[0]["q0"], params[0]["r"]
-        return q0 ** (r - 1) * (q0 ** (2 * r) - 1) // (q0 * q0 - 1)
-    raise ValueError(f"unknown case {case_id}")
+    return Q_INDEX[case_id](q)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +345,12 @@ def _build_dihedral(spec: GroupSpec, case_id: int):
 
 def build_case(case_id: int, spec: GroupSpec, q0: int | None = None, r: int | None = None) -> SubgroupHandle:
     """The case's maximal subgroup of PSL(2,q), its order checked against
-    `index_formula`.  Cases 2, 6 and 7 take (q0, r) from `case_params`
-    when q0 is not given and q = q0^r in one way only."""
+    `index_formula`.  Cases 2, 6 and 7 resolve (q0, r) as `index_formula`
+    does, so a q0 or r outside the family raises ValueError before any id
+    is selected."""
     q = spec.q
-    if case_id in (2, 6, 7) and q0 is None:
-        params = case_params(case_id, q)
-        if len(params) != 1:
-            raise ValueError("ambiguous (q0, r); pass them explicitly")
-        q0, r = params[0]["q0"], params[0]["r"]
+    if case_id in (2, 6, 7):
+        q0, r = _subfield_params(case_id, q, q0, r)
     index = index_formula(case_id, q, q0=q0, r=r)  # raises outside the family
     if spec.kind != "PSL":
         raise ValueError("family constructors target the socle PSL(2,q)")

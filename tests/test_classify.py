@@ -33,9 +33,10 @@ from quadforge.classify import (
     _ODD_DISCRIMINANT,
     _pair_orbit,
     _positive_from,
+    _subfield_grid,
     _taylor_shift,
 )
-from quadforge.subgroups import index_formula
+from quadforge.subgroups import case_params, index_formula
 
 # ---------------------------------------------------------------------------
 # candidate pairs
@@ -148,6 +149,30 @@ def test_cross_7_branches():
     assert "count-inequality-caps-n" in names
     rec9 = eliminate_cross(7, 9)
     assert rec9.verdict == ELIMINATED
+
+
+def test_r11_cube_bound_only_at_q0_the_family_admits():
+    # family 7 excludes q0 = 2, so the r = 11 bound is not checked there
+    names = [c["name"] for c in verify("case7-case8", (2, 5)).records[0].checks]
+    assert "cube-bound-kills-r11-q0=2" not in names
+    assert "cube-bound-kills-r11-q0=4" in names
+
+
+@pytest.mark.parametrize("tag", [tag for tag, row in VERIFIERS.items() if row.param == "q0^r"])
+def test_subfield_grid_lists_what_case_params_admits(tag):
+    # the grid of each row at its default range, over the exponents its
+    # record writes, against q = q0^r decomposed afresh by `case_params`
+    row = VERIFIERS[tag]
+    case = int(tag[4])
+    rs = tuple(row.runner(row.default_range, 1).inputs["r_set"])
+    lo, hi = row.default_range
+    want = [
+        (q0, r, q0**r)
+        for q0 in range(lo, hi + 1)
+        for r in rs
+        if {"q0": q0, "r": r} in case_params(case, q0**r)
+    ]
+    assert want and list(_subfield_grid(case, row.default_range, rs)) == want
 
 
 def test_7_r2_solved_check_fails_on_a_feasible_order(monkeypatch):

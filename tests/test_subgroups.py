@@ -83,32 +83,50 @@ def test_case_conditions():
     assert case_condition(9, 5)
     assert case_params(6, 27) == [{"q0": 3, "r": 3}]
     assert case_params(7, 16) == [{"q0": 4, "r": 2}]
+    assert case_params(7, 64) == [{"q0": 8, "r": 2}, {"q0": 4, "r": 3}]
     assert case_params(6, 4) == []
+    # case 2 is q = q0^2 with q odd: r = 2 only, and q0 = sqrt(q)
+    assert case_condition(2, 81, q0=9, r=2) and case_condition(2, 81, q0=9)
+    assert not case_condition(2, 81, q0=9, r=3)
+    assert not case_condition(2, 81, q0=3)
+    assert not case_condition(2, 27) and not case_condition(2, 64)
+    assert case_params(2, 81) == [{"q0": 9, "r": 2}]
+    # a q0 given without r must be the base of a listed pair, and it fixes r
+    assert not case_condition(6, 27, q0=5)
+    assert case_params(7, 64, q0=4) == [{"q0": 4, "r": 3}]
+    assert index_formula(7, 64, q0=4) == index_formula(7, 64, q0=4, r=3) == 4368
+    with pytest.raises(ValueError, match="condition violated"):
+        index_formula(6, 27, q0=5)
+    with pytest.raises(ValueError, match="ambiguous"):
+        index_formula(7, 64)
+    # a wrong q0 is refused before any subfield ids are selected
+    with pytest.raises(ValueError, match="condition violated"):
+        build_case(6, psl(27), q0=5)
 
 
 def _subfield_oracle(case_id, q, p, f, q0=None, r=None):
-    """Cases 6 and 7 as written before the exponent's primes were cached:
-    f is factorized again on every call."""
-    if q < 4 or (case_id == 6 and q % 2 == 0) or (case_id == 7 and p != 2):
+    """Cases 2, 6 and 7 as written before the exponent's primes were
+    cached: f is factorized again on every call."""
+    if q < 4 or (case_id in (2, 6) and q % 2 == 0) or (case_id == 7 and p != 2):
         return False
-    keep = (lambda rr: rr % 2) if case_id == 6 else (lambda rr: f // rr >= 2)
+    keep = {2: lambda rr: rr == 2, 6: lambda rr: rr % 2, 7: lambda rr: f // rr >= 2}[case_id]
     opts = [rr for rr in sorted(factorize(f)) if keep(rr)]
     if r is not None:
         return r in opts and (q0 is None or q0 == p ** (f // r))
-    return bool(opts)
+    return any(q0 is None or q0 == p ** (f // rr) for rr in opts)
 
 
-@pytest.mark.parametrize("case_id", [6, 7])
+@pytest.mark.parametrize("case_id", [2, 6, 7])
 def test_subfield_conditions_match_the_uncached_definition(case_id):
-    # every prime power q <= 4096, every r up to f + 1 and every q0 that
-    # is right for it, off by one or absent
+    # every prime power q <= 4096, every r up to f + 1, absent or given,
+    # and every q0 that is right for r, off by one or absent
     for q, p, f in iter_prime_powers(2, 4096):
-        for r in [None, *range(1, f + 2)]:
-            q0s = [None] if r is None else [None, p ** (f // r), p ** (f // r) + 1]
-            for q0 in q0s:
+        for d in range(1, f + 2):
+            for r, q0 in itertools.product((None, d), (None, p ** (f // d), p ** (f // d) + 1)):
                 want = _subfield_oracle(case_id, q, p, f, q0, r)
                 assert case_condition_at(case_id, q, p, f, q0=q0, r=r) == want, (q, q0, r)
                 assert case_condition(case_id, q, q0=q0, r=r) == want, (q, q0, r)
+                assert bool(case_params(case_id, q, q0=q0, r=r)) == want, (q, q0, r)
         params = [
             {"q0": p ** (f // r), "r": r}
             for r in range(2, f + 1)
