@@ -2,10 +2,10 @@
 admitting a point- and line-primitive PSL(2,q) automorphism group.
 
 The library re-runs every machine-checkable step of the case analysis:
-exact GF(p^f) arithmetic, PSL/PGL(2,q) computations on integer element
-ids (`indexed_group`), coset-geometry construction with full quadrangle
-axiom checking, and the Diophantine eliminations for every
-maximal-subgroup case pair.  The single surviving example is the
+exact GF(p^f) operation tables built from the modulus alone, PSL/PGL(2,q)
+computations on integer element ids (`indexed_group`), coset-geometry
+construction with full quadrangle axiom checking, and the Diophantine
+eliminations for every maximal-subgroup case pair.  The single surviving example is the
 15-point symplectic quadrangle of order 2 at q = 9.
 """
 

@@ -1167,8 +1167,6 @@ def eliminate_same_case_nonisomorphic() -> EliminationRecord:
     tested = 0
     identities_ok = True
     for m in (3, 5, 7, 9, 11, 13):
-        if prime_power(m) is None:
-            continue
         for r0, r1 in ((3, 5), (3, 7), (5, 7)):
             tested += 1
             q = m ** (r0 * r1)

@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types: `BudgetExceededError` for a size cap and
+`VerificationError` for a named check that failed (among them
+`field-generator`, a GF(q) modulus under which no element generates the
+nonzero elements)."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -8,10 +11,6 @@ class BudgetExceededError(RuntimeError):
 
     Signals that formula-only mode is required at this scale.
     """
-
-
-class MixedFieldError(ValueError):
-    """Raised when two operands belong to different fields."""
 
 
 class VerificationError(AssertionError):

@@ -6,13 +6,19 @@ polynomial of degree f.  The modulus is chosen deterministically: the
 lexicographically least monic irreducible of degree f, comparing
 coefficient vectors from the constant term upward.  Irreducibility is
 certified at construction by trial division against every monic
-polynomial of degree at most f/2.
+polynomial of degree at most f/2.  An element's index reads its
+coefficients as a base-p number, c0 most significant.
 
-All arithmetic is exact; there is no floating point anywhere in this
-module.  `FieldSpec` and `FieldElement` are immutable after construction
-and safe to share between threads.  Fields with q <= 512 also have dense
-index-based operation tables, read-only int32 arrays from which the group
-layer is built.  Only the tables of the field asked for last are kept.
+The field has one arithmetic: dense index tables (ADD, MUL, NEG, INV,
+SQRT) for q <= 512, read-only int32 arrays from which the group layer is
+built, and which are made from the modulus alone.  GF(q)* is cyclic, so
+some element's powers walk through all q - 1 nonzero elements; MUL and
+INV read the log/antilog tables of the first such element in index
+order, and a modulus without one raises
+`VerificationError("field-generator")`.  There is no floating point
+anywhere in this module.  `FieldSpec` and `FieldElement` are immutable
+after construction and safe to share between threads.  Only the tables
+of the field asked for last are kept.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from ._ints import factorize, is_prime
-from .errors import MixedFieldError
+from ._ints import is_prime
+from .errors import VerificationError
 
 TABLE_LIMIT = 512
 _last_tables: tuple[FieldSpec, tuple[np.ndarray, ...]] | None = None  # (field, its tables)
@@ -58,7 +64,7 @@ class FieldSpec:
     """A concrete field GF(p^f) with a fixed irreducible modulus.
 
     Instances are interned: `make_field(p, f)` always returns the same
-    object, so element operations may require identical specs.
+    object.
     """
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
@@ -66,106 +72,27 @@ class FieldSpec:
         self.f = f
         self.q = p**f
         self.modulus = modulus
-        # reduction table: x^(f+k) mod modulus for k = 0..f-2, as length-f rows
-        red: list[tuple[int, ...]] = []
-        if f > 1:
-            base = [(-m) % p for m in modulus[:-1]]  # x^f reduced
-            cur = list(base)
-            red.append(tuple(cur))
-            for _ in range(f - 2):
-                carry = cur[-1]
-                cur = [0] + cur[:-1]
-                if carry:
-                    cur = [(cur[i] + carry * base[i]) % p for i in range(f)]
-                red.append(tuple(cur))
-        self._reduction = red
-
-    # -- representation ------------------------------------------------
 
     def __repr__(self):
         return f"GF({self.q})"
 
     def element(self, coeffs) -> FieldElement:
+        """The element with these coefficients (x^0 first), or the constant
+        coeffs mod p for an int."""
         if isinstance(coeffs, int):
-            c = [0] * self.f
-            c[0] = coeffs % self.p
-            return FieldElement(self, tuple(c))
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) != self.f:
-            raise ValueError(f"expected {self.f} coefficients")
-        return FieldElement(self, c)
+            coeffs = (coeffs,) + (0,) * (self.f - 1)
+        return FieldElement(self, tuple(c % self.p for c in coeffs))
 
     @property
     def one(self) -> FieldElement:
         return self.element(1)
 
     def index_of(self, coeffs: tuple[int, ...]) -> int:
-        """Position of an element in the enumeration order (c0 most significant)."""
+        """Position of an element in the index order (c0 most significant)."""
         idx = 0
         for c in coeffs:
             idx = idx * self.p + c
         return idx
-
-    # -- tuple-level arithmetic -----------------------------------------
-
-    def add_t(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub_t(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg_t(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul_t(self, a, b):
-        p, f = self.p, self.f
-        if f == 1:
-            return (a[0] * b[0] % p,)
-        raw = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    raw[i + j] += ai * bj
-        out = [c % p for c in raw[:f]]
-        for k in range(f, 2 * f - 1):
-            c = raw[k] % p
-            if c:
-                row = self._reduction[k - f]
-                for i in range(f):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
-
-    def pow_t(self, a, n: int):
-        result = (1,) + (0,) * (self.f - 1)
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul_t(result, base)
-            base = self.mul_t(base, base)
-            n >>= 1
-        return result
-
-    def inv_t(self, a):
-        if not any(a):
-            raise ZeroDivisionError("division by zero field element")
-        return self.pow_t(a, self.q - 2)
-
-    def enumerate(self) -> tuple[FieldElement, ...]:
-        """Every element, in index order, built on each call and not kept."""
-        return tuple(FieldElement(self, c) for c in product(range(self.p), repeat=self.f))
-
-    def primitive_element(self) -> tuple[int, ...]:
-        """The first element in enumeration order that generates GF(q)*."""
-        one = self.one.coeffs
-        cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
-        return next(
-            e.coeffs
-            for e in self.enumerate()[1:]
-            if all(self.pow_t(e.coeffs, k) != one for k in cofactors)
-        )
 
     def array_tables(self) -> tuple[np.ndarray, ...]:
         """Dense index-based op tables (ADD, MUL, NEG, INV, SQRT) for q <= 512,
@@ -175,8 +102,10 @@ class FieldSpec:
 
         INV[0] = -1 and SQRT[i] = -1 marks "undefined"/"non-square"; SQRT[i]
         is the least root.  Addition is digit-wise mod p on the base-p index;
-        multiplication goes through log/antilog tables of
-        `primitive_element()`.
+        multiplication goes through the log/antilog tables of the generator
+        that `_antilog` finds.  Its q - 1 distinct powers certify that the
+        modulus is irreducible; without one, `_antilog` raises
+        `VerificationError("field-generator")` and nothing is kept.
         """
         global _last_tables
         kept = _last_tables
@@ -186,19 +115,14 @@ class FieldSpec:
             if q > TABLE_LIMIT:
                 raise ValueError(f"no dense tables for q = {q} > {TABLE_LIMIT}")
             ids = np.arange(q, dtype=np.int32)
+            place = p ** np.arange(f - 1, -1, -1, dtype=np.int32)  # the weight of x^k's coefficient
+            digits = ids // place[:, None] % p  # row k: every element's coefficient of x^k
             add = np.zeros((q, q), dtype=np.int32)
             neg = np.zeros(q, dtype=np.int32)
-            for k in range(f):  # coefficient of x^k carries weight p^(f-1-k)
-                place = p ** (f - 1 - k)
-                digit = ids // place % p
-                add += (digit[:, None] + digit) % p * place
-                neg += -digit % p * place
-            g = self.primitive_element()
-            antilog = np.empty(q - 1, dtype=np.int32)
-            cur = self.one.coeffs
-            for k in range(q - 1):
-                antilog[k] = self.index_of(cur)
-                cur = self.mul_t(cur, g)
+            for digit, weight in zip(digits, place.tolist()):
+                add += (digit[:, None] + digit) % p * weight
+                neg += -digit % p * weight
+            antilog = self._antilog(add, digits, place)
             log = np.zeros(q, dtype=np.intp)
             log[antilog] = np.arange(q - 1)
             mul = np.zeros((q, q), dtype=np.int32)
@@ -212,6 +136,37 @@ class FieldSpec:
             kept = _last_tables = (self, (add, mul, neg, inv, sqrt))
         return kept[1]
 
+    def _antilog(self, add, digits, place) -> np.ndarray:
+        """The powers g^0 = one, ..., g^(q-2) of the generator as an int32
+        index array, from the modulus and the ADD table alone: g is the
+        first element in index order whose walk from one returns after
+        exactly q - 1 steps, each walk bounded at q - 1 steps.  Such a g is
+        a unit whose powers are q - 1 distinct units, so every nonzero
+        element is invertible and the ring is a field."""
+        q, p = self.q, self.p
+        ids = np.arange(q, dtype=np.int32)
+        # a -> x * a: every coefficient moves up one place (the index over
+        # p), and the one of x^(f-1) comes back as that multiple of x^f
+        x_to_f = -np.array(self.modulus[:-1]) % p
+        fold = (np.arange(p)[:, None] * x_to_f % p * place).sum(1)  # the index of c * x^f, by c
+        times_x = add[ids // p, fold[ids % p]]
+
+        def times(g):
+            """a -> g * a, by Horner over g's coefficients from x^(f-1) down."""
+            out = np.zeros(q, dtype=np.int32)
+            for c in digits[::-1, g].tolist():
+                out = add[times_x[out], (c * digits % p * place[:, None]).sum(0)]
+            return out.tolist()
+
+        one = self.one.index
+        for g in range(1, q):
+            step, walk = times(g), [one]
+            while len(walk) < q - 1 and (nxt := step[walk[-1]]) != one:
+                walk.append(nxt)
+            if len(walk) == q - 1 and step[walk[-1]] == one:
+                return np.array(walk, dtype=np.int32)
+        raise VerificationError("field-generator", f"no element has order {q - 1} modulo {self.modulus}")
+
     def int_tables(self):
         """`array_tables()` as Python lists, built on each call and not kept:
         ADD and MUL as lists of rows, NEG, INV and SQRT as flat lists."""
@@ -219,7 +174,9 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of a FieldSpec; immutable, compares by coefficient vector."""
+    """An element of a FieldSpec by its validated coefficient vector;
+    immutable.  It has no arithmetic: the field's tables do that on
+    `index`."""
 
     __slots__ = ("spec", "coeffs")
 
@@ -237,54 +194,6 @@ class FieldElement:
     @property
     def index(self) -> int:
         return self.spec.index_of(self.coeffs)
-
-    def _check(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            other = self.spec.element(other)
-        if other.spec is not self.spec:
-            raise MixedFieldError("operands belong to different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.add_t(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.sub_t(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_t(self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.spec, self.spec.mul_t(self.coeffs, other.coeffs))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(
-            self.spec, self.spec.mul_t(self.coeffs, self.spec.inv_t(other.coeffs))
-        )
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return FieldElement(self.spec, self.spec.pow_t(self.spec.inv_t(self.coeffs), -n))
-        return FieldElement(self.spec, self.spec.pow_t(self.coeffs, n))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coeffs == self.spec.element(other).coeffs
-        return (
-            isinstance(other, FieldElement)
-            and other.spec is self.spec
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), self.coeffs))
-
-    def __repr__(self):
-        return f"{self.spec!r}:{list(self.coeffs)}"
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:

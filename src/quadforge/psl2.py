@@ -167,8 +167,9 @@ def involution_class(spec: GroupSpec) -> tuple[int, int]:
     else:
         eps = 1 if q % 4 == 1 else -1
         size = q * (q + eps) // 2
-    one, minus = spec._one, (-spec.field.one).index
-    return indexed_group(spec).id_of((0, one, minus, 0)), size
+    ig, one = indexed_group(spec), spec._one
+    minus = int(ig.tables[2][one])  # NEG[one]
+    return ig.id_of((0, one, minus, 0)), size
 
 
 def order3_class(spec: GroupSpec) -> tuple[int, int]:
@@ -182,8 +183,9 @@ def order3_class(spec: GroupSpec) -> tuple[int, int]:
         )
     q = spec.q
     size = q * (q - 1) if q % 3 == 2 else q * (q + 1)
-    one, minus = spec._one, (-spec.field.one).index
-    return indexed_group(spec).id_of((0, minus, one, minus)), size
+    ig, one = indexed_group(spec), spec._one
+    minus = int(ig.tables[2][one])  # NEG[one]
+    return ig.id_of((0, minus, one, minus)), size
 
 
 def centralizer(g: int, spec: GroupSpec):

@@ -261,11 +261,17 @@ def index_formula(case_id: int, q: int, q0: int | None = None, r: int | None = N
 
 
 def subfield_indices(fld, q0: int) -> list[int]:
-    """Element indices of the subfield of order q0 (fixed points of x -> x^q0)."""
-    out = []
-    for e in fld.enumerate():
-        if fld.pow_t(e.coeffs, q0) == e.coeffs:
-            out.append(fld.index_of(e.coeffs))
+    """Element indices of the subfield of order q0: the fixed points of
+    x -> x^q0, every element raised at once by square-and-multiply over
+    the field's MUL table."""
+    mul = fld.array_tables()[1]
+    ids = np.arange(fld.q)
+    power, square, n = np.full(fld.q, fld.one.index), ids, q0
+    while n:
+        if n & 1:
+            power = mul[power, square]
+        square, n = mul[square, square], n >> 1
+    out = np.flatnonzero(power == ids).tolist()
     if len(out) != q0:
         raise VerificationError("subfield-size", f"x -> x^{q0} fixes {len(out)} elements")
     return out

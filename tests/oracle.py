@@ -9,10 +9,13 @@ canonical projective form, the rows of `GroupSpec.element_array`:
 * PGL: scale so the first nonzero entry in reading order (a,b,c,d) is 1.
 * PSL: scale to determinant 1 (the determinant must be a square in the
   field, otherwise the matrix lies in PGL \\ PSL), then pick the
-  lexicographically smaller of M and -M under the field enumeration order.
+  lexicographically smaller of M and -M under the field's index order.
 
-Field operations are lookups in the field's dense int tables, so the
-oracle covers q <= 512.  Two whole-group references sit beside it:
+Matrix products are lookups in the field's dense int tables, so the
+oracle covers q <= 512.  The field itself has a second arithmetic here:
+`Element`, a coefficient tuple multiplied by schoolbook polynomial
+arithmetic modulo the field's modulus, which the tests check those
+tables against and on which the projective line is built.  Two whole-group references sit beside it:
 `matrix_orders` (element orders from matrix powers) and
 `two_generated_abelian_subgroups` (closures of the commuting pairs of the
 dense product table).  Nothing here is cached: a group built for one
@@ -29,6 +32,7 @@ geometry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +45,7 @@ from quadforge.classify import PAIRS, EliminationRecord
 from quadforge.errors import VerificationError
 from quadforge.feasibility import GQOrder, StabilizerBounds
 from quadforge.geometry import IncidenceGeometry, _check_axioms, _collinearity
-from quadforge.gfq import FieldElement, FieldSpec
+from quadforge.gfq import FieldSpec
 from quadforge.psl2 import GroupSpec, _group, indexed_group
 from quadforge.subgroups import (
     SporadicTriple,
@@ -65,21 +69,107 @@ class NotInPslError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def poly_mulmod(a, b, modulus, p):
+    """Schoolbook multiply then long-division remainder; tuples low-first."""
+    raw = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            raw[i + j] = (raw[i + j] + ai * bj) % p
+    # reduce by monic modulus
+    deg = len(modulus) - 1
+    while len(raw) > deg:
+        lead = raw[-1]
+        if lead:
+            shift = len(raw) - 1 - deg
+            for k in range(deg + 1):
+                raw[shift + k] = (raw[shift + k] - lead * modulus[k]) % p
+        raw.pop()
+    raw += [0] * (deg - len(raw))
+    return tuple(raw)
+
+
+@dataclass(frozen=True)
+class Element:
+    """An element of GF(p^f): its coefficients over GF(p), x^0 first, with
+    +, -, *, / and ** by schoolbook polynomial arithmetic modulo the field's
+    modulus.  It reads nothing of the field but p, f, q and the modulus, so
+    it checks the engine's tables without sharing their arithmetic."""
+
+    field: FieldSpec
+    coeffs: tuple[int, ...]
+
+    @property
+    def index(self) -> int:
+        """Position in the engine's index order (c0 most significant)."""
+        idx = 0
+        for c in self.coeffs:
+            idx = idx * self.field.p + c
+        return idx
+
+    def _other(self, other: Element) -> tuple[int, ...]:
+        if other.field is not self.field:
+            raise ValueError("operands belong to different fields")
+        return other.coeffs
+
+    def __add__(self, other):
+        p = self.field.p
+        return Element(self.field, tuple((x + y) % p for x, y in zip(self.coeffs, self._other(other))))
+
+    def __neg__(self):
+        return Element(self.field, tuple(-x % self.field.p for x in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        fld = self.field
+        return Element(fld, poly_mulmod(self.coeffs, self._other(other), fld.modulus, fld.p))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return (el(self.field, 1) / self) ** -n
+        out, base = el(self.field, 1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base, n = base * base, n >> 1
+        return out
+
+    def __truediv__(self, other):
+        if is_zero(other):
+            raise ZeroDivisionError("division by zero field element")
+        return self * other ** (self.field.q - 2)
+
+    def __repr__(self):
+        return f"{self.field!r}:{list(self.coeffs)}"
+
+
+def el(field: FieldSpec, value) -> Element:
+    """The element with these coefficients (x^0 first), or the constant
+    value mod p for an int."""
+    if isinstance(value, int):
+        value = (value,) + (0,) * (field.f - 1)
+    return Element(field, tuple(c % field.p for c in value))
+
+
+def field_elements(field: FieldSpec) -> list[Element]:
+    """Every element, in index order."""
+    return [Element(field, c) for c in itertools.product(range(field.p), repeat=field.f)]
+
+
 def sqrt_t(field: FieldSpec, a):
-    """The first square root of a (a coefficient tuple) in enumeration
-    order, or None."""
-    return next((e.coeffs for e in field.enumerate() if field.mul_t(e.coeffs, e.coeffs) == a), None)
+    """The first square root of a (a coefficient tuple) in index order, or
+    None."""
+    return next((e.coeffs for e in field_elements(field) if (e * e).coeffs == a), None)
 
 
-def is_square(a: FieldElement) -> bool:
+def is_square(a: Element) -> bool:
     """Euler criterion: a = b^2 for some b.  Requires a != 0; in even
     characteristic every element is a square."""
     if is_zero(a):
         raise ValueError("squareness of zero is undefined here")
-    spec = a.spec
-    if spec.p == 2:
-        return True
-    return spec.pow_t(a.coeffs, (spec.q - 1) // 2) == spec.one.coeffs
+    fld = a.field
+    return fld.p == 2 or a ** ((fld.q - 1) // 2) == el(fld, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +247,9 @@ class GroupElement:
     t: tuple[int, int, int, int]
 
     @property
-    def matrix(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
+    def matrix(self) -> tuple[Element, Element, Element, Element]:
         fld = self.group.field
-        return tuple(FieldElement(fld, from_index(fld, i)) for i in self.t)
+        return tuple(Element(fld, from_index(fld, i)) for i in self.t)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and other.group is self.group and other.t == self.t
@@ -181,15 +271,15 @@ def wrap(spec: GroupSpec, t) -> GroupElement:
 
 def canonicalize(matrix, kind: str, field: FieldSpec | None = None) -> GroupElement:
     """Canonical representative in PSL or PGL of a 2x2 matrix of
-    FieldElements or ints, given as two rows or four entries; the field
-    may be omitted when the entries are FieldElements."""
-    flat = [e for row in matrix for e in ([row] if isinstance(row, FieldElement) else row)]
+    Elements or ints, given as two rows or four entries; the field may be
+    omitted when the entries are Elements."""
+    flat = [e for row in matrix for e in ([row] if isinstance(row, Element) else row)]
     if len(flat) != 4:
         raise ValueError("expected a 2x2 matrix")
     if field is None:
-        field = next(e.spec for e in flat if isinstance(e, FieldElement))
+        field = next(e.field for e in flat if isinstance(e, Element))
     spec = _group(field.q, kind)
-    t = tuple((e if isinstance(e, FieldElement) else field.element(e)).index for e in flat)
+    t = tuple((e if isinstance(e, Element) else el(field, e)).index for e in flat)
     return wrap(spec, TupleGroup(spec).canonicalize_t(t))
 
 
@@ -286,16 +376,16 @@ def two_generated_abelian_subgroups(spec: GroupSpec):
 class ProjectivePoint:
     """Point (x:y) of PG(1,q), normalized so the last nonzero coordinate is 1."""
 
-    x: FieldElement
-    y: FieldElement
+    x: Element
+    y: Element
 
     @staticmethod
-    def of(x: FieldElement, y: FieldElement) -> ProjectivePoint:
+    def of(x: Element, y: Element) -> ProjectivePoint:
         if not is_zero(y):
-            return ProjectivePoint(x / y, y.spec.one)
+            return ProjectivePoint(x / y, el(y.field, 1))
         if is_zero(x):
             raise ValueError("(0:0) is not a projective point")
-        return ProjectivePoint(x.spec.one, y)
+        return ProjectivePoint(el(x.field, 1), y)
 
     def __repr__(self):
         return f"({list(self.x.coeffs)}:{list(self.y.coeffs)})"
@@ -304,9 +394,8 @@ class ProjectivePoint:
 def projective_line(field: FieldSpec) -> list[ProjectivePoint]:
     """The q+1 points of PG(1,q): (x:1) in field order, then (1:0).  The
     position of a point is its point id in `IndexedGroup.perms`."""
-    return [ProjectivePoint(x, field.one) for x in field.enumerate()] + [
-        ProjectivePoint(field.one, field.element(0))
-    ]
+    one = el(field, 1)
+    return [ProjectivePoint(x, one) for x in field_elements(field)] + [ProjectivePoint(one, el(field, 0))]
 
 
 def act_on_line(g: GroupElement, pt: ProjectivePoint) -> ProjectivePoint:
@@ -323,7 +412,7 @@ def act_on_line(g: GroupElement, pt: ProjectivePoint) -> ProjectivePoint:
 # later engine caller would bring one back with it.
 
 
-def is_zero(a: FieldElement) -> bool:
+def is_zero(a: Element) -> bool:
     return not any(a.coeffs)
 
 

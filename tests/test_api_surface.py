@@ -8,7 +8,7 @@ it from.  An attribute resolves by class where the syntax names one:
 `self.x` in a method reaches the enclosing class's `x`; `C.x` reaches `x`
 of the class that the bare name `C` resolves to; and `self.a.x` reaches
 `x` of the package class that the `__init__` parameter `a` is annotated
-with (`self.spec.mul_t` in a class built from `spec: FieldSpec`).  Any
+with (`self.spec.index_of` in a class built from `spec: FieldSpec`).  Any
 other attribute (`obj.x`, whose class the syntax does not say) reaches
 every definition of that name, in any module and class.  A class reaches
 its dunder methods.  The class rules assume that no class in `src/`
@@ -165,8 +165,9 @@ def test_the_pass_sees_a_dead_function_named_like_a_live_one(monkeypatch, tmp_pa
 
 
 def test_the_pass_sees_a_dead_method_named_like_a_live_one(monkeypatch, tmp_path):
-    # `FieldSpec.mul_t` is live, called as `self.mul_t` and `self.spec.mul_t`;
-    # a `mul_t` on another, reached class is reached by neither
+    # `GroupSpec.mul_t` is live, a root the benchmark's tracer wraps, and no
+    # src line calls a `mul_t` on an object of unknown class; a `mul_t` on
+    # another, reached class is not reached by that root
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "geometry.py", "a") as fh:

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 import sympy
-from oracle import from_index, is_square, is_zero, sqrt_t
+from oracle import el, field_elements, from_index, is_square, is_zero, poly_mulmod, sqrt_t
 
-from quadforge.errors import MixedFieldError
-from quadforge.gfq import FieldElement, _is_irreducible, make_field
+from quadforge import gfq
+from quadforge._ints import prime_power
+from quadforge.errors import VerificationError
+from quadforge.gfq import FieldElement, FieldSpec, _is_irreducible, make_field
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -22,25 +25,6 @@ def poly_has_root(coeffs, p):
         if acc == 0:
             return True
     return False
-
-
-def naive_poly_mulmod(a, b, modulus, p):
-    """Schoolbook multiply then long-division remainder; tuples low-first."""
-    raw = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            raw[i + j] = (raw[i + j] + ai * bj) % p
-    # reduce by monic modulus
-    deg = len(modulus) - 1
-    while len(raw) > deg:
-        lead = raw[-1]
-        if lead:
-            shift = len(raw) - 1 - deg
-            for k in range(deg + 1):
-                raw[shift + k] = (raw[shift + k] - lead * modulus[k]) % p
-        raw.pop()
-    raw += [0] * (deg - len(raw))
-    return tuple(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -82,47 +66,8 @@ def test_zero_degree_rejected():
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# elements
 # ---------------------------------------------------------------------------
-
-
-def test_gf9_x_times_x():
-    # oracle: long division of x^2 by x^2+1 leaves remainder -1 = 2
-    f9 = make_field(3, 2)
-    x = f9.element((0, 1))
-    expected = naive_poly_mulmod((0, 1), (0, 1), f9.modulus, 3)
-    assert expected == (2, 0)
-    assert (x * x).coeffs == expected
-
-
-def test_mul_identity():
-    for p, f in [(2, 1), (3, 2), (5, 1), (2, 4)]:
-        spec = make_field(p, f)
-        for a in spec.enumerate():
-            assert a * spec.one == a
-
-
-def test_gf41_inverse_of_two():
-    f41 = make_field(41, 1)
-    # oracle: scan all residues
-    expected = next(y for y in range(41) if 2 * y % 41 == 1)
-    assert expected == 21
-    two = f41.element(2)
-    assert (f41.one / two).coeffs == (21,)
-    assert f41.one / two == f41.element(21)
-
-
-def test_division_by_zero():
-    f9 = make_field(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        f9.one / f9.element(0)
-
-
-def test_mixed_field_rejected():
-    a = make_field(3, 1).one
-    b = make_field(5, 1).one
-    with pytest.raises(MixedFieldError):
-        a + b
 
 
 def test_coefficient_count_is_checked_without_assert():
@@ -134,36 +79,75 @@ def test_coefficient_count_is_checked_without_assert():
     assert FieldElement(f9, (1, 2)).index == 5
 
 
+def test_enumeration_index_roundtrip():
+    for p, f in [(3, 2), (2, 4), (7, 1)]:
+        spec = make_field(p, f)
+        assert spec.one.index == spec.element(1).index == p ** (f - 1)
+        for i in range(spec.q):
+            assert spec.element(from_index(spec, i)).index == i == el(spec, from_index(spec, i)).index
+            assert from_index(spec, i) == field_elements(spec)[i].coeffs
+
+
+# ---------------------------------------------------------------------------
+# the tables' arithmetic
+# ---------------------------------------------------------------------------
+
+
+def test_gf9_x_times_x():
+    # oracle: long division of x^2 by x^2+1 leaves remainder -1 = 2
+    f9 = make_field(3, 2)
+    x = f9.element((0, 1))
+    expected = poly_mulmod((0, 1), (0, 1), f9.modulus, 3)
+    assert expected == (2, 0)
+    assert f9.array_tables()[1][x.index, x.index] == f9.element(expected).index
+
+
+def test_gf41_inverse_of_two():
+    f41 = make_field(41, 1)
+    # oracle: scan all residues
+    expected = next(y for y in range(41) if 2 * y % 41 == 1)
+    assert expected == 21
+    assert f41.array_tables()[3][f41.element(2).index] == f41.element(21).index
+
+
+def test_mul_identity():
+    for p, f in [(2, 1), (3, 2), (5, 1), (2, 4)]:
+        spec = make_field(p, f)
+        assert spec.array_tables()[1][spec.one.index].tolist() == list(range(spec.q))
+
+
+def test_division_by_zero():
+    # INV marks the one undefined quotient
+    assert make_field(3, 2).array_tables()[3][0] == -1
+
+
 def test_field_axioms_exhaustive_small_q():
-    # associativity, commutativity, distributivity, inverses for q <= 25
+    # associativity, commutativity, distributivity, identities and inverses
+    # of the ADD and MUL tables for q <= 25
     for p, f in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                  (11, 1), (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2)]:
         spec = make_field(p, f)
-        els = spec.enumerate()
-        assert len(els) == spec.q
-        for a in els:
-            assert a + spec.element(0) == a
-            assert a * spec.one == a
-            assert a + (-a) == spec.element(0)
-            if not is_zero(a):
-                assert a * (spec.one / a) == spec.one
-        for a in els:
-            for b in els:
-                assert a + b == b + a
-                assert a * b == b * a
-                for c in els:
-                    assert (a + b) + c == a + (b + c)
-                    assert (a * b) * c == a * (b * c)
-                    assert a * (b + c) == a * b + a * c
+        add, mul, neg, inv, _ = spec.array_tables()
+        ids, one = np.arange(spec.q), spec.one.index
+        assert (add[ids, 0] == ids).all() and (mul[ids, one] == ids).all()
+        assert (add[ids, neg] == 0).all()
+        assert (mul[ids[1:], inv[1:]] == one).all()
+        assert (add == add.T).all() and (mul == mul.T).all()
+        a, b, c = np.ix_(ids, ids, ids)
+        assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+        assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+        assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
 
 
 def test_frobenius_is_additive_and_multiplicative():
     for p, f in [(2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (3, 1)]:
         spec = make_field(p, f)
-        for a in spec.enumerate():
-            for b in spec.enumerate():
-                assert (a + b) ** p == a**p + b**p
-                assert (a * b) ** p == (a**p) * (b**p)
+        add, mul = spec.array_tables()[:2]
+        frob = np.full(spec.q, spec.one.index)
+        for _ in range(p):
+            frob = mul[frob, np.arange(spec.q)]
+        assert (frob[add] == add[frob[:, None], frob]).all()
+        assert (frob[mul] == mul[frob[:, None], frob]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +159,9 @@ def test_is_square_minus_one():
     # -1 is a square exactly when q = 1 mod 4
     for p, f, expected in [(13, 1, True), (7, 1, False), (3, 2, True)]:
         spec = make_field(p, f)
-        minus_one = -spec.one
+        minus_one = -el(spec, 1)
         if p == 3 and f == 2:
-            squares = {(e * e).coeffs for e in spec.enumerate() if not is_zero(e)}
+            squares = {(e * e).coeffs for e in field_elements(spec) if not is_zero(e)}
             assert (minus_one.coeffs in squares) is expected  # oracle
         assert is_square(minus_one) is expected
 
@@ -189,9 +173,10 @@ def test_is_square_matches_enumeration_all_odd_q_up_to_121():
                  (67, 1), (71, 1), (73, 1), (79, 1), (83, 1), (89, 1), (97, 1),
                  (101, 1), (103, 1), (107, 1), (109, 1), (113, 1), (11, 2)]:
         spec = make_field(p, f)
-        squares = {(e * e).coeffs for e in spec.enumerate() if not is_zero(e)}
+        els = field_elements(spec)
+        squares = {(e * e).coeffs for e in els if not is_zero(e)}
         sqrt = spec.int_tables()[4]  # the table W(2)'s non-square twist reads
-        for a in spec.enumerate():
+        for a in els:
             if is_zero(a):
                 continue
             assert is_square(a) == (a.coeffs in squares) == (sqrt[a.index] != -1)
@@ -199,32 +184,10 @@ def test_is_square_matches_enumeration_all_odd_q_up_to_121():
 
 def test_is_square_zero_rejected_and_even_char_true():
     with pytest.raises(ValueError):
-        is_square(make_field(5, 1).element(0))
-    f16 = make_field(2, 4)
-    for a in f16.enumerate():
+        is_square(el(make_field(5, 1), 0))
+    for a in field_elements(make_field(2, 4)):
         if not is_zero(a):
             assert is_square(a)
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
-
-
-def test_enumerate_counts_and_order():
-    assert len(make_field(2, 2).enumerate()) == 4
-    f9 = make_field(3, 2).enumerate()
-    assert len(f9) == 9
-    assert is_zero(f9[0])
-    f49 = make_field(7, 2).enumerate()
-    assert len({e.coeffs for e in f49}) == 49  # oracle: distinct coefficient vectors
-
-
-def test_enumeration_index_roundtrip():
-    spec = make_field(3, 2)
-    for i, e in enumerate(spec.enumerate()):
-        assert e.index == i
-        assert from_index(spec, i) == e.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -233,45 +196,41 @@ def test_enumeration_index_roundtrip():
 
 
 def test_multiplication_against_dlog_table():
-    # lazily built log table: a generator g with every nonzero element a
-    # power of it; then a * b must equal g^(log a + log b mod q-1)
+    # a log table from schoolbook powers of the first generator g in index
+    # order; then MUL[a, b] must be g^(log a + log b mod q-1)
     for p, f in [(7, 2), (3, 4), (11, 2)]:
         spec = make_field(p, f)
         q = spec.q
-        nonzero = [e for e in spec.enumerate() if not is_zero(e)]
-        gen = None
-        for cand in nonzero:
-            powers = {}
-            acc = spec.one
+        nonzero = [e for e in field_elements(spec) if not is_zero(e)]
+        for gen in nonzero:
+            log, acc = {}, el(spec, 1)
             for k in range(q - 1):
-                powers[acc.coeffs] = k
-                acc = acc * cand
-            if len(powers) == q - 1:
-                gen = cand
-                log = powers
+                log[acc.index] = k
+                acc = acc * gen
+            if len(log) == q - 1:
                 break
-        assert gen is not None
-        pow_table = {v: k for k, v in log.items()}
-        for a in nonzero:
-            for b in nonzero:
-                expected = pow_table[(log[a.coeffs] + log[b.coeffs]) % (q - 1)]
-                assert (a * b).coeffs == expected
+        assert len(log) == q - 1
+        antilog = {k: i for i, k in log.items()}
+        mul = spec.array_tables()[1]
+        for a in log:
+            for b in log:
+                assert mul[a, b] == antilog[(log[a] + log[b]) % (q - 1)]
 
 
 # ---------------------------------------------------------------------------
-# dense op tables: log/antilog build against direct arithmetic
+# dense op tables: the generator walk against schoolbook arithmetic
 # ---------------------------------------------------------------------------
 
 
 def direct_int_tables(spec):
-    """The five tables entry by entry from the tuple arithmetic."""
-    els = [e.coeffs for e in spec.enumerate()]
-    idx = spec.index_of
-    add = [[idx(spec.add_t(a, b)) for b in els] for a in els]
-    mul = [[idx(spec.mul_t(a, b)) for b in els] for a in els]
-    neg = [idx(spec.neg_t(a)) for a in els]
-    inv = [-1] + [idx(spec.inv_t(a)) for a in els[1:]]
-    sqrt = [-1 if (r := sqrt_t(spec, a)) is None else idx(r) for a in els]
+    """The five tables entry by entry from the schoolbook arithmetic of
+    `oracle.Element`."""
+    els = field_elements(spec)
+    add = [[(a + b).index for b in els] for a in els]
+    mul = [[(a * b).index for b in els] for a in els]
+    neg = [(-a).index for a in els]
+    inv = [-1] + [(el(spec, 1) / a).index for a in els[1:]]
+    sqrt = [-1 if (r := sqrt_t(spec, a.coeffs)) is None else el(spec, r).index for a in els]
     return add, mul, neg, inv, sqrt
 
 
@@ -286,8 +245,33 @@ def test_int_tables_match_direct_arithmetic(p, f):
     assert all(t.dtype == np.int32 and not t.flags.writeable for t in tables)
     assert spec.int_tables() == direct_int_tables(spec)
     assert spec.int_tables() is not spec.int_tables()  # lists are built on request
-    g = spec.primitive_element()
-    assert len({spec.pow_t(g, k) for k in range(spec.q - 1)}) == spec.q - 1
+
+
+def tables_sha256() -> str:
+    """One sha256 over the five tables of every field with q <= 512, in
+    ascending q, each table as little-endian int32."""
+    h = hashlib.sha256()
+    for q in range(2, gfq.TABLE_LIMIT + 1):
+        if prime_power(q):
+            for t in make_field(*prime_power(q)).array_tables():
+                h.update(t.astype("<i4").tobytes())
+    return h.hexdigest()
+
+
+def test_every_table_up_to_the_limit_is_pinned():
+    # recorded from tables built by tuple arithmetic over a primitive element
+    # found by factoring q - 1, a route that shares no code with this build
+    assert tables_sha256() == "e87064b7c93631ee4a0bf6dff03649995d30a7957e66c509c48ad426dc6a5e9b"
+
+
+@pytest.mark.parametrize("p,modulus", [(2, (1, 0, 1)), (3, (2, 0, 1))])
+def test_reducible_modulus_has_no_generator(p, modulus):
+    # (x+1)^2 over GF(2) and (x-1)(x+1) over GF(3): no element's powers
+    # reach every nonzero residue, so no tables are built or kept
+    with pytest.raises(VerificationError) as err:
+        FieldSpec(p, 2, modulus).array_tables()
+    assert err.value.name == "field-generator"
+    assert gfq._last_tables is None
 
 
 # ---------------------------------------------------------------------------

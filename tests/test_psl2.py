@@ -5,8 +5,10 @@ from oracle import (
     TupleGroup,
     act_on_line,
     canonicalize,
+    el,
     element_order,
     enumerate_group,
+    field_elements,
     inv,
     is_elementary_abelian,
     is_psl_member,
@@ -42,20 +44,20 @@ from quadforge.subgroups import is_cyclic, is_dihedral
 def naive_psl_order(q):
     """Count determinant-1 matrices by brute force, then collapse +-M."""
     fld = make_field(*prime_power(q))
-    els = fld.enumerate()
+    els, one = field_elements(fld), el(fld, 1)
     count = 0
     for a in els:
         for b in els:
             for c in els:
                 for d in els:
-                    if a * d - b * c == fld.one:
+                    if a * d - b * c == one:
                         count += 1
     return count // (2 if q % 2 else 1)
 
 
 def naive_pgl_order(q):
     fld = make_field(*prime_power(q))
-    els = fld.enumerate()
+    els = field_elements(fld)
     invertible = 0
     for a in els:
         for b in els:
@@ -73,27 +75,27 @@ def naive_pgl_order(q):
 
 def test_identity_canonical_fixed_point():
     f7 = make_field(7, 1)
-    e = canonicalize(((f7.one, f7.element(0)), (f7.element(0), f7.one)), "PSL", f7)
+    e = canonicalize(((el(f7, 1), el(f7, 0)), (el(f7, 0), el(f7, 1))), "PSL", f7)
     assert e.t == e.group.identity_t
     assert element_order(e) == 1
 
 
 def test_standard_involution_q7():
     f7 = make_field(7, 1)
-    a = canonicalize(((f7.element(0), f7.one), (-f7.one, f7.element(0))), "PSL", f7)
+    a = canonicalize(((el(f7, 0), el(f7, 1)), (-el(f7, 1), el(f7, 0))), "PSL", f7)
     assert element_order(a) == 2  # A^2 = -I, trivial projectively
 
 
 def test_nonsquare_determinant_rejected_for_psl():
     f9 = make_field(3, 2)
-    omega = next(e for e in f9.enumerate() if not is_zero(e) and not is_square(e))
+    omega = next(e for e in field_elements(f9) if not is_zero(e) and not is_square(e))
     with pytest.raises(NotInPslError):
-        canonicalize(((omega, f9.element(0)), (f9.element(0), f9.one)), "PSL", f9)
+        canonicalize(((omega, el(f9, 0)), (el(f9, 0), el(f9, 1))), "PSL", f9)
     # the same matrix is a fine PGL element
-    g = canonicalize(((omega, f9.element(0)), (f9.element(0), f9.one)), "PGL", f9)
+    g = canonicalize(((omega, el(f9, 0)), (el(f9, 0), el(f9, 1))), "PGL", f9)
     assert not is_psl_member(g)
     # the kernel refuses it in PSL and finds it in PGL
-    row = (omega.index, 0, 0, f9.one.index)
+    row = (omega.index, 0, 0, el(f9, 1).index)
     with pytest.raises(KeyError):
         indexed_group(psl(9)).ids_of([row])
     assert pgl(9).elements_t()[indexed_group(pgl(9)).id_of(row)] == g.t
@@ -102,7 +104,7 @@ def test_nonsquare_determinant_rejected_for_psl():
 def test_singular_matrix_rejected():
     f5 = make_field(5, 1)
     with pytest.raises(ValueError):
-        canonicalize(((f5.one, f5.one), (f5.one, f5.one)), "PSL", f5)
+        canonicalize(((el(f5, 1), el(f5, 1)), (el(f5, 1), el(f5, 1))), "PSL", f5)
     for spec in (psl(5), pgl(5)):
         for row in ((1, 1, 1, 1), (0, 0, 1, 2), (2, 3, 0, 0), (1, 2, 4, 3)):
             with pytest.raises(KeyError):
@@ -118,10 +120,10 @@ def test_canonicalize_idempotent():
 
 def test_scalar_multiples_collapse():
     f7 = make_field(7, 1)
-    three = f7.element(3)
-    g = canonicalize(((f7.one, three), (three, f7.element(4))), "PGL", f7)
+    three = el(f7, 3)
+    g = canonicalize(((el(f7, 1), three), (three, el(f7, 4))), "PGL", f7)
     h = canonicalize(
-        ((three, three * three), (three * three, three * f7.element(4))), "PGL", f7
+        ((three, three * three), (three * three, three * el(f7, 4))), "PGL", f7
     )
     assert g == h
 
@@ -153,10 +155,10 @@ def test_order_of_torus_element_in_psl9():
     f9 = make_field(3, 2)
     z = next(
         e
-        for e in f9.enumerate()
-        if not is_zero(e) and all((e**k).coeffs != f9.one.coeffs for k in range(1, 8))
+        for e in field_elements(f9)
+        if not is_zero(e) and all((e**k).coeffs != el(f9, 1).coeffs for k in range(1, 8))
     )
-    g = canonicalize(((z, f9.element(0)), (f9.element(0), f9.one / z)), "PSL", f9)
+    g = canonicalize(((z, el(f9, 0)), (el(f9, 0), el(f9, 1) / z)), "PSL", f9)
     # oracle: repeated multiplication
     cur = g
     n = 1
@@ -409,10 +411,10 @@ def test_identity_action():
 
 def test_standard_involution_moves_infinity():
     f7 = make_field(7, 1)
-    a = canonicalize(((f7.element(0), f7.one), (-f7.one, f7.element(0))), "PSL", f7)
+    a = canonicalize(((el(f7, 0), el(f7, 1)), (-el(f7, 1), el(f7, 0))), "PSL", f7)
     inf = projective_line(f7)[-1]
     img = act_on_line(a, inf)
-    assert is_zero(img.x) and img.y == f7.one
+    assert is_zero(img.x) and img.y == el(f7, 1)
 
 
 def test_action_is_right_action():
@@ -462,8 +464,8 @@ def test_orbit_stabilizer_all_classes():
 
 def test_canonicalize_field_inferred_from_entries():
     f7 = make_field(7, 1)
-    a = canonicalize(((f7.element(0), f7.one), (-f7.one, f7.element(0))), "PSL")
-    b = canonicalize(((f7.element(0), f7.one), (-f7.one, f7.element(0))), "PSL", f7)
+    a = canonicalize(((el(f7, 0), el(f7, 1)), (-el(f7, 1), el(f7, 0))), "PSL")
+    b = canonicalize(((el(f7, 0), el(f7, 1)), (-el(f7, 1), el(f7, 0))), "PSL", f7)
     assert a == b
 
 

@@ -12,6 +12,7 @@ from oracle import (
     element_order,
     elements,
     enumerate_group,
+    field_elements,
     index_value,
     inv,
     is_abelian,
@@ -28,8 +29,9 @@ from oracle import (
     wrap,
 )
 
-from quadforge._ints import factorize, iter_prime_powers
+from quadforge._ints import factorize, iter_prime_powers, prime_power
 from quadforge.errors import VerificationError
+from quadforge.gfq import make_field
 from quadforge.psl2 import indexed_group, pgl, psl
 from quadforge.subgroups import (
     _orbit,
@@ -262,6 +264,21 @@ def _matrix_oracle(spec, case, q0):
     return out
 
 
+SUBFIELD_PAIRS = [
+    (q0**r, q0) for q0 in range(2, 23) if prime_power(q0) for r in range(2, 10) if q0**r <= 512
+]
+
+
+def test_subfield_indices_are_the_schoolbook_fixed_points_of_x_to_the_q0():
+    assert len(SUBFIELD_PAIRS) == 27
+    for q, q0 in SUBFIELD_PAIRS:
+        fld = make_field(*prime_power(q))
+        want = [e.index for e in field_elements(fld) if e**q0 == e]
+        assert subfield_indices(fld, q0) == want, (q, q0)
+    with pytest.raises(VerificationError, match="subfield-size"):
+        subfield_indices(make_field(3, 4), 3**3)
+
+
 @pytest.mark.parametrize("q", ORACLE_Q)
 def test_id_selections_match_matrix_oracle(q):
     spec = psl(q)
@@ -279,7 +296,7 @@ def test_diagonal_twist_matches_canonical_twist(q):
     spec = psl(q)
     ig = indexed_group(spec)
     fld = spec.field
-    omega = next(e for e in fld.enumerate() if not is_zero(e) and not is_square(e))
+    omega = next(e for e in field_elements(fld) if not is_zero(e) and not is_square(e))
     m0 = build_case(2, spec)
     canon = TupleGroup(spec).canonicalize_t
     want = set()
